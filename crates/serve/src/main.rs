@@ -23,13 +23,14 @@
 //!   per-node fleet series on an aggregator and `edge_*` series on an
 //!   edge), `GET /snapshot` (latest checkpoint bytes, VERSION 2 codec),
 //!   `GET /healthz`, and `POST /shutdown` (graceful: drain, final
-//!   publish, checkpoint, exit).
+//!   publish, checkpoint, exit; `GET /shutdown` is refused with `405`).
 //! * **Restart** with the same `--checkpoint` file resumes from the
 //!   snapshot — estimates continue bit-identically from where the
 //!   previous process stopped.
 //!
 //! The binary is pure `std`: no async runtime, one writer thread, one
-//! lightweight thread per connection.
+//! thread per ingest connection, and a fixed pool of query workers
+//! behind a blocking acceptor (see [`imp_serve::http`]).
 //!
 //! # Distributed operation
 //!
@@ -69,7 +70,7 @@ use std::net::{TcpListener, TcpStream};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
@@ -83,6 +84,8 @@ use implicate::{
     ImplicationEstimator, ImplicationQuery, MetricsHandle, MultiplicityPolicy, PairHasher,
     QueryCatalog, QueryId, Schema, ShardedEstimator, TraceEvent, TraceHandle, Tuple,
 };
+
+use imp_serve::http::{self, Request, Response};
 
 mod flight;
 mod status;
@@ -107,6 +110,13 @@ const BACKOFF_START: Duration = Duration::from_millis(100);
 
 /// Ceiling of the edge sender's exponential reconnect backoff.
 const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
+/// Locks `m` even if a panicking thread poisoned it: every value the
+/// service guards is replaced whole, so a poisoned one is still valid,
+/// and one panic must not fail every later request on the same route.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn die(msg: &str) -> ! {
     eprintln!("implicate-serve: {msg}");
@@ -579,25 +589,38 @@ fn write_checkpoint(path: &str, data: &[u8]) {
 /// last snapshot actually *sent*, not the previous capture.
 struct ShipSlot {
     latest: Mutex<Option<WireSnapshot>>,
+    /// Signalled on every [`ShipSlot::store`], so the sender wakes as
+    /// soon as a capture is ready.
+    stored: Condvar,
 }
 
 impl ShipSlot {
     fn new() -> Self {
         Self {
             latest: Mutex::new(None),
+            stored: Condvar::new(),
         }
     }
 
     fn store(&self, snap: WireSnapshot) {
-        *self.latest.lock().unwrap() = Some(snap);
+        *lock(&self.latest) = Some(snap);
+        self.stored.notify_one();
     }
 
     fn take(&self) -> Option<WireSnapshot> {
-        self.latest.lock().unwrap().take()
+        lock(&self.latest).take()
     }
 
     fn is_empty(&self) -> bool {
-        self.latest.lock().unwrap().is_none()
+        lock(&self.latest).is_none()
+    }
+
+    /// Blocks until the slot holds a capture or `timeout` passes.
+    fn wait(&self, timeout: Duration) {
+        let latest = lock(&self.latest);
+        if latest.is_none() {
+            drop(self.stored.wait_timeout(latest, timeout));
+        }
     }
 }
 
@@ -664,7 +687,7 @@ fn catalog_writer_loop(
     let refresh = |catalog: &QueryCatalog, cat: &CatalogShared| {
         let mut text = String::new();
         catalog.prometheus_into("implicate", &mut text);
-        *cat.exposition.lock().unwrap() = text;
+        *lock(&cat.exposition) = text;
     };
     loop {
         // Control first: a registration must not wait behind a long
@@ -684,7 +707,7 @@ fn catalog_writer_loop(
                             .try_register(s.name.clone(), s.query.clone())
                             .map_err(|e| e.to_string())?;
                         let reader = catalog.reader(id).expect("just registered");
-                        cat.queries.lock().unwrap().insert(
+                        lock(&cat.queries).insert(
                             id.raw(),
                             CatalogQueryHandle {
                                 name: s.name,
@@ -700,7 +723,7 @@ fn catalog_writer_loop(
                 CatalogCtrl::Retire { id, reply } => {
                     let live = catalog.retire(QueryId::from_raw(id));
                     if live {
-                        cat.queries.lock().unwrap().remove(&id);
+                        lock(&cat.queries).remove(&id);
                         refresh(&catalog, cat);
                     }
                     let _ = reply.send(live);
@@ -853,7 +876,9 @@ fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
             if shared.writer_done.load(Ordering::Acquire) && slot.is_empty() {
                 return;
             }
-            std::thread::sleep(POLL);
+            // Wakes on the next capture; the timeout only bounds how
+            // late the `writer_done` check above can run.
+            slot.wait(POLL);
             continue;
         };
 
@@ -1100,13 +1125,12 @@ fn aggregate_writer_loop(
                                 write_checkpoint(path, &data);
                             }
                         }
-                        *shared.snapshot.lock().unwrap() = Some(data);
+                        *lock(&shared.snapshot) = Some(data);
                     }
                     Err(e) => {
                         eprintln!("implicate-serve: frame from node {node}: {e}");
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                        }
+                        // Record first, so the recording is on disk by the
+                        // time `/status` reports the node poisoned.
                         if let Some(recorder) = &shared.flight {
                             let context = format!(
                                 "{{\"reason\":\"decode_error\",\"node_id\":{node},\
@@ -1120,6 +1144,9 @@ fn aggregate_writer_loop(
                                 &context,
                                 shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
                             );
+                        }
+                        if let Some(fleet) = &shared.fleet {
+                            fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
                         }
                         decoder.reset();
                         kill.store(true, Ordering::Release);
@@ -1181,7 +1208,7 @@ fn aggregate_writer_loop(
             serving.tuples_seen()
         );
     }
-    *shared.snapshot.lock().unwrap() = Some(data);
+    *lock(&shared.snapshot) = Some(data);
     shared.writer_done.store(true, Ordering::Release);
     (frames, serving.tuples_seen())
 }
@@ -1281,7 +1308,7 @@ fn main() {
 
     // Seed /snapshot with the restored/initial state so the endpoint is
     // never empty once the service is up.
-    *shared.snapshot.lock().unwrap() = Some(est.to_bytes());
+    *lock(&shared.snapshot) = Some(est.to_bytes());
 
     let ingest_listener = TcpListener::bind(&opts.ingest_addr)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.ingest_addr)));
@@ -1328,7 +1355,7 @@ fn main() {
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
             let specs =
                 spec::parse_query_file(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let mut queries = cat.queries.lock().unwrap();
+            let mut queries = lock(&cat.queries);
             for s in specs {
                 if s.max_column() >= opts.arity {
                     die(&format!(
@@ -1359,7 +1386,7 @@ fn main() {
         }
         let mut text = String::new();
         catalog_engine.prometheus_into("implicate", &mut text);
-        *cat.exposition.lock().unwrap() = text;
+        *lock(&cat.exposition) = text;
         let shared = Arc::clone(&shared);
         let publish_every = opts.publish_every;
         std::thread::spawn(move || {
@@ -1428,14 +1455,14 @@ fn main() {
     };
 
     // Ingest acceptor: wire frames when aggregating, text rows otherwise.
+    // Ingest connections are long-lived streams, one thread each.
     {
         let shared = Arc::clone(&shared);
-        ingest_listener.set_nonblocking(true).expect("nonblocking");
         if opts.aggregate {
             let frame_tx = frame_tx.clone();
             std::thread::spawn(move || {
-                accept_loop(&ingest_listener, &shared, move |stream, shared| {
-                    let tx = frame_tx.clone();
+                http::accept_loop(&ingest_listener, |stream| {
+                    let (tx, shared) = (frame_tx.clone(), Arc::clone(&shared));
                     std::thread::spawn(move || {
                         wire_ingest_connection(stream, &shared, &tx);
                     });
@@ -1446,8 +1473,8 @@ fn main() {
             let delimiter = opts.delimiter;
             let tuple_tx = tuple_tx.clone();
             std::thread::spawn(move || {
-                accept_loop(&ingest_listener, &shared, move |stream, shared| {
-                    let tx = tuple_tx.clone();
+                http::accept_loop(&ingest_listener, |stream| {
+                    let (tx, shared) = (tuple_tx.clone(), Arc::clone(&shared));
                     std::thread::spawn(move || {
                         catalog_ingest_connection(stream, &shared, arity, delimiter, &tx);
                     });
@@ -1459,10 +1486,9 @@ fn main() {
             let delimiter = opts.delimiter;
             let batch_tx = batch_tx.clone();
             std::thread::spawn(move || {
-                accept_loop(&ingest_listener, &shared, move |stream, shared| {
-                    let tx = batch_tx.clone();
-                    let lhs = lhs.clone();
-                    let rhs = rhs.clone();
+                http::accept_loop(&ingest_listener, |stream| {
+                    let (tx, shared) = (batch_tx.clone(), Arc::clone(&shared));
+                    let (lhs, rhs) = (lhs.clone(), rhs.clone());
                     std::thread::spawn(move || {
                         ingest_connection(stream, &shared, &lhs, &rhs, delimiter, pair_hasher, &tx);
                     });
@@ -1470,25 +1496,32 @@ fn main() {
             });
         }
     }
-    // The writer must observe channel disconnect once every ingest
-    // connection is gone at shutdown.
+    // Only the ingest acceptor and its connections hold senders from
+    // here on. The acceptor never exits, so the writer leaves its loop
+    // on the stop flag, not on a disconnected channel.
     drop(batch_tx);
     drop(frame_tx);
     drop(tuple_tx);
 
-    // Query acceptor.
+    // Query acceptor and its fixed worker pool; each worker answers
+    // from its own reader clone.
     {
         let shared = Arc::clone(&shared);
-        query_listener.set_nonblocking(true).expect("nonblocking");
         let cat = cat_shared.clone();
+        let reader_proto = Mutex::new(reader_proto);
         std::thread::spawn(move || {
-            accept_loop(&query_listener, &shared, move |stream, shared| {
-                let reader = reader_proto.clone();
-                let cat = cat.clone();
-                std::thread::spawn(move || {
-                    query_connection(stream, &shared, &reader, cat.as_deref());
-                });
-            });
+            http::serve(
+                &query_listener,
+                http::QUERY_WORKERS,
+                http::QUEUE_DEPTH,
+                move || {
+                    let (shared, cat) = (Arc::clone(&shared), cat.clone());
+                    let reader = lock(&reader_proto).clone();
+                    move |stream| {
+                        http::answer(stream, |req| route(req, &shared, &reader, cat.as_deref()));
+                    }
+                },
+            );
         });
     }
 
@@ -1504,26 +1537,9 @@ fn main() {
         final_tuples,
         shared.skipped.load(Ordering::Relaxed),
     );
-    // Connection threads are detached and stop-flag aware; exiting the
-    // process reaps anything still parked in a read timeout.
+    // The acceptors block in `accept` and the connection threads are
+    // detached; exiting the process reaps them all.
     exit(0);
-}
-
-/// Generic nonblocking accept loop, stop-flag aware.
-fn accept_loop<F: Fn(TcpStream, Arc<Shared>)>(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handle: F,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => handle(stream, Arc::clone(shared)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
 }
 
 /// The single mutation owner: applies batches, publishes views on the
@@ -1586,7 +1602,7 @@ fn writer_loop(
                             if let Some(path) = checkpoint {
                                 write_checkpoint(path, &data);
                             }
-                            *shared.snapshot.lock().unwrap() = Some(data);
+                            *lock(&shared.snapshot) = Some(data);
                         }
                     } else {
                         pipeline.publish();
@@ -1647,7 +1663,7 @@ fn writer_loop(
             est.tuples_seen()
         );
     }
-    *shared.snapshot.lock().unwrap() = Some(data);
+    *lock(&shared.snapshot) = Some(data);
     // The final state always ships (an unchanged-state delta is a few
     // bytes), so a graceful edge shutdown never strands its tail.
     if let Some((slot, _, _)) = &ship {
@@ -1747,7 +1763,7 @@ fn catalog_route(
                     b"catalog mode: GET /estimate?query=ID-or-NAME\n".to_vec(),
                 ));
             };
-            let queries = cat.queries.lock().unwrap();
+            let queries = lock(&cat.queries);
             let found = wanted
                 .parse::<u64>()
                 .ok()
@@ -1778,7 +1794,7 @@ fn catalog_route(
             Some(("200 OK", "application/json", body.into_bytes()))
         }
         ("GET", "/queries") => {
-            let queries = cat.queries.lock().unwrap();
+            let queries = lock(&cat.queries);
             let mut rows: Vec<(u64, String)> = queries
                 .iter()
                 .map(|(id, h)| {
@@ -1826,10 +1842,7 @@ fn catalog_route(
             }
             match reply_rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(Ok(id)) => {
-                    let name = cat
-                        .queries
-                        .lock()
-                        .unwrap()
+                    let name = lock(&cat.queries)
                         .get(&id)
                         .map(|h| h.name.clone())
                         .unwrap_or_default();
@@ -1891,10 +1904,10 @@ fn catalog_route(
         ("GET", "/metrics") => Some((
             "200 OK",
             "text/plain; version=0.0.4",
-            cat.exposition.lock().unwrap().clone().into_bytes(),
+            lock(&cat.exposition).clone().into_bytes(),
         )),
         ("GET", "/status") => {
-            let queries = cat.queries.lock().unwrap().len();
+            let queries = lock(&cat.queries).len();
             let body = format!(
                 "{{\"role\":\"catalog\",\"queries\":{queries},\
                  \"accepted\":{},\"skipped\":{},\"uptime_ms\":{}}}\n",
@@ -1913,138 +1926,98 @@ fn catalog_route(
     }
 }
 
-/// One query connection: answer a single HTTP request and close.
-fn query_connection(
-    mut stream: TcpStream,
+/// Answers one query request: catalog routes first (in catalog mode),
+/// then the routes every role serves.
+fn route(
+    req: &Request,
     shared: &Shared,
     reader: &EstimateReader,
     catalog: Option<&CatalogShared>,
-) {
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    let mut buf = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Read until the header terminator.
-    while !buf.ends_with(b"\r\n\r\n") && !buf.ends_with(b"\n\n") {
-        match stream.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => {
-                buf.push(byte[0]);
-                if buf.len() > 8192 {
-                    break;
-                }
-            }
-            Err(_) => break,
+) -> Response {
+    let (method, route) = (req.method.as_str(), req.route.as_str());
+    if let Some((status, content_type, body)) =
+        catalog.and_then(|cat| catalog_route(method, route, &req.query, &req.body, cat, shared))
+    {
+        return Response::new(status, content_type, body);
+    }
+    let (status, content_type, body): (&str, &str, Vec<u8>) = match (method, route) {
+        ("GET", "/estimate") => {
+            let view = reader.view();
+            let e = view.estimate();
+            let body = format!(
+                "{{\"epoch\":{},\"tuples\":{},\"accepted\":{},\"skipped\":{},\
+             \"f0_sup\":{},\"non_implication_count\":{},\"implication_count\":{},\
+             \"f0_sup_bits\":{},\"non_implication_count_bits\":{},\
+             \"implication_count_bits\":{}}}\n",
+                view.epoch(),
+                view.tuples(),
+                shared.accepted.load(Ordering::Relaxed),
+                shared.skipped.load(Ordering::Relaxed),
+                e.f0_sup,
+                e.non_implication_count,
+                e.implication_count,
+                e.f0_sup.to_bits(),
+                e.non_implication_count.to_bits(),
+                e.implication_count.to_bits(),
+            );
+            ("200 OK", "application/json", body.into_bytes())
         }
-    }
-    let request = String::from_utf8_lossy(&buf);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (route, query_string) = path.split_once('?').unwrap_or((path, ""));
-    // Read the body when one is declared (`POST /query` carries a spec
-    // line); bounded so a bogus length cannot balloon the buffer.
-    let content_length = request
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.trim()
-                .eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse::<usize>().ok())
-                .flatten()
-        })
-        .unwrap_or(0);
-    let mut body_in = vec![0u8; content_length.min(65_536)];
-    if !body_in.is_empty() && stream.read_exact(&mut body_in).is_err() {
-        body_in.clear();
-    }
-
-    let catalog_answer =
-        catalog.and_then(|cat| catalog_route(method, route, query_string, &body_in, cat, shared));
-    let (status, content_type, body): (&str, &str, Vec<u8>) = if let Some(answer) = catalog_answer {
-        answer
-    } else {
-        match (method, route) {
-            ("GET", "/estimate") => {
-                let view = reader.view();
-                let e = view.estimate();
-                let body = format!(
-                    "{{\"epoch\":{},\"tuples\":{},\"accepted\":{},\"skipped\":{},\
-                 \"f0_sup\":{},\"non_implication_count\":{},\"implication_count\":{},\
-                 \"f0_sup_bits\":{},\"non_implication_count_bits\":{},\
-                 \"implication_count_bits\":{}}}\n",
-                    view.epoch(),
-                    view.tuples(),
-                    shared.accepted.load(Ordering::Relaxed),
-                    shared.skipped.load(Ordering::Relaxed),
-                    e.f0_sup,
-                    e.non_implication_count,
-                    e.implication_count,
-                    e.f0_sup.to_bits(),
-                    e.non_implication_count.to_bits(),
-                    e.implication_count.to_bits(),
-                );
-                ("200 OK", "application/json", body.into_bytes())
+        ("GET", "/metrics") => {
+            let mut body = shared.metrics.prometheus("implicate");
+            let now = shared.now_ms();
+            if let Some(fleet) = &shared.fleet {
+                fleet.prometheus_into("implicate", now, &mut body);
             }
-            ("GET", "/metrics") => {
-                let mut body = shared.metrics.prometheus("implicate");
-                let now = shared.now_ms();
-                if let Some(fleet) = &shared.fleet {
-                    fleet.prometheus_into("implicate", now, &mut body);
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.prometheus_into("implicate", now, &mut body);
-                }
-                ("200 OK", "text/plain; version=0.0.4", body.into_bytes())
+            if let Some(edge) = &shared.edge {
+                edge.prometheus_into("implicate", now, &mut body);
             }
-            ("GET", "/status") => {
-                let view = reader.view();
-                let now = shared.now_ms();
-                let mut body = format!(
-                    "{{\"role\":\"{}\",\"epoch\":{},\"tuples\":{},\
-                 \"accepted\":{},\"skipped\":{},\"uptime_ms\":{now}",
-                    shared.role,
-                    view.epoch(),
-                    view.tuples(),
-                    shared.accepted.load(Ordering::Relaxed),
-                    shared.skipped.load(Ordering::Relaxed),
-                );
-                if let Some(fleet) = &shared.fleet {
-                    body.push_str(",\"fleet\":");
-                    body.push_str(&fleet.status_json(now));
-                }
-                if let Some(edge) = &shared.edge {
-                    body.push_str(",\"edge\":");
-                    body.push_str(&edge.status_json(now));
-                }
-                body.push_str("}\n");
-                ("200 OK", "application/json", body.into_bytes())
+            ("200 OK", "text/plain; version=0.0.4", body.into_bytes())
+        }
+        ("GET", "/status") => {
+            let view = reader.view();
+            let now = shared.now_ms();
+            let mut body = format!(
+                "{{\"role\":\"{}\",\"epoch\":{},\"tuples\":{},\
+             \"accepted\":{},\"skipped\":{},\"uptime_ms\":{now}",
+                shared.role,
+                view.epoch(),
+                view.tuples(),
+                shared.accepted.load(Ordering::Relaxed),
+                shared.skipped.load(Ordering::Relaxed),
+            );
+            if let Some(fleet) = &shared.fleet {
+                body.push_str(",\"fleet\":");
+                body.push_str(&fleet.status_json(now));
             }
-            ("GET", "/snapshot") => match shared.snapshot.lock().unwrap().clone() {
-                Some(data) => ("200 OK", "application/octet-stream", data.to_vec()),
-                None => (
-                    "404 Not Found",
-                    "text/plain",
-                    b"no checkpoint published yet\n".to_vec(),
-                ),
-            },
-            ("GET", "/healthz") => ("200 OK", "text/plain", b"ok\n".to_vec()),
-            ("POST", "/shutdown") | ("GET", "/shutdown") => {
-                shared.stop.store(true, Ordering::Release);
-                ("200 OK", "text/plain", b"shutting down\n".to_vec())
+            if let Some(edge) = &shared.edge {
+                body.push_str(",\"edge\":");
+                body.push_str(&edge.status_json(now));
             }
-            _ => (
+            body.push_str("}\n");
+            ("200 OK", "application/json", body.into_bytes())
+        }
+        ("GET", "/snapshot") => match lock(&shared.snapshot).clone() {
+            Some(data) => ("200 OK", "application/octet-stream", data.to_vec()),
+            None => (
                 "404 Not Found",
                 "text/plain",
-                b"routes: /estimate /status /metrics /snapshot /healthz /shutdown\n".to_vec(),
+                b"no checkpoint published yet\n".to_vec(),
             ),
+        },
+        ("GET", "/healthz") => ("200 OK", "text/plain", b"ok\n".to_vec()),
+        ("POST", "/shutdown") => {
+            shared.stop.store(true, Ordering::Release);
+            ("200 OK", "text/plain", b"shutting down\n".to_vec())
         }
+        (_, "/shutdown") => {
+            return Response::text("405 Method Not Allowed", "shutdown needs POST\n")
+                .with_header("Allow: POST");
+        }
+        _ => (
+            "404 Not Found",
+            "text/plain",
+            b"routes: /estimate /status /metrics /snapshot /healthz /shutdown\n".to_vec(),
+        ),
     };
-
-    let header = format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(&body);
-    let _ = stream.flush();
+    Response::new(status, content_type, body)
 }

@@ -326,3 +326,42 @@ fn catalog_role_registers_answers_and_retires_over_http() {
     let (status, _) = srv.http("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
 }
+
+/// `POST /query` registers whether the spec line arrives in the same
+/// write as the request head or in a later one.
+#[test]
+fn query_registration_accepts_body_with_or_after_the_head() {
+    let srv = Server::spawn(&["--catalog", "--arity", "2"]);
+    let exchange = |name: &str, split: bool| -> String {
+        let body = format!("{name} one-to-one 0 1\n");
+        let head = format!(
+            "POST /query HTTP/1.0\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        let mut conn = TcpStream::connect(&srv.query).expect("connect query");
+        if split {
+            conn.write_all(head.as_bytes()).expect("send head");
+            conn.flush().expect("flush head");
+            std::thread::sleep(Duration::from_millis(100));
+            conn.write_all(body.as_bytes()).expect("send body");
+        } else {
+            conn.write_all(format!("{head}{body}").as_bytes())
+                .expect("send request");
+        }
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("read response");
+        response
+    };
+    let together = exchange("together", false);
+    assert!(together.starts_with("HTTP/1.0 200"), "{together}");
+    let apart = exchange("apart", true);
+    assert!(apart.starts_with("HTTP/1.0 200"), "{apart}");
+
+    let (status, body) = srv.get("/queries");
+    assert!(status.contains("200"), "{status}");
+    assert!(body.contains("\"name\":\"together\""), "{body}");
+    assert!(body.contains("\"name\":\"apart\""), "{body}");
+
+    let (status, _) = srv.http("POST", "/shutdown", "");
+    assert!(status.contains("200"), "{status}");
+}

@@ -73,18 +73,24 @@ impl Server {
 
     /// One HTTP request; returns (status line, body).
     fn http(&self, method: &str, path: &str) -> (String, Vec<u8>) {
+        let (head, body) =
+            self.raw(format!("{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n").as_bytes());
+        let status = head.lines().next().unwrap_or("").to_string();
+        (status, body)
+    }
+
+    /// Sends `request` verbatim; returns (response head, body).
+    fn raw(&self, request: &[u8]) -> (String, Vec<u8>) {
         let mut conn = TcpStream::connect(&self.query).expect("connect query");
-        conn.write_all(format!("{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n").as_bytes())
-            .expect("send request");
+        conn.write_all(request).expect("send request");
         let mut response = Vec::new();
         conn.read_to_end(&mut response).expect("read response");
         let split = response
             .windows(4)
             .position(|w| w == b"\r\n\r\n")
             .expect("header terminator");
-        let head = String::from_utf8_lossy(&response[..split]);
-        let status = head.lines().next().unwrap_or("").to_string();
-        (status, response[split + 4..].to_vec())
+        let head = String::from_utf8_lossy(&response[..split]).into_owned();
+        (head, response[split + 4..].to_vec())
     }
 
     /// Polls `/estimate` until the published tuple count reaches `want`.
@@ -325,5 +331,51 @@ fn concurrent_queries_ride_a_sharded_ingest_without_blocking() {
     stop.store(true, std::sync::atomic::Ordering::Release);
     let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(total > 0, "queries were served during ingest");
+    server.shutdown();
+}
+
+/// Queries answer as soon as they arrive: the acceptor blocks in
+/// `accept` instead of sleeping between polls (which cost ~50 ms per
+/// idle wake-up), so back-to-back requests are not paced by a timer.
+#[test]
+fn sequential_queries_are_not_paced_by_a_poll_interval() {
+    let server = Server::spawn(&[]);
+    // Warm up: the first request also waits for the process to settle.
+    let (status, _) = server.http("GET", "/estimate");
+    assert!(status.contains("200"), "{status}");
+    let start = Instant::now();
+    for _ in 0..20 {
+        let (status, _) = server.http("GET", "/estimate");
+        assert!(status.contains("200"), "{status}");
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "20 sequential /estimate calls took {took:?}"
+    );
+    server.shutdown();
+}
+
+/// An oversized request head is refused with 431 without harming the
+/// server, and `/shutdown` only answers `POST`.
+#[test]
+fn oversized_heads_and_get_shutdown_are_refused() {
+    let server = Server::spawn(&[]);
+
+    let huge = format!(
+        "GET /estimate HTTP/1.0\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(9 * 1024)
+    );
+    let (head, _) = server.raw(huge.as_bytes());
+    assert!(head.starts_with("HTTP/1.0 431"), "{head}");
+    let (status, _) = server.http("GET", "/estimate");
+    assert!(status.contains("200"), "next request after a 431: {status}");
+
+    let (head, _) = server.raw(b"GET /shutdown HTTP/1.0\r\n\r\n");
+    assert!(head.starts_with("HTTP/1.0 405"), "{head}");
+    assert!(head.contains("\r\nAllow: POST"), "{head}");
+    let (status, _) = server.http("GET", "/healthz");
+    assert!(status.contains("200"), "server stayed up: {status}");
+
     server.shutdown();
 }
