@@ -452,11 +452,6 @@ fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u6
 /// Shared state the connection handlers read.
 struct Shared {
     stop: AtomicBool,
-    /// Set by the writer after its final drain (and, for an edge, after
-    /// the final wire snapshot is in the ship slot) — the upstream
-    /// sender must not exit on `stop` alone or it could miss the final
-    /// state.
-    writer_done: AtomicBool,
     /// Rows accepted off ingest sockets (routed; the published view may
     /// trail this by the in-flight backlog).
     accepted: AtomicU64,
@@ -588,39 +583,66 @@ fn write_checkpoint(path: &str, data: &[u8]) {
 /// ever needs the newest state, since deltas are computed against the
 /// last snapshot actually *sent*, not the previous capture.
 struct ShipSlot {
-    latest: Mutex<Option<WireSnapshot>>,
-    /// Signalled on every [`ShipSlot::store`], so the sender wakes as
-    /// soon as a capture is ready.
+    /// The newest unsent capture, and whether it is the writer's final
+    /// one (the slot is closed: nothing more will be stored).
+    state: Mutex<(Option<WireSnapshot>, bool)>,
+    /// Signalled on every store, so the sender wakes as soon as a
+    /// capture is ready — it never polls.
     stored: Condvar,
 }
 
 impl ShipSlot {
     fn new() -> Self {
         Self {
-            latest: Mutex::new(None),
+            state: Mutex::new((None, false)),
             stored: Condvar::new(),
         }
     }
 
     fn store(&self, snap: WireSnapshot) {
-        *lock(&self.latest) = Some(snap);
+        lock(&self.state).0 = Some(snap);
+        self.stored.notify_one();
+    }
+
+    /// Stores the writer's final capture and closes the slot.
+    fn close(&self, snap: WireSnapshot) {
+        *lock(&self.state) = (Some(snap), true);
         self.stored.notify_one();
     }
 
     fn take(&self) -> Option<WireSnapshot> {
-        lock(&self.latest).take()
+        lock(&self.state).0.take()
     }
 
-    fn is_empty(&self) -> bool {
-        lock(&self.latest).is_none()
+    /// Whether the writer's final capture has been taken.
+    fn drained(&self) -> bool {
+        matches!(*lock(&self.state), (None, true))
     }
 
-    /// Blocks until the slot holds a capture or `timeout` passes.
-    fn wait(&self, timeout: Duration) {
-        let latest = lock(&self.latest);
-        if latest.is_none() {
-            drop(self.stored.wait_timeout(latest, timeout));
+    /// Blocks until a capture is waiting or the slot is closed.
+    fn wait(&self) {
+        let state = lock(&self.state);
+        drop(
+            self.stored
+                .wait_while(state, |(latest, closed)| latest.is_none() && !*closed),
+        );
+    }
+
+    /// Blocks until the slot is closed or `deadline` passes; returns
+    /// whether it is closed.
+    fn closed_before(&self, deadline: std::time::Instant) -> bool {
+        let mut state = lock(&self.state);
+        while !state.1 {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            state = match self.stored.wait_timeout(state, left) {
+                Ok((state, _)) => state,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
+        true
     }
 }
 
@@ -764,7 +786,6 @@ fn catalog_writer_loop(
     }
     catalog.publish();
     refresh(&catalog, cat);
-    shared.writer_done.store(true, Ordering::Release);
     (rows, catalog.tuples_seen())
 }
 
@@ -861,7 +882,7 @@ fn peer_gone(stream: &TcpStream) -> bool {
 /// reconnect is always full: a delta the aggregator never applied can
 /// never poison the resync.
 ///
-/// Runs until the stop flag is set *and* the last captured snapshot has
+/// Runs until the writer's final capture ([`ShipSlot::close`]) has
 /// shipped, so a graceful shutdown always delivers the final state.
 fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
     let mut conn: Option<TcpStream> = None;
@@ -873,12 +894,10 @@ fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
             pending = slot.take();
         }
         let Some(snap) = pending.as_ref() else {
-            if shared.writer_done.load(Ordering::Acquire) && slot.is_empty() {
+            if slot.drained() {
                 return;
             }
-            // Wakes on the next capture; the timeout only bounds how
-            // late the `writer_done` check above can run.
-            slot.wait(POLL);
+            slot.wait();
             continue;
         };
 
@@ -907,16 +926,12 @@ fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
                         edge.record_backoff(backoff.as_millis() as u64);
                     }
                     // Don't spin while unreachable — but stay
-                    // responsive to shutdown.
-                    let deadline = std::time::Instant::now() + backoff;
-                    while std::time::Instant::now() < deadline {
-                        if shared.writer_done.load(Ordering::Acquire) {
-                            // Unreachable aggregator at shutdown: the
-                            // state is lost to this session, as
-                            // documented — exit rather than hang.
-                            return;
-                        }
-                        std::thread::sleep(POLL.min(backoff));
+                    // responsive to shutdown: with the aggregator
+                    // unreachable when the writer closes the slot, the
+                    // state is lost to this session, as documented —
+                    // exit rather than hang.
+                    if slot.closed_before(std::time::Instant::now() + backoff) {
+                        return;
                     }
                     backoff = (backoff * 2).min(BACKOFF_CAP);
                     continue;
@@ -942,7 +957,7 @@ fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
                     );
                 }
                 base = pending.take();
-                if shared.writer_done.load(Ordering::Acquire) && slot.is_empty() {
+                if slot.drained() {
                     return;
                 }
             }
@@ -1209,7 +1224,6 @@ fn aggregate_writer_loop(
         );
     }
     *lock(&shared.snapshot) = Some(data);
-    shared.writer_done.store(true, Ordering::Release);
     (frames, serving.tuples_seen())
 }
 
@@ -1288,7 +1302,6 @@ fn main() {
     let pair_hasher = est.pair_hasher();
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
-        writer_done: AtomicBool::new(false),
         accepted: AtomicU64::new(0),
         skipped: AtomicU64::new(0),
         snapshot: Mutex::new(None),
@@ -1668,9 +1681,8 @@ fn writer_loop(
     // bytes), so a graceful edge shutdown never strands its tail.
     if let Some((slot, _, _)) = &ship {
         ship_epoch += 1;
-        slot.store(WireSnapshot::capture(&est, ship_epoch));
+        slot.close(WireSnapshot::capture(&est, ship_epoch));
     }
-    shared.writer_done.store(true, Ordering::Release);
     (rows, est.tuples_seen())
 }
 
