@@ -65,7 +65,7 @@
 //! bounded JSONL flight recording for post-mortem analysis.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,6 +79,7 @@ use implicate::core::wire::{
 };
 use implicate::sketch::hash::MixHasher;
 use implicate::spec;
+use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
     EstimateReader, EstimatorConfig, Fringe, HashedBatch, ImplicationConditions,
     ImplicationEstimator, ImplicationQuery, MetricsHandle, MultiplicityPolicy, PairHasher,
@@ -97,6 +98,11 @@ const FIELD_HASHER_SEED: u64 = spec::FIELD_HASHER_SEED;
 /// Rows buffered per ingest connection before a batch ships to the
 /// writer.
 const INGEST_BATCH: usize = 256;
+
+/// Longest ingest line, in bytes before its `\n`. A longer line is
+/// discarded through its `\n` and counted in `skipped_oversize`; the
+/// connection stays open.
+const MAX_INGEST_LINE: usize = 64 * 1024;
 
 /// Bound, in batches, of the ingest-to-writer channel (back-pressure).
 const INGEST_DEPTH: usize = 64;
@@ -429,34 +435,17 @@ fn parse_opts() -> Opts {
     }
 }
 
-/// Splits a line into trimmed fields (same rules as the CLI).
-fn split_line(line: &str, delimiter: Option<char>) -> Vec<&str> {
-    match delimiter {
-        Some(d) => line.split(d).map(str::trim).collect(),
-        None => line.split_whitespace().collect(),
-    }
-}
-
-/// Projects the selected columns into field fingerprints.
-fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u64>) -> bool {
-    out.clear();
-    for &c in cols {
-        match fields.get(c) {
-            Some(f) => out.push(implicate::text::hash_field(hasher, f)),
-            None => return false,
-        }
-    }
-    true
-}
-
 /// Shared state the connection handlers read.
 struct Shared {
     stop: AtomicBool,
     /// Rows accepted off ingest sockets (routed; the published view may
     /// trail this by the in-flight backlog).
     accepted: AtomicU64,
-    /// Rows dropped because a projection column was missing.
+    /// Lines dropped because a projection column was missing or the
+    /// line was not UTF-8.
     skipped: AtomicU64,
+    /// Lines dropped for exceeding [`MAX_INGEST_LINE`].
+    skipped_oversize: AtomicU64,
     /// Latest checkpoint bytes (written by the writer thread at each
     /// `publish_full` / checkpoint, served verbatim by `GET /snapshot`).
     snapshot: Mutex<Option<bytes::Bytes>>,
@@ -482,6 +471,18 @@ impl Shared {
     /// fleet registry and edge status).
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
+    }
+
+    /// Appends the line-protocol ingest counters to a Prometheus
+    /// exposition.
+    fn ingest_prometheus_into(&self, out: &mut String) {
+        out.push_str(&format!(
+            "# HELP implicate_ingest_skipped_oversize_total Ingest lines over the \
+             {MAX_INGEST_LINE}-byte cap, discarded\n\
+             # TYPE implicate_ingest_skipped_oversize_total counter\n\
+             implicate_ingest_skipped_oversize_total {}\n",
+            self.skipped_oversize.load(Ordering::Relaxed)
+        ));
     }
 }
 
@@ -800,56 +801,71 @@ fn catalog_ingest_connection(
     delimiter: Option<char>,
     tx: &SyncSender<Vec<Tuple>>,
 ) {
+    ingest_lines(stream, shared, delimiter, &vec![true; arity], tx, |row| {
+        (row.len() >= arity).then(|| Tuple::new(row))
+    });
+}
+
+/// Drives one line-protocol ingest connection: reads lines capped at
+/// [`MAX_INGEST_LINE`], hashes the leading fields `wanted` selects, and
+/// batches what `make_row` builds from them to the writer. `make_row`
+/// returns `None` for a row too short for it; such rows and non-UTF-8
+/// lines count as `skipped`, oversize lines as `skipped_oversize`, and
+/// none of them closes the connection.
+fn ingest_lines<T>(
+    stream: TcpStream,
+    shared: &Shared,
+    delimiter: Option<char>,
+    wanted: &[bool],
+    tx: &SyncSender<Vec<T>>,
+    mut make_row: impl FnMut(&[u64]) -> Option<T>,
+) {
     stream.set_read_timeout(Some(POLL)).ok();
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let mut reader = BufReader::new(stream);
+    let mut lines = LineReader::with_cap(BufReader::new(stream), MAX_INGEST_LINE);
+    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), delimiter);
     let mut batch = Vec::with_capacity(INGEST_BATCH);
-    let mut vals = Vec::with_capacity(arity);
-    let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client done.
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                    let fields = split_line(trimmed, delimiter);
-                    if fields.len() >= arity {
-                        vals.clear();
-                        vals.extend(
-                            fields[..arity]
-                                .iter()
-                                .map(|f| implicate::text::hash_field(&field_hasher, f)),
-                        );
-                        batch.push(Tuple::new(vals.as_slice()));
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        if batch.len() >= INGEST_BATCH {
-                            let full =
-                                std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-                            if tx.send(full).is_err() {
-                                return;
-                            }
-                        }
-                    } else {
-                        shared.skipped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                line.clear();
+        let row = match lines.next_line() {
+            Ok(Line::Text(line)) => fields.hash_line(line, wanted),
+            Ok(Line::Oversize) => {
+                shared.skipped_oversize.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
+            Ok(Line::Eof) => break, // EOF: client done.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if !batch.is_empty() {
-                    let partial = std::mem::take(&mut batch);
-                    if tx.send(partial).is_err() {
-                        return;
-                    }
+                // The read timed out; the reader keeps any partial line
+                // and the next read resumes it. Flush what we have so
+                // slow trickles still become visible, then check for
+                // stop.
+                if !batch.is_empty() && tx.send(std::mem::take(&mut batch)).is_err() {
+                    return;
                 }
                 if shared.stop.load(Ordering::Acquire) {
                     return;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        let made = match row {
+            Row::Blank => continue,
+            Row::Fields(row) => make_row(row),
+            Row::NotUtf8 => None,
+        };
+        let Some(made) = made else {
+            shared.skipped.fetch_add(1, Ordering::Relaxed);
+            continue;
+        };
+        batch.push(made);
+        shared.accepted.fetch_add(1, Ordering::Relaxed);
+        if batch.len() >= INGEST_BATCH {
+            let full = std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
+            if tx.send(full).is_err() {
+                return;
+            }
         }
     }
     if !batch.is_empty() {
@@ -1304,6 +1320,7 @@ fn main() {
         stop: AtomicBool::new(false),
         accepted: AtomicU64::new(0),
         skipped: AtomicU64::new(0),
+        skipped_oversize: AtomicU64::new(0),
         snapshot: Mutex::new(None),
         metrics: est.metrics().clone(),
         trace,
@@ -1546,9 +1563,10 @@ fn main() {
     }
     eprintln!(
         "implicate-serve: shut down after {rows} rows this session \
-         ({} tuples total, {} skipped)",
+         ({} tuples total, {} skipped, {} oversize)",
         final_tuples,
         shared.skipped.load(Ordering::Relaxed),
+        shared.skipped_oversize.load(Ordering::Relaxed),
     );
     // The acceptors block in `accept` and the connection threads are
     // detached; exiting the process reaps them all.
@@ -1696,61 +1714,12 @@ fn ingest_connection(
     pair_hasher: PairHasher,
     tx: &SyncSender<Vec<(u64, u64)>>,
 ) {
-    stream.set_read_timeout(Some(POLL)).ok();
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let mut reader = BufReader::new(stream);
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let mut batch = Vec::with_capacity(INGEST_BATCH);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client done.
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                    let fields = split_line(trimmed, delimiter);
-                    let ok = project(&fields, lhs, &field_hasher, &mut buf_a)
-                        && project(&fields, rhs, &field_hasher, &mut buf_b);
-                    if ok {
-                        batch.push(pair_hasher.hash_pair(&buf_a, &buf_b));
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        if batch.len() >= INGEST_BATCH {
-                            let full =
-                                std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-                            if tx.send(full).is_err() {
-                                return;
-                            }
-                        }
-                    } else {
-                        shared.skipped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // The read timed out; `line` may hold a partial line —
-                // keep it, the next read appends the remainder. Flush
-                // what we have so slow trickles still become visible,
-                // then check for stop.
-                if !batch.is_empty() {
-                    let partial = std::mem::take(&mut batch);
-                    if tx.send(partial).is_err() {
-                        return;
-                    }
-                }
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    if !batch.is_empty() {
-        let _ = tx.send(batch);
-    }
+    let wanted = wanted_columns(&[lhs, rhs]);
+    ingest_lines(stream, shared, delimiter, &wanted, tx, |row| {
+        (project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b))
+            .then(|| pair_hasher.hash_pair(&buf_a, &buf_b))
+    });
 }
 
 /// Routes specific to the catalog role; `None` falls through to the
@@ -1913,18 +1882,19 @@ fn catalog_route(
             }
             .into()
         }
-        ("GET", "/metrics") => Some((
-            "200 OK",
-            "text/plain; version=0.0.4",
-            lock(&cat.exposition).clone().into_bytes(),
-        )),
+        ("GET", "/metrics") => {
+            let mut body = lock(&cat.exposition).clone();
+            shared.ingest_prometheus_into(&mut body);
+            Some(("200 OK", "text/plain; version=0.0.4", body.into_bytes()))
+        }
         ("GET", "/status") => {
             let queries = lock(&cat.queries).len();
             let body = format!(
                 "{{\"role\":\"catalog\",\"queries\":{queries},\
-                 \"accepted\":{},\"skipped\":{},\"uptime_ms\":{}}}\n",
+                 \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\"uptime_ms\":{}}}\n",
                 shared.accepted.load(Ordering::Relaxed),
                 shared.skipped.load(Ordering::Relaxed),
+                shared.skipped_oversize.load(Ordering::Relaxed),
                 shared.now_ms(),
             );
             Some(("200 OK", "application/json", body.into_bytes()))
@@ -1983,6 +1953,7 @@ fn route(
             if let Some(edge) = &shared.edge {
                 edge.prometheus_into("implicate", now, &mut body);
             }
+            shared.ingest_prometheus_into(&mut body);
             ("200 OK", "text/plain; version=0.0.4", body.into_bytes())
         }
         ("GET", "/status") => {
@@ -1990,12 +1961,13 @@ fn route(
             let now = shared.now_ms();
             let mut body = format!(
                 "{{\"role\":\"{}\",\"epoch\":{},\"tuples\":{},\
-             \"accepted\":{},\"skipped\":{},\"uptime_ms\":{now}",
+             \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\"uptime_ms\":{now}",
                 shared.role,
                 view.epoch(),
                 view.tuples(),
                 shared.accepted.load(Ordering::Relaxed),
                 shared.skipped.load(Ordering::Relaxed),
+                shared.skipped_oversize.load(Ordering::Relaxed),
             );
             if let Some(fleet) = &shared.fleet {
                 body.push_str(",\"fleet\":");

@@ -65,8 +65,13 @@ impl Server {
 
     /// Sends rows over the ingest socket and closes the connection.
     fn ingest_rows(&self, rows: &str) {
+        self.ingest_bytes(rows.as_bytes());
+    }
+
+    /// Sends raw bytes over one ingest connection and closes it.
+    fn ingest_bytes(&self, bytes: &[u8]) {
         let mut conn = TcpStream::connect(&self.ingest).expect("connect ingest");
-        conn.write_all(rows.as_bytes()).expect("send rows");
+        conn.write_all(bytes).expect("send rows");
         conn.flush().expect("flush rows");
         // Dropping the stream closes it; the server flushes on EOF.
     }
@@ -377,5 +382,50 @@ fn oversized_heads_and_get_shutdown_are_refused() {
     let (status, _) = server.http("GET", "/healthz");
     assert!(status.contains("200"), "server stayed up: {status}");
 
+    server.shutdown();
+}
+
+/// Bad lines cost one counted line each, never the connection: a line
+/// that is not UTF-8 counts in `skipped`, a line over the 64 KiB cap in
+/// `skipped_oversize`, and the rows after either are still ingested.
+#[test]
+fn bad_lines_are_counted_and_the_connection_survives() {
+    let server = Server::spawn(&[]);
+
+    server.ingest_bytes(b"0 1\n\xff\xfe 1\n2 3\n");
+    let body = server.wait_for_tuples(2);
+    assert_eq!(json_u64(&body, "skipped"), 1, "{body}");
+
+    let mut oversize = vec![b'x'; 100 * 1024];
+    oversize.extend_from_slice(b" 9\n4 5\n6 7\n");
+    server.ingest_bytes(&oversize);
+    let body = server.wait_for_tuples(4);
+    assert_eq!(json_u64(&body, "skipped"), 1, "{body}");
+    let (status, body) = server.http("GET", "/status");
+    assert!(status.contains("200"), "{status}");
+    let body = String::from_utf8(body).expect("json body");
+    assert_eq!(json_u64(&body, "skipped_oversize"), 1, "{body}");
+
+    let (status, metrics) = server.http("GET", "/metrics");
+    assert!(status.contains("200"), "{status}");
+    let metrics = String::from_utf8(metrics).expect("utf8 metrics");
+    assert!(
+        metrics.contains("# HELP implicate_ingest_skipped_oversize_total ")
+            && metrics.contains("\nimplicate_ingest_skipped_oversize_total 1\n"),
+        "{metrics}"
+    );
+    implicate::lint_prometheus(&metrics).expect("exposition lints");
+    server.shutdown();
+}
+
+/// Serve ends lines like the CLI (see `tests/cli.rs`): `\n` or `\r\n`
+/// ends a line, so `\r\r\n` leaves a one-`\r` line — not blank, but a
+/// row with no fields, skipped.
+#[test]
+fn crlf_lines_follow_the_cli_terminator_rule() {
+    let server = Server::spawn(&[]);
+    server.ingest_bytes(b"0 1\r\n\r\n\r\r\n2 3\r\n");
+    let body = server.wait_for_tuples(2);
+    assert_eq!(json_u64(&body, "skipped"), 1, "{body}");
     server.shutdown();
 }

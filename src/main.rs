@@ -57,6 +57,7 @@ use std::sync::OnceLock;
 
 use implicate::sketch::hash::MixHasher;
 use implicate::spec::QuerySpec;
+use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
     AccuracyAuditor, EstimatorConfig, ExactCounter, Fringe, ImplicationConditions,
     ImplicationCounter, ImplicationEstimator, MetricsHandle, MultiplicityPolicy, QueryCatalog,
@@ -619,36 +620,25 @@ fn run_catalog(cli: &Cli) {
         Vec::new()
     };
 
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let reader = open_input(cli);
+    let mut lines = LineReader::new(open_input(cli));
+    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.delimiter);
+    let all_columns = vec![true; arity];
     let mut batch: Vec<Tuple> = Vec::new();
-    let mut vals: Vec<u64> = Vec::with_capacity(arity);
     let mut rows = 0u64;
     let mut skipped = 0u64;
     let flush = |catalog: &mut QueryCatalog, batch: &mut Vec<Tuple>| {
         catalog.process_batch(batch);
         batch.clear();
     };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => die(&format!("read error: {e}")),
-        };
-        if line.is_empty() || line.starts_with('#') {
+    while let Some(line) = next_input_line(&mut lines) {
+        let Some(row) = cli_fields(&mut fields, line, &all_columns) else {
             continue;
-        }
-        let fields = split_line(&line, cli.delimiter);
-        if fields.len() < arity {
+        };
+        if row.len() < arity {
             skipped += 1;
             continue;
         }
-        vals.clear();
-        vals.extend(
-            fields[..arity]
-                .iter()
-                .map(|f| implicate::text::hash_field(&field_hasher, f)),
-        );
-        let t = Tuple::new(vals.as_slice());
+        let t = Tuple::new(row);
         if !audits.is_empty() {
             for (q, audit) in cli.queries.iter().zip(&mut audits) {
                 audit.observe(q, &t);
@@ -761,33 +751,22 @@ fn run_catalog_parallel(cli: &Cli) {
         .collect();
     let tuple_hasher = sharded.hasher().clone();
 
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let reader = open_input(cli);
+    let mut lines = LineReader::new(open_input(cli));
+    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.delimiter);
+    let all_columns = vec![true; arity];
     let mut hashed = sharded.checkout();
     let mut tuples = hashed.recycle();
-    let mut vals: Vec<u64> = Vec::with_capacity(arity);
     let mut rows = 0u64;
     let mut skipped = 0u64;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => die(&format!("read error: {e}")),
-        };
-        if line.is_empty() || line.starts_with('#') {
+    while let Some(line) = next_input_line(&mut lines) {
+        let Some(row) = cli_fields(&mut fields, line, &all_columns) else {
             continue;
-        }
-        let fields = split_line(&line, cli.delimiter);
-        if fields.len() < arity {
+        };
+        if row.len() < arity {
             skipped += 1;
             continue;
         }
-        vals.clear();
-        vals.extend(
-            fields[..arity]
-                .iter()
-                .map(|f| implicate::text::hash_field(&field_hasher, f)),
-        );
-        tuples.push(Tuple::new(vals.as_slice()));
+        tuples.push(Tuple::new(row));
         rows += 1;
         let boundary = |n: Option<u64>| n.is_some_and(|n| rows.is_multiple_of(n));
         let at_boundary = boundary(cli.stats_interval) || boundary(cli.watch);
@@ -858,25 +837,24 @@ fn run_catalog_parallel(cli: &Cli) {
     }
 }
 
-/// Hashes the selected columns of a row into fingerprint words. Field
-/// hashing is allocation-free (`implicate::text::hash_field`), so steady
-/// state touches the heap only when a line out-sizes the reused buffers.
-fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u64>) -> bool {
-    out.clear();
-    for &c in cols {
-        match fields.get(c) {
-            Some(f) => out.push(implicate::text::hash_field(hasher, f)),
-            None => return false,
-        }
+/// The next input line; `None` at end of input. Exits on a read error.
+fn next_input_line<R: BufRead>(lines: &mut LineReader<R>) -> Option<&[u8]> {
+    match lines.next_line() {
+        Ok(Line::Text(line)) => Some(line),
+        Ok(Line::Eof) => None,
+        Ok(Line::Oversize) => unreachable!("the CLI reads with no line cap"),
+        Err(e) => die(&format!("read error: {e}")),
     }
-    true
 }
 
-/// Splits a line into trimmed fields.
-fn split_line(line: &str, delimiter: Option<char>) -> Vec<&str> {
-    match delimiter {
-        Some(d) => line.split(d).map(str::trim).collect(),
-        None => line.split_whitespace().collect(),
+/// Fingerprints of a line's leading fields, hashed where `wanted`
+/// selects them; `None` for a blank or comment line. Exits on a line that
+/// is not UTF-8.
+fn cli_fields<'f>(fields: &'f mut LineFields, line: &[u8], wanted: &[bool]) -> Option<&'f [u64]> {
+    match fields.hash_line(line, wanted) {
+        Row::Fields(row) => Some(row),
+        Row::Blank => None,
+        Row::NotUtf8 => die("read error: stream did not contain valid UTF-8"),
     }
 }
 
@@ -905,25 +883,19 @@ fn make_auditor(cli: &Cli, est: &ImplicationEstimator) -> Option<AccuracyAuditor
 fn run_sequential(
     cli: &Cli,
     mut est: ImplicationEstimator,
-    field_hasher: &MixHasher,
+    mut fields: LineFields,
 ) -> (ImplicationEstimator, u64, u64) {
-    let reader = open_input(cli);
+    let mut lines = LineReader::new(open_input(cli));
+    let wanted = wanted_columns(&[&cli.lhs, &cli.rhs]);
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     let mut auditor = make_auditor(cli, &est);
     let mut rows = 0u64;
     let mut skipped = 0u64;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => die(&format!("read error: {e}")),
-        };
-        if line.is_empty() || line.starts_with('#') {
+    while let Some(line) = next_input_line(&mut lines) {
+        let Some(row) = cli_fields(&mut fields, line, &wanted) else {
             continue;
-        }
-        let fields = split_line(&line, cli.delimiter);
-        let ok = project(&fields, &cli.lhs, field_hasher, &mut buf_a)
-            && project(&fields, &cli.rhs, field_hasher, &mut buf_b);
-        if !ok {
+        };
+        if !(project(row, &cli.lhs, &mut buf_a) && project(row, &cli.rhs, &mut buf_b)) {
             skipped += 1;
             continue;
         }
@@ -980,7 +952,8 @@ struct ParsedBatch {
     skipped: u64,
 }
 
-/// Parallel ingestion: the main thread reads line batches and deals them
+/// Parallel ingestion: the main thread reads batches of `LINE_BATCH`
+/// whole lines (one byte buffer each, lines `\n`-separated) and deals them
 /// round-robin to `threads` parser workers; a router thread collects the
 /// parsed batches *in dealing order* — restoring stream order — and
 /// feeds a [`ShardedEstimator`], which preserves per-bitmap update order
@@ -990,38 +963,37 @@ struct ParsedBatch {
 fn run_parallel(
     cli: &Cli,
     est: ImplicationEstimator,
-    field_hasher: &MixHasher,
+    fields: LineFields,
 ) -> (ImplicationEstimator, u64, u64) {
     let threads = cli.threads;
     let sharded = ShardedEstimator::new(est, threads);
     let pair_hasher = sharded.pair_hasher();
-    let field_hasher = *field_hasher;
-    let reader = open_input(cli);
+    let mut lines = LineReader::new(open_input(cli));
+    let wanted = wanted_columns(&[&cli.lhs, &cli.rhs]);
     std::thread::scope(|scope| {
         let mut line_txs = Vec::with_capacity(threads);
         let mut parsed_rxs = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (line_tx, line_rx) = sync_channel::<Vec<String>>(PIPE_DEPTH);
+            let (line_tx, line_rx) = sync_channel::<Vec<u8>>(PIPE_DEPTH);
             let (parsed_tx, parsed_rx) = sync_channel::<ParsedBatch>(PIPE_DEPTH);
             line_txs.push(line_tx);
             parsed_rxs.push(parsed_rx);
-            let (lhs, rhs, delimiter) = (&cli.lhs, &cli.rhs, cli.delimiter);
+            let (lhs, rhs, wanted) = (&cli.lhs, &cli.rhs, &wanted);
+            let mut fields = fields.clone();
             scope.spawn(move || {
                 let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-                while let Ok(lines) = line_rx.recv() {
+                while let Ok(batch) = line_rx.recv() {
                     let mut out = ParsedBatch {
-                        pairs: Vec::with_capacity(lines.len()),
+                        pairs: Vec::with_capacity(LINE_BATCH),
                         rows: 0,
                         skipped: 0,
                     };
-                    for line in &lines {
-                        if line.is_empty() || line.starts_with('#') {
+                    // The piece after the final `\n` is empty, so blank.
+                    for line in batch.split(|&b| b == b'\n') {
+                        let Some(row) = cli_fields(&mut fields, line, wanted) else {
                             continue;
-                        }
-                        let fields = split_line(line, delimiter);
-                        let ok = project(&fields, lhs, &field_hasher, &mut buf_a)
-                            && project(&fields, rhs, &field_hasher, &mut buf_b);
-                        if !ok {
+                        };
+                        if !(project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b)) {
                             out.skipped += 1;
                             continue;
                         }
@@ -1082,23 +1054,24 @@ fn run_parallel(
             }
             (sharded.finish(), rows, skipped)
         });
-        let mut batch = Vec::with_capacity(LINE_BATCH);
+        let mut batch = Vec::new();
+        let mut batched = 0usize;
         let mut dealt = 0usize;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => die(&format!("read error: {e}")),
-            };
-            batch.push(line);
-            if batch.len() >= LINE_BATCH {
-                let full = std::mem::replace(&mut batch, Vec::with_capacity(LINE_BATCH));
+        while let Some(line) = next_input_line(&mut lines) {
+            batch.extend_from_slice(line);
+            batch.push(b'\n');
+            batched += 1;
+            if batched >= LINE_BATCH {
+                let next = Vec::with_capacity(batch.capacity());
+                let full = std::mem::replace(&mut batch, next);
                 if line_txs[dealt % threads].send(full).is_err() {
                     break;
                 }
+                batched = 0;
                 dealt += 1;
             }
         }
-        if !batch.is_empty() {
+        if batched > 0 {
             let _ = line_txs[dealt % threads].send(batch);
         }
         drop(line_txs);
@@ -1153,11 +1126,11 @@ fn main() {
         est.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
     }
 
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
+    let fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.delimiter);
     let (est, rows, skipped) = if cli.threads > 1 {
-        run_parallel(&cli, est, &field_hasher)
+        run_parallel(&cli, est, fields)
     } else {
-        run_sequential(&cli, est, &field_hasher)
+        run_sequential(&cli, est, fields)
     };
 
     let e = est.estimate_now();

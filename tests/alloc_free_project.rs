@@ -1,7 +1,9 @@
-//! Proves the CLI's row-projection hot path is allocation-free: hashing
-//! a text field (`implicate::text::hash_field`, the routine `implicate`'s
-//! `project()` uses per column) must never touch the heap, and a whole
-//! projected row must not allocate once its reusable buffer is warm.
+//! Proves the line front-end the CLI and `implicate-serve` run is
+//! allocation-free per line: reading a line (`LineReader`), hashing its
+//! fields (`LineFields`) and projecting the selected columns
+//! (`project`) must not touch the heap once the reused buffers are warm,
+//! with whitespace splitting and with a `--delimiter`, on the ASCII fast
+//! path and on the `str` fallback alike.
 //!
 //! Isolated in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
@@ -10,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use implicate::sketch::hash::MixHasher;
-use implicate::text::hash_field;
+use implicate::text::{hash_field, project, wanted_columns, Line, LineFields, LineReader, Row};
 
 struct CountingAlloc;
 
@@ -43,46 +45,84 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// The CLI's projection, shape-for-shape: hash each selected field into
-/// a reused output buffer.
-fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u64>) -> bool {
-    out.clear();
-    for &c in cols {
-        match fields.get(c) {
-            Some(f) => out.push(hash_field(hasher, f)),
-            None => return false,
+/// `lines` repeated `reps` times, newline-terminated.
+fn input(lines: &[&str], reps: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    for _ in 0..reps {
+        for line in lines {
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
         }
     }
-    true
+    out
 }
 
-#[test]
-fn projecting_a_row_performs_zero_allocations() {
-    let hasher = MixHasher::new(0x00f1_e1d5);
-    let fields = [
-        "10.20.30.40",
-        "https://example.com/a/rather/long/path?session=8f2e",
-        "443",
-        "",
-        "x",
-    ];
-    let cols = [0usize, 1, 2, 3, 4];
-    let mut out = Vec::with_capacity(cols.len());
-
-    // Warm the buffer, then demand a perfectly quiet heap.
-    assert!(project(&fields, &cols, &hasher, &mut out));
-    let before = allocs_on_this_thread();
+/// Runs the CLI's per-line loop over `data`; the first line warms the
+/// buffers, then every later line must be allocation-free. Returns the
+/// number of projected rows.
+fn drive(data: &[u8], delimiter: Option<char>, lhs: &[usize], rhs: &[usize]) -> u64 {
+    let mut lines = LineReader::new(data);
+    let mut fields = LineFields::new(MixHasher::new(0x00f1_e1d5), delimiter);
+    let wanted = wanted_columns(&[lhs, rhs]);
+    let (mut buf_a, mut buf_b) = (Vec::with_capacity(8), Vec::with_capacity(8));
+    let mut rows = 0u64;
     let mut acc = 0u64;
-    for _ in 0..10_000 {
-        assert!(project(&fields, &cols, &hasher, &mut out));
-        acc ^= out.iter().fold(0, |x, w| x ^ w);
+    let mut before = None;
+    loop {
+        let line = match lines.next_line().expect("in-memory read") {
+            Line::Text(line) => line,
+            Line::Oversize => unreachable!("no cap"),
+            Line::Eof => break,
+        };
+        if let Row::Fields(row) = fields.hash_line(line, &wanted) {
+            if project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b) {
+                rows += 1;
+                acc ^= buf_a.iter().chain(&buf_b).fold(0, |x, w| x ^ w);
+            }
+        }
+        before.get_or_insert_with(allocs_on_this_thread);
     }
     let after = allocs_on_this_thread();
     assert_eq!(
-        after - before,
+        after - before.expect("at least one line"),
         0,
-        "projection allocated on the hot path (fingerprint {acc:#x})"
+        "the line front-end allocated after warm-up (fingerprint {acc:#x})"
     );
+    rows
+}
+
+/// The longest line comes first, so one line warms every buffer.
+const WHITESPACE: &[&str] = &[
+    "10.20.30.40  https://example.com/a/rather/long/path?session=8f2e 443 x",
+    "# a comment",
+    "",
+    "10.0.0.1\t/index.html 80 y",
+    "short",
+    "caf\u{e9} \u{2003}na\u{ef}ve\u{a0}r\u{e9}sum\u{e9} 8080 z",
+];
+
+const DELIMITED: &[&str] = &[
+    "10.20.30.40 , https://example.com/a/rather/long/path?session=8f2e,443,x",
+    "# a comment",
+    "",
+    "10.0.0.1,/index.html, 80 ,y",
+    "short",
+    "caf\u{e9} ,\u{2003}na\u{ef}ve, 8080,z",
+];
+
+#[test]
+fn whitespace_lines_are_read_hashed_and_projected_without_allocating() {
+    let rows = drive(&input(WHITESPACE, 2_000), None, &[0], &[1, 2]);
+    assert_eq!(rows, 3 * 2_000);
+}
+
+#[test]
+fn delimited_lines_are_read_hashed_and_projected_without_allocating() {
+    let rows = drive(&input(DELIMITED, 2_000), Some(','), &[0, 3], &[1]);
+    assert_eq!(rows, 3 * 2_000);
+    // A non-ASCII delimiter runs every line through the `str` rules.
+    let rows = drive(&input(DELIMITED, 500), Some('\u{e9}'), &[0], &[1]);
+    assert_eq!(rows, 500);
 }
 
 #[test]

@@ -4,6 +4,10 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
+    run_cli_bytes(args, stdin.as_bytes())
+}
+
+fn run_cli_bytes(args: &[&str], stdin: &[u8]) -> (String, String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_implicate"))
         .args(args)
         .stdin(Stdio::piped())
@@ -15,7 +19,7 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(stdin.as_bytes())
+        .write_all(stdin)
         .expect("write stdin");
     let out = child.wait_with_output().expect("wait");
     (
@@ -70,6 +74,34 @@ fn csv_delimiter_and_comments() {
     let (_, stderr, ok) = run_cli(&["--lhs", "0", "--rhs", "1", "--delimiter", ","], input);
     assert!(ok);
     assert!(stderr.contains("rows 3"), "stderr: {stderr}");
+}
+
+/// `\n` or `\r\n` ends a line, on every run path and in serve alike
+/// (`crates/serve/tests/service.rs`): `\r\r\n` leaves a one-`\r` line,
+/// which is not blank but has no fields, so it is skipped.
+#[test]
+fn crlf_lines_follow_the_serve_terminator_rule() {
+    let input = b"0 1\r\n\r\n\r\r\n2 3\r\n";
+    for threads in ["1", "2"] {
+        let (_, stderr, ok) =
+            run_cli_bytes(&["--lhs", "0", "--rhs", "1", "--threads", threads], input);
+        assert!(ok, "stderr: {stderr}");
+        assert!(stderr.contains("rows 2 (skipped 1)"), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn non_utf8_input_is_a_read_error() {
+    let input = b"0 1\n\xff\xfe 1\n2 3\n";
+    for threads in ["1", "2"] {
+        let (_, stderr, ok) =
+            run_cli_bytes(&["--lhs", "0", "--rhs", "1", "--threads", threads], input);
+        assert!(!ok);
+        assert!(
+            stderr.contains("read error: stream did not contain valid UTF-8"),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 #[test]
