@@ -65,57 +65,46 @@
 //! bounded JSONL flight recording for post-mortem analysis.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
-use implicate::core::wire::{
-    peek_frame, WireDecoder, WireSnapshot, DEFAULT_MAX_FRAME_BYTES, REJECT_NODE_ID_SWITCH,
-};
-use implicate::sketch::hash::MixHasher;
 use implicate::spec;
-use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
-    EstimateReader, EstimatorConfig, Fringe, HashedBatch, ImplicationConditions,
-    ImplicationEstimator, ImplicationQuery, MetricsHandle, MultiplicityPolicy, PairHasher,
-    QueryCatalog, QueryId, Schema, ShardedEstimator, TraceEvent, TraceHandle, Tuple,
+    EstimatorConfig, Fringe, ImplicationConditions, ImplicationEstimator, MetricsHandle,
+    MultiplicityPolicy, QueryCatalog, Schema, ShardedEstimator, TraceHandle, Tuple,
 };
 
-use imp_serve::http::{self, Request, Response};
+use imp_serve::http;
 
+use edge::{edge_sender, ShipSlot};
+use ingest::{
+    catalog_ingest_connection, ingest_connection, wire_ingest_connection, MAX_INGEST_LINE,
+};
+use routes::{route, CatalogCtrl, CatalogQueryHandle, CatalogShared};
+use writer::{aggregate_writer_loop, catalog_writer_loop, writer_loop, Pipeline};
+
+mod edge;
 mod flight;
+mod ingest;
+mod routes;
 mod status;
+mod writer;
 
 /// Field hasher seed shared with the `implicate` CLI so both tools
 /// fingerprint the same fields identically.
 const FIELD_HASHER_SEED: u64 = spec::FIELD_HASHER_SEED;
-
-/// Rows buffered per ingest connection before a batch ships to the
-/// writer.
-const INGEST_BATCH: usize = 256;
-
-/// Longest ingest line, in bytes before its `\n`. A longer line is
-/// discarded through its `\n` and counted in `skipped_oversize`; the
-/// connection stays open.
-const MAX_INGEST_LINE: usize = 64 * 1024;
 
 /// Bound, in batches, of the ingest-to-writer channel (back-pressure).
 const INGEST_DEPTH: usize = 64;
 
 /// How long blocking loops sleep between checks of the stop flag.
 const POLL: Duration = Duration::from_millis(50);
-
-/// First reconnect delay of an edge's upstream sender; doubles per
-/// failed attempt up to [`BACKOFF_CAP`].
-const BACKOFF_START: Duration = Duration::from_millis(100);
-
-/// Ceiling of the edge sender's exponential reconnect backoff.
-const BACKOFF_CAP: Duration = Duration::from_secs(5);
 
 /// Locks `m` even if a panicking thread poisoned it: every value the
 /// service guards is replaced whole, so a poisoned one is still valid,
@@ -486,763 +475,6 @@ impl Shared {
     }
 }
 
-/// The writer side: one thread owning either the sequential estimator or
-/// the sharded pipeline.
-// One Pipeline exists per process, so the size spread between variants
-// is irrelevant — boxing would only add a pointer chase per batch.
-#[allow(clippy::large_enum_variant)]
-enum Pipeline {
-    Sequential(ImplicationEstimator),
-    Sharded(ShardedEstimator),
-}
-
-impl Pipeline {
-    fn apply(&mut self, batch: &[(u64, u64)]) {
-        match self {
-            Pipeline::Sequential(est) => est.update_hashed_batch(batch),
-            Pipeline::Sharded(sharded) => sharded.update_hashed_batch(batch),
-        }
-    }
-
-    fn publish(&mut self) -> u64 {
-        match self {
-            Pipeline::Sequential(est) => est.publish(),
-            Pipeline::Sharded(sharded) => sharded.publish(),
-        }
-    }
-
-    /// Applied-row lag behind the accepted stream (always 0 when
-    /// sequential — applying is synchronous there).
-    fn backlog(&self) -> u64 {
-        match self {
-            Pipeline::Sequential(_) => 0,
-            Pipeline::Sharded(sharded) => sharded.backlog(),
-        }
-    }
-
-    /// Ships partially-filled router buffers to the lanes (no-op when
-    /// sequential).
-    fn flush(&mut self) {
-        if let Pipeline::Sharded(sharded) = self {
-            sharded.flush();
-        }
-    }
-
-    /// Publishes a view carrying the canonical snapshot payload and
-    /// returns those bytes. Sequential only — the sharded pipeline
-    /// cannot encode without quiescing.
-    fn publish_full(&mut self) -> Option<bytes::Bytes> {
-        match self {
-            Pipeline::Sequential(est) => {
-                est.publish_full();
-                Some(est.to_bytes())
-            }
-            Pipeline::Sharded(_) => None,
-        }
-    }
-
-    /// The owned estimator when sequential (edge shipping captures wire
-    /// snapshots off it; the sharded pipeline cannot without quiescing).
-    fn sequential(&self) -> Option<&ImplicationEstimator> {
-        match self {
-            Pipeline::Sequential(est) => Some(est),
-            Pipeline::Sharded(_) => None,
-        }
-    }
-
-    /// Drains, reassembles (if sharded), publishes the final state, and
-    /// returns the owning estimator.
-    fn into_final(self) -> ImplicationEstimator {
-        match self {
-            Pipeline::Sequential(mut est) => {
-                est.publish_full();
-                est
-            }
-            Pipeline::Sharded(sharded) => {
-                // finish() barriers, merges, and republishes the merged
-                // state on the inherited channel.
-                let mut est = sharded.finish();
-                est.publish_full();
-                est
-            }
-        }
-    }
-}
-
-/// Atomically replaces `path` with `data` (write temp + rename).
-fn write_checkpoint(path: &str, data: &[u8]) {
-    let tmp = format!("{path}.tmp");
-    let result = std::fs::write(&tmp, data).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = result {
-        eprintln!("implicate-serve: checkpoint {path}: {e}");
-    }
-}
-
-/// Keep-latest handoff between the writer (which captures wire
-/// snapshots at the ship cadence) and the upstream sender thread. A
-/// newer capture replaces an unsent older one — the wire protocol only
-/// ever needs the newest state, since deltas are computed against the
-/// last snapshot actually *sent*, not the previous capture.
-struct ShipSlot {
-    /// The newest unsent capture, and whether it is the writer's final
-    /// one (the slot is closed: nothing more will be stored).
-    state: Mutex<(Option<WireSnapshot>, bool)>,
-    /// Signalled on every store, so the sender wakes as soon as a
-    /// capture is ready — it never polls.
-    stored: Condvar,
-}
-
-impl ShipSlot {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new((None, false)),
-            stored: Condvar::new(),
-        }
-    }
-
-    fn store(&self, snap: WireSnapshot) {
-        lock(&self.state).0 = Some(snap);
-        self.stored.notify_one();
-    }
-
-    /// Stores the writer's final capture and closes the slot.
-    fn close(&self, snap: WireSnapshot) {
-        *lock(&self.state) = (Some(snap), true);
-        self.stored.notify_one();
-    }
-
-    fn take(&self) -> Option<WireSnapshot> {
-        lock(&self.state).0.take()
-    }
-
-    /// Whether the writer's final capture has been taken.
-    fn drained(&self) -> bool {
-        matches!(*lock(&self.state), (None, true))
-    }
-
-    /// Blocks until a capture is waiting or the slot is closed.
-    fn wait(&self) {
-        let state = lock(&self.state);
-        drop(
-            self.stored
-                .wait_while(state, |(latest, closed)| latest.is_none() && !*closed),
-        );
-    }
-
-    /// Blocks until the slot is closed or `deadline` passes; returns
-    /// whether it is closed.
-    fn closed_before(&self, deadline: std::time::Instant) -> bool {
-        let mut state = lock(&self.state);
-        while !state.1 {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            state = match self.stored.wait_timeout(state, left) {
-                Ok((state, _)) => state,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        true
-    }
-}
-
-/// Catalog-role control message from an HTTP connection thread to the
-/// catalog writer — the single owner of the [`QueryCatalog`].
-enum CatalogCtrl {
-    /// Parse and register one query-spec line (the body of
-    /// `POST /query`); replies with the raw id or a client-readable
-    /// error.
-    Register {
-        line: String,
-        reply: SyncSender<Result<u64, String>>,
-    },
-    /// Retire by raw id (`DELETE /query/{id}`); replies with whether
-    /// the id was live.
-    Retire { id: u64, reply: SyncSender<bool> },
-}
-
-/// What a query connection needs to answer `/estimate?query=…` without
-/// consulting the writer: the registered name, the declarative query
-/// (for `answer_from`), and a wait-free per-query reader.
-struct CatalogQueryHandle {
-    name: String,
-    query: ImplicationQuery,
-    reader: EstimateReader,
-}
-
-/// Read-side state of the catalog role. The writer owns the
-/// [`QueryCatalog`]; query connections resolve per-query readers here
-/// and serve the Prometheus exposition the writer re-renders at the
-/// publish cadence.
-struct CatalogShared {
-    /// Live queries by raw id — mutated only by the writer (register /
-    /// retire); query threads lock briefly to resolve `?query=` by id
-    /// or name.
-    queries: Mutex<HashMap<u64, CatalogQueryHandle>>,
-    /// Latest `QueryCatalog::prometheus_into` rendering, per-query
-    /// labeled series included.
-    exposition: Mutex<String>,
-    /// Control channel into the catalog writer.
-    ctrl: SyncSender<CatalogCtrl>,
-}
-
-/// The catalog role's writer: single owner of the [`QueryCatalog`].
-/// Hashes each incoming row batch attribute-wise exactly once into a
-/// reused [`HashedBatch`], applies it to every registered query,
-/// services register/retire control messages between batches, and
-/// republishes every query's view (plus the metrics exposition) on the
-/// publish cadence.
-///
-/// Returns (rows this session, final tuple count).
-fn catalog_writer_loop(
-    mut catalog: QueryCatalog,
-    batch_rx: &Receiver<Vec<Tuple>>,
-    ctrl_rx: &Receiver<CatalogCtrl>,
-    shared: &Shared,
-    cat: &CatalogShared,
-    publish_every: u64,
-) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut since_publish = 0u64;
-    let hasher = catalog.hasher().clone();
-    let mut hashed = HashedBatch::new();
-    let refresh = |catalog: &QueryCatalog, cat: &CatalogShared| {
-        let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        *lock(&cat.exposition) = text;
-    };
-    loop {
-        // Control first: a registration must not wait behind a long
-        // run of queued row batches.
-        while let Ok(msg) = ctrl_rx.try_recv() {
-            match msg {
-                CatalogCtrl::Register { line, reply } => {
-                    let result = spec::parse_query_line(&line).and_then(|s| {
-                        if s.max_column() >= catalog.schema().arity() {
-                            return Err(format!(
-                                "column {} out of range (--arity {})",
-                                s.max_column(),
-                                catalog.schema().arity(),
-                            ));
-                        }
-                        let id = catalog
-                            .try_register(s.name.clone(), s.query.clone())
-                            .map_err(|e| e.to_string())?;
-                        let reader = catalog.reader(id).expect("just registered");
-                        lock(&cat.queries).insert(
-                            id.raw(),
-                            CatalogQueryHandle {
-                                name: s.name,
-                                query: s.query,
-                                reader,
-                            },
-                        );
-                        Ok(id.raw())
-                    });
-                    refresh(&catalog, cat);
-                    let _ = reply.send(result);
-                }
-                CatalogCtrl::Retire { id, reply } => {
-                    let live = catalog.retire(QueryId::from_raw(id));
-                    if live {
-                        lock(&cat.queries).remove(&id);
-                        refresh(&catalog, cat);
-                    }
-                    let _ = reply.send(live);
-                }
-            }
-        }
-        match batch_rx.recv_timeout(POLL) {
-            Ok(batch) => {
-                let n = batch.len() as u64;
-                hasher.hash_batch(batch, &mut hashed);
-                catalog.process_hashed(&hashed);
-                rows += n;
-                since_publish += n;
-                if since_publish >= publish_every {
-                    since_publish = 0;
-                    catalog.publish();
-                    refresh(&catalog, cat);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if since_publish > 0 {
-                    since_publish = 0;
-                    catalog.publish();
-                    refresh(&catalog, cat);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Drain anything still queued, then publish the final state.
-    while let Ok(batch) = batch_rx.try_recv() {
-        rows += batch.len() as u64;
-        hasher.hash_batch(batch, &mut hashed);
-        catalog.process_hashed(&hashed);
-    }
-    catalog.publish();
-    refresh(&catalog, cat);
-    (rows, catalog.tuples_seen())
-}
-
-/// One catalog ingest connection: every line becomes a full
-/// `--arity`-wide tuple of field fingerprints (narrower rows are
-/// skipped), so any query registered now *or later in the stream* is
-/// answered from the same pass.
-fn catalog_ingest_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    arity: usize,
-    delimiter: Option<char>,
-    tx: &SyncSender<Vec<Tuple>>,
-) {
-    ingest_lines(stream, shared, delimiter, &vec![true; arity], tx, |row| {
-        (row.len() >= arity).then(|| Tuple::new(row))
-    });
-}
-
-/// Drives one line-protocol ingest connection: reads lines capped at
-/// [`MAX_INGEST_LINE`], hashes the leading fields `wanted` selects, and
-/// batches what `make_row` builds from them to the writer. `make_row`
-/// returns `None` for a row too short for it; such rows and non-UTF-8
-/// lines count as `skipped`, oversize lines as `skipped_oversize`, and
-/// none of them closes the connection.
-fn ingest_lines<T>(
-    stream: TcpStream,
-    shared: &Shared,
-    delimiter: Option<char>,
-    wanted: &[bool],
-    tx: &SyncSender<Vec<T>>,
-    mut make_row: impl FnMut(&[u64]) -> Option<T>,
-) {
-    stream.set_read_timeout(Some(POLL)).ok();
-    let mut lines = LineReader::with_cap(BufReader::new(stream), MAX_INGEST_LINE);
-    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), delimiter);
-    let mut batch = Vec::with_capacity(INGEST_BATCH);
-    loop {
-        let row = match lines.next_line() {
-            Ok(Line::Text(line)) => fields.hash_line(line, wanted),
-            Ok(Line::Oversize) => {
-                shared.skipped_oversize.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            Ok(Line::Eof) => break, // EOF: client done.
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // The read timed out; the reader keeps any partial line
-                // and the next read resumes it. Flush what we have so
-                // slow trickles still become visible, then check for
-                // stop.
-                if !batch.is_empty() && tx.send(std::mem::take(&mut batch)).is_err() {
-                    return;
-                }
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => break,
-        };
-        let made = match row {
-            Row::Blank => continue,
-            Row::Fields(row) => make_row(row),
-            Row::NotUtf8 => None,
-        };
-        let Some(made) = made else {
-            shared.skipped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        batch.push(made);
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
-        if batch.len() >= INGEST_BATCH {
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-            if tx.send(full).is_err() {
-                return;
-            }
-        }
-    }
-    if !batch.is_empty() {
-        let _ = tx.send(batch);
-    }
-}
-
-/// Returns true when the peer has half-closed or reset the connection —
-/// detected with a nonblocking 1-byte probe read (the aggregator never
-/// sends application data, so any `Ok` read of 0 bytes is a FIN).
-fn peer_gone(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let gone = match (&*stream).read(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false, // unexpected chatter; the write path decides
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-        Err(_) => true,
-    };
-    gone || stream.set_nonblocking(false).is_err()
-}
-
-/// The edge's upstream sender: connects to the aggregator with capped
-/// exponential backoff and ships every snapshot the writer hands over —
-/// a **full** frame right after each (re)connect, **deltas** against
-/// the last sent snapshot afterwards. Any send failure drops the
-/// connection and clears the delta base, so the next frame after a
-/// reconnect is always full: a delta the aggregator never applied can
-/// never poison the resync.
-///
-/// Runs until the writer's final capture ([`ShipSlot::close`]) has
-/// shipped, so a graceful shutdown always delivers the final state.
-fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
-    let mut conn: Option<TcpStream> = None;
-    let mut base: Option<WireSnapshot> = None;
-    let mut backoff = BACKOFF_START;
-    let mut pending: Option<WireSnapshot> = None;
-    loop {
-        if pending.is_none() {
-            pending = slot.take();
-        }
-        let Some(snap) = pending.as_ref() else {
-            if slot.drained() {
-                return;
-            }
-            slot.wait();
-            continue;
-        };
-
-        // (Re)connect if needed; detect a silently-dead peer first so a
-        // restarted aggregator gets a full frame instead of a delta
-        // written into a black hole.
-        if conn.as_ref().is_some_and(peer_gone) {
-            conn = None;
-            if let Some(edge) = &shared.edge {
-                edge.set_connected(false);
-            }
-        }
-        if conn.is_none() {
-            base = None;
-            match TcpStream::connect(upstream) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    conn = Some(stream);
-                    backoff = BACKOFF_START;
-                    if let Some(edge) = &shared.edge {
-                        edge.record_connect();
-                    }
-                }
-                Err(_) => {
-                    if let Some(edge) = &shared.edge {
-                        edge.record_backoff(backoff.as_millis() as u64);
-                    }
-                    // Don't spin while unreachable — but stay
-                    // responsive to shutdown: with the aggregator
-                    // unreachable when the writer closes the slot, the
-                    // state is lost to this session, as documented —
-                    // exit rather than hang.
-                    if slot.closed_before(std::time::Instant::now() + backoff) {
-                        return;
-                    }
-                    backoff = (backoff * 2).min(BACKOFF_CAP);
-                    continue;
-                }
-            }
-        }
-
-        let is_full = base.is_none();
-        let frame = match &base {
-            Some(b) => snap.delta_frame(b, node_id),
-            None => snap.full_frame(node_id),
-        };
-        let stream = conn.as_mut().expect("connected above");
-        let write_started = std::time::Instant::now();
-        match stream.write_all(&frame).and_then(|()| stream.flush()) {
-            Ok(()) => {
-                if let Some(edge) = &shared.edge {
-                    edge.record_ship(
-                        frame.len() as u64,
-                        is_full,
-                        write_started.elapsed().as_nanos() as u64,
-                        shared.now_ms(),
-                    );
-                }
-                base = pending.take();
-                if slot.drained() {
-                    return;
-                }
-            }
-            Err(_) => {
-                // Keep `pending`: it resends as a full frame once the
-                // connection is back.
-                conn = None;
-                if let Some(edge) = &shared.edge {
-                    edge.record_send_error();
-                }
-            }
-        }
-    }
-}
-
-/// One aggregator ingest connection: reassembles wire frames off the
-/// stream and hands complete frames to the writer. The writer flips
-/// `kill` when a frame from this connection fails to apply — dropping
-/// the connection is the signal that makes the edge reconnect and
-/// resync with a full snapshot.
-fn wire_ingest_connection(
-    mut stream: TcpStream,
-    shared: &Shared,
-    tx: &SyncSender<(bytes::Bytes, Arc<AtomicBool>)>,
-) {
-    stream.set_read_timeout(Some(POLL)).ok();
-    let kill = Arc::new(AtomicBool::new(false));
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    // The connection pins itself to the first node_id it presents; a
-    // frame declaring a different id mid-connection is rejected and
-    // drops the connection. Nothing authenticates the *first* claim
-    // (trusted-network protocol, as WIRE.md states), but a pinned
-    // connection can no longer impersonate other nodes or smear one
-    // edge's stream across several registry entries.
-    let mut pinned: Option<u64> = None;
-    loop {
-        if kill.load(Ordering::Acquire) || shared.stop.load(Ordering::Acquire) {
-            return; // dropping the stream sends the edge its FIN
-        }
-        // Drain every complete frame currently buffered.
-        loop {
-            match peek_frame(&buf) {
-                Ok(Some(header)) => {
-                    if header.body_len > DEFAULT_MAX_FRAME_BYTES as u64 {
-                        return;
-                    }
-                    match pinned {
-                        None => {
-                            pinned = Some(header.node_id);
-                            if let Some(fleet) = &shared.fleet {
-                                fleet.record_connect(header.node_id, shared.now_ms());
-                            }
-                        }
-                        Some(p) if p != header.node_id => {
-                            shared.metrics.wire.node_id_conflicts.inc();
-                            shared.trace.record(|| TraceEvent::FrameRejected {
-                                node: p,
-                                error: REJECT_NODE_ID_SWITCH,
-                                epoch: header.epoch,
-                            });
-                            if let Some(fleet) = &shared.fleet {
-                                fleet.record_id_conflict(p);
-                            }
-                            eprintln!(
-                                "implicate-serve: connection pinned to node {p} sent a \
-                                 frame claiming node {} — dropping connection",
-                                header.node_id
-                            );
-                            return;
-                        }
-                        Some(_) => {}
-                    }
-                    let total = header.frame_len();
-                    if buf.len() < total {
-                        break;
-                    }
-                    let rest = buf.split_off(total);
-                    let frame = bytes::Bytes::from(std::mem::replace(&mut buf, rest));
-                    if tx.send((frame, Arc::clone(&kill))).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return, // not wire traffic; hang up
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // edge closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// The aggregator's writer: the single owner of the serving estimator
-/// and of one [`WireDecoder`] replica per edge node.
-///
-/// Every successfully applied frame triggers a re-merge of all held
-/// replicas into a fresh same-configuration estimator, which the
-/// serving writer then adopts and republishes — readers keep their
-/// wait-free channel across re-aggregations. A frame that fails to
-/// apply resets that node's replica and kills its connection; the edge
-/// reconnects and resyncs with a full snapshot.
-///
-/// Returns (frames applied, final tuple count).
-fn aggregate_writer_loop(
-    mut serving: ImplicationEstimator,
-    template: &EstimatorConfig,
-    frame_rx: &Receiver<(bytes::Bytes, Arc<AtomicBool>)>,
-    shared: &Shared,
-    checkpoint: Option<&str>,
-    checkpoint_every: Option<u64>,
-) -> (u64, u64) {
-    let mut decoders: HashMap<u64, WireDecoder> = HashMap::new();
-    let mut frames = 0u64;
-    let mut tuples_at_checkpoint = serving.tuples_seen();
-    loop {
-        match frame_rx.recv_timeout(POLL) {
-            Ok((frame, kill)) => {
-                // node_id is authenticated by nothing but the header —
-                // this is a trusted-network protocol, as WIRE.md states
-                // (the ingest connection pins it so it cannot *switch*).
-                let peeked = match peek_frame(&frame) {
-                    Ok(Some(h)) => h,
-                    _ => {
-                        kill.store(true, Ordering::Release);
-                        continue;
-                    }
-                };
-                let node = peeked.node_id;
-                let frame_bytes = frame.len() as u64;
-                let decoder = decoders.entry(node).or_insert_with(|| {
-                    WireDecoder::new()
-                        .require_matching(&serving)
-                        .with_metrics(serving.metrics().clone())
-                        .with_trace(serving.trace().clone())
-                });
-                match decoder.apply(frame) {
-                    Ok(header) => {
-                        frames += 1;
-                        shared.accepted.fetch_add(header.tuples, Ordering::Relaxed);
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_frame(
-                                node,
-                                header.kind,
-                                frame_bytes,
-                                header.epoch,
-                                header.tuples,
-                                shared.now_ms(),
-                            );
-                        }
-                        let merge_started = std::time::Instant::now();
-                        let mut merged = template.build();
-                        for dec in decoders.values() {
-                            if let Some(replica) = dec.estimator() {
-                                merged.merge(replica);
-                            }
-                        }
-                        serving.adopt_state(merged);
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
-                        }
-                        let publish_started = std::time::Instant::now();
-                        serving.publish_full();
-                        let data = serving.to_bytes();
-                        if let Some(fleet) = &shared.fleet {
-                            fleet
-                                .observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
-                        }
-                        if let Some(path) = checkpoint {
-                            let due = checkpoint_every.is_some_and(|n| {
-                                serving.tuples_seen().saturating_sub(tuples_at_checkpoint) >= n
-                            });
-                            if due {
-                                tuples_at_checkpoint = serving.tuples_seen();
-                                write_checkpoint(path, &data);
-                            }
-                        }
-                        *lock(&shared.snapshot) = Some(data);
-                    }
-                    Err(e) => {
-                        eprintln!("implicate-serve: frame from node {node}: {e}");
-                        // Record first, so the recording is on disk by the
-                        // time `/status` reports the node poisoned.
-                        if let Some(recorder) = &shared.flight {
-                            let context = format!(
-                                "{{\"reason\":\"decode_error\",\"node_id\":{node},\
-                                 \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
-                                peeked.epoch,
-                                e.name(),
-                                flight::json_string(&e.to_string()),
-                            );
-                            recorder.record(
-                                "decode_error",
-                                &context,
-                                shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
-                            );
-                        }
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                        }
-                        decoder.reset();
-                        kill.store(true, Ordering::Release);
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    while let Ok((frame, kill)) = frame_rx.try_recv() {
-        let peeked = match peek_frame(&frame) {
-            Ok(Some(h)) => h,
-            _ => continue,
-        };
-        let node = peeked.node_id;
-        let frame_bytes = frame.len() as u64;
-        if let Some(decoder) = decoders.get_mut(&node) {
-            match decoder.apply(frame) {
-                Ok(header) => {
-                    frames += 1;
-                    if let Some(fleet) = &shared.fleet {
-                        fleet.record_frame(
-                            node,
-                            header.kind,
-                            frame_bytes,
-                            header.epoch,
-                            header.tuples,
-                            shared.now_ms(),
-                        );
-                    }
-                    let mut merged = template.build();
-                    for dec in decoders.values() {
-                        if let Some(replica) = dec.estimator() {
-                            merged.merge(replica);
-                        }
-                    }
-                    serving.adopt_state(merged);
-                }
-                Err(_) => {
-                    if let Some(fleet) = &shared.fleet {
-                        fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                    }
-                    kill.store(true, Ordering::Release);
-                }
-            }
-        }
-    }
-    serving.publish_full();
-    let data = serving.to_bytes();
-    if let Some(path) = checkpoint {
-        write_checkpoint(path, &data);
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            serving.tuples_seen()
-        );
-    }
-    *lock(&shared.snapshot) = Some(data);
-    (frames, serving.tuples_seen())
-}
-
 fn main() {
     let opts = parse_opts();
 
@@ -1571,437 +803,4 @@ fn main() {
     // The acceptors block in `accept` and the connection threads are
     // detached; exiting the process reaps them all.
     exit(0);
-}
-
-/// The single mutation owner: applies batches, publishes views on the
-/// configured cadence, checkpoints, and performs the graceful-shutdown
-/// drain. Returns (rows this session, final tuple count).
-fn writer_loop(
-    mut pipeline: Pipeline,
-    batch_rx: &Receiver<Vec<(u64, u64)>>,
-    shared: &Shared,
-    publish_every: u64,
-    checkpoint: Option<&str>,
-    checkpoint_every: Option<u64>,
-    ship: Option<(Arc<ShipSlot>, u64, u64)>,
-) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut since_publish = 0u64;
-    let mut since_checkpoint = 0u64;
-    let mut since_ship = 0u64;
-    let mut ship_epoch = 0u64;
-    let mut last_capture = std::time::Instant::now();
-    // Captures the sequential estimator's state into the ship slot
-    // under the next wire epoch (edge role only).
-    let capture = |pipeline: &Pipeline, ship_epoch: &mut u64| {
-        if let (Some((slot, _, _)), Some(est)) = (&ship, pipeline.sequential()) {
-            *ship_epoch += 1;
-            slot.store(WireSnapshot::capture(est, *ship_epoch));
-        }
-    };
-    // Whether the last published view reflects *every* routed row. A
-    // mid-stream publish races the lanes by design (that is what makes
-    // it wait-free), so after going idle the writer republishes until a
-    // view assembled at backlog 0 is out — otherwise readers could be
-    // pinned forever on an estimate missing the stream's tail.
-    let mut published_settled = true;
-    loop {
-        match batch_rx.recv_timeout(POLL) {
-            Ok(batch) => {
-                let n = batch.len() as u64;
-                pipeline.apply(&batch);
-                rows += n;
-                since_publish += n;
-                since_checkpoint += n;
-                since_ship += n;
-                if ship
-                    .as_ref()
-                    .is_some_and(|(_, every, _)| since_ship >= *every)
-                {
-                    since_ship = 0;
-                    capture(&pipeline, &mut ship_epoch);
-                    last_capture = std::time::Instant::now();
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.set_unshipped(since_ship);
-                }
-                if since_publish >= publish_every {
-                    since_publish = 0;
-                    if checkpoint_every.is_some_and(|n| since_checkpoint >= n) {
-                        since_checkpoint = 0;
-                        if let Some(data) = pipeline.publish_full() {
-                            if let Some(path) = checkpoint {
-                                write_checkpoint(path, &data);
-                            }
-                            *lock(&shared.snapshot) = Some(data);
-                        }
-                    } else {
-                        pipeline.publish();
-                    }
-                    published_settled = pipeline.backlog() == 0;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                // Idle: ship any partial per-shard buffers to the lanes
-                // (full batches ship eagerly; partials otherwise wait
-                // for more rows), then publish until a settled view —
-                // one assembled with nothing left in flight — is out.
-                if pipeline.backlog() > 0 {
-                    pipeline.flush();
-                }
-                let settled = pipeline.backlog() == 0;
-                if since_publish > 0 || !settled || !published_settled {
-                    since_publish = 0;
-                    pipeline.publish();
-                    published_settled = settled;
-                }
-                // Idle edges ship the stream's tail: rows that arrived
-                // since the last capture must not wait for a full
-                // cadence interval that may never fill. Fully-idle
-                // edges still ship on the keep-alive cadence — the
-                // resulting unchanged-state delta is ~20 bytes, and it
-                // keeps the node `live` on the aggregator's registry
-                // instead of decaying to `stale` for mere quietness.
-                let keepalive_due = ship.as_ref().is_some_and(|(_, _, ka_ms)| {
-                    *ka_ms > 0 && last_capture.elapsed() >= Duration::from_millis(*ka_ms)
-                });
-                if since_ship > 0 || keepalive_due {
-                    since_ship = 0;
-                    capture(&pipeline, &mut ship_epoch);
-                    last_capture = std::time::Instant::now();
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.set_unshipped(since_ship);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Drain anything still queued, then publish the final state.
-    while let Ok(batch) = batch_rx.try_recv() {
-        rows += batch.len() as u64;
-        pipeline.apply(&batch);
-    }
-    let est = pipeline.into_final();
-    let data = est.to_bytes();
-    if let Some(path) = checkpoint {
-        write_checkpoint(path, &data);
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            est.tuples_seen()
-        );
-    }
-    *lock(&shared.snapshot) = Some(data);
-    // The final state always ships (an unchanged-state delta is a few
-    // bytes), so a graceful edge shutdown never strands its tail.
-    if let Some((slot, _, _)) = &ship {
-        ship_epoch += 1;
-        slot.close(WireSnapshot::capture(&est, ship_epoch));
-    }
-    (rows, est.tuples_seen())
-}
-
-/// One ingest connection: parse lines, hash pairs, ship batches.
-fn ingest_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    lhs: &[usize],
-    rhs: &[usize],
-    delimiter: Option<char>,
-    pair_hasher: PairHasher,
-    tx: &SyncSender<Vec<(u64, u64)>>,
-) {
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let wanted = wanted_columns(&[lhs, rhs]);
-    ingest_lines(stream, shared, delimiter, &wanted, tx, |row| {
-        (project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b))
-            .then(|| pair_hasher.hash_pair(&buf_a, &buf_b))
-    });
-}
-
-/// Routes specific to the catalog role; `None` falls through to the
-/// common handler (`/healthz`, `/shutdown`, 404).
-fn catalog_route(
-    method: &str,
-    route: &str,
-    query_string: &str,
-    body_in: &[u8],
-    cat: &CatalogShared,
-    shared: &Shared,
-) -> Option<(&'static str, &'static str, Vec<u8>)> {
-    match (method, route) {
-        ("GET", "/estimate") => {
-            let Some(wanted) = query_string
-                .split('&')
-                .find_map(|kv| kv.strip_prefix("query="))
-            else {
-                return Some((
-                    "400 Bad Request",
-                    "text/plain",
-                    b"catalog mode: GET /estimate?query=ID-or-NAME\n".to_vec(),
-                ));
-            };
-            let queries = lock(&cat.queries);
-            let found = wanted
-                .parse::<u64>()
-                .ok()
-                .and_then(|id| queries.get_key_value(&id))
-                .or_else(|| queries.iter().find(|(_, h)| h.name == wanted));
-            let Some((id, handle)) = found else {
-                return Some((
-                    "404 Not Found",
-                    "text/plain",
-                    format!("no query {wanted:?}\n").into_bytes(),
-                ));
-            };
-            let view = handle.reader.view();
-            let e = view.estimate();
-            let answer = handle.query.answer_from(&e);
-            let body = format!(
-                "{{\"id\":{id},\"name\":{},\"epoch\":{},\"tuples\":{},\
-                 \"answer\":{answer},\"answer_bits\":{},\
-                 \"f0_sup\":{},\"non_implication_count\":{},\"implication_count\":{}}}\n",
-                flight::json_string(&handle.name),
-                view.epoch(),
-                view.tuples(),
-                answer.to_bits(),
-                e.f0_sup,
-                e.non_implication_count,
-                e.implication_count,
-            );
-            Some(("200 OK", "application/json", body.into_bytes()))
-        }
-        ("GET", "/queries") => {
-            let queries = lock(&cat.queries);
-            let mut rows: Vec<(u64, String)> = queries
-                .iter()
-                .map(|(id, h)| {
-                    (
-                        *id,
-                        format!(
-                            "{{\"id\":{id},\"name\":{},\"tuples\":{}}}",
-                            flight::json_string(&h.name),
-                            h.reader.view().tuples(),
-                        ),
-                    )
-                })
-                .collect();
-            rows.sort_by_key(|(id, _)| *id);
-            let body = format!(
-                "{{\"queries\":[{}]}}\n",
-                rows.iter()
-                    .map(|(_, json)| json.as_str())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            Some(("200 OK", "application/json", body.into_bytes()))
-        }
-        ("POST", "/query") => {
-            let line = String::from_utf8_lossy(body_in);
-            let line = line.trim();
-            if line.is_empty() {
-                return Some((
-                    "400 Bad Request",
-                    "text/plain",
-                    b"empty body: expected one query spec line\n".to_vec(),
-                ));
-            }
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = CatalogCtrl::Register {
-                line: line.to_string(),
-                reply: reply_tx,
-            };
-            if cat.ctrl.send(msg).is_err() {
-                return Some((
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer is gone\n".to_vec(),
-                ));
-            }
-            match reply_rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(Ok(id)) => {
-                    let name = lock(&cat.queries)
-                        .get(&id)
-                        .map(|h| h.name.clone())
-                        .unwrap_or_default();
-                    let body = format!("{{\"id\":{id},\"name\":{}}}\n", flight::json_string(&name));
-                    ("200 OK", "application/json", body.into_bytes())
-                }
-                Ok(Err(e)) => (
-                    "400 Bad Request",
-                    "text/plain",
-                    format!("{e}\n").into_bytes(),
-                ),
-                Err(_) => (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer timed out\n".to_vec(),
-                ),
-            }
-            .into()
-        }
-        ("DELETE", _) if route.starts_with("/query/") => {
-            let Ok(id) = route["/query/".len()..].parse::<u64>() else {
-                return Some((
-                    "400 Bad Request",
-                    "text/plain",
-                    b"DELETE /query/{numeric-id}\n".to_vec(),
-                ));
-            };
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = CatalogCtrl::Retire {
-                id,
-                reply: reply_tx,
-            };
-            if cat.ctrl.send(msg).is_err() {
-                return Some((
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer is gone\n".to_vec(),
-                ));
-            }
-            match reply_rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(true) => (
-                    "200 OK",
-                    "text/plain",
-                    format!("retired {id}\n").into_bytes(),
-                ),
-                Ok(false) => (
-                    "404 Not Found",
-                    "text/plain",
-                    format!("no query {id}\n").into_bytes(),
-                ),
-                Err(_) => (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer timed out\n".to_vec(),
-                ),
-            }
-            .into()
-        }
-        ("GET", "/metrics") => {
-            let mut body = lock(&cat.exposition).clone();
-            shared.ingest_prometheus_into(&mut body);
-            Some(("200 OK", "text/plain; version=0.0.4", body.into_bytes()))
-        }
-        ("GET", "/status") => {
-            let queries = lock(&cat.queries).len();
-            let body = format!(
-                "{{\"role\":\"catalog\",\"queries\":{queries},\
-                 \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\"uptime_ms\":{}}}\n",
-                shared.accepted.load(Ordering::Relaxed),
-                shared.skipped.load(Ordering::Relaxed),
-                shared.skipped_oversize.load(Ordering::Relaxed),
-                shared.now_ms(),
-            );
-            Some(("200 OK", "application/json", body.into_bytes()))
-        }
-        ("GET", "/snapshot") => Some((
-            "404 Not Found",
-            "text/plain",
-            b"no snapshots in catalog mode (state is per-query)\n".to_vec(),
-        )),
-        _ => None,
-    }
-}
-
-/// Answers one query request: catalog routes first (in catalog mode),
-/// then the routes every role serves.
-fn route(
-    req: &Request,
-    shared: &Shared,
-    reader: &EstimateReader,
-    catalog: Option<&CatalogShared>,
-) -> Response {
-    let (method, route) = (req.method.as_str(), req.route.as_str());
-    if let Some((status, content_type, body)) =
-        catalog.and_then(|cat| catalog_route(method, route, &req.query, &req.body, cat, shared))
-    {
-        return Response::new(status, content_type, body);
-    }
-    let (status, content_type, body): (&str, &str, Vec<u8>) = match (method, route) {
-        ("GET", "/estimate") => {
-            let view = reader.view();
-            let e = view.estimate();
-            let body = format!(
-                "{{\"epoch\":{},\"tuples\":{},\"accepted\":{},\"skipped\":{},\
-             \"f0_sup\":{},\"non_implication_count\":{},\"implication_count\":{},\
-             \"f0_sup_bits\":{},\"non_implication_count_bits\":{},\
-             \"implication_count_bits\":{}}}\n",
-                view.epoch(),
-                view.tuples(),
-                shared.accepted.load(Ordering::Relaxed),
-                shared.skipped.load(Ordering::Relaxed),
-                e.f0_sup,
-                e.non_implication_count,
-                e.implication_count,
-                e.f0_sup.to_bits(),
-                e.non_implication_count.to_bits(),
-                e.implication_count.to_bits(),
-            );
-            ("200 OK", "application/json", body.into_bytes())
-        }
-        ("GET", "/metrics") => {
-            let mut body = shared.metrics.prometheus("implicate");
-            let now = shared.now_ms();
-            if let Some(fleet) = &shared.fleet {
-                fleet.prometheus_into("implicate", now, &mut body);
-            }
-            if let Some(edge) = &shared.edge {
-                edge.prometheus_into("implicate", now, &mut body);
-            }
-            shared.ingest_prometheus_into(&mut body);
-            ("200 OK", "text/plain; version=0.0.4", body.into_bytes())
-        }
-        ("GET", "/status") => {
-            let view = reader.view();
-            let now = shared.now_ms();
-            let mut body = format!(
-                "{{\"role\":\"{}\",\"epoch\":{},\"tuples\":{},\
-             \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\"uptime_ms\":{now}",
-                shared.role,
-                view.epoch(),
-                view.tuples(),
-                shared.accepted.load(Ordering::Relaxed),
-                shared.skipped.load(Ordering::Relaxed),
-                shared.skipped_oversize.load(Ordering::Relaxed),
-            );
-            if let Some(fleet) = &shared.fleet {
-                body.push_str(",\"fleet\":");
-                body.push_str(&fleet.status_json(now));
-            }
-            if let Some(edge) = &shared.edge {
-                body.push_str(",\"edge\":");
-                body.push_str(&edge.status_json(now));
-            }
-            body.push_str("}\n");
-            ("200 OK", "application/json", body.into_bytes())
-        }
-        ("GET", "/snapshot") => match lock(&shared.snapshot).clone() {
-            Some(data) => ("200 OK", "application/octet-stream", data.to_vec()),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                b"no checkpoint published yet\n".to_vec(),
-            ),
-        },
-        ("GET", "/healthz") => ("200 OK", "text/plain", b"ok\n".to_vec()),
-        ("POST", "/shutdown") => {
-            shared.stop.store(true, Ordering::Release);
-            ("200 OK", "text/plain", b"shutting down\n".to_vec())
-        }
-        (_, "/shutdown") => {
-            return Response::text("405 Method Not Allowed", "shutdown needs POST\n")
-                .with_header("Allow: POST");
-        }
-        _ => (
-            "404 Not Found",
-            "text/plain",
-            b"routes: /estimate /status /metrics /snapshot /healthz /shutdown\n".to_vec(),
-        ),
-    };
-    Response::new(status, content_type, body)
 }
