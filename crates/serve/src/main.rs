@@ -66,18 +66,20 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
+use implicate::opts::{self, EstimatorOpts};
 use implicate::spec;
 use implicate::{
-    EstimatorConfig, Fringe, ImplicationConditions, ImplicationEstimator, MetricsHandle,
-    MultiplicityPolicy, QueryCatalog, Schema, ShardedEstimator, TraceHandle, Tuple,
+    EstimatorConfig, ImplicationEstimator, MetricsHandle, QueryCatalog, Schema, ShardedEstimator,
+    TraceHandle,
 };
 
 use imp_serve::http;
@@ -86,8 +88,8 @@ use edge::{edge_sender, ShipSlot};
 use ingest::{
     catalog_ingest_connection, ingest_connection, wire_ingest_connection, MAX_INGEST_LINE,
 };
-use routes::{route, CatalogCtrl, CatalogQueryHandle, CatalogShared};
-use writer::{aggregate_writer_loop, catalog_writer_loop, writer_loop, Pipeline};
+use routes::{route, CatalogCtrl, CatalogShared};
+use writer::Pipeline;
 
 mod edge;
 mod flight;
@@ -143,100 +145,70 @@ struct Opts {
     query_file: Option<String>,
 }
 
+/// Usage lines for serve's own flags; the estimator flags' lines come
+/// from [`opts::FLAGS`].
 const USAGE: &str = "\
-implicate-serve — long-running implication-statistics service
-
-usage: implicate-serve [options]
-
-  --lhs COLS            columns forming the counted itemset A (default 0)
-  --rhs COLS            columns forming the implied itemset B (default 1)
-  --delimiter C         field delimiter (default: any whitespace)
-  --max-mult K          maximum multiplicity (default 1)
-  --support N           minimum absolute support (default 1)
-  --top-c C             the c of the top-confidence level (default = K)
-  --confidence P        minimum top-c confidence in percent (default 100)
-  --policy P            strict | tracktop (default strict)
-  --bitmaps M           stochastic-averaging bitmaps (default 64)
-  --fringe F            fringe size (default 4); 0 = unbounded
-  --memory-budget BYTES hard cap on tracked-state memory
-  --seed N              hash seed (default 42)
-  --threads N           ingestion shards (default 1)
-  --publish-every N     rows between view publications (default 4096)
-  --checkpoint FILE     snapshot file: restored at startup if present,
-                        written on graceful shutdown
-  --checkpoint-every N  also checkpoint every N ingested rows
-                        (requires --threads 1)
-  --ingest ADDR         ingestion TCP address (default 127.0.0.1:0)
-  --query ADDR          query HTTP address (default 127.0.0.1:0)
+service:
+  --publish-every N      rows between view publications (default 4096)
+  --checkpoint FILE      snapshot file: restored at startup if present,
+                         written on graceful shutdown
+  --checkpoint-every N   also checkpoint every N ingested rows
+                         (requires --threads 1)
+  --ingest ADDR          ingestion TCP address (default 127.0.0.1:0)
+  --query ADDR           query HTTP address (default 127.0.0.1:0)
 
 distributed roles (see WIRE.md):
-  --aggregate           ingest wire frames from edges instead of text
-                        rows, serve the merged estimate
-                        (requires --threads 1)
-  --upstream ADDR       edge role: ship wire snapshots to an aggregator
-                        (requires --node-id and --threads 1)
-  --node-id N           stable identity of this edge at the aggregator
-  --ship-every N        rows between upstream shipments
-                        (default: --publish-every)
-  --keepalive-ms MS     edge: when idle, still ship an (empty) delta
-                        every MS milliseconds so the aggregator keeps
-                        seeing the node as live (default 1000; 0 = off)
+  --aggregate            ingest wire frames from edges instead of text
+                         rows, serve the merged estimate
+                         (requires --threads 1)
+  --upstream ADDR        edge role: ship wire snapshots to an aggregator
+                         (requires --node-id and --threads 1)
+  --node-id N            stable identity of this edge at the aggregator
+  --ship-every N         rows between upstream shipments
+                         (default: --publish-every)
+  --keepalive-ms MS      edge: when idle, still ship an (empty) delta
+                         every MS milliseconds so the aggregator keeps
+                         seeing the node as live (default 1000; 0 = off)
 
 observability (see DESIGN.md §8.7):
-  --stale-after MS      aggregator: a node with no applied frame for MS
-                        milliseconds is `stale` (`lagging` from MS/2;
-                        default 10000)
-  --flight-dir DIR      on decode error, poison, or panic, drain the
-                        trace ring to a JSONL flight recording in DIR
-  --flight-keep N       keep at most N flight recordings (default 8)
+  --stale-after MS       aggregator: a node with no applied frame for MS
+                         milliseconds is `stale` (`lagging` from MS/2;
+                         default 10000)
+  --flight-dir DIR       on decode error, poison, or panic, drain the
+                         trace ring to a JSONL flight recording in DIR
+  --flight-keep N        keep at most N flight recordings (default 8)
 
 catalog role (see DESIGN.md §8.8):
-  --catalog             own a QueryCatalog instead of a single estimator:
-                        rows ingest once, every registered query answers
-                        from the same pass; queries are managed at
-                        runtime over HTTP (POST /query, DELETE
-                        /query/{id}, GET /estimate?query=ID)
-                        (requires --threads 1)
-  --arity N             columns per ingested row in catalog mode
-                        (default 8, max 64)
-  --query-file FILE     preload the catalog from a query spec file
-                        (same line grammar as the implicate CLI)
+  --catalog              own a QueryCatalog instead of a single estimator:
+                         rows ingest once, every registered query answers
+                         from the same pass; queries are managed at
+                         runtime over HTTP (POST /query, DELETE
+                         /query/{id}, GET /estimate?query=ID)
+                         (requires --threads 1)
+  --arity N              columns per ingested row in catalog mode
+                         (default 8, max 64)
+  --query-file FILE      preload the catalog from a query spec file
+                         (same line grammar as the implicate CLI)
 ";
 
-fn parse_cols(v: &str) -> Vec<usize> {
-    let cols: Vec<usize> = v
-        .split(',')
-        .map(|c| {
-            c.trim()
-                .parse()
-                .unwrap_or_else(|_| die(&format!("bad column {c:?}")))
-        })
-        .collect();
-    if cols.is_empty() {
-        die("empty column list");
-    }
-    cols
+/// The usage text: the estimator flags, then [`USAGE`].
+fn usage() -> String {
+    format!(
+        "implicate-serve — long-running implication-statistics service\n\n\
+         usage: implicate-serve [options]\n\n\
+         estimator flags, as in the implicate CLI (here --lhs defaults to 0\n\
+         and --rhs to 1):\n{}\n{USAGE}",
+        opts::usage(opts::FLAGS, opts::width(opts::FLAGS)),
+    )
 }
 
-fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> T {
-    v.parse()
-        .unwrap_or_else(|_| die(&format!("{flag}: bad value {v:?}")))
+/// The value of a parsed flag; exits with the parser's message on error.
+fn or_die<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| die(&e))
 }
 
 fn parse_opts() -> Opts {
-    let mut lhs = vec![0usize];
-    let mut rhs = vec![1usize];
-    let mut delimiter = None;
-    let mut max_mult = 1u32;
-    let mut support = 1u64;
-    let mut top_c: Option<u32> = None;
-    let mut confidence = 100.0f64;
-    let mut policy = MultiplicityPolicy::Strict;
-    let mut bitmaps = 64usize;
-    let mut fringe = 4u32;
-    let mut memory_budget: Option<usize> = None;
-    let mut seed = 42u64;
-    let mut threads = 1usize;
+    let mut est = EstimatorOpts::default();
     let mut publish_every = 4096u64;
     let mut checkpoint = None;
     let mut checkpoint_every = None;
@@ -258,7 +230,7 @@ fn parse_opts() -> Opts {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
-            print!("{USAGE}");
+            print!("{}", usage());
             exit(0);
         }
         let mut val = || {
@@ -266,59 +238,32 @@ fn parse_opts() -> Opts {
                 .unwrap_or_else(|| die(&format!("{flag} needs a value")))
                 .as_str()
         };
+        if let Some(shared) = opts::find(opts::FLAGS, flag) {
+            or_die((shared.set)(&mut est, val()));
+            continue;
+        }
         match flag.as_str() {
-            "--lhs" => lhs = parse_cols(val()),
-            "--rhs" => rhs = parse_cols(val()),
-            "--delimiter" => {
-                let v = val();
-                let mut chars = v.chars();
-                delimiter = chars.next();
-                if delimiter.is_none() || chars.next().is_some() {
-                    die("--delimiter must be a single character");
-                }
-            }
-            "--max-mult" => max_mult = parse_num(val(), "--max-mult"),
-            "--support" => support = parse_num(val(), "--support"),
-            "--top-c" => top_c = Some(parse_num(val(), "--top-c")),
-            "--confidence" => confidence = parse_num(val(), "--confidence"),
-            "--policy" => {
-                policy = match val() {
-                    "strict" => MultiplicityPolicy::Strict,
-                    "tracktop" => MultiplicityPolicy::TrackTop,
-                    other => die(&format!("unknown policy {other:?}")),
-                }
-            }
-            "--bitmaps" => bitmaps = parse_num(val(), "--bitmaps"),
-            "--fringe" => fringe = parse_num(val(), "--fringe"),
-            "--memory-budget" => memory_budget = Some(parse_num(val(), "--memory-budget")),
-            "--seed" => seed = parse_num(val(), "--seed"),
-            "--threads" => threads = parse_num(val(), "--threads"),
-            "--publish-every" => publish_every = parse_num(val(), "--publish-every"),
+            "--publish-every" => publish_every = or_die(opts::at_least_one(val(), flag)),
             "--checkpoint" => checkpoint = Some(val().to_string()),
-            "--checkpoint-every" => checkpoint_every = Some(parse_num(val(), "--checkpoint-every")),
+            "--checkpoint-every" => checkpoint_every = Some(or_die(opts::value(val(), flag))),
             "--ingest" => ingest_addr = val().to_string(),
             "--query" => query_addr = val().to_string(),
             "--aggregate" => aggregate = true,
             "--upstream" => upstream = Some(val().to_string()),
-            "--node-id" => node_id = Some(parse_num(val(), "--node-id")),
-            "--ship-every" => ship_every = Some(parse_num(val(), "--ship-every")),
-            "--keepalive-ms" => keepalive_ms = Some(parse_num(val(), "--keepalive-ms")),
-            "--stale-after" => stale_after_ms = Some(parse_num(val(), "--stale-after")),
+            "--node-id" => node_id = Some(or_die(opts::value(val(), flag))),
+            "--ship-every" => ship_every = Some(or_die(opts::at_least_one(val(), flag))),
+            "--keepalive-ms" => keepalive_ms = Some(or_die(opts::value(val(), flag))),
+            "--stale-after" => stale_after_ms = Some(or_die(opts::at_least_one(val(), flag))),
             "--flight-dir" => flight_dir = Some(val().to_string()),
-            "--flight-keep" => flight_keep = Some(parse_num(val(), "--flight-keep")),
+            "--flight-keep" => flight_keep = Some(or_die(opts::at_least_one(val(), flag))),
             "--catalog" => catalog = true,
-            "--arity" => arity = Some(parse_num(val(), "--arity")),
+            "--arity" => arity = Some(or_die(opts::value(val(), flag))),
             "--query-file" => query_file = Some(val().to_string()),
             other => die(&format!("unknown option {other:?} (try --help)")),
         }
     }
 
-    if threads == 0 {
-        die("--threads must be at least 1");
-    }
-    if publish_every == 0 {
-        die("--publish-every must be at least 1");
-    }
+    let threads = est.threads;
     if checkpoint_every.is_some() && threads > 1 {
         // Mid-run snapshots need a quiesced pipeline; under sharding the
         // service checkpoints once, at graceful shutdown.
@@ -342,23 +287,14 @@ fn parse_opts() -> Opts {
     if node_id.is_some() && upstream.is_none() {
         die("--node-id only makes sense with --upstream");
     }
-    if ship_every == Some(0) {
-        die("--ship-every must be at least 1");
-    }
     if ship_every.is_some() && upstream.is_none() {
         die("--ship-every only makes sense with --upstream");
     }
     if stale_after_ms.is_some() && !aggregate {
         die("--stale-after only makes sense with --aggregate");
     }
-    if stale_after_ms == Some(0) {
-        die("--stale-after must be at least 1 millisecond");
-    }
     if flight_keep.is_some() && flight_dir.is_none() {
         die("--flight-keep needs --flight-dir DIR");
-    }
-    if flight_keep == Some(0) {
-        die("--flight-keep must be at least 1");
     }
     if keepalive_ms.is_some() && upstream.is_none() {
         die("--keepalive-ms only makes sense with --upstream");
@@ -382,28 +318,11 @@ fn parse_opts() -> Opts {
         die("--arity must be in 1..=64");
     }
 
-    let cond = ImplicationConditions::builder()
-        .max_multiplicity(max_mult)
-        .min_support(support)
-        .top_confidence(top_c.unwrap_or(max_mult), confidence / 100.0)
-        .multiplicity_policy(policy)
-        .build();
-    let mut config = EstimatorConfig::new(cond)
-        .bitmaps(bitmaps)
-        .fringe(match fringe {
-            0 => Fringe::Unbounded,
-            f => Fringe::Bounded(f),
-        })
-        .seed(seed);
-    if let Some(bytes) = memory_budget {
-        config = config.memory_budget(bytes);
-    }
-
     Opts {
-        lhs,
-        rhs,
-        delimiter,
-        config,
+        config: or_die(est.config()),
+        lhs: est.lhs.unwrap_or_else(|| vec![0]),
+        rhs: est.rhs.unwrap_or_else(|| vec![1]),
+        delimiter: est.delimiter,
         threads,
         publish_every,
         checkpoint,
@@ -473,6 +392,37 @@ impl Shared {
             self.skipped_oversize.load(Ordering::Relaxed)
         ));
     }
+}
+
+/// Spawns the writer thread running `role` and the ingest acceptor that
+/// feeds it: each accepted connection runs `connection` on a thread of
+/// its own, with a sender into the writer's channel. Only the acceptor
+/// and its connections hold senders, and the acceptor never exits, so
+/// the writer leaves its loop on the stop flag, not on a disconnected
+/// channel.
+fn spawn_role<R>(
+    role: R,
+    shared: &Arc<Shared>,
+    listener: TcpListener,
+    connection: impl Fn(TcpStream, &Shared, &SyncSender<R::Msg>) + Clone + Send + 'static,
+) -> JoinHandle<(u64, u64)>
+where
+    R: writer::Role + Send + 'static,
+    R::Msg: Send + 'static,
+{
+    let (tx, rx) = sync_channel(INGEST_DEPTH);
+    let writer = {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || writer::run(role, &rx, &shared))
+    };
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || {
+        http::accept_loop(&listener, |stream| {
+            let (tx, shared, connection) = (tx.clone(), Arc::clone(&shared), connection.clone());
+            std::thread::spawn(move || connection(stream, &shared, &tx));
+        });
+    });
+    writer
 }
 
 fn main() {
@@ -570,7 +520,7 @@ fn main() {
 
     // Seed /snapshot with the restored/initial state so the endpoint is
     // never empty once the service is up.
-    *lock(&shared.snapshot) = Some(est.to_bytes());
+    writer::store_snapshot(&shared, est.to_bytes(), None);
 
     let ingest_listener = TcpListener::bind(&opts.ingest_addr)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.ingest_addr)));
@@ -584,9 +534,6 @@ fn main() {
     println!("serve: query listening on {query_addr}");
     std::io::stdout().flush().ok();
 
-    let (batch_tx, batch_rx) = sync_channel::<Vec<(u64, u64)>>(INGEST_DEPTH);
-    let (frame_tx, frame_rx) = sync_channel::<(bytes::Bytes, Arc<AtomicBool>)>(INGEST_DEPTH);
-    let (tuple_tx, tuple_rx) = sync_channel::<Vec<Tuple>>(INGEST_DEPTH);
     let (ctrl_tx, ctrl_rx) = sync_channel::<CatalogCtrl>(INGEST_DEPTH);
 
     // Catalog role: query connections resolve per-query readers and
@@ -603,102 +550,51 @@ fn main() {
     // upstream sender through this keep-latest slot.
     let ship_slot = opts.upstream.as_ref().map(|_| Arc::new(ShipSlot::new()));
 
-    // Writer thread: the single owner of estimator mutation.
+    // The writer thread, the single owner of estimator mutation, and the
+    // ingest acceptor feeding it: wire frames when aggregating, text rows
+    // otherwise.
     let writer = if opts.catalog {
         let schema = Schema::new((0..opts.arity).map(|i| (format!("c{i}"), 0)));
-        let mut catalog_engine = QueryCatalog::new(&schema, opts.config);
-        catalog_engine.set_trace(shared.trace.clone());
+        let mut engine = QueryCatalog::new(&schema, opts.config);
+        engine.set_trace(shared.trace.clone());
         let cat = Arc::clone(cat_shared.as_ref().expect("catalog mode"));
-        // Preload from --query-file (same grammar as POST /query);
-        // any bad line is a startup error, not a silently-empty
-        // catalog.
+        let mut role = writer::Catalog::new(engine, ctrl_rx, cat, &opts);
+        // Preload from --query-file (same grammar as POST /query); any
+        // bad line is a startup error, not a silently-empty catalog.
         if let Some(path) = &opts.query_file {
             let text =
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
             let specs =
                 spec::parse_query_file(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let mut queries = lock(&cat.queries);
             for s in specs {
-                if s.max_column() >= opts.arity {
-                    die(&format!(
-                        "{path}: query {:?} touches column {} (--arity {})",
-                        s.name,
-                        s.max_column(),
-                        opts.arity,
-                    ));
+                let name = s.name.clone();
+                if let Err(e) = role.register(s) {
+                    die(&format!("{path}: query {name:?}: {e}"));
                 }
-                let id = catalog_engine
-                    .try_register(s.name.clone(), s.query.clone())
-                    .unwrap_or_else(|e| die(&format!("{path}: {}: {e}", s.name)));
-                let reader = catalog_engine.reader(id).expect("just registered");
-                queries.insert(
-                    id.raw(),
-                    CatalogQueryHandle {
-                        name: s.name,
-                        query: s.query,
-                        reader,
-                    },
-                );
             }
-            drop(queries);
             eprintln!(
                 "implicate-serve: preloaded {} queries from {path}",
-                catalog_engine.len()
+                role.len()
             );
         }
-        let mut text = String::new();
-        catalog_engine.prometheus_into("implicate", &mut text);
-        *lock(&cat.exposition) = text;
-        let shared = Arc::clone(&shared);
-        let publish_every = opts.publish_every;
-        std::thread::spawn(move || {
-            catalog_writer_loop(
-                catalog_engine,
-                &tuple_rx,
-                &ctrl_rx,
-                &shared,
-                &cat,
-                publish_every,
-            )
+        role.refresh();
+        let (arity, delimiter) = (opts.arity, opts.delimiter);
+        spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
+            catalog_ingest_connection(stream, shared, arity, delimiter, tx);
         })
     } else if opts.aggregate {
-        let shared = Arc::clone(&shared);
-        let template = opts.config;
-        let checkpoint = opts.checkpoint.clone();
-        let checkpoint_every = opts.checkpoint_every;
-        std::thread::spawn(move || {
-            aggregate_writer_loop(
-                est,
-                &template,
-                &frame_rx,
-                &shared,
-                checkpoint.as_deref(),
-                checkpoint_every,
-            )
-        })
+        let role = writer::Aggregate::new(est, &opts);
+        spawn_role(role, &shared, ingest_listener, wire_ingest_connection)
     } else {
         let pipeline = if opts.threads > 1 {
             Pipeline::Sharded(ShardedEstimator::new(est, opts.threads))
         } else {
             Pipeline::Sequential(est)
         };
-        let shared = Arc::clone(&shared);
-        let publish_every = opts.publish_every;
-        let checkpoint = opts.checkpoint.clone();
-        let checkpoint_every = opts.checkpoint_every;
-        let ship = ship_slot
-            .as_ref()
-            .map(|slot| (Arc::clone(slot), opts.ship_every, opts.keepalive_ms));
-        std::thread::spawn(move || {
-            writer_loop(
-                pipeline,
-                &batch_rx,
-                &shared,
-                publish_every,
-                checkpoint.as_deref(),
-                checkpoint_every,
-                ship,
-            )
+        let role = writer::Plain::new(pipeline, &opts, ship_slot.clone());
+        let (lhs, rhs, delimiter) = (opts.lhs.clone(), opts.rhs.clone(), opts.delimiter);
+        spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
+            ingest_connection(stream, shared, &lhs, &rhs, delimiter, pair_hasher, tx);
         })
     };
 
@@ -715,55 +611,6 @@ fn main() {
         }
         _ => None,
     };
-
-    // Ingest acceptor: wire frames when aggregating, text rows otherwise.
-    // Ingest connections are long-lived streams, one thread each.
-    {
-        let shared = Arc::clone(&shared);
-        if opts.aggregate {
-            let frame_tx = frame_tx.clone();
-            std::thread::spawn(move || {
-                http::accept_loop(&ingest_listener, |stream| {
-                    let (tx, shared) = (frame_tx.clone(), Arc::clone(&shared));
-                    std::thread::spawn(move || {
-                        wire_ingest_connection(stream, &shared, &tx);
-                    });
-                });
-            });
-        } else if opts.catalog {
-            let arity = opts.arity;
-            let delimiter = opts.delimiter;
-            let tuple_tx = tuple_tx.clone();
-            std::thread::spawn(move || {
-                http::accept_loop(&ingest_listener, |stream| {
-                    let (tx, shared) = (tuple_tx.clone(), Arc::clone(&shared));
-                    std::thread::spawn(move || {
-                        catalog_ingest_connection(stream, &shared, arity, delimiter, &tx);
-                    });
-                });
-            });
-        } else {
-            let lhs = opts.lhs.clone();
-            let rhs = opts.rhs.clone();
-            let delimiter = opts.delimiter;
-            let batch_tx = batch_tx.clone();
-            std::thread::spawn(move || {
-                http::accept_loop(&ingest_listener, |stream| {
-                    let (tx, shared) = (batch_tx.clone(), Arc::clone(&shared));
-                    let (lhs, rhs) = (lhs.clone(), rhs.clone());
-                    std::thread::spawn(move || {
-                        ingest_connection(stream, &shared, &lhs, &rhs, delimiter, pair_hasher, &tx);
-                    });
-                });
-            });
-        }
-    }
-    // Only the ingest acceptor and its connections hold senders from
-    // here on. The acceptor never exits, so the writer leaves its loop
-    // on the stop flag, not on a disconnected channel.
-    drop(batch_tx);
-    drop(frame_tx);
-    drop(tuple_tx);
 
     // Query acceptor and its fixed worker pool; each worker answers
     // from its own reader clone.

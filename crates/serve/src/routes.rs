@@ -14,7 +14,8 @@ use imp_serve::http::{Request, Response};
 use crate::{flight, lock, Shared};
 
 /// Catalog-role control message from an HTTP connection thread to the
-/// catalog writer — the single owner of the [`QueryCatalog`].
+/// catalog writer — the single owner of the
+/// [`QueryCatalog`](implicate::QueryCatalog).
 pub enum CatalogCtrl {
     /// Parse and register one query-spec line (the body of
     /// `POST /query`); replies with the raw id or a client-readable
@@ -38,7 +39,7 @@ pub struct CatalogQueryHandle {
 }
 
 /// Read-side state of the catalog role. The writer owns the
-/// [`QueryCatalog`]; query connections resolve per-query readers here
+/// [`QueryCatalog`](implicate::QueryCatalog); query connections resolve per-query readers here
 /// and serve the Prometheus exposition the writer re-renders at the
 /// publish cadence.
 pub struct CatalogShared {
@@ -53,26 +54,39 @@ pub struct CatalogShared {
     pub ctrl: SyncSender<CatalogCtrl>,
 }
 
+/// Sends the control message `msg` builds around a reply channel and
+/// waits up to 5 s for the writer's answer; a `503` when the writer is
+/// gone or slow.
+fn ask<T>(
+    cat: &CatalogShared,
+    msg: impl FnOnce(SyncSender<T>) -> CatalogCtrl,
+) -> Result<T, Response> {
+    let (reply_tx, reply_rx) = sync_channel(1);
+    if cat.ctrl.send(msg(reply_tx)).is_err() {
+        return Err(Response::text(
+            "503 Service Unavailable",
+            "catalog writer is gone\n",
+        ));
+    }
+    reply_rx
+        .recv_timeout(Duration::from_secs(5))
+        .map_err(|_| Response::text("503 Service Unavailable", "catalog writer timed out\n"))
+}
+
 /// Routes specific to the catalog role; `None` falls through to the
 /// common handler (`/healthz`, `/shutdown`, 404).
-fn catalog_route(
-    method: &str,
-    route: &str,
-    query_string: &str,
-    body_in: &[u8],
-    cat: &CatalogShared,
-    shared: &Shared,
-) -> Option<(&'static str, &'static str, Vec<u8>)> {
-    match (method, route) {
+fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<Response> {
+    let (method, route) = (req.method.as_str(), req.route.as_str());
+    Some(match (method, route) {
         ("GET", "/estimate") => {
-            let Some(wanted) = query_string
+            let Some(wanted) = req
+                .query
                 .split('&')
                 .find_map(|kv| kv.strip_prefix("query="))
             else {
-                return Some((
+                return Some(Response::text(
                     "400 Bad Request",
-                    "text/plain",
-                    b"catalog mode: GET /estimate?query=ID-or-NAME\n".to_vec(),
+                    "catalog mode: GET /estimate?query=ID-or-NAME\n",
                 ));
             };
             let queries = lock(&cat.queries);
@@ -82,10 +96,9 @@ fn catalog_route(
                 .and_then(|id| queries.get_key_value(&id))
                 .or_else(|| queries.iter().find(|(_, h)| h.name == wanted));
             let Some((id, handle)) = found else {
-                return Some((
+                return Some(Response::text(
                     "404 Not Found",
-                    "text/plain",
-                    format!("no query {wanted:?}\n").into_bytes(),
+                    format!("no query {wanted:?}\n"),
                 ));
             };
             let view = handle.reader.view();
@@ -103,7 +116,7 @@ fn catalog_route(
                 e.non_implication_count,
                 e.implication_count,
             );
-            Some(("200 OK", "application/json", body.into_bytes()))
+            Response::new("200 OK", "application/json", body)
         }
         ("GET", "/queries") => {
             let queries = lock(&cat.queries);
@@ -128,95 +141,46 @@ fn catalog_route(
                     .collect::<Vec<_>>()
                     .join(",")
             );
-            Some(("200 OK", "application/json", body.into_bytes()))
+            Response::new("200 OK", "application/json", body)
         }
         ("POST", "/query") => {
-            let line = String::from_utf8_lossy(body_in);
-            let line = line.trim();
+            let line = String::from_utf8_lossy(&req.body).trim().to_string();
             if line.is_empty() {
-                return Some((
+                return Some(Response::text(
                     "400 Bad Request",
-                    "text/plain",
-                    b"empty body: expected one query spec line\n".to_vec(),
+                    "empty body: expected one query spec line\n",
                 ));
             }
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = CatalogCtrl::Register {
-                line: line.to_string(),
-                reply: reply_tx,
-            };
-            if cat.ctrl.send(msg).is_err() {
-                return Some((
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer is gone\n".to_vec(),
-                ));
-            }
-            match reply_rx.recv_timeout(Duration::from_secs(5)) {
+            match ask(cat, |reply| CatalogCtrl::Register { line, reply }) {
                 Ok(Ok(id)) => {
                     let name = lock(&cat.queries)
                         .get(&id)
                         .map(|h| h.name.clone())
                         .unwrap_or_default();
                     let body = format!("{{\"id\":{id},\"name\":{}}}\n", flight::json_string(&name));
-                    ("200 OK", "application/json", body.into_bytes())
+                    Response::new("200 OK", "application/json", body)
                 }
-                Ok(Err(e)) => (
-                    "400 Bad Request",
-                    "text/plain",
-                    format!("{e}\n").into_bytes(),
-                ),
-                Err(_) => (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer timed out\n".to_vec(),
-                ),
+                Ok(Err(e)) => Response::text("400 Bad Request", format!("{e}\n")),
+                Err(unavailable) => unavailable,
             }
-            .into()
         }
         ("DELETE", _) if route.starts_with("/query/") => {
             let Ok(id) = route["/query/".len()..].parse::<u64>() else {
-                return Some((
+                return Some(Response::text(
                     "400 Bad Request",
-                    "text/plain",
-                    b"DELETE /query/{numeric-id}\n".to_vec(),
+                    "DELETE /query/{numeric-id}\n",
                 ));
             };
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = CatalogCtrl::Retire {
-                id,
-                reply: reply_tx,
-            };
-            if cat.ctrl.send(msg).is_err() {
-                return Some((
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer is gone\n".to_vec(),
-                ));
+            match ask(cat, |reply| CatalogCtrl::Retire { id, reply }) {
+                Ok(true) => Response::text("200 OK", format!("retired {id}\n")),
+                Ok(false) => Response::text("404 Not Found", format!("no query {id}\n")),
+                Err(unavailable) => unavailable,
             }
-            match reply_rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(true) => (
-                    "200 OK",
-                    "text/plain",
-                    format!("retired {id}\n").into_bytes(),
-                ),
-                Ok(false) => (
-                    "404 Not Found",
-                    "text/plain",
-                    format!("no query {id}\n").into_bytes(),
-                ),
-                Err(_) => (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer timed out\n".to_vec(),
-                ),
-            }
-            .into()
         }
         ("GET", "/metrics") => {
             let mut body = lock(&cat.exposition).clone();
             shared.ingest_prometheus_into(&mut body);
-            Some(("200 OK", "text/plain; version=0.0.4", body.into_bytes()))
+            Response::new("200 OK", "text/plain; version=0.0.4", body)
         }
         ("GET", "/status") => {
             let queries = lock(&cat.queries).len();
@@ -228,15 +192,14 @@ fn catalog_route(
                 shared.skipped_oversize.load(Ordering::Relaxed),
                 shared.now_ms(),
             );
-            Some(("200 OK", "application/json", body.into_bytes()))
+            Response::new("200 OK", "application/json", body)
         }
-        ("GET", "/snapshot") => Some((
+        ("GET", "/snapshot") => Response::text(
             "404 Not Found",
-            "text/plain",
-            b"no snapshots in catalog mode (state is per-query)\n".to_vec(),
-        )),
-        _ => None,
-    }
+            "no snapshots in catalog mode (state is per-query)\n",
+        ),
+        _ => return None,
+    })
 }
 
 /// Answers one query request: catalog routes first (in catalog mode),
@@ -247,13 +210,10 @@ pub fn route(
     reader: &EstimateReader,
     catalog: Option<&CatalogShared>,
 ) -> Response {
-    let (method, route) = (req.method.as_str(), req.route.as_str());
-    if let Some((status, content_type, body)) =
-        catalog.and_then(|cat| catalog_route(method, route, &req.query, &req.body, cat, shared))
-    {
-        return Response::new(status, content_type, body);
+    if let Some(response) = catalog.and_then(|cat| catalog_route(req, cat, shared)) {
+        return response;
     }
-    let (status, content_type, body): (&str, &str, Vec<u8>) = match (method, route) {
+    match (req.method.as_str(), req.route.as_str()) {
         ("GET", "/estimate") => {
             let view = reader.view();
             let e = view.estimate();
@@ -273,7 +233,7 @@ pub fn route(
                 e.non_implication_count.to_bits(),
                 e.implication_count.to_bits(),
             );
-            ("200 OK", "application/json", body.into_bytes())
+            Response::new("200 OK", "application/json", body)
         }
         ("GET", "/metrics") => {
             let mut body = shared.metrics.prometheus("implicate");
@@ -285,7 +245,7 @@ pub fn route(
                 edge.prometheus_into("implicate", now, &mut body);
             }
             shared.ingest_prometheus_into(&mut body);
-            ("200 OK", "text/plain; version=0.0.4", body.into_bytes())
+            Response::new("200 OK", "text/plain; version=0.0.4", body)
         }
         ("GET", "/status") => {
             let view = reader.view();
@@ -309,30 +269,22 @@ pub fn route(
                 body.push_str(&edge.status_json(now));
             }
             body.push_str("}\n");
-            ("200 OK", "application/json", body.into_bytes())
+            Response::new("200 OK", "application/json", body)
         }
         ("GET", "/snapshot") => match lock(&shared.snapshot).clone() {
-            Some(data) => ("200 OK", "application/octet-stream", data.to_vec()),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                b"no checkpoint published yet\n".to_vec(),
-            ),
+            Some(data) => Response::new("200 OK", "application/octet-stream", data.to_vec()),
+            None => Response::text("404 Not Found", "no checkpoint published yet\n"),
         },
-        ("GET", "/healthz") => ("200 OK", "text/plain", b"ok\n".to_vec()),
+        ("GET", "/healthz") => Response::text("200 OK", "ok\n"),
         ("POST", "/shutdown") => {
             shared.stop.store(true, Ordering::Release);
-            ("200 OK", "text/plain", b"shutting down\n".to_vec())
+            Response::text("200 OK", "shutting down\n")
         }
-        (_, "/shutdown") => {
-            return Response::text("405 Method Not Allowed", "shutdown needs POST\n")
-                .with_header("Allow: POST");
-        }
-        _ => (
+        (_, "/shutdown") => Response::text("405 Method Not Allowed", "shutdown needs POST\n")
+            .with_header("Allow: POST"),
+        _ => Response::text(
             "404 Not Found",
-            "text/plain",
-            b"routes: /estimate /status /metrics /snapshot /healthz /shutdown\n".to_vec(),
+            "routes: /estimate /status /metrics /snapshot /healthz /shutdown\n",
         ),
-    };
-    Response::new(status, content_type, body)
+    }
 }

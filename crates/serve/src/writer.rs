@@ -1,26 +1,93 @@
 //! The writer thread of each role: the single owner of estimator (or
-//! catalog) mutation, publishing views, checkpoints and edge captures
-//! on their cadences.
+//! catalog) mutation. [`run`] owns the poll loop, the stop flag and the
+//! drain after stop; each role — [`Plain`] (standalone and edge),
+//! [`Catalog`] and [`Aggregate`] — supplies only its per-message work,
+//! its idle work and its final state.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use implicate::core::wire::{peek_frame, WireDecoder, WireSnapshot};
-use implicate::spec;
+use implicate::spec::QuerySpec;
 use implicate::{
     EstimatorConfig, HashedBatch, ImplicationEstimator, QueryCatalog, QueryId, ShardedEstimator,
-    Tuple,
+    Tuple, TupleHasher,
 };
 
 use crate::edge::ShipSlot;
 use crate::routes::{CatalogCtrl, CatalogQueryHandle, CatalogShared};
-use crate::{flight, lock, Shared, POLL};
+use crate::{flight, lock, Opts, Shared, POLL};
 
-/// The writer side: one thread owning either the sequential estimator or
-/// the sharded pipeline.
+/// One role's work on the writer thread; [`run`] drives it.
+pub trait Role {
+    /// What the ingest connections hand this writer.
+    type Msg;
+
+    /// Applies one message, in the live loop and in the drain after stop
+    /// alike.
+    fn apply(&mut self, msg: Self::Msg, shared: &Shared);
+
+    /// Runs after each [`POLL`] interval without a message while the
+    /// service is not stopping.
+    fn idle(&mut self, _shared: &Shared) {}
+
+    /// Publishes and stores the final state. Returns (rows or frames
+    /// this session, final tuple count).
+    fn finish(self, shared: &Shared) -> (u64, u64);
+}
+
+/// The writer loop of every role: applies messages as they arrive, runs
+/// the idle work after each quiet [`POLL`], and once the stop flag is up
+/// applies whatever is still queued before [`Role::finish`].
+pub fn run<R: Role>(mut role: R, rx: &Receiver<R::Msg>, shared: &Shared) -> (u64, u64) {
+    loop {
+        match rx.recv_timeout(POLL) {
+            Ok(msg) => role.apply(msg, shared),
+            Err(RecvTimeoutError::Timeout) => {
+                if shared.stop.load(Ordering::Acquire) {
+                    break;
+                }
+                role.idle(shared);
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    while let Ok(msg) = rx.try_recv() {
+        role.apply(msg, shared);
+    }
+    role.finish(shared)
+}
+
+/// Serves `data` on `GET /snapshot` and, given a path, also writes it
+/// there as the checkpoint (write temp + rename, so the file is always a
+/// whole snapshot).
+pub fn store_snapshot(shared: &Shared, data: bytes::Bytes, checkpoint: Option<&str>) {
+    if let Some(path) = checkpoint {
+        let tmp = format!("{path}.tmp");
+        let result = std::fs::write(&tmp, &data).and_then(|()| std::fs::rename(&tmp, path));
+        if let Err(e) = result {
+            eprintln!("implicate-serve: checkpoint {path}: {e}");
+        }
+    }
+    *lock(&shared.snapshot) = Some(data);
+}
+
+/// Publishes `est`'s final state and stores its snapshot and checkpoint.
+fn store_final(shared: &Shared, est: &mut ImplicationEstimator, checkpoint: Option<&str>) {
+    est.publish();
+    store_snapshot(shared, est.to_bytes(), checkpoint);
+    if let Some(path) = checkpoint {
+        eprintln!(
+            "implicate-serve: checkpointed {} tuples to {path}",
+            est.tuples_seen()
+        );
+    }
+}
+
+/// The sequential estimator or the sharded pipeline.
 // One Pipeline exists per process, so the size spread between variants
 // is irrelevant — boxing would only add a pointer chase per batch.
 #[allow(clippy::large_enum_variant)]
@@ -61,21 +128,9 @@ impl Pipeline {
         }
     }
 
-    /// Publishes a view carrying the canonical snapshot payload and
-    /// returns those bytes. Sequential only — the sharded pipeline
-    /// cannot encode without quiescing.
-    fn publish_full(&mut self) -> Option<bytes::Bytes> {
-        match self {
-            Pipeline::Sequential(est) => {
-                est.publish_full();
-                Some(est.to_bytes())
-            }
-            Pipeline::Sharded(_) => None,
-        }
-    }
-
-    /// The owned estimator when sequential (edge shipping captures wire
-    /// snapshots off it; the sharded pipeline cannot without quiescing).
+    /// The owned estimator when sequential (checkpoints and edge
+    /// captures encode it; the sharded pipeline cannot without
+    /// quiescing).
     fn sequential(&self) -> Option<&ImplicationEstimator> {
         match self {
             Pipeline::Sequential(est) => Some(est),
@@ -83,31 +138,160 @@ impl Pipeline {
         }
     }
 
-    /// Drains, reassembles (if sharded), publishes the final state, and
-    /// returns the owning estimator.
+    /// Drains and reassembles (if sharded) the pipeline into the owning
+    /// estimator.
     fn into_final(self) -> ImplicationEstimator {
         match self {
-            Pipeline::Sequential(mut est) => {
-                est.publish_full();
-                est
-            }
-            Pipeline::Sharded(sharded) => {
-                // finish() barriers, merges, and republishes the merged
-                // state on the inherited channel.
-                let mut est = sharded.finish();
-                est.publish_full();
-                est
-            }
+            Pipeline::Sequential(est) => est,
+            // finish() barriers, merges, and republishes the merged state
+            // on the inherited channel.
+            Pipeline::Sharded(sharded) => sharded.finish(),
         }
     }
 }
 
-/// Atomically replaces `path` with `data` (write temp + rename).
-fn write_checkpoint(path: &str, data: &[u8]) {
-    let tmp = format!("{path}.tmp");
-    let result = std::fs::write(&tmp, data).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = result {
-        eprintln!("implicate-serve: checkpoint {path}: {e}");
+/// The edge role's side of the ship cadence.
+struct Ship {
+    slot: Arc<ShipSlot>,
+    every: u64,
+    keepalive_ms: u64,
+    since: u64,
+    epoch: u64,
+    last_capture: Instant,
+}
+
+impl Ship {
+    /// Captures the estimator's state into the ship slot under the next
+    /// wire epoch.
+    fn capture(&mut self, est: Option<&ImplicationEstimator>) {
+        self.since = 0;
+        if let Some(est) = est {
+            self.epoch += 1;
+            self.slot.store(WireSnapshot::capture(est, self.epoch));
+        }
+        self.last_capture = Instant::now();
+    }
+}
+
+/// The standalone and edge roles' writer: applies row batches to the
+/// pipeline and publishes views, checkpoints and (edge) ships captures
+/// on their cadences.
+pub struct Plain {
+    pipeline: Pipeline,
+    publish_every: u64,
+    checkpoint: Option<String>,
+    checkpoint_every: Option<u64>,
+    ship: Option<Ship>,
+    rows: u64,
+    since_publish: u64,
+    since_checkpoint: u64,
+    /// Whether the last published view reflects *every* routed row. A
+    /// mid-stream publish races the lanes by design (that is what makes
+    /// it wait-free), so after going idle the writer republishes until a
+    /// view assembled at backlog 0 is out — otherwise readers could be
+    /// pinned forever on an estimate missing the stream's tail.
+    published_settled: bool,
+}
+
+impl Plain {
+    /// A writer over `pipeline`; `slot` is the edge role's ship slot.
+    pub fn new(pipeline: Pipeline, opts: &Opts, slot: Option<Arc<ShipSlot>>) -> Self {
+        Self {
+            pipeline,
+            publish_every: opts.publish_every,
+            checkpoint: opts.checkpoint.clone(),
+            checkpoint_every: opts.checkpoint_every,
+            ship: slot.map(|slot| Ship {
+                slot,
+                every: opts.ship_every,
+                keepalive_ms: opts.keepalive_ms,
+                since: 0,
+                epoch: 0,
+                last_capture: Instant::now(),
+            }),
+            rows: 0,
+            since_publish: 0,
+            since_checkpoint: 0,
+            published_settled: true,
+        }
+    }
+}
+
+impl Role for Plain {
+    type Msg = Vec<(u64, u64)>;
+
+    fn apply(&mut self, batch: Vec<(u64, u64)>, shared: &Shared) {
+        let n = batch.len() as u64;
+        self.pipeline.apply(&batch);
+        self.rows += n;
+        self.since_publish += n;
+        self.since_checkpoint += n;
+        if let Some(ship) = &mut self.ship {
+            ship.since += n;
+            if ship.since >= ship.every {
+                ship.capture(self.pipeline.sequential());
+            }
+            if let Some(edge) = &shared.edge {
+                edge.set_unshipped(ship.since);
+            }
+        }
+        if self.since_publish >= self.publish_every {
+            self.since_publish = 0;
+            self.pipeline.publish();
+            if self
+                .checkpoint_every
+                .is_some_and(|n| self.since_checkpoint >= n)
+            {
+                self.since_checkpoint = 0;
+                if let Some(est) = self.pipeline.sequential() {
+                    store_snapshot(shared, est.to_bytes(), self.checkpoint.as_deref());
+                }
+            }
+            self.published_settled = self.pipeline.backlog() == 0;
+        }
+    }
+
+    fn idle(&mut self, shared: &Shared) {
+        // Ship any partial per-shard buffers to the lanes (full batches
+        // ship eagerly; partials otherwise wait for more rows), then
+        // publish until a settled view — one assembled with nothing left
+        // in flight — is out.
+        if self.pipeline.backlog() > 0 {
+            self.pipeline.flush();
+        }
+        let settled = self.pipeline.backlog() == 0;
+        if self.since_publish > 0 || !settled || !self.published_settled {
+            self.since_publish = 0;
+            self.pipeline.publish();
+            self.published_settled = settled;
+        }
+        // Idle edges ship the stream's tail: rows that arrived since the
+        // last capture must not wait for a full cadence interval that
+        // may never fill. Fully-idle edges still ship on the keep-alive
+        // cadence — the resulting unchanged-state delta is ~20 bytes, and
+        // it keeps the node `live` on the aggregator's registry instead
+        // of decaying to `stale` for mere quietness.
+        if let Some(ship) = &mut self.ship {
+            let keepalive_due = ship.keepalive_ms > 0
+                && ship.last_capture.elapsed() >= Duration::from_millis(ship.keepalive_ms);
+            if ship.since > 0 || keepalive_due {
+                ship.capture(self.pipeline.sequential());
+            }
+            if let Some(edge) = &shared.edge {
+                edge.set_unshipped(ship.since);
+            }
+        }
+    }
+
+    fn finish(self, shared: &Shared) -> (u64, u64) {
+        let mut est = self.pipeline.into_final();
+        store_final(shared, &mut est, self.checkpoint.as_deref());
+        // The final state always ships (an unchanged-state delta is a few
+        // bytes), so a graceful edge shutdown never strands its tail.
+        if let Some(ship) = self.ship {
+            ship.slot.close(WireSnapshot::capture(&est, ship.epoch + 1));
+        }
+        (self.rows, est.tuples_seen())
     }
 }
 
@@ -117,101 +301,133 @@ fn write_checkpoint(path: &str, data: &[u8]) {
 /// services register/retire control messages between batches, and
 /// republishes every query's view (plus the metrics exposition) on the
 /// publish cadence.
-///
-/// Returns (rows this session, final tuple count).
-pub fn catalog_writer_loop(
-    mut catalog: QueryCatalog,
-    batch_rx: &Receiver<Vec<Tuple>>,
-    ctrl_rx: &Receiver<CatalogCtrl>,
-    shared: &Shared,
-    cat: &CatalogShared,
+pub struct Catalog {
+    catalog: QueryCatalog,
+    hasher: TupleHasher,
+    hashed: HashedBatch,
+    ctrl_rx: Receiver<CatalogCtrl>,
+    cat: Arc<CatalogShared>,
     publish_every: u64,
-) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut since_publish = 0u64;
-    let hasher = catalog.hasher().clone();
-    let mut hashed = HashedBatch::new();
-    let refresh = |catalog: &QueryCatalog, cat: &CatalogShared| {
-        let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        *lock(&cat.exposition) = text;
-    };
-    loop {
-        // Control first: a registration must not wait behind a long
-        // run of queued row batches.
-        while let Ok(msg) = ctrl_rx.try_recv() {
+    rows: u64,
+    since_publish: u64,
+}
+
+impl Catalog {
+    /// A writer over `catalog`, taking register/retire requests from
+    /// `ctrl_rx` and keeping `cat` current for the query connections.
+    pub fn new(
+        catalog: QueryCatalog,
+        ctrl_rx: Receiver<CatalogCtrl>,
+        cat: Arc<CatalogShared>,
+        opts: &Opts,
+    ) -> Self {
+        Self {
+            hasher: catalog.hasher().clone(),
+            catalog,
+            hashed: HashedBatch::new(),
+            ctrl_rx,
+            cat,
+            publish_every: opts.publish_every,
+            rows: 0,
+            since_publish: 0,
+        }
+    }
+
+    /// Registers one parsed spec and makes it answerable to the query
+    /// connections; returns its raw id.
+    pub fn register(&mut self, spec: QuerySpec) -> Result<u64, String> {
+        let arity = self.catalog.schema().arity();
+        if spec.max_column() >= arity {
+            return Err(format!(
+                "column {} out of range (--arity {arity})",
+                spec.max_column()
+            ));
+        }
+        let id = self
+            .catalog
+            .try_register(spec.name.clone(), spec.query.clone())
+            .map_err(|e| e.to_string())?;
+        let reader = self.catalog.reader(id).expect("just registered");
+        lock(&self.cat.queries).insert(
+            id.raw(),
+            CatalogQueryHandle {
+                name: spec.name,
+                query: spec.query,
+                reader,
+            },
+        );
+        Ok(id.raw())
+    }
+
+    /// The number of registered queries.
+    pub fn len(&self) -> usize {
+        self.catalog.len()
+    }
+
+    /// Serves the queued control messages. Called before each batch and
+    /// each idle pass, so a registration never waits behind a long run
+    /// of queued row batches.
+    fn control(&mut self) {
+        while let Ok(msg) = self.ctrl_rx.try_recv() {
             match msg {
                 CatalogCtrl::Register { line, reply } => {
-                    let result = spec::parse_query_line(&line).and_then(|s| {
-                        if s.max_column() >= catalog.schema().arity() {
-                            return Err(format!(
-                                "column {} out of range (--arity {})",
-                                s.max_column(),
-                                catalog.schema().arity(),
-                            ));
-                        }
-                        let id = catalog
-                            .try_register(s.name.clone(), s.query.clone())
-                            .map_err(|e| e.to_string())?;
-                        let reader = catalog.reader(id).expect("just registered");
-                        lock(&cat.queries).insert(
-                            id.raw(),
-                            CatalogQueryHandle {
-                                name: s.name,
-                                query: s.query,
-                                reader,
-                            },
-                        );
-                        Ok(id.raw())
-                    });
-                    refresh(&catalog, cat);
+                    let result = implicate::spec::parse_query_line(&line)
+                        .and_then(|spec| self.register(spec));
+                    self.refresh();
                     let _ = reply.send(result);
                 }
                 CatalogCtrl::Retire { id, reply } => {
-                    let live = catalog.retire(QueryId::from_raw(id));
+                    let live = self.catalog.retire(QueryId::from_raw(id));
                     if live {
-                        lock(&cat.queries).remove(&id);
-                        refresh(&catalog, cat);
+                        lock(&self.cat.queries).remove(&id);
+                        self.refresh();
                     }
                     let _ = reply.send(live);
                 }
             }
         }
-        match batch_rx.recv_timeout(POLL) {
-            Ok(batch) => {
-                let n = batch.len() as u64;
-                hasher.hash_batch(batch, &mut hashed);
-                catalog.process_hashed(&hashed);
-                rows += n;
-                since_publish += n;
-                if since_publish >= publish_every {
-                    since_publish = 0;
-                    catalog.publish();
-                    refresh(&catalog, cat);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if since_publish > 0 {
-                    since_publish = 0;
-                    catalog.publish();
-                    refresh(&catalog, cat);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+    }
+
+    fn publish(&mut self) {
+        self.since_publish = 0;
+        self.catalog.publish();
+        self.refresh();
+    }
+
+    /// Re-renders the metrics exposition the query connections serve.
+    pub fn refresh(&self) {
+        let mut text = String::new();
+        self.catalog.prometheus_into("implicate", &mut text);
+        *lock(&self.cat.exposition) = text;
+    }
+}
+
+impl Role for Catalog {
+    type Msg = Vec<Tuple>;
+
+    fn apply(&mut self, batch: Vec<Tuple>, _shared: &Shared) {
+        self.control();
+        let n = batch.len() as u64;
+        self.hasher.hash_batch(batch, &mut self.hashed);
+        self.catalog.process_hashed(&self.hashed);
+        self.rows += n;
+        self.since_publish += n;
+        if self.since_publish >= self.publish_every {
+            self.publish();
         }
     }
-    // Drain anything still queued, then publish the final state.
-    while let Ok(batch) = batch_rx.try_recv() {
-        rows += batch.len() as u64;
-        hasher.hash_batch(batch, &mut hashed);
-        catalog.process_hashed(&hashed);
+
+    fn idle(&mut self, _shared: &Shared) {
+        self.control();
+        if self.since_publish > 0 {
+            self.publish();
+        }
     }
-    catalog.publish();
-    refresh(&catalog, cat);
-    (rows, catalog.tuples_seen())
+
+    fn finish(mut self, _shared: &Shared) -> (u64, u64) {
+        self.publish();
+        (self.rows, self.catalog.tuples_seen())
+    }
 }
 
 /// The aggregator's writer: the single owner of the serving estimator
@@ -223,295 +439,119 @@ pub fn catalog_writer_loop(
 /// wait-free channel across re-aggregations. A frame that fails to
 /// apply resets that node's replica and kills its connection; the edge
 /// reconnects and resyncs with a full snapshot.
-///
-/// Returns (frames applied, final tuple count).
-pub fn aggregate_writer_loop(
-    mut serving: ImplicationEstimator,
-    template: &EstimatorConfig,
-    frame_rx: &Receiver<(bytes::Bytes, Arc<AtomicBool>)>,
-    shared: &Shared,
-    checkpoint: Option<&str>,
+pub struct Aggregate {
+    serving: ImplicationEstimator,
+    template: EstimatorConfig,
+    decoders: HashMap<u64, WireDecoder>,
+    frames: u64,
+    checkpoint: Option<String>,
     checkpoint_every: Option<u64>,
-) -> (u64, u64) {
-    let mut decoders: HashMap<u64, WireDecoder> = HashMap::new();
-    let mut frames = 0u64;
-    let mut tuples_at_checkpoint = serving.tuples_seen();
-    loop {
-        match frame_rx.recv_timeout(POLL) {
-            Ok((frame, kill)) => {
-                // node_id is authenticated by nothing but the header —
-                // this is a trusted-network protocol, as WIRE.md states
-                // (the ingest connection pins it so it cannot *switch*).
-                let peeked = match peek_frame(&frame) {
-                    Ok(Some(h)) => h,
-                    _ => {
-                        kill.store(true, Ordering::Release);
-                        continue;
-                    }
-                };
-                let node = peeked.node_id;
-                let frame_bytes = frame.len() as u64;
-                let decoder = decoders.entry(node).or_insert_with(|| {
-                    WireDecoder::new()
-                        .require_matching(&serving)
-                        .with_metrics(serving.metrics().clone())
-                        .with_trace(serving.trace().clone())
-                });
-                match decoder.apply(frame) {
-                    Ok(header) => {
-                        frames += 1;
-                        shared.accepted.fetch_add(header.tuples, Ordering::Relaxed);
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_frame(
-                                node,
-                                header.kind,
-                                frame_bytes,
-                                header.epoch,
-                                header.tuples,
-                                shared.now_ms(),
-                            );
-                        }
-                        let merge_started = std::time::Instant::now();
-                        let mut merged = template.build();
-                        for dec in decoders.values() {
-                            if let Some(replica) = dec.estimator() {
-                                merged.merge(replica);
-                            }
-                        }
-                        serving.adopt_state(merged);
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
-                        }
-                        let publish_started = std::time::Instant::now();
-                        serving.publish_full();
-                        let data = serving.to_bytes();
-                        if let Some(fleet) = &shared.fleet {
-                            fleet
-                                .observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
-                        }
-                        if let Some(path) = checkpoint {
-                            let due = checkpoint_every.is_some_and(|n| {
-                                serving.tuples_seen().saturating_sub(tuples_at_checkpoint) >= n
-                            });
-                            if due {
-                                tuples_at_checkpoint = serving.tuples_seen();
-                                write_checkpoint(path, &data);
-                            }
-                        }
-                        *lock(&shared.snapshot) = Some(data);
-                    }
-                    Err(e) => {
-                        eprintln!("implicate-serve: frame from node {node}: {e}");
-                        // Record first, so the recording is on disk by the
-                        // time `/status` reports the node poisoned.
-                        if let Some(recorder) = &shared.flight {
-                            let context = format!(
-                                "{{\"reason\":\"decode_error\",\"node_id\":{node},\
-                                 \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
-                                peeked.epoch,
-                                e.name(),
-                                flight::json_string(&e.to_string()),
-                            );
-                            recorder.record(
-                                "decode_error",
-                                &context,
-                                shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
-                            );
-                        }
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                        }
-                        decoder.reset();
-                        kill.store(true, Ordering::Release);
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+    tuples_at_checkpoint: u64,
+}
+
+impl Aggregate {
+    /// An aggregator serving `serving` (fresh or restored).
+    pub fn new(serving: ImplicationEstimator, opts: &Opts) -> Self {
+        Self {
+            tuples_at_checkpoint: serving.tuples_seen(),
+            serving,
+            template: opts.config,
+            decoders: HashMap::new(),
+            frames: 0,
+            checkpoint: opts.checkpoint.clone(),
+            checkpoint_every: opts.checkpoint_every,
         }
     }
-    while let Ok((frame, kill)) = frame_rx.try_recv() {
-        let peeked = match peek_frame(&frame) {
-            Ok(Some(h)) => h,
-            _ => continue,
+}
+
+impl Role for Aggregate {
+    type Msg = (bytes::Bytes, Arc<AtomicBool>);
+
+    fn apply(&mut self, (frame, kill): Self::Msg, shared: &Shared) {
+        // node_id is authenticated by nothing but the header — this is a
+        // trusted-network protocol, as WIRE.md states (the ingest
+        // connection pins it so it cannot *switch*).
+        let Ok(Some(peeked)) = peek_frame(&frame) else {
+            kill.store(true, Ordering::Release);
+            return;
         };
         let node = peeked.node_id;
         let frame_bytes = frame.len() as u64;
-        if let Some(decoder) = decoders.get_mut(&node) {
-            match decoder.apply(frame) {
-                Ok(header) => {
-                    frames += 1;
-                    if let Some(fleet) = &shared.fleet {
-                        fleet.record_frame(
-                            node,
-                            header.kind,
-                            frame_bytes,
-                            header.epoch,
-                            header.tuples,
-                            shared.now_ms(),
-                        );
-                    }
-                    let mut merged = template.build();
-                    for dec in decoders.values() {
-                        if let Some(replica) = dec.estimator() {
-                            merged.merge(replica);
-                        }
-                    }
-                    serving.adopt_state(merged);
+        let serving = &self.serving;
+        let decoder = self.decoders.entry(node).or_insert_with(|| {
+            WireDecoder::new()
+                .require_matching(serving)
+                .with_metrics(serving.metrics().clone())
+                .with_trace(serving.trace().clone())
+        });
+        let header = match decoder.apply(frame) {
+            Ok(header) => header,
+            Err(e) => {
+                eprintln!("implicate-serve: frame from node {node}: {e}");
+                // Record first, so the recording is on disk by the time
+                // `/status` reports the node poisoned.
+                if let Some(recorder) = &shared.flight {
+                    let context = format!(
+                        "{{\"reason\":\"decode_error\",\"node_id\":{node},\
+                         \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
+                        peeked.epoch,
+                        e.name(),
+                        flight::json_string(&e.to_string()),
+                    );
+                    recorder.record(
+                        "decode_error",
+                        &context,
+                        shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
+                    );
                 }
-                Err(_) => {
-                    if let Some(fleet) = &shared.fleet {
-                        fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                    }
-                    kill.store(true, Ordering::Release);
+                if let Some(fleet) = &shared.fleet {
+                    fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
                 }
+                decoder.reset();
+                kill.store(true, Ordering::Release);
+                return;
+            }
+        };
+        self.frames += 1;
+        if let Some(fleet) = &shared.fleet {
+            fleet.record_frame(
+                node,
+                header.kind,
+                frame_bytes,
+                header.epoch,
+                header.tuples,
+                shared.now_ms(),
+            );
+        }
+        let merge_started = Instant::now();
+        let mut merged = self.template.build();
+        for dec in self.decoders.values() {
+            if let Some(replica) = dec.estimator() {
+                merged.merge(replica);
             }
         }
+        self.serving.adopt_state(merged);
+        if let Some(fleet) = &shared.fleet {
+            fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
+        }
+        let publish_started = Instant::now();
+        self.serving.publish();
+        let data = self.serving.to_bytes();
+        if let Some(fleet) = &shared.fleet {
+            fleet.observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
+        }
+        let tuples = self.serving.tuples_seen();
+        let due = self
+            .checkpoint_every
+            .is_some_and(|n| tuples.saturating_sub(self.tuples_at_checkpoint) >= n);
+        if due {
+            self.tuples_at_checkpoint = tuples;
+        }
+        store_snapshot(shared, data, self.checkpoint.as_deref().filter(|_| due));
     }
-    serving.publish_full();
-    let data = serving.to_bytes();
-    if let Some(path) = checkpoint {
-        write_checkpoint(path, &data);
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            serving.tuples_seen()
-        );
-    }
-    *lock(&shared.snapshot) = Some(data);
-    (frames, serving.tuples_seen())
-}
 
-/// The single mutation owner: applies batches, publishes views on the
-/// configured cadence, checkpoints, and performs the graceful-shutdown
-/// drain. Returns (rows this session, final tuple count).
-pub fn writer_loop(
-    mut pipeline: Pipeline,
-    batch_rx: &Receiver<Vec<(u64, u64)>>,
-    shared: &Shared,
-    publish_every: u64,
-    checkpoint: Option<&str>,
-    checkpoint_every: Option<u64>,
-    ship: Option<(Arc<ShipSlot>, u64, u64)>,
-) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut since_publish = 0u64;
-    let mut since_checkpoint = 0u64;
-    let mut since_ship = 0u64;
-    let mut ship_epoch = 0u64;
-    let mut last_capture = std::time::Instant::now();
-    // Captures the sequential estimator's state into the ship slot
-    // under the next wire epoch (edge role only).
-    let capture = |pipeline: &Pipeline, ship_epoch: &mut u64| {
-        if let (Some((slot, _, _)), Some(est)) = (&ship, pipeline.sequential()) {
-            *ship_epoch += 1;
-            slot.store(WireSnapshot::capture(est, *ship_epoch));
-        }
-    };
-    // Whether the last published view reflects *every* routed row. A
-    // mid-stream publish races the lanes by design (that is what makes
-    // it wait-free), so after going idle the writer republishes until a
-    // view assembled at backlog 0 is out — otherwise readers could be
-    // pinned forever on an estimate missing the stream's tail.
-    let mut published_settled = true;
-    loop {
-        match batch_rx.recv_timeout(POLL) {
-            Ok(batch) => {
-                let n = batch.len() as u64;
-                pipeline.apply(&batch);
-                rows += n;
-                since_publish += n;
-                since_checkpoint += n;
-                since_ship += n;
-                if ship
-                    .as_ref()
-                    .is_some_and(|(_, every, _)| since_ship >= *every)
-                {
-                    since_ship = 0;
-                    capture(&pipeline, &mut ship_epoch);
-                    last_capture = std::time::Instant::now();
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.set_unshipped(since_ship);
-                }
-                if since_publish >= publish_every {
-                    since_publish = 0;
-                    if checkpoint_every.is_some_and(|n| since_checkpoint >= n) {
-                        since_checkpoint = 0;
-                        if let Some(data) = pipeline.publish_full() {
-                            if let Some(path) = checkpoint {
-                                write_checkpoint(path, &data);
-                            }
-                            *lock(&shared.snapshot) = Some(data);
-                        }
-                    } else {
-                        pipeline.publish();
-                    }
-                    published_settled = pipeline.backlog() == 0;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                // Idle: ship any partial per-shard buffers to the lanes
-                // (full batches ship eagerly; partials otherwise wait
-                // for more rows), then publish until a settled view —
-                // one assembled with nothing left in flight — is out.
-                if pipeline.backlog() > 0 {
-                    pipeline.flush();
-                }
-                let settled = pipeline.backlog() == 0;
-                if since_publish > 0 || !settled || !published_settled {
-                    since_publish = 0;
-                    pipeline.publish();
-                    published_settled = settled;
-                }
-                // Idle edges ship the stream's tail: rows that arrived
-                // since the last capture must not wait for a full
-                // cadence interval that may never fill. Fully-idle
-                // edges still ship on the keep-alive cadence — the
-                // resulting unchanged-state delta is ~20 bytes, and it
-                // keeps the node `live` on the aggregator's registry
-                // instead of decaying to `stale` for mere quietness.
-                let keepalive_due = ship.as_ref().is_some_and(|(_, _, ka_ms)| {
-                    *ka_ms > 0 && last_capture.elapsed() >= Duration::from_millis(*ka_ms)
-                });
-                if since_ship > 0 || keepalive_due {
-                    since_ship = 0;
-                    capture(&pipeline, &mut ship_epoch);
-                    last_capture = std::time::Instant::now();
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.set_unshipped(since_ship);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+    fn finish(mut self, shared: &Shared) -> (u64, u64) {
+        store_final(shared, &mut self.serving, self.checkpoint.as_deref());
+        (self.frames, self.serving.tuples_seen())
     }
-    // Drain anything still queued, then publish the final state.
-    while let Ok(batch) = batch_rx.try_recv() {
-        rows += batch.len() as u64;
-        pipeline.apply(&batch);
-    }
-    let est = pipeline.into_final();
-    let data = est.to_bytes();
-    if let Some(path) = checkpoint {
-        write_checkpoint(path, &data);
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            est.tuples_seen()
-        );
-    }
-    *lock(&shared.snapshot) = Some(data);
-    // The final state always ships (an unchanged-state delta is a few
-    // bytes), so a graceful edge shutdown never strands its tail.
-    if let Some((slot, _, _)) = &ship {
-        ship_epoch += 1;
-        slot.close(WireSnapshot::capture(&est, ship_epoch));
-    }
-    (rows, est.tuples_seen())
 }

@@ -50,6 +50,7 @@
 //! whole catalog of queries in a single stream pass lives in
 //! [`catalog`]. See the `examples/` directory for runnable scenarios.
 
+pub mod opts;
 pub mod spec;
 pub mod text;
 

@@ -55,13 +55,14 @@ use std::process::exit;
 use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
+use implicate::opts::{self, EstimatorOpts, Flag};
 use implicate::sketch::hash::MixHasher;
 use implicate::spec::QuerySpec;
 use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
-    AccuracyAuditor, EstimatorConfig, ExactCounter, Fringe, ImplicationConditions,
-    ImplicationCounter, ImplicationEstimator, MetricsHandle, MultiplicityPolicy, QueryCatalog,
-    QueryKind, Schema, ShardedCatalog, ShardedEstimator, TraceHandle, Tuple,
+    AccuracyAuditor, EstimatorConfig, ExactCounter, ImplicationConditions, ImplicationCounter,
+    ImplicationEstimator, MetricsHandle, QueryCatalog, QueryId, QueryKind, Schema, ShardedCatalog,
+    ShardedEstimator, TraceHandle, Tuple,
 };
 
 /// Lines per batch handed from the reader to the parser pool.
@@ -87,22 +88,18 @@ fn stats_emission(metrics: &MetricsHandle, format: StatsFormat) -> String {
     }
 }
 
-/// Accumulates option values while parsing the command line.
-struct CliDraft {
-    lhs: Option<Vec<usize>>,
-    rhs: Option<Vec<usize>>,
-    max_mult: u32,
-    support: u64,
-    top_c: Option<u32>,
-    confidence: f64,
-    policy: MultiplicityPolicy,
+/// The command line: the flag values as parsed, then, once
+/// [`Cli::finish`] has checked them, the resolved columns, the query
+/// catalog and the estimator configuration. In catalog mode
+/// (`--query-file`), `lhs`/`rhs` are empty and `queries` holds the
+/// parsed catalog.
+struct Cli {
+    est: EstimatorOpts,
+    lhs: Vec<usize>,
+    rhs: Vec<usize>,
+    queries: Vec<QuerySpec>,
+    config: EstimatorConfig,
     complement: bool,
-    delimiter: Option<char>,
-    bitmaps: usize,
-    fringe: u32,
-    memory_budget: Option<usize>,
-    seed: u64,
-    threads: usize,
     watch: Option<u64>,
     stats: bool,
     stats_interval: Option<u64>,
@@ -117,23 +114,16 @@ struct CliDraft {
     input: Option<String>,
 }
 
-impl Default for CliDraft {
+impl Default for Cli {
     fn default() -> Self {
         Self {
-            lhs: None,
-            rhs: None,
-            max_mult: 1,
-            support: 1,
-            top_c: None,
-            confidence: 100.0,
-            policy: MultiplicityPolicy::Strict,
+            est: EstimatorOpts::default(),
+            lhs: Vec::new(),
+            rhs: Vec::new(),
+            queries: Vec::new(),
+            // Replaced by `finish` with the configuration the flags give.
+            config: EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1)),
             complement: false,
-            delimiter: None,
-            bitmaps: 64,
-            fringe: 4,
-            memory_budget: None,
-            seed: 42,
-            threads: 1,
             watch: None,
             stats: false,
             stats_interval: None,
@@ -150,133 +140,40 @@ impl Default for CliDraft {
     }
 }
 
-/// One CLI option: flag name, value placeholder (empty for boolean
-/// flags), help text (extra lines indent under the first), and the
-/// action applying one occurrence to the draft. The table drives both
-/// parsing and the generated usage text.
-struct Opt {
-    name: &'static str,
-    metavar: &'static str,
-    doc: &'static str,
-    set: fn(&mut CliDraft, &str),
-}
-
-const OPTIONS: &[Opt] = &[
-    Opt {
-        name: "--lhs",
-        metavar: "COLS",
-        doc: "comma-separated 0-based columns forming the counted\nitemset A (e.g. --lhs 0 or --lhs 0,2)",
-        set: |d, v| d.lhs = Some(parse_cols(v)),
-    },
-    Opt {
-        name: "--rhs",
-        metavar: "COLS",
-        doc: "columns forming the implied itemset B",
-        set: |d, v| d.rhs = Some(parse_cols(v)),
-    },
-    Opt {
-        name: "--max-mult",
-        metavar: "K",
-        doc: "maximum multiplicity (default 1)",
-        set: |d, v| d.max_mult = parse_num(v, "--max-mult"),
-    },
-    Opt {
-        name: "--support",
-        metavar: "N",
-        doc: "minimum absolute support σ (default 1)",
-        set: |d, v| d.support = parse_num(v, "--support"),
-    },
-    Opt {
-        name: "--top-c",
-        metavar: "C",
-        doc: "the c of the top-confidence level (default = K)",
-        set: |d, v| d.top_c = Some(parse_num(v, "--top-c")),
-    },
-    Opt {
-        name: "--confidence",
-        metavar: "P",
-        doc: "minimum top-c confidence in percent (default 100)",
-        set: |d, v| d.confidence = parse_num(v, "--confidence"),
-    },
-    Opt {
-        name: "--policy",
-        metavar: "P",
-        doc: "strict | tracktop (default strict)",
-        set: |d, v| {
-            d.policy = match v {
-                "strict" => MultiplicityPolicy::Strict,
-                "tracktop" => MultiplicityPolicy::TrackTop,
-                other => die(&format!("unknown policy {other:?}")),
-            }
-        },
-    },
-    Opt {
+/// The CLI's own flags; the estimator flags are [`opts::FLAGS`]. Both
+/// tables drive parsing and the generated usage text.
+const OPTIONS: &[Flag<Cli>] = &[
+    Flag {
         name: "--complement",
         metavar: "",
         doc: "report the non-implication count S̄ instead of S",
-        set: |d, _| d.complement = true,
-    },
-    Opt {
-        name: "--delimiter",
-        metavar: "C",
-        doc: "field delimiter (default: any whitespace; e.g. ',')",
-        set: |d, v| {
-            let mut chars = v.chars();
-            d.delimiter = chars.next();
-            if d.delimiter.is_none() || chars.next().is_some() {
-                die("--delimiter must be a single character");
-            }
+        set: |d, _| {
+            d.complement = true;
+            Ok(())
         },
     },
-    Opt {
-        name: "--bitmaps",
-        metavar: "M",
-        doc: "stochastic-averaging bitmaps, power of two (default 64)",
-        set: |d, v| d.bitmaps = parse_num(v, "--bitmaps"),
-    },
-    Opt {
-        name: "--fringe",
-        metavar: "F",
-        doc: "fringe size (default 4); 0 = unbounded",
-        set: |d, v| d.fringe = parse_num(v, "--fringe"),
-    },
-    Opt {
-        name: "--memory-budget",
-        metavar: "BYTES",
-        doc: "hard cap on tracked-state memory (default: unlimited);\nat the cap, admissions shed the weakest tracked\nitemsets instead of growing (watch estimator.mem_bytes\nand estimator.shed_events under --stats)",
-        set: |d, v| d.memory_budget = Some(parse_num(v, "--memory-budget")),
-    },
-    Opt {
-        name: "--seed",
-        metavar: "N",
-        doc: "hash seed (default 42)",
-        set: |d, v| d.seed = parse_num(v, "--seed"),
-    },
-    Opt {
-        name: "--threads",
-        metavar: "N",
-        doc: "ingestion shards (default 1); N > 1 parses and ingests\nin parallel with results identical to N = 1; with\n--query-file, spreads the catalog's queries over N lanes",
-        set: |d, v| d.threads = parse_num(v, "--threads"),
-    },
-    Opt {
+    Flag {
         name: "--watch",
         metavar: "N",
         doc: "print a progress line every N rows",
-        set: |d, v| d.watch = Some(parse_num(v, "--watch")),
+        set: |d, v| opts::value(v, "--watch").map(|n| d.watch = Some(n)),
     },
-    Opt {
+    Flag {
         name: "--stats",
         metavar: "",
         doc: "print the internal metrics report on stderr at exit\n(counter glossary: DESIGN.md §8.2)",
-        set: |d, _| d.stats = true,
+        set: |d, _| {
+            d.stats = true;
+            Ok(())
+        },
     },
-    Opt {
+    Flag {
         name: "--stats-interval",
         metavar: "N",
         doc: "emit a metrics snapshot on stderr every N rows\n(see --stats-format)",
-        set: |d, v| d.stats_interval = Some(parse_num(v, "--stats-interval")),
+        set: |d, v| opts::at_least_one(v, "--stats-interval").map(|n| d.stats_interval = Some(n)),
     },
-    Opt {
+    Flag {
         name: "--stats-format",
         metavar: "F",
         doc: "influx (line protocol, default) | prom (Prometheus\ntext exposition) for --stats-interval emissions",
@@ -284,112 +181,83 @@ const OPTIONS: &[Opt] = &[
             d.stats_format = match v {
                 "influx" => StatsFormat::Influx,
                 "prom" => StatsFormat::Prom,
-                other => die(&format!("unknown stats format {other:?}")),
-            }
+                other => return Err(format!("unknown stats format {other:?}")),
+            };
+            Ok(())
         },
     },
-    Opt {
+    Flag {
         name: "--trace-out",
         metavar: "FILE",
         doc: "drain the trace event journal to FILE as JSONL at exit\n(event schema: DESIGN.md §8.3)",
-        set: |d, v| d.trace_out = Some(v.to_owned()),
+        set: |d, v| {
+            d.trace_out = Some(v.to_owned());
+            Ok(())
+        },
     },
-    Opt {
+    Flag {
         name: "--trace-buffer",
         metavar: "N",
         doc: "trace journal capacity in events (default 65536); the\nring keeps the most recent N",
-        set: |d, v| d.trace_buffer = parse_num(v, "--trace-buffer"),
+        set: |d, v| opts::at_least_one(v, "--trace-buffer").map(|n| d.trace_buffer = n),
     },
-    Opt {
+    Flag {
         name: "--audit",
         metavar: "N",
         doc: "every N rows, audit the estimate against exact ground\ntruth and report relative error on stderr (needs\n--threads 1; see --audit-sample)",
-        set: |d, v| d.audit = Some(parse_num(v, "--audit")),
+        set: |d, v| opts::at_least_one(v, "--audit").map(|n| d.audit = Some(n)),
     },
-    Opt {
+    Flag {
         name: "--audit-sample",
         metavar: "K",
         doc: "shadow one in K itemsets exactly during --audit\n(default 1 = all; >1 trades memory for sampling noise)",
-        set: |d, v| d.audit_sample = parse_num(v, "--audit-sample"),
+        set: |d, v| opts::at_least_one(v, "--audit-sample").map(|n| d.audit_sample = n),
     },
-    Opt {
+    Flag {
         name: "--save",
         metavar: "FILE",
         doc: "write a snapshot of the estimator state on exit",
-        set: |d, v| d.save = Some(v.to_owned()),
+        set: |d, v| {
+            d.save = Some(v.to_owned());
+            Ok(())
+        },
     },
-    Opt {
+    Flag {
         name: "--resume",
         metavar: "FILE",
         doc: "restore estimator state from a snapshot before reading",
-        set: |d, v| d.resume = Some(v.to_owned()),
+        set: |d, v| {
+            d.resume = Some(v.to_owned());
+            Ok(())
+        },
     },
-    Opt {
+    Flag {
         name: "--query-file",
         metavar: "FILE",
-        doc: "evaluate a catalog of queries (one per line) in a single\npass; replaces --lhs/--rhs, shares one hashing stage and\none --memory-budget across all queries (header comment\nin src/main.rs documents the line grammar)",
-        set: |d, v| d.query_file = Some(v.to_owned()),
+        doc: "evaluate a catalog of queries (one per line) in a single\npass; replaces --lhs/--rhs, shares one hashing stage and\none --memory-budget across all queries, and under\n--threads N spreads them over N lanes (header comment\nin src/main.rs documents the line grammar)",
+        set: |d, v| {
+            d.query_file = Some(v.to_owned());
+            Ok(())
+        },
     },
 ];
 
-/// The usage text, generated from [`OPTIONS`].
+/// The usage text, generated from [`opts::FLAGS`] and [`OPTIONS`].
 fn usage() -> &'static str {
     static USAGE: OnceLock<String> = OnceLock::new();
     USAGE.get_or_init(|| {
-        let left = |o: &Opt| {
-            if o.metavar.is_empty() {
-                o.name.to_string()
-            } else {
-                format!("{} {}", o.name, o.metavar)
-            }
-        };
-        let width = OPTIONS
-            .iter()
-            .map(|o| left(o).len())
-            .max()
-            .unwrap_or(0)
+        let width = opts::width(opts::FLAGS)
+            .max(opts::width(OPTIONS))
             .max("FILE".len());
-        let mut out = String::from(
+        format!(
             "implicate — streaming implication-count statistics (NIPS/CI, ICDE 2005)\n\n\
-             usage: implicate --lhs COLS --rhs COLS [options] [FILE]\n\n",
-        );
-        for o in OPTIONS {
-            let mut lines = o.doc.lines();
-            let first = lines.next().unwrap_or("");
-            out.push_str(&format!("  {:<width$}  {first}\n", left(o)));
-            for line in lines {
-                out.push_str(&format!("  {:<width$}  {line}\n", ""));
-            }
-        }
-        out.push_str(&format!(
-            "  {:<width$}  input path (default: stdin)",
+             usage: implicate --lhs COLS --rhs COLS [options] [FILE]\n\n\
+             {}{}  {:<width$}  input path (default: stdin)",
+            opts::usage(opts::FLAGS, width),
+            opts::usage(OPTIONS, width),
             "FILE"
-        ));
-        out
+        )
     })
-}
-
-/// Parsed and validated command line. In catalog mode (`--query-file`),
-/// `lhs`/`rhs` are empty and `queries` holds the parsed catalog.
-struct Cli {
-    lhs: Vec<usize>,
-    rhs: Vec<usize>,
-    queries: Vec<QuerySpec>,
-    config: EstimatorConfig,
-    complement: bool,
-    delimiter: Option<char>,
-    threads: usize,
-    watch: Option<u64>,
-    stats: bool,
-    stats_interval: Option<u64>,
-    stats_format: StatsFormat,
-    trace_out: Option<String>,
-    trace_buffer: usize,
-    audit: Option<u64>,
-    audit_sample: u64,
-    save: Option<String>,
-    resume: Option<String>,
-    input: Option<String>,
 }
 
 fn die(msg: &str) -> ! {
@@ -397,22 +265,8 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
-fn parse_cols(raw: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|c| {
-            c.trim()
-                .parse()
-                .unwrap_or_else(|_| die(&format!("bad column {c:?}")))
-        })
-        .collect()
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, key: &str) -> T {
-    raw.parse().unwrap_or_else(|_| die(&format!("bad {key}")))
-}
-
 fn parse_cli() -> Cli {
-    let mut draft = CliDraft::default();
+    let mut cli = Cli::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -421,33 +275,39 @@ fn parse_cli() -> Cli {
                 exit(0);
             }
             name if name.starts_with("--") => {
-                let opt = OPTIONS
-                    .iter()
-                    .find(|o| o.name == name)
-                    .unwrap_or_else(|| die(&format!("unknown option {name}")));
-                let value = if opt.metavar.is_empty() {
-                    String::new()
-                } else {
-                    args.next()
-                        .unwrap_or_else(|| die(&format!("{name} needs a value")))
+                let mut value = |metavar: &str| {
+                    if metavar.is_empty() {
+                        String::new()
+                    } else {
+                        args.next()
+                            .unwrap_or_else(|| die(&format!("{name} needs a value")))
+                    }
                 };
-                (opt.set)(&mut draft, &value);
+                let set = if let Some(flag) = opts::find(opts::FLAGS, name) {
+                    (flag.set)(&mut cli.est, &value(flag.metavar))
+                } else if let Some(opt) = opts::find(OPTIONS, name) {
+                    (opt.set)(&mut cli, &value(opt.metavar))
+                } else {
+                    die(&format!("unknown option {name}"))
+                };
+                set.unwrap_or_else(|e| die(&e));
             }
             path => {
-                if draft.input.replace(path.to_owned()).is_some() {
+                if cli.input.replace(path.to_owned()).is_some() {
                     die("more than one input file");
                 }
             }
         }
     }
-    draft.finish()
+    cli.finish()
 }
 
-impl CliDraft {
-    /// Validates the draft and assembles the estimator configuration.
-    fn finish(self) -> Cli {
-        let (lhs, rhs, queries) = if let Some(path) = &self.query_file {
-            if self.lhs.is_some() || self.rhs.is_some() {
+impl Cli {
+    /// Cross-checks the CLI's own flags against the estimator flags and
+    /// assembles the estimator configuration.
+    fn finish(mut self) -> Self {
+        if let Some(path) = &self.query_file {
+            if self.est.lhs.is_some() || self.est.rhs.is_some() {
                 die("--query-file replaces --lhs/--rhs");
             }
             if self.save.is_some() || self.resume.is_some() {
@@ -456,88 +316,27 @@ impl CliDraft {
             if self.complement {
                 die("--complement is per-query in a query file (use the `complement` option)");
             }
-            (Vec::new(), Vec::new(), parse_query_file(path))
+            self.queries = parse_query_file(path);
         } else {
-            let lhs = self.lhs.unwrap_or_else(|| die("--lhs is required"));
-            let rhs = self.rhs.unwrap_or_else(|| die("--rhs is required"));
-            (lhs, rhs, Vec::new())
-        };
-        if !(0.0..=100.0).contains(&self.confidence) {
-            die("--confidence must be in [0, 100]");
+            self.lhs = self
+                .est
+                .lhs
+                .clone()
+                .unwrap_or_else(|| die("--lhs is required"));
+            self.rhs = self
+                .est
+                .rhs
+                .clone()
+                .unwrap_or_else(|| die("--rhs is required"));
         }
-        if !self.bitmaps.is_power_of_two() {
-            die("--bitmaps must be a power of two");
-        }
-        if self.threads == 0 {
-            die("--threads must be at least 1");
-        }
-        if self.stats_interval == Some(0) {
-            die("--stats-interval must be at least 1");
-        }
-        if self.trace_buffer == 0 {
-            die("--trace-buffer must be at least 1");
-        }
-        if self.audit == Some(0) {
-            die("--audit must be at least 1");
-        }
-        if self.audit_sample == 0 {
-            die("--audit-sample must be at least 1");
-        }
-        if self.audit.is_some() && self.threads > 1 {
+        if self.audit.is_some() && self.est.threads > 1 {
             // The audit compares an exact prefix count against the live
             // estimate at an exact row boundary; sharded ingestion would
             // need a pipeline barrier per audit to make that meaningful.
             die("--audit requires --threads 1");
         }
-        let cond = ImplicationConditions::builder()
-            .max_multiplicity(self.max_mult)
-            .min_support(self.support)
-            .top_confidence(self.top_c.unwrap_or(self.max_mult), self.confidence / 100.0)
-            .multiplicity_policy(self.policy)
-            .build();
-        let fringe = match self.fringe {
-            0 => Fringe::Unbounded,
-            f => Fringe::Bounded(f),
-        };
-        if self.memory_budget == Some(0) {
-            die("--memory-budget must be at least 1 byte");
-        }
-        let mut config = EstimatorConfig::new(cond)
-            .bitmaps(self.bitmaps)
-            .fringe(fringe)
-            .seed(self.seed);
-        if let Some(bytes) = self.memory_budget {
-            let floor = config.construction_floor();
-            if bytes < floor {
-                die(&format!(
-                    "--memory-budget {bytes} is below the smallest enforceable budget \
-                     for this configuration: {floor} bytes ({m} initial arena tables; \
-                     lower --bitmaps or raise the budget)",
-                    m = self.bitmaps * 2,
-                ));
-            }
-            config = config.memory_budget(bytes);
-        }
-        Cli {
-            lhs,
-            rhs,
-            queries,
-            config,
-            complement: self.complement,
-            delimiter: self.delimiter,
-            threads: self.threads,
-            watch: self.watch,
-            stats: self.stats,
-            stats_interval: self.stats_interval,
-            stats_format: self.stats_format,
-            trace_out: self.trace_out,
-            trace_buffer: self.trace_buffer,
-            audit: self.audit,
-            audit_sample: self.audit_sample,
-            save: self.save,
-            resume: self.resume,
-            input: self.input,
-        }
+        self.config = self.est.config().unwrap_or_else(|e| die(&e));
+        self
     }
 }
 
@@ -585,28 +384,7 @@ impl CatalogAudit {
 /// fed query-major; `--watch`, `--stats`, `--stats-interval`, `--audit`
 /// and `--trace-out` all operate per query.
 fn run_catalog(cli: &Cli) {
-    let arity = 1 + cli
-        .queries
-        .iter()
-        .map(|q| q.max_column())
-        .max()
-        .expect("parse_query_file rejects empty catalogs");
-    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
-
-    let mut catalog = QueryCatalog::new(&schema, cli.config);
-    if cli.trace_out.is_some() {
-        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
-    }
-    for q in &cli.queries {
-        if let Err(e) = catalog.try_register(q.name.clone(), q.query.clone()) {
-            die(&format!("query {:?}: {e}", q.name));
-        }
-    }
-    let ids: Vec<_> = cli
-        .queries
-        .iter()
-        .map(|q| catalog.find(&q.name).expect("just registered"))
-        .collect();
+    let (mut catalog, ids, arity) = build_catalog(cli);
     let mut audits: Vec<CatalogAudit> = if cli.audit.is_some() {
         cli.queries
             .iter()
@@ -621,7 +399,7 @@ fn run_catalog(cli: &Cli) {
     };
 
     let mut lines = LineReader::new(open_input(cli));
-    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.delimiter);
+    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
     let all_columns = vec![true; arity];
     let mut batch: Vec<Tuple> = Vec::new();
     let mut rows = 0u64;
@@ -690,27 +468,7 @@ fn run_catalog(cli: &Cli) {
         }
     }
     flush(&mut catalog, &mut batch);
-
-    for (q, id) in cli.queries.iter().zip(&ids) {
-        println!(
-            "{}\t{:.0}",
-            q.name,
-            catalog.answer(*id).expect("live query")
-        );
-    }
-    eprintln!(
-        "rows {rows} (skipped {skipped}) | {} queries, one pass | {} tracked bytes on one budget",
-        catalog.len(),
-        catalog.tracked_bytes()
-    );
-    if let Some(path) = &cli.trace_out {
-        write_trace(path, catalog.trace());
-    }
-    if cli.stats {
-        let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        eprintln!("{}", text.trim_end());
-    }
+    report_catalog(cli, &catalog, &ids, rows, skipped);
 }
 
 /// Catalog mode under `--threads N`: the *queries* are partitioned over
@@ -722,29 +480,8 @@ fn run_catalog(cli: &Cli) {
 /// views at settled boundaries (publish, then barrier), so their
 /// emissions match the sequential run's numbers exactly.
 fn run_catalog_parallel(cli: &Cli) {
-    let arity = 1 + cli
-        .queries
-        .iter()
-        .map(|q| q.max_column())
-        .max()
-        .expect("parse_query_file rejects empty catalogs");
-    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
-
-    let mut catalog = QueryCatalog::new(&schema, cli.config);
-    if cli.trace_out.is_some() {
-        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
-    }
-    for q in &cli.queries {
-        if let Err(e) = catalog.try_register(q.name.clone(), q.query.clone()) {
-            die(&format!("query {:?}: {e}", q.name));
-        }
-    }
-    let ids: Vec<_> = cli
-        .queries
-        .iter()
-        .map(|q| catalog.find(&q.name).expect("just registered"))
-        .collect();
-    let mut sharded = ShardedCatalog::new(catalog, cli.threads);
+    let (catalog, ids, arity) = build_catalog(cli);
+    let mut sharded = ShardedCatalog::new(catalog, cli.est.threads);
     let viewers: Vec<_> = ids
         .iter()
         .map(|id| sharded.reader(*id).expect("live query"))
@@ -752,7 +489,7 @@ fn run_catalog_parallel(cli: &Cli) {
     let tuple_hasher = sharded.hasher().clone();
 
     let mut lines = LineReader::new(open_input(cli));
-    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.delimiter);
+    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
     let all_columns = vec![true; arity];
     let mut hashed = sharded.checkout();
     let mut tuples = hashed.recycle();
@@ -811,20 +548,55 @@ fn run_catalog_parallel(cli: &Cli) {
         tuple_hasher.hash_batch(tuples, &mut hashed);
         let _ = sharded.process_hashed(hashed);
     }
-    let catalog = sharded.finish();
+    report_catalog(cli, &sharded.finish(), &ids, rows, skipped);
+}
 
-    for (q, id) in cli.queries.iter().zip(&ids) {
+/// Builds the `--query-file` catalog: a schema spanning every column the
+/// queries touch, and every query registered. Returns the catalog, the
+/// query ids in file order, and the schema's arity.
+fn build_catalog(cli: &Cli) -> (QueryCatalog, Vec<QueryId>, usize) {
+    let arity = 1 + cli
+        .queries
+        .iter()
+        .map(|q| q.max_column())
+        .max()
+        .expect("parse_query_file rejects empty catalogs");
+    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
+    let mut catalog = QueryCatalog::new(&schema, cli.config);
+    if cli.trace_out.is_some() {
+        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
+    }
+    let ids = cli
+        .queries
+        .iter()
+        .map(|q| {
+            catalog
+                .try_register(q.name.clone(), q.query.clone())
+                .unwrap_or_else(|e| die(&format!("query {:?}: {e}", q.name)))
+        })
+        .collect();
+    (catalog, ids, arity)
+}
+
+/// Prints the final catalog answers on stdout, then the run summary, the
+/// `--trace-out` journal and the `--stats` report.
+fn report_catalog(cli: &Cli, catalog: &QueryCatalog, ids: &[QueryId], rows: u64, skipped: u64) {
+    for (q, id) in cli.queries.iter().zip(ids) {
         println!(
             "{}\t{:.0}",
             q.name,
             catalog.answer(*id).expect("live query")
         );
     }
+    let lanes = if cli.est.threads > 1 {
+        format!(" over {} lanes", cli.est.threads)
+    } else {
+        String::new()
+    };
     eprintln!(
-        "rows {rows} (skipped {skipped}) | {} queries over {} lanes, one pass | \
+        "rows {rows} (skipped {skipped}) | {} queries{lanes}, one pass | \
          {} tracked bytes on one budget",
         catalog.len(),
-        cli.threads,
         catalog.tracked_bytes()
     );
     if let Some(path) = &cli.trace_out {
@@ -965,7 +737,7 @@ fn run_parallel(
     est: ImplicationEstimator,
     fields: LineFields,
 ) -> (ImplicationEstimator, u64, u64) {
-    let threads = cli.threads;
+    let threads = cli.est.threads;
     let sharded = ShardedEstimator::new(est, threads);
     let pair_hasher = sharded.pair_hasher();
     let mut lines = LineReader::new(open_input(cli));
@@ -1099,7 +871,7 @@ fn write_trace(path: &str, trace: &TraceHandle) {
 fn main() {
     let cli = parse_cli();
     if !cli.queries.is_empty() {
-        if cli.threads > 1 {
+        if cli.est.threads > 1 {
             run_catalog_parallel(&cli);
         } else {
             run_catalog(&cli);
@@ -1126,8 +898,8 @@ fn main() {
         est.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
     }
 
-    let fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.delimiter);
-    let (est, rows, skipped) = if cli.threads > 1 {
+    let fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
+    let (est, rows, skipped) = if cli.est.threads > 1 {
         run_parallel(&cli, est, fields)
     } else {
         run_sequential(&cli, est, fields)
