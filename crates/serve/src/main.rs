@@ -32,6 +32,18 @@
 //! thread per ingest connection, and a fixed pool of query workers
 //! behind a blocking acceptor (see [`imp_serve::http`]).
 //!
+//! The estimator flags (`--lhs` … `--threads`) are the CLI's: both parse
+//! and document them through [`implicate::opts`]. This file keeps the
+//! service's own flags, its role cross-checks and the wiring; the rest
+//! sits beside it by concern:
+//!
+//! * `ingest` — line-protocol and wire-frame ingest connections;
+//! * `writer` — the one writer loop ([`writer::run`]) and the plain,
+//!   catalog and aggregate roles that plug into it;
+//! * `edge` — the ship slot and the upstream sender of the edge role;
+//! * `routes` — the query port's routes;
+//! * `flight`, `status` — the flight recorder and the edge status block.
+//!
 //! # Distributed operation
 //!
 //! The same binary also runs the two halves of an edge→aggregator

@@ -365,3 +365,32 @@ fn query_registration_accepts_body_with_or_after_the_head() {
     let (status, _) = srv.http("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
 }
+
+/// Spec lines that used to crash the catalog writer — overlapping
+/// columns trip the §3 disjointness assert, a huge multiplicity asks for
+/// a ~550 GB arena — are client errors, and the server keeps serving.
+#[test]
+fn crashing_spec_lines_are_refused_and_the_server_survives() {
+    let srv = Server::spawn(&["--catalog", "--arity", "2"]);
+    for bad in ["x one-to-one 0 0\n", "x at-most 0 1 k=4294967295\n"] {
+        let (status, body) = srv.http("POST", "/query", bad);
+        assert!(status.contains("400"), "{bad:?}: {status}: {body}");
+    }
+
+    let (status, body) = srv.http("POST", "/query", "loyal one-to-one 0 1\n");
+    assert!(status.contains("200"), "{status}: {body}");
+    srv.ingest_rows("a x\nb y\n");
+    let start = Instant::now();
+    loop {
+        let (status, body) = srv.get("/estimate?query=loyal");
+        assert!(status.contains("200"), "{status}: {body}");
+        if field_u64(&body, "tuples") == 2 {
+            break;
+        }
+        assert!(start.elapsed() < DEADLINE, "never answered: {body}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let (status, _) = srv.http("POST", "/shutdown", "");
+    assert!(status.contains("200"), "{status}");
+}

@@ -472,3 +472,51 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An aggregator encodes one snapshot at startup and one per applied
+/// frame — the `/snapshot` bytes; publishing the merged view encodes
+/// nothing.
+#[test]
+fn aggregator_encodes_one_snapshot_per_applied_frame() {
+    if !cfg!(feature = "metrics") {
+        return;
+    }
+    let agg = Server::spawn(&["--aggregate"]);
+    // No keep-alive: once the tail has shipped, no frame is in flight.
+    let edge = Server::spawn(&[
+        "--upstream",
+        &agg.ingest,
+        "--node-id",
+        "0",
+        "--publish-every",
+        "64",
+        "--ship-every",
+        "64",
+        "--keepalive-ms",
+        "0",
+    ]);
+    edge.ingest_rows(&edge_rows(0, 0, 300));
+
+    let start = Instant::now();
+    loop {
+        let node = node_json(&agg.status_body(), 0);
+        let (tuples, frames) = node.map_or((0, 0), |n| {
+            (field_u64(&n, "tuples"), field_u64(&n, "frames"))
+        });
+        let (_, metrics) = agg.http("GET", "/metrics");
+        let metrics = String::from_utf8(metrics).expect("utf8 exposition");
+        let encodes: u64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("implicate_snapshot_encodes "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("implicate_snapshot_encodes in {metrics}"));
+        if tuples == 300 && frames > 1 && encodes == 1 + frames {
+            break;
+        }
+        assert!(
+            start.elapsed() < DEADLINE,
+            "{encodes} encodes for {frames} frames ({tuples} tuples)"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}

@@ -342,6 +342,8 @@ fn aggregated_estimate_is_bit_identical_to_a_single_node_run() {
     }
     let body = aggregator.wait_for_tuples(5_000);
     assert_bits_match(&body, &library_run(&rows));
+    // The aggregator accepts frames, not rows.
+    assert_eq!(json_u64(&body, "accepted"), 0, "{body}");
     aggregator.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);

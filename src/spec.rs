@@ -16,6 +16,7 @@
 //! same field hasher the data rows go through).
 
 use imp_core::query::{Filter, ImplicationQuery};
+use imp_core::wire::MAX_WIRE_MULTIPLICITY;
 use imp_sketch::hash::MixHasher;
 use imp_stream::{AttrId, AttrSet};
 
@@ -70,6 +71,14 @@ fn parse_cols(raw: &str, side: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+/// A `k=`/`c=` value: at least 1 and at most the wire codec's cap, since
+/// memory per tracked itemset grows with it.
+fn multiplicity(raw: &str) -> Option<u32> {
+    raw.parse()
+        .ok()
+        .filter(|m| (1..=MAX_WIRE_MULTIPLICITY).contains(m))
+}
+
 /// Parses one spec line (which must not be empty or a comment).
 pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
     let mut tokens = line.split_whitespace();
@@ -79,6 +88,9 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
     let rhs_cols = parse_cols(tokens.next().ok_or("missing rhs columns")?, "rhs")?;
     let set = |cols: &[usize]| AttrSet::from_bits(cols.iter().fold(0, |m, &c| m | 1 << c));
     let (lhs, rhs) = (set(&lhs_cols), set(&rhs_cols));
+    if !lhs.is_disjoint(rhs) {
+        return Err("lhs and rhs columns must be disjoint".into());
+    }
 
     let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
     let mut k: u32 = 1;
@@ -91,9 +103,9 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
         if opt == "complement" {
             complement = true;
         } else if let Some(v) = opt.strip_prefix("k=") {
-            k = v.parse().map_err(|_| "bad k=")?;
+            k = multiplicity(v).ok_or("bad k=")?;
         } else if let Some(v) = opt.strip_prefix("c=") {
-            c = v.parse().map_err(|_| "bad c=")?;
+            c = multiplicity(v).ok_or("bad c=")?;
         } else if let Some(v) = opt.strip_prefix("psi=") {
             psi = v.parse().map_err(|_| "bad psi=")?;
             if !(0.0..=100.0).contains(&psi) {
@@ -101,6 +113,9 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
             }
         } else if let Some(v) = opt.strip_prefix("support=") {
             support = v.parse().map_err(|_| "bad support=")?;
+            if support == 0 {
+                return Err("support= must be at least 1".into());
+            }
         } else if let Some(v) = opt.strip_prefix("where=") {
             let (col, value) = v.split_once('=').ok_or("where= needs COL=VALUE")?;
             let col: usize = col.parse().map_err(|_| "bad where= column")?;
@@ -213,9 +228,19 @@ mod tests {
             "q one-to-one 0 1 psi=140",
             "q one-to-one 0 1 where=2",
             "q one-to-one 0 1 bogus",
+            "q one-to-one 0 0",
+            "q at-most 0,1 1",
+            "q noisy 2 0,2 c=1",
+            "q at-most 0 1 k=4294967295",
+            "q at-most 0 1 k=4097",
+            "q at-most 0 1 k=0",
+            "q noisy 0 1 c=4294967295",
+            "q noisy 0 1 c=0",
+            "q one-to-one 0 1 support=0",
         ] {
             assert!(parse_query_line(bad).is_err(), "{bad:?} should be rejected");
         }
         assert!(parse_query_file("# only comments\n").is_err());
+        assert!(parse_query_line("q at-most 0 1 k=4096").is_ok());
     }
 }
