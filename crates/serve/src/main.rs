@@ -578,16 +578,14 @@ fn main() {
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
             let specs =
                 spec::parse_query_file(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            let n = specs.len();
             for s in specs {
                 let name = s.name.clone();
                 if let Err(e) = role.register(s) {
                     die(&format!("{path}: query {name:?}: {e}"));
                 }
             }
-            eprintln!(
-                "implicate-serve: preloaded {} queries from {path}",
-                role.len()
-            );
+            eprintln!("implicate-serve: preloaded {n} queries from {path}");
         }
         role.refresh();
         let (arity, delimiter) = (opts.arity, opts.delimiter);

@@ -359,11 +359,6 @@ impl Catalog {
         Ok(id.raw())
     }
 
-    /// The number of registered queries.
-    pub fn len(&self) -> usize {
-        self.catalog.len()
-    }
-
     /// Serves the queued control messages. Called before each batch and
     /// each idle pass, so a registration never waits behind a long run
     /// of queued row batches.
