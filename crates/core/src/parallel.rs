@@ -384,14 +384,6 @@ impl ShardedEstimator {
         self.update_hashed(self.hasher_a.hash_slice(a), self.hasher_b.hash_slice(b));
     }
 
-    /// Routes a batch of single-attribute `(a, b)` pairs, in order —
-    /// the counterpart of [`ImplicationEstimator::update_batch`].
-    pub fn update_batch(&mut self, pairs: &[(u64, u64)]) {
-        for &(a, b) in pairs {
-            self.update_hashed(self.hasher_a.hash_u64(a), self.hasher_b.hash_u64(b));
-        }
-    }
-
     /// Routes one pre-hashed pair (see
     /// [`ImplicationEstimator::update_hashed`] for the hashing contract;
     /// [`PairHasher`] produces conforming pairs).
@@ -484,6 +476,7 @@ impl ShardedEstimator {
             None => {
                 self.publisher = Some(ViewPublisher::new(
                     view,
+                    rows,
                     self.metrics.clone(),
                     self.trace.clone(),
                 ));
@@ -660,18 +653,17 @@ mod tests {
 
     #[test]
     fn batch_and_hashed_entry_points_agree() {
-        let batch: Vec<(u64, u64)> = pairs(9_000).collect();
         let mut seq = config().build();
-        seq.update_batch(&batch);
+        let hashed: Vec<(u64, u64)> = pairs(9_000)
+            .map(|(a, b)| seq.hash_pair(&[a], &[b]))
+            .collect();
+        seq.update_hashed_batch(&hashed);
 
         let mut sharded = ShardedEstimator::new(config().build(), 3);
-        sharded.update_batch(&batch[..4_000]);
-        let hasher = sharded.pair_hasher();
-        let hashed: Vec<(u64, u64)> = batch[4_000..]
-            .iter()
-            .map(|&(a, b)| hasher.hash_pair(&[a], &[b]))
-            .collect();
-        sharded.update_hashed_batch(&hashed);
+        sharded.update_hashed_batch(&hashed[..4_000]);
+        for &(h_a, b_fp) in &hashed[4_000..] {
+            sharded.update_hashed(h_a, b_fp);
+        }
         assert_eq!(sharded.finish().to_bytes(), seq.to_bytes());
     }
 
@@ -780,6 +772,22 @@ mod tests {
         }
         let est = sharded.finish();
         assert_eq!(est.tuples_seen(), 30_000);
+    }
+
+    #[test]
+    fn first_publish_counts_the_routed_backlog_in_its_age() {
+        // The first publish creates the channel; its age gauge must still
+        // count rows routed but not yet applied by the lanes.
+        let mut sharded = ShardedEstimator::new(config().build(), 2);
+        for (a, b) in pairs(5_000) {
+            sharded.update(&[a], &[b]);
+        }
+        sharded.publish();
+        if crate::MetricsRegistry::enabled() {
+            let view = &sharded.metrics().view;
+            assert_eq!(view.published_tuples.get() + view.age_rows.get(), 5_000);
+        }
+        let _ = sharded.finish();
     }
 
     #[test]

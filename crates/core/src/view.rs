@@ -205,8 +205,14 @@ pub(crate) struct ViewPublisher {
 }
 
 impl ViewPublisher {
-    /// Creates the channel with `initial` as epoch 0.
-    pub(crate) fn new(initial: ReadView, metrics: MetricsHandle, trace: TraceHandle) -> Self {
+    /// Creates the channel with `initial` as epoch 0; `stream_rows` is
+    /// the writer's position, as in [`publish`](Self::publish).
+    pub(crate) fn new(
+        initial: ReadView,
+        stream_rows: u64,
+        metrics: MetricsHandle,
+        trace: TraceHandle,
+    ) -> Self {
         let mut view = initial;
         view.epoch = 0;
         let view = Arc::new(view);
@@ -218,7 +224,7 @@ impl ViewPublisher {
             metrics,
             trace,
         };
-        publisher.record(&view, view.tuples);
+        publisher.record(&view, stream_rows);
         publisher
     }
 

@@ -88,10 +88,10 @@ use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
 use implicate::opts::{self, EstimatorOpts};
+use implicate::pipeline::Pipeline;
 use implicate::spec;
 use implicate::{
-    EstimatorConfig, ImplicationEstimator, MetricsHandle, QueryCatalog, Schema, ShardedEstimator,
-    TraceHandle,
+    EstimatorConfig, ImplicationEstimator, MetricsHandle, QueryCatalog, Schema, TraceHandle,
 };
 
 use imp_serve::http;
@@ -101,7 +101,6 @@ use ingest::{
     catalog_ingest_connection, ingest_connection, wire_ingest_connection, MAX_INGEST_LINE,
 };
 use routes::{route, CatalogCtrl, CatalogShared};
-use writer::Pipeline;
 
 mod edge;
 mod flight;
@@ -596,12 +595,7 @@ fn main() {
         let role = writer::Aggregate::new(est, &opts);
         spawn_role(role, &shared, ingest_listener, wire_ingest_connection)
     } else {
-        let pipeline = if opts.threads > 1 {
-            Pipeline::Sharded(ShardedEstimator::new(est, opts.threads))
-        } else {
-            Pipeline::Sequential(est)
-        };
-        let role = writer::Plain::new(pipeline, &opts, ship_slot.clone());
+        let role = writer::Plain::new(Pipeline::new(est, opts.threads), &opts, ship_slot.clone());
         let (lhs, rhs, delimiter) = (opts.lhs.clone(), opts.rhs.clone(), opts.delimiter);
         spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
             ingest_connection(stream, shared, &lhs, &rhs, delimiter, pair_hasher, tx);

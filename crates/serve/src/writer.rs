@@ -11,10 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use implicate::core::wire::{peek_frame, WireDecoder, WireSnapshot};
+use implicate::pipeline::Pipeline;
 use implicate::spec::QuerySpec;
 use implicate::{
-    EstimatorConfig, HashedBatch, ImplicationEstimator, QueryCatalog, QueryId, ShardedEstimator,
-    Tuple, TupleHasher,
+    EstimatorConfig, HashedBatch, ImplicationEstimator, QueryCatalog, QueryId, Tuple, TupleHasher,
 };
 
 use crate::edge::ShipSlot;
@@ -84,69 +84,6 @@ fn store_final(shared: &Shared, est: &mut ImplicationEstimator, checkpoint: Opti
             "implicate-serve: checkpointed {} tuples to {path}",
             est.tuples_seen()
         );
-    }
-}
-
-/// The sequential estimator or the sharded pipeline.
-// One Pipeline exists per process, so the size spread between variants
-// is irrelevant — boxing would only add a pointer chase per batch.
-#[allow(clippy::large_enum_variant)]
-pub enum Pipeline {
-    Sequential(ImplicationEstimator),
-    Sharded(ShardedEstimator),
-}
-
-impl Pipeline {
-    fn apply(&mut self, batch: &[(u64, u64)]) {
-        match self {
-            Pipeline::Sequential(est) => est.update_hashed_batch(batch),
-            Pipeline::Sharded(sharded) => sharded.update_hashed_batch(batch),
-        }
-    }
-
-    fn publish(&mut self) -> u64 {
-        match self {
-            Pipeline::Sequential(est) => est.publish(),
-            Pipeline::Sharded(sharded) => sharded.publish(),
-        }
-    }
-
-    /// Applied-row lag behind the accepted stream (always 0 when
-    /// sequential — applying is synchronous there).
-    fn backlog(&self) -> u64 {
-        match self {
-            Pipeline::Sequential(_) => 0,
-            Pipeline::Sharded(sharded) => sharded.backlog(),
-        }
-    }
-
-    /// Ships partially-filled router buffers to the lanes (no-op when
-    /// sequential).
-    fn flush(&mut self) {
-        if let Pipeline::Sharded(sharded) = self {
-            sharded.flush();
-        }
-    }
-
-    /// The owned estimator when sequential (checkpoints and edge
-    /// captures encode it; the sharded pipeline cannot without
-    /// quiescing).
-    fn sequential(&self) -> Option<&ImplicationEstimator> {
-        match self {
-            Pipeline::Sequential(est) => Some(est),
-            Pipeline::Sharded(_) => None,
-        }
-    }
-
-    /// Drains and reassembles (if sharded) the pipeline into the owning
-    /// estimator.
-    fn into_final(self) -> ImplicationEstimator {
-        match self {
-            Pipeline::Sequential(est) => est,
-            // finish() barriers, merges, and republishes the merged state
-            // on the inherited channel.
-            Pipeline::Sharded(sharded) => sharded.finish(),
-        }
     }
 }
 
@@ -284,7 +221,7 @@ impl Role for Plain {
     }
 
     fn finish(self, shared: &Shared) -> (u64, u64) {
-        let mut est = self.pipeline.into_final();
+        let mut est = self.pipeline.finish();
         store_final(shared, &mut est, self.checkpoint.as_deref());
         // The final state always ships (an unchanged-state delta is a few
         // bytes), so a graceful edge shutdown never strands its tail.

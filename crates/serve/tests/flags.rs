@@ -35,6 +35,9 @@ fn invalid_estimator_values_exit_2_with_the_shared_message() {
         ("--bitmaps", "3"),
         ("--confidence", "150"),
         ("--memory-budget", "1"),
+        ("--max-mult", "4294967295"),
+        ("--top-c", "4097"),
+        ("--bitmaps", "1073741824"),
     ] {
         let (code, _, stderr) = serve(&[name, value]);
         assert_eq!(code, Some(2), "{name} {value}: {stderr}");

@@ -51,6 +51,7 @@
 //! [`catalog`]. See the `examples/` directory for runnable scenarios.
 
 pub mod opts;
+pub mod pipeline;
 pub mod spec;
 pub mod text;
 

@@ -11,7 +11,7 @@
 //! # destinations contacted by >100 sources, reported every 100k rows
 //! implicate --lhs 1 --rhs 0 --max-mult 100 --complement --watch 100000
 //!
-//! # spread parsing + ingestion over 4 cores (same results, bit for bit)
+//! # parse on 4 threads, ingest over 4 lanes (same output, bit for bit)
 //! implicate --lhs 0 --rhs 1 --threads 4 traffic.csv
 //!
 //! # checkpoint / resume across restarts
@@ -27,7 +27,7 @@
 //! # a whole catalog of queries in ONE pass over the stream
 //! implicate --query-file queries.txt --stats traffic.csv
 //!
-//! # the same catalog, queries spread over 4 cores (bit-identical)
+//! # the same catalog, parsed on 4 threads, queries over 4 lanes
 //! implicate --query-file queries.txt --threads 4 traffic.csv
 //! ```
 //!
@@ -49,6 +49,10 @@
 //!
 //! Fields are treated as opaque strings (hashed to 64-bit fingerprints),
 //! so the tool works on IPs, URLs or numeric ids alike.
+//!
+//! Both modes share one ingest loop, [`run`], with a parser pool under
+//! `--threads N`; stdout and `--watch` lines are the same at every
+//! `--threads` (DESIGN.md §8.10).
 
 use std::io::{BufRead, Write};
 use std::process::exit;
@@ -56,16 +60,18 @@ use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
 use implicate::opts::{self, EstimatorOpts, Flag};
+use implicate::pipeline::Pipeline;
+use implicate::sketch::estimate::relative_error;
 use implicate::sketch::hash::MixHasher;
-use implicate::spec::QuerySpec;
+use implicate::spec::{QuerySpec, FIELD_HASHER_SEED};
 use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
-    AccuracyAuditor, EstimatorConfig, ExactCounter, ImplicationConditions, ImplicationCounter,
-    ImplicationEstimator, MetricsHandle, QueryCatalog, QueryId, QueryKind, Schema, ShardedCatalog,
-    ShardedEstimator, TraceHandle, Tuple,
+    AccuracyAuditor, EstimateReader, EstimatorConfig, ExactCounter, HashedBatch,
+    ImplicationConditions, ImplicationCounter, ImplicationEstimator, MetricsHandle, QueryCatalog,
+    QueryId, QueryKind, Schema, ShardedCatalog, TraceHandle, Tuple, TupleHasher,
 };
 
-/// Lines per batch handed from the reader to the parser pool.
+/// Lines per batch dealt to the parser pool.
 const LINE_BATCH: usize = 2048;
 
 /// Bound, in batches, of the parallel pipeline's channels.
@@ -316,7 +322,11 @@ impl Cli {
             if self.complement {
                 die("--complement is per-query in a query file (use the `complement` option)");
             }
-            self.queries = parse_query_file(path);
+            // Line grammar: `implicate::spec`.
+            let body =
+                std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            self.queries = implicate::spec::parse_query_file(&body)
+                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         } else {
             self.lhs = self
                 .est
@@ -340,273 +350,157 @@ impl Cli {
     }
 }
 
-/// Seed of the hasher folding raw text fields into 64-bit fingerprints
-/// (rows and `where=` literals must agree, so it is fixed).
-const FIELD_HASHER_SEED: u64 = implicate::spec::FIELD_HASHER_SEED;
-
-/// Reads and parses a `--query-file` (line grammar: `implicate::spec`).
-fn parse_query_file(path: &str) -> Vec<QuerySpec> {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    implicate::spec::parse_query_file(&body).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+/// What [`run`] feeds: plain mode's [`Pipeline`] or catalog mode's
+/// queries, each with its `--audit` shadow.
+trait Engine {
+    /// One accepted input row, as the engine ingests it.
+    type Row: Send;
+    /// The most rows one [`apply`](Engine::apply) takes.
+    const BATCH: usize;
+    /// Applies `rows` in order and leaves the vector empty.
+    fn apply(&mut self, rows: &mut Vec<Self::Row>);
+    /// Shadows one accepted row's fields for `--audit` (`--threads 1`).
+    fn observe(&mut self, fields: &[u64]);
+    /// Prints the reports due at row `rows`, every row up to it applied.
+    fn report(&mut self, rows: u64);
 }
 
-/// Exact reference counters for one query during `--audit`.
-struct CatalogAudit {
-    exact: ExactCounter,
-    buf_a: Vec<u64>,
-    buf_b: Vec<u64>,
+/// Whether a report every `n` rows is due at row `rows`.
+fn due(n: Option<u64>, rows: u64) -> bool {
+    n.is_some_and(|n| rows.is_multiple_of(n))
 }
 
-impl CatalogAudit {
-    fn observe(&mut self, q: &QuerySpec, t: &Tuple) {
-        if !q.query.filter.is_empty() && !q.query.filter.matches(t) {
-            return;
-        }
-        self.buf_a.clear();
-        self.buf_b.clear();
-        self.buf_a.extend(q.lhs_cols.iter().map(|&c| t.get(c)));
-        self.buf_b.extend(q.rhs_cols.iter().map(|&c| t.get(c)));
-        self.exact.update(&self.buf_a, &self.buf_b);
-    }
-
-    fn answer(&self, kind: QueryKind) -> f64 {
-        match kind {
-            QueryKind::DistinctCount => self.exact.exact_f0_sup() as f64,
-            QueryKind::Implication => self.exact.exact_implication_count() as f64,
-            QueryKind::Complement => self.exact.exact_non_implication_count() as f64,
-        }
-    }
-}
-
-/// Catalog mode: registers every `--query-file` query in one
-/// [`QueryCatalog`] and answers all of them in a single pass. Rows are
-/// hashed whole (every column becomes one tuple attribute), batched, and
-/// fed query-major; `--watch`, `--stats`, `--stats-interval`, `--audit`
-/// and `--trace-out` all operate per query.
-fn run_catalog(cli: &Cli) {
-    let (mut catalog, ids, arity) = build_catalog(cli);
-    let mut audits: Vec<CatalogAudit> = if cli.audit.is_some() {
-        cli.queries
-            .iter()
-            .map(|q| CatalogAudit {
-                exact: ExactCounter::new(q.query.conditions),
-                buf_a: Vec::new(),
-                buf_b: Vec::new(),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
+/// The one ingest loop of both modes; returns `(rows, skipped)`.
+/// `make_row` turns a line's field fingerprints (the columns `wanted`
+/// selects) into an engine row, or `None` for a row too short for it,
+/// which counts as skipped. At `--threads 1` this thread parses; at
+/// `--threads N` the [`parse_pool`] does. Either way rows reach the
+/// engine in stream order, in batches cut at every report boundary, so
+/// each report names its exact row.
+fn run<E: Engine + Send>(
+    cli: &Cli,
+    engine: &mut E,
+    wanted: &[bool],
+    mut make_row: impl FnMut(&[u64]) -> Option<E::Row> + Clone + Send,
+) -> (u64, u64) {
     let mut lines = LineReader::new(open_input(cli));
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
-    let all_columns = vec![true; arity];
-    let mut batch: Vec<Tuple> = Vec::new();
-    let mut rows = 0u64;
-    let mut skipped = 0u64;
-    let flush = |catalog: &mut QueryCatalog, batch: &mut Vec<Tuple>| {
-        catalog.process_batch(batch);
-        batch.clear();
+    let (mut rows, mut batch) = (0, Vec::new());
+    let mut push = |engine: &mut E, row| {
+        batch.push(row);
+        rows += 1;
+        let report = due(cli.audit, rows) || due(cli.stats_interval, rows) || due(cli.watch, rows);
+        if report || batch.len() >= E::BATCH {
+            engine.apply(&mut batch);
+        }
+        if report {
+            engine.report(rows);
+        }
     };
-    while let Some(line) = next_input_line(&mut lines) {
-        let Some(row) = cli_fields(&mut fields, line, &all_columns) else {
-            continue;
-        };
-        if row.len() < arity {
-            skipped += 1;
-            continue;
-        }
-        let t = Tuple::new(row);
-        if !audits.is_empty() {
-            for (q, audit) in cli.queries.iter().zip(&mut audits) {
-                audit.observe(q, &t);
-            }
-        }
-        batch.push(t);
-        rows += 1;
-        if batch.len() >= LINE_BATCH {
-            flush(&mut catalog, &mut batch);
-        }
-        let boundary = |n: Option<u64>| n.is_some_and(|n| rows.is_multiple_of(n));
-        if boundary(cli.audit) {
-            flush(&mut catalog, &mut batch);
-            for ((q, id), audit) in cli.queries.iter().zip(&ids).zip(&audits) {
-                let exact = audit.answer(q.query.kind);
-                let est = catalog.answer(*id).expect("live query");
-                let rel = if exact == 0.0 {
-                    if est == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    (exact - est).abs() / exact
-                };
-                eprintln!(
-                    "audit {rows} rows [{}]: exact ≈ {exact:.0}, estimate {est:.0}, \
-                     rel error {rel:.4}",
-                    q.name
-                );
-            }
-        }
-        if boundary(cli.stats_interval) {
-            flush(&mut catalog, &mut batch);
-            let mut text = String::new();
-            catalog.prometheus_into("implicate", &mut text);
-            eprintln!("{}", text.trim_end());
-        }
-        if boundary(cli.watch) {
-            flush(&mut catalog, &mut batch);
-            for (q, id) in cli.queries.iter().zip(&ids) {
-                eprintln!(
-                    "{rows} rows [{}]: answer ≈ {:.0} ({} matched)",
-                    q.name,
-                    catalog.answer(*id).expect("live query"),
-                    catalog.matched(*id).expect("live query"),
-                );
-            }
-        }
-    }
-    flush(&mut catalog, &mut batch);
-    report_catalog(cli, &catalog, &ids, rows, skipped);
-}
-
-/// Catalog mode under `--threads N`: the *queries* are partitioned over
-/// N worker lanes ([`ShardedCatalog`]), every lane sees every tuple as a
-/// shared pre-hashed batch, and per-query answers stay bit-identical to
-/// the single-threaded catalog. The main thread parses and hashes
-/// (attribute-wise, once); workers run the per-query combine + estimator
-/// passes. `--watch` and `--stats-interval` read per-query published
-/// views at settled boundaries (publish, then barrier), so their
-/// emissions match the sequential run's numbers exactly.
-fn run_catalog_parallel(cli: &Cli) {
-    let (catalog, ids, arity) = build_catalog(cli);
-    let mut sharded = ShardedCatalog::new(catalog, cli.est.threads);
-    let viewers: Vec<_> = ids
-        .iter()
-        .map(|id| sharded.reader(*id).expect("live query"))
-        .collect();
-    let tuple_hasher = sharded.hasher().clone();
-
-    let mut lines = LineReader::new(open_input(cli));
-    let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
-    let all_columns = vec![true; arity];
-    let mut hashed = sharded.checkout();
-    let mut tuples = hashed.recycle();
-    let mut rows = 0u64;
-    let mut skipped = 0u64;
-    while let Some(line) = next_input_line(&mut lines) {
-        let Some(row) = cli_fields(&mut fields, line, &all_columns) else {
-            continue;
-        };
-        if row.len() < arity {
-            skipped += 1;
-            continue;
-        }
-        tuples.push(Tuple::new(row));
-        rows += 1;
-        let boundary = |n: Option<u64>| n.is_some_and(|n| rows.is_multiple_of(n));
-        let at_boundary = boundary(cli.stats_interval) || boundary(cli.watch);
-        if tuples.len() >= LINE_BATCH || at_boundary {
-            tuple_hasher.hash_batch(std::mem::take(&mut tuples), &mut hashed);
-            hashed = sharded.process_hashed(hashed);
-            tuples = hashed.recycle();
-        }
-        if at_boundary {
-            // Publish, then barrier: the lanes publish at their message
-            // boundary, and the barrier guarantees the views are settled
-            // at exactly this row — same numbers as the sequential run.
-            sharded.publish();
-            sharded.barrier();
-        }
-        if boundary(cli.stats_interval) {
-            for (q, viewer) in cli.queries.iter().zip(&viewers) {
-                eprintln!(
-                    "implicate_query_tuples{{query=\"{}\"}} {}",
-                    q.name,
-                    viewer.tuples()
-                );
-                eprintln!(
-                    "implicate_query_answer{{query=\"{}\"}} {}",
-                    q.name,
-                    q.query.answer_from(&viewer.estimate())
-                );
-            }
-        }
-        if boundary(cli.watch) {
-            for (q, viewer) in cli.queries.iter().zip(&viewers) {
-                eprintln!(
-                    "{rows} rows [{}]: answer ≈ {:.0} ({} matched)",
-                    q.name,
-                    q.query.answer_from(&viewer.estimate()),
-                    viewer.tuples(),
-                );
-            }
-        }
-    }
-    if !tuples.is_empty() {
-        tuple_hasher.hash_batch(tuples, &mut hashed);
-        let _ = sharded.process_hashed(hashed);
-    }
-    report_catalog(cli, &sharded.finish(), &ids, rows, skipped);
-}
-
-/// Builds the `--query-file` catalog: a schema spanning every column the
-/// queries touch, and every query registered. Returns the catalog, the
-/// query ids in file order, and the schema's arity.
-fn build_catalog(cli: &Cli) -> (QueryCatalog, Vec<QueryId>, usize) {
-    let arity = 1 + cli
-        .queries
-        .iter()
-        .map(|q| q.max_column())
-        .max()
-        .expect("parse_query_file rejects empty catalogs");
-    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
-    let mut catalog = QueryCatalog::new(&schema, cli.config);
-    if cli.trace_out.is_some() {
-        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
-    }
-    let ids = cli
-        .queries
-        .iter()
-        .map(|q| {
-            catalog
-                .try_register(q.name.clone(), q.query.clone())
-                .unwrap_or_else(|e| die(&format!("query {:?}: {e}", q.name)))
+    let skipped = if cli.est.threads > 1 {
+        parse_pool(cli, lines, &fields, wanted, make_row, |row| {
+            push(engine, row)
         })
-        .collect();
-    (catalog, ids, arity)
+    } else {
+        let mut skipped = 0;
+        while let Some(line) = next_input_line(&mut lines) {
+            let Some(row) = cli_fields(&mut fields, line, wanted) else {
+                continue;
+            };
+            let Some(made) = make_row(row) else {
+                skipped += 1;
+                continue;
+            };
+            if cli.audit.is_some() {
+                engine.observe(row);
+            }
+            push(engine, made);
+        }
+        skipped
+    };
+    if !batch.is_empty() {
+        engine.apply(&mut batch);
+    }
+    (rows, skipped)
 }
 
-/// Prints the final catalog answers on stdout, then the run summary, the
-/// `--trace-out` journal and the `--stats` report.
-fn report_catalog(cli: &Cli, catalog: &QueryCatalog, ids: &[QueryId], rows: u64, skipped: u64) {
-    for (q, id) in cli.queries.iter().zip(ids) {
-        println!(
-            "{}\t{:.0}",
-            q.name,
-            catalog.answer(*id).expect("live query")
-        );
-    }
-    let lanes = if cli.est.threads > 1 {
-        format!(" over {} lanes", cli.est.threads)
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "rows {rows} (skipped {skipped}) | {} queries{lanes}, one pass | \
-         {} tracked bytes on one budget",
-        catalog.len(),
-        catalog.tracked_bytes()
-    );
-    if let Some(path) = &cli.trace_out {
-        write_trace(path, catalog.trace());
-    }
-    if cli.stats {
-        let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        eprintln!("{}", text.trim_end());
-    }
+/// The parser pool of `--threads N`; returns the rows skipped. This
+/// thread reads batches of [`LINE_BATCH`] whole lines (one byte buffer
+/// each, lines `\n`-separated) and deals them round-robin to N parsers,
+/// each running its own clone of `make_row`. A collector thread takes the
+/// parsed batches back *in dealing order*, restoring stream order, and
+/// hands their rows to `sink`.
+fn parse_pool<T: Send>(
+    cli: &Cli,
+    mut lines: LineReader<Box<dyn BufRead>>,
+    fields: &LineFields,
+    wanted: &[bool],
+    make_row: impl FnMut(&[u64]) -> Option<T> + Clone + Send,
+    mut sink: impl FnMut(T) + Send,
+) -> u64 {
+    let threads = cli.est.threads;
+    std::thread::scope(|scope| {
+        let mut line_txs = Vec::with_capacity(threads);
+        let mut parsed_rxs = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            let (line_tx, line_rx) = sync_channel::<Vec<u8>>(PIPE_DEPTH);
+            let (parsed_tx, parsed_rx) = sync_channel::<(Vec<T>, u64)>(PIPE_DEPTH);
+            line_txs.push(line_tx);
+            parsed_rxs.push(parsed_rx);
+            let (mut fields, mut make_row) = (fields.clone(), make_row.clone());
+            scope.spawn(move || {
+                while let Ok(batch) = line_rx.recv() {
+                    let (mut rows, mut skipped) = (Vec::with_capacity(LINE_BATCH), 0);
+                    // The piece after the final `\n` is empty, so blank.
+                    for line in batch.split(|&b| b == b'\n') {
+                        let Some(row) = cli_fields(&mut fields, line, wanted) else {
+                            continue;
+                        };
+                        match make_row(row) {
+                            Some(made) => rows.push(made),
+                            None => skipped += 1,
+                        }
+                    }
+                    if parsed_tx.send((rows, skipped)).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        let collector = scope.spawn(move || {
+            let mut skipped = 0;
+            'drain: loop {
+                for parsed_rx in &parsed_rxs {
+                    let Ok((rows, s)) = parsed_rx.recv() else {
+                        break 'drain;
+                    };
+                    skipped += s;
+                    rows.into_iter().for_each(&mut sink);
+                }
+            }
+            skipped
+        });
+        let (mut batch, mut batched, mut dealt) = (Vec::new(), 0, 0);
+        while let Some(line) = next_input_line(&mut lines) {
+            batch.extend_from_slice(line);
+            batch.push(b'\n');
+            batched += 1;
+            if batched >= LINE_BATCH {
+                let next = Vec::with_capacity(batch.capacity());
+                let full = std::mem::replace(&mut batch, next);
+                if line_txs[dealt % threads].send(full).is_err() {
+                    break;
+                }
+                batched = 0;
+                dealt += 1;
+            }
+        }
+        if batched > 0 {
+            let _ = line_txs[dealt % threads].send(batch);
+        }
+        drop(line_txs);
+        collector.join().expect("collector thread panicked")
+    })
 }
 
 /// The next input line; `None` at end of input. Exits on a read error.
@@ -640,54 +534,59 @@ fn open_input(cli: &Cli) -> Box<dyn BufRead> {
     }
 }
 
-/// Builds the online accuracy auditor when `--audit` is set, sharing the
-/// estimator's trace handle so audit samples land in the same journal.
-fn make_auditor(cli: &Cli, est: &ImplicationEstimator) -> Option<AccuracyAuditor> {
-    cli.audit.map(|cadence| {
-        let mut auditor =
-            AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, cli.audit_sample);
-        auditor.set_trace(est.trace().clone());
-        auditor
-    })
+/// Plain mode's engine: the [`Pipeline`] and the `--audit` shadow.
+struct Plain<'c> {
+    cli: &'c Cli,
+    pipeline: Pipeline,
+    auditor: Option<AccuracyAuditor>,
+    buf_a: Vec<u64>,
+    buf_b: Vec<u64>,
 }
 
-/// Single-threaded ingestion; returns `(estimator, rows, skipped)`.
-fn run_sequential(
-    cli: &Cli,
-    mut est: ImplicationEstimator,
-    mut fields: LineFields,
-) -> (ImplicationEstimator, u64, u64) {
-    let mut lines = LineReader::new(open_input(cli));
-    let wanted = wanted_columns(&[&cli.lhs, &cli.rhs]);
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let mut auditor = make_auditor(cli, &est);
-    let mut rows = 0u64;
-    let mut skipped = 0u64;
-    while let Some(line) = next_input_line(&mut lines) {
-        let Some(row) = cli_fields(&mut fields, line, &wanted) else {
-            continue;
-        };
-        if !(project(row, &cli.lhs, &mut buf_a) && project(row, &cli.rhs, &mut buf_b)) {
-            skipped += 1;
-            continue;
+impl Engine for Plain<'_> {
+    type Row = (u64, u64);
+    // Under the estimator's group-by-bitmap threshold (2,048 rows), so
+    // rows apply in stream order and every metric, the occupancy
+    // high-watermark included, matches per-row ingestion.
+    const BATCH: usize = LINE_BATCH / 2;
+
+    fn apply(&mut self, rows: &mut Vec<(u64, u64)>) {
+        self.pipeline.apply(rows);
+        rows.clear();
+    }
+
+    fn observe(&mut self, fields: &[u64]) {
+        if let Some(aud) = &mut self.auditor {
+            project(fields, &self.cli.lhs, &mut self.buf_a);
+            project(fields, &self.cli.rhs, &mut self.buf_b);
+            aud.observe(&self.buf_a, &self.buf_b);
         }
-        est.update(&buf_a, &buf_b);
-        rows += 1;
-        if let Some(aud) = auditor.as_mut() {
-            aud.observe(&buf_a, &buf_b);
-            if aud.due() {
-                let s = aud.audit(est.estimate_now().implication_count);
-                eprintln!(
-                    "audit {} rows: exact ≈ {:.0}, estimate {:.0}, rel error {:.4}",
-                    s.position, s.exact, s.estimated, s.rel_error
-                );
+    }
+
+    fn report(&mut self, rows: u64) {
+        let cli = self.cli;
+        if let Some(aud) = self.auditor.as_mut().filter(|_| due(cli.audit, rows)) {
+            let s = aud.audit(self.pipeline.estimate().implication_count);
+            eprintln!(
+                "audit {} rows: exact ≈ {:.0}, estimate {:.0}, rel error {:.4}",
+                s.position, s.exact, s.estimated, s.rel_error
+            );
+        }
+        if due(cli.stats_interval, rows) {
+            if let Pipeline::Sharded(sharded) = &mut self.pipeline {
+                // Publish a fresh view instead of barriering: the lanes
+                // keep ingesting, and the emission carries the view.*
+                // gauges (epoch, published tuples, age) that say exactly
+                // how far the published prefix trails the routed stream.
+                sharded.publish();
             }
+            eprintln!(
+                "{}",
+                stats_emission(self.pipeline.metrics(), cli.stats_format)
+            );
         }
-        if cli.stats_interval.is_some_and(|n| rows.is_multiple_of(n)) {
-            eprintln!("{}", stats_emission(est.metrics(), cli.stats_format));
-        }
-        if cli.watch.is_some_and(|w| rows.is_multiple_of(w)) {
-            let e = est.estimate_now();
+        if due(cli.watch, rows) {
+            let e = self.pipeline.estimate();
             let answer = if cli.complement {
                 e.non_implication_count
             } else {
@@ -699,185 +598,11 @@ fn run_sequential(
             );
         }
     }
-    if let Some(aud) = &auditor {
-        match aud.final_error() {
-            Some(err) => eprintln!(
-                "audit: {} samples over {} rows, {} shadowed itemsets, final rel error {err:.4}",
-                aud.samples().len(),
-                aud.rows_seen(),
-                aud.shadowed_keys(),
-            ),
-            None => eprintln!(
-                "audit: no samples ({} rows < cadence {})",
-                aud.rows_seen(),
-                aud.cadence()
-            ),
-        }
-    }
-    (est, rows, skipped)
 }
 
-/// One parser's output for one line batch.
-struct ParsedBatch {
-    pairs: Vec<(u64, u64)>,
-    rows: u64,
-    skipped: u64,
-}
-
-/// Parallel ingestion: the main thread reads batches of `LINE_BATCH`
-/// whole lines (one byte buffer each, lines `\n`-separated) and deals them
-/// round-robin to `threads` parser workers; a router thread collects the
-/// parsed batches *in dealing order* — restoring stream order — and
-/// feeds a [`ShardedEstimator`], which preserves per-bitmap update order
-/// (see the `imp_core::parallel` docs). The result is therefore
-/// bit-identical to `--threads 1`. `--watch` reports row counts only in
-/// this mode (a mid-stream estimate would force a pipeline barrier).
-fn run_parallel(
-    cli: &Cli,
-    est: ImplicationEstimator,
-    fields: LineFields,
-) -> (ImplicationEstimator, u64, u64) {
-    let threads = cli.est.threads;
-    let sharded = ShardedEstimator::new(est, threads);
-    let pair_hasher = sharded.pair_hasher();
-    let mut lines = LineReader::new(open_input(cli));
-    let wanted = wanted_columns(&[&cli.lhs, &cli.rhs]);
-    std::thread::scope(|scope| {
-        let mut line_txs = Vec::with_capacity(threads);
-        let mut parsed_rxs = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (line_tx, line_rx) = sync_channel::<Vec<u8>>(PIPE_DEPTH);
-            let (parsed_tx, parsed_rx) = sync_channel::<ParsedBatch>(PIPE_DEPTH);
-            line_txs.push(line_tx);
-            parsed_rxs.push(parsed_rx);
-            let (lhs, rhs, wanted) = (&cli.lhs, &cli.rhs, &wanted);
-            let mut fields = fields.clone();
-            scope.spawn(move || {
-                let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-                while let Ok(batch) = line_rx.recv() {
-                    let mut out = ParsedBatch {
-                        pairs: Vec::with_capacity(LINE_BATCH),
-                        rows: 0,
-                        skipped: 0,
-                    };
-                    // The piece after the final `\n` is empty, so blank.
-                    for line in batch.split(|&b| b == b'\n') {
-                        let Some(row) = cli_fields(&mut fields, line, wanted) else {
-                            continue;
-                        };
-                        if !(project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b)) {
-                            out.skipped += 1;
-                            continue;
-                        }
-                        out.pairs.push(pair_hasher.hash_pair(&buf_a, &buf_b));
-                        out.rows += 1;
-                    }
-                    if parsed_tx.send(out).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        let watch = cli.watch;
-        let stats_interval = cli.stats_interval;
-        let stats_format = cli.stats_format;
-        let router = scope.spawn(move || {
-            let mut sharded = sharded;
-            let viewer = (watch.is_some() || stats_interval.is_some()).then(|| sharded.reader());
-            let (mut rows, mut skipped) = (0u64, 0u64);
-            'drain: loop {
-                // Same cyclic order the reader deals batches in, so
-                // pairs reach the shards in stream order.
-                for parsed_rx in &parsed_rxs {
-                    let Ok(batch) = parsed_rx.recv() else {
-                        break 'drain;
-                    };
-                    let before = rows;
-                    sharded.update_hashed_batch(&batch.pairs);
-                    rows += batch.rows;
-                    skipped += batch.skipped;
-                    if let Some(n) = stats_interval {
-                        if rows / n > before / n {
-                            // Publish a fresh view instead of barriering:
-                            // the lanes keep ingesting, and the emission
-                            // carries the view.* gauges (epoch, published
-                            // tuples, age) that say exactly how far the
-                            // published prefix trails the routed stream.
-                            sharded.publish();
-                            eprintln!("{}", stats_emission(sharded.metrics(), stats_format));
-                        }
-                    }
-                    if let Some(w) = watch {
-                        if rows / w > before / w {
-                            sharded.publish();
-                            let viewer = viewer.as_ref().expect("reader created");
-                            let e = viewer.estimate();
-                            eprintln!(
-                                "{rows} rows routed, {} applied: S ≈ {:.0}, S̄ ≈ {:.0}, \
-                                 F0^sup ≈ {:.0}",
-                                viewer.tuples(),
-                                e.implication_count,
-                                e.non_implication_count,
-                                e.f0_sup
-                            );
-                        }
-                    }
-                }
-            }
-            (sharded.finish(), rows, skipped)
-        });
-        let mut batch = Vec::new();
-        let mut batched = 0usize;
-        let mut dealt = 0usize;
-        while let Some(line) = next_input_line(&mut lines) {
-            batch.extend_from_slice(line);
-            batch.push(b'\n');
-            batched += 1;
-            if batched >= LINE_BATCH {
-                let next = Vec::with_capacity(batch.capacity());
-                let full = std::mem::replace(&mut batch, next);
-                if line_txs[dealt % threads].send(full).is_err() {
-                    break;
-                }
-                batched = 0;
-                dealt += 1;
-            }
-        }
-        if batched > 0 {
-            let _ = line_txs[dealt % threads].send(batch);
-        }
-        drop(line_txs);
-        router.join().expect("router thread panicked")
-    })
-}
-
-/// Writes the trace journal as JSONL. With the `trace` feature compiled
-/// out the file still appears, holding only the `journal_summary` line
-/// with `"enabled":false` — scripts can rely on the file existing.
-fn write_trace(path: &str, trace: &TraceHandle) {
-    let body = match trace.journal() {
-        Some(journal) => journal.to_jsonl(),
-        None => format!(
-            "{{\"event\":\"journal_summary\",\"enabled\":{},\"recorded\":0,\
-             \"retained\":0,\"dropped\":0,\"capacity\":0}}\n",
-            TraceHandle::enabled()
-        ),
-    };
-    std::fs::write(path, &body).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    let events = body.lines().count().saturating_sub(1);
-    eprintln!("trace: wrote {events} events to {path}");
-}
-
-fn main() {
-    let cli = parse_cli();
-    if !cli.queries.is_empty() {
-        if cli.est.threads > 1 {
-            run_catalog_parallel(&cli);
-        } else {
-            run_catalog(&cli);
-        }
-        return;
-    }
+/// Plain mode: one estimate over the `--lhs`/`--rhs` projections,
+/// resumed from and saved to a snapshot on request.
+fn plain(cli: &Cli) {
     let mut est = match &cli.resume {
         Some(path) => {
             let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
@@ -897,14 +622,45 @@ fn main() {
     if cli.trace_out.is_some() {
         est.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
     }
-
-    let fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
-    let (est, rows, skipped) = if cli.est.threads > 1 {
-        run_parallel(&cli, est, fields)
-    } else {
-        run_sequential(&cli, est, fields)
+    // The auditor shares the estimator's trace handle, so audit samples
+    // land in the same journal.
+    let auditor = cli.audit.map(|cadence| {
+        let mut auditor =
+            AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, cli.audit_sample);
+        auditor.set_trace(est.trace().clone());
+        auditor
+    });
+    let pair_hasher = est.pair_hasher();
+    let mut engine = Plain {
+        cli,
+        pipeline: Pipeline::new(est, cli.est.threads),
+        auditor,
+        buf_a: Vec::new(),
+        buf_b: Vec::new(),
     };
+    let (lhs, rhs) = (&cli.lhs[..], &cli.rhs[..]);
+    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
+    let (rows, skipped) = run(cli, &mut engine, &wanted_columns(&[lhs, rhs]), move |row| {
+        (project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b))
+            .then(|| pair_hasher.hash_pair(&buf_a, &buf_b))
+    });
+    if let Some(aud) = &engine.auditor {
+        match aud.final_error() {
+            Some(err) => eprintln!(
+                "audit: {} samples over {} rows, {} shadowed itemsets, final rel error {err:.4}",
+                aud.samples().len(),
+                aud.rows_seen(),
+                aud.shadowed_keys(),
+            ),
+            None => eprintln!(
+                "audit: no samples ({} rows < cadence {})",
+                aud.rows_seen(),
+                aud.cadence()
+            ),
+        }
+    }
 
+    let est = engine.pipeline.finish();
     let e = est.estimate_now();
     let answer = if cli.complement {
         e.non_implication_count
@@ -935,5 +691,250 @@ fn main() {
     }
     if cli.stats {
         eprintln!("{}", est.metrics().report().trim_end());
+    }
+}
+
+/// Exact reference counters for one query during `--audit`.
+struct CatalogAudit {
+    exact: ExactCounter,
+    buf_a: Vec<u64>,
+    buf_b: Vec<u64>,
+}
+
+impl CatalogAudit {
+    fn observe(&mut self, q: &QuerySpec, t: &Tuple) {
+        if !q.query.filter.is_empty() && !q.query.filter.matches(t) {
+            return;
+        }
+        self.buf_a.clear();
+        self.buf_b.clear();
+        self.buf_a.extend(q.lhs_cols.iter().map(|&c| t.get(c)));
+        self.buf_b.extend(q.rhs_cols.iter().map(|&c| t.get(c)));
+        self.exact.update(&self.buf_a, &self.buf_b);
+    }
+
+    fn answer(&self, kind: QueryKind) -> f64 {
+        match kind {
+            QueryKind::DistinctCount => self.exact.exact_f0_sup() as f64,
+            QueryKind::Implication => self.exact.exact_implication_count() as f64,
+            QueryKind::Complement => self.exact.exact_non_implication_count() as f64,
+        }
+    }
+}
+
+/// Catalog mode's queries: the [`QueryCatalog`] itself at `--threads 1`;
+/// otherwise partitioned over N lanes ([`ShardedCatalog`]) that each see
+/// every tuple, with one reader per query in file order.
+enum Queries {
+    Single(QueryCatalog),
+    Sharded(ShardedCatalog, Vec<EstimateReader>),
+}
+
+/// Catalog mode's engine. Every tuple is hashed attribute-wise once,
+/// whatever the number of queries, and fed to each of them.
+struct Catalog<'c> {
+    cli: &'c Cli,
+    queries: Queries,
+    ids: Vec<QueryId>,
+    hasher: TupleHasher,
+    hashed: HashedBatch,
+    audits: Vec<CatalogAudit>,
+}
+
+impl Catalog<'_> {
+    /// Each query's `(answer, matched tuples)` over the rows applied so
+    /// far, in file order. Sharded lanes publish, then barrier, so the
+    /// views are settled at exactly this row: the single catalog's
+    /// numbers.
+    fn settled(&mut self) -> Vec<(f64, u64)> {
+        match &mut self.queries {
+            Queries::Single(catalog) => self
+                .ids
+                .iter()
+                .map(|&id| {
+                    let answer = catalog.answer(id).expect("live query");
+                    (answer, catalog.matched(id).expect("live query"))
+                })
+                .collect(),
+            Queries::Sharded(sharded, readers) => {
+                sharded.publish();
+                sharded.barrier();
+                let queries = self.cli.queries.iter();
+                queries
+                    .zip(readers.iter())
+                    .map(|(q, r)| (q.query.answer_from(&r.estimate()), r.tuples()))
+                    .collect()
+            }
+        }
+    }
+}
+
+impl Engine for Catalog<'_> {
+    type Row = Tuple;
+    const BATCH: usize = LINE_BATCH;
+
+    fn apply(&mut self, rows: &mut Vec<Tuple>) {
+        self.hasher
+            .hash_batch(std::mem::take(rows), &mut self.hashed);
+        match &mut self.queries {
+            Queries::Single(catalog) => catalog.process_hashed(&self.hashed),
+            Queries::Sharded(sharded, _) => {
+                self.hashed = sharded.process_hashed(std::mem::take(&mut self.hashed));
+            }
+        }
+        *rows = self.hashed.recycle();
+    }
+
+    fn observe(&mut self, fields: &[u64]) {
+        let t = Tuple::new(fields);
+        for (q, audit) in self.cli.queries.iter().zip(&mut self.audits) {
+            audit.observe(q, &t);
+        }
+    }
+
+    fn report(&mut self, rows: u64) {
+        let cli = self.cli;
+        if due(cli.audit, rows) {
+            let answers = self.settled();
+            let audits = cli.queries.iter().zip(&self.audits);
+            for ((q, audit), (est, _)) in audits.zip(answers) {
+                let exact = audit.answer(q.query.kind);
+                eprintln!(
+                    "audit {rows} rows [{}]: exact ≈ {exact:.0}, estimate {est:.0}, \
+                     rel error {:.4}",
+                    q.name,
+                    relative_error(exact, est)
+                );
+            }
+        }
+        if due(cli.stats_interval, rows) {
+            if let Queries::Single(catalog) = &self.queries {
+                let mut text = String::new();
+                catalog.prometheus_into("implicate", &mut text);
+                eprintln!("{}", text.trim_end());
+            } else {
+                for (q, (answer, matched)) in cli.queries.iter().zip(self.settled()) {
+                    eprintln!("implicate_query_tuples{{query=\"{}\"}} {matched}", q.name);
+                    eprintln!("implicate_query_answer{{query=\"{}\"}} {answer}", q.name);
+                }
+            }
+        }
+        if due(cli.watch, rows) {
+            for (q, (answer, matched)) in cli.queries.iter().zip(self.settled()) {
+                eprintln!(
+                    "{rows} rows [{}]: answer ≈ {answer:.0} ({matched} matched)",
+                    q.name
+                );
+            }
+        }
+    }
+}
+
+/// Catalog mode: registers every `--query-file` query on a schema
+/// spanning every column they touch and answers all of them in a single
+/// pass. Rows are hashed whole (every column becomes one tuple
+/// attribute); `--watch`, `--stats`, `--stats-interval`, `--audit` and
+/// `--trace-out` all operate per query.
+fn catalog(cli: &Cli) {
+    let arity = 1 + cli
+        .queries
+        .iter()
+        .map(|q| q.max_column())
+        .max()
+        .expect("parse_query_file rejects empty catalogs");
+    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
+    let mut catalog = QueryCatalog::new(&schema, cli.config);
+    if cli.trace_out.is_some() {
+        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
+    }
+    let ids: Vec<QueryId> = cli
+        .queries
+        .iter()
+        .map(|q| {
+            catalog
+                .try_register(q.name.clone(), q.query.clone())
+                .unwrap_or_else(|e| die(&format!("query {:?}: {e}", q.name)))
+        })
+        .collect();
+    let hasher = catalog.hasher().clone();
+    let queries = if cli.est.threads > 1 {
+        let sharded = ShardedCatalog::new(catalog, cli.est.threads);
+        let readers = ids
+            .iter()
+            .map(|&id| sharded.reader(id).expect("live query"));
+        let readers = readers.collect();
+        Queries::Sharded(sharded, readers)
+    } else {
+        Queries::Single(catalog)
+    };
+    let audits = cli.queries.iter().filter(|_| cli.audit.is_some());
+    let audits = audits.map(|q| CatalogAudit {
+        exact: ExactCounter::new(q.query.conditions),
+        buf_a: Vec::new(),
+        buf_b: Vec::new(),
+    });
+    let mut engine = Catalog {
+        cli,
+        queries,
+        ids,
+        hasher,
+        hashed: HashedBatch::new(),
+        audits: audits.collect(),
+    };
+    let (rows, skipped) = run(cli, &mut engine, &vec![true; arity], |row| {
+        (row.len() >= arity).then(|| Tuple::new(row))
+    });
+    let catalog = match engine.queries {
+        Queries::Single(catalog) => catalog,
+        Queries::Sharded(sharded, _) => sharded.finish(),
+    };
+
+    for (q, id) in cli.queries.iter().zip(engine.ids) {
+        println!("{}\t{:.0}", q.name, catalog.answer(id).expect("live query"));
+    }
+    let lanes = if cli.est.threads > 1 {
+        format!(" over {} lanes", cli.est.threads)
+    } else {
+        String::new()
+    };
+    eprintln!(
+        "rows {rows} (skipped {skipped}) | {} queries{lanes}, one pass | \
+         {} tracked bytes on one budget",
+        catalog.len(),
+        catalog.tracked_bytes()
+    );
+    if let Some(path) = &cli.trace_out {
+        write_trace(path, catalog.trace());
+    }
+    if cli.stats {
+        let mut text = String::new();
+        catalog.prometheus_into("implicate", &mut text);
+        eprintln!("{}", text.trim_end());
+    }
+}
+
+/// Writes the trace journal as JSONL. With the `trace` feature compiled
+/// out the file still appears, holding only the `journal_summary` line
+/// with `"enabled":false` — scripts can rely on the file existing.
+fn write_trace(path: &str, trace: &TraceHandle) {
+    let body = match trace.journal() {
+        Some(journal) => journal.to_jsonl(),
+        None => format!(
+            "{{\"event\":\"journal_summary\",\"enabled\":{},\"recorded\":0,\
+             \"retained\":0,\"dropped\":0,\"capacity\":0}}\n",
+            TraceHandle::enabled()
+        ),
+    };
+    std::fs::write(path, &body).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    let events = body.lines().count().saturating_sub(1);
+    eprintln!("trace: wrote {events} events to {path}");
+}
+
+fn main() {
+    let cli = parse_cli();
+    if cli.queries.is_empty() {
+        plain(&cli);
+    } else {
+        catalog(&cli);
     }
 }

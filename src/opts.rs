@@ -11,6 +11,7 @@
 //! `--rhs` (required by the CLI, `0` and `1` in serve) and its own
 //! cross-checks between flags.
 
+use imp_core::wire::{MAX_WIRE_BITMAPS, MAX_WIRE_MULTIPLICITY};
 use imp_core::{EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy};
 
 /// One command-line flag: its name, its value placeholder (empty for a
@@ -91,6 +92,18 @@ pub fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(
     Ok(v)
 }
 
+/// Parses the value `raw` given to flag `name`, which must lie in
+/// `1..=max` (the wire caps: an aggregator rejects larger estimators).
+fn in_range<T: std::str::FromStr + PartialOrd + From<u8> + std::fmt::Display>(
+    raw: &str,
+    name: &str,
+    max: T,
+) -> Result<T, String> {
+    let v = at_least_one(raw, name)?;
+    check(v <= max, &format!("{name} must be at most {max}"))?;
+    Ok(v)
+}
+
 fn check(ok: bool, msg: &str) -> Result<(), String> {
     if ok {
         Ok(())
@@ -116,8 +129,8 @@ pub const FLAGS: &[Flag<EstimatorOpts>] = &[
     Flag {
         name: "--max-mult",
         metavar: "K",
-        doc: "maximum multiplicity (default 1)",
-        set: |o, v| at_least_one(v, "--max-mult").map(|k| o.max_mult = k),
+        doc: "maximum multiplicity, 1 to 4096 (default 1)",
+        set: |o, v| in_range(v, "--max-mult", MAX_WIRE_MULTIPLICITY).map(|k| o.max_mult = k),
     },
     Flag {
         name: "--support",
@@ -128,8 +141,8 @@ pub const FLAGS: &[Flag<EstimatorOpts>] = &[
     Flag {
         name: "--top-c",
         metavar: "C",
-        doc: "the c of the top-confidence level (default = K)",
-        set: |o, v| at_least_one(v, "--top-c").map(|c| o.top_c = Some(c)),
+        doc: "the c of the top-confidence level, 1 to 4096 (default K)",
+        set: |o, v| in_range(v, "--top-c", MAX_WIRE_MULTIPLICITY).map(|c| o.top_c = Some(c)),
     },
     Flag {
         name: "--confidence",
@@ -169,9 +182,9 @@ pub const FLAGS: &[Flag<EstimatorOpts>] = &[
     Flag {
         name: "--bitmaps",
         metavar: "M",
-        doc: "stochastic-averaging bitmaps, power of two (default 64)",
+        doc: "stochastic-averaging bitmaps, a power of two up to 4096\n(default 64)",
         set: |o, v| {
-            o.bitmaps = value(v, "--bitmaps")?;
+            o.bitmaps = in_range(v, "--bitmaps", MAX_WIRE_BITMAPS)?;
             check(o.bitmaps.is_power_of_two(), "--bitmaps must be a power of two")
         },
     },
@@ -202,7 +215,7 @@ pub const FLAGS: &[Flag<EstimatorOpts>] = &[
     Flag {
         name: "--threads",
         metavar: "N",
-        doc: "ingestion shards (default 1); N > 1 parses and ingests\nin parallel with results identical to N = 1",
+        doc: "ingestion lanes, and the CLI's parser threads (default\n1); N > 1 gives output identical to N = 1",
         set: |o, v| at_least_one(v, "--threads").map(|n| o.threads = n),
     },
 ];
@@ -320,6 +333,15 @@ mod tests {
             (&[("--max-mult", "0")], "--max-mult must be at least 1"),
             (&[("--support", "0")], "--support must be at least 1"),
             (&[("--top-c", "0")], "--top-c must be at least 1"),
+            (
+                &[("--max-mult", "4294967295")],
+                "--max-mult must be at most 4096",
+            ),
+            (&[("--top-c", "4097")], "--top-c must be at most 4096"),
+            (
+                &[("--bitmaps", "1073741824")],
+                "--bitmaps must be at most 4096",
+            ),
             (&[("--threads", "0")], "--threads must be at least 1"),
             (&[("--fringe", "65")], "--fringe must be at most 64"),
             (&[("--memory-budget", "0")], "at least 1 byte"),

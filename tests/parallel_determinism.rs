@@ -207,22 +207,22 @@ proptest! {
 #[test]
 fn batched_entry_point_is_equally_deterministic() {
     let stream = zipf_stream(40_000, 0xbeef);
-    let pairs: Vec<(u64, u64)> = stream.iter().map(|&([a], [b])| (a, b)).collect();
     let config = EstimatorConfig::new(ImplicationConditions::one_to_c(2, 0.9, 2)).seed(3);
 
     let mut seq = config.build();
-    seq.update_batch(&pairs);
+    let pairs: Vec<(u64, u64)> = stream.iter().map(|(a, b)| seq.hash_pair(a, b)).collect();
+    seq.update_hashed_batch(&pairs);
     let seq_bytes = seq.to_bytes();
 
     for threads in [2usize, 8] {
         let mut sharded = ShardedEstimator::new(config.build(), threads);
         for chunk in pairs.chunks(777) {
-            sharded.update_batch(chunk);
+            sharded.update_hashed_batch(chunk);
         }
         assert_eq!(
             sharded.finish().to_bytes(),
             seq_bytes,
-            "update_batch diverged at {threads} threads"
+            "update_hashed_batch diverged at {threads} threads"
         );
     }
 }

@@ -63,8 +63,10 @@ fn batch_and_snapshot_spans_close_into_the_journal() {
     let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(4).build();
     let trace = TraceHandle::with_capacity(1 << 12);
     est.set_trace(trace.clone());
-    let pairs: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 100, i % 5)).collect();
-    est.update_batch(&pairs);
+    let pairs: Vec<(u64, u64)> = (0..500u64)
+        .map(|i| est.hash_pair(&[i % 100], &[i % 5]))
+        .collect();
+    est.update_hashed_batch(&pairs);
     let bytes = est.to_bytes();
 
     if !TraceHandle::enabled() {
