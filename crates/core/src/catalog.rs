@@ -125,6 +125,41 @@ struct CatalogEntry {
     matched: u64,
 }
 
+impl CatalogEntry {
+    /// Feeds this query one batch, whose row `i` is `tuples[i]` with
+    /// per-attribute hash rows `rows(i)`. The lane is built in one pass:
+    /// apply the filter, combine `h_a`, drop the row if the estimator's
+    /// Zone-1 mirror already has its cell at 1, and combine `b_fp` only
+    /// for the rows that survive. Dropped rows still count as matched
+    /// and as tuples, exactly as if each had been updated.
+    fn feed<'a>(
+        &mut self,
+        tuples: &[Tuple],
+        rows: impl Fn(usize) -> (&'a [u64], &'a [u64]),
+        lane: &mut Vec<(u64, u64)>,
+    ) {
+        let filtered = !self.query.filter.is_empty();
+        let (lhs, rhs) = (self.combiner.lhs(), self.combiner.rhs());
+        let zone1 = self.est.zone1();
+        lane.clear();
+        let mut matched = 0u64;
+        for (i, t) in tuples.iter().enumerate() {
+            if filtered && !self.query.filter.matches(t) {
+                continue;
+            }
+            matched += 1;
+            let (row_a, row_b) = rows(i);
+            let h_a = lhs.combine(row_a);
+            if !zone1.decided(h_a) {
+                lane.push((h_a, rhs.combine(row_b)));
+            }
+        }
+        self.matched += matched;
+        self.est
+            .update_hashed_lane(lane, matched - lane.len() as u64);
+    }
+}
+
 /// Evaluates many registered [`ImplicationQuery`]s in a single pass over
 /// one tuple stream, all estimators drawing from one global
 /// [`MemoryBudget`].
@@ -329,40 +364,13 @@ impl QueryCatalog {
             self.hasher
                 .hash_tuple_append(t, &mut self.col_a, &mut self.col_b);
         }
+        let (col_a, col_b) = (&self.col_a[..], &self.col_b[..]);
+        let rows = |i: usize| {
+            let row = i * arity..(i + 1) * arity;
+            (&col_a[row.clone()], &col_b[row])
+        };
         for e in &mut self.entries {
-            if e.query.filter.is_empty() {
-                // Unfiltered fast path: every row participates. Two
-                // tight loops — combine the whole batch into the pair
-                // scratch, then feed the estimator — so the hash-row
-                // loads never interleave with the estimator's branchy
-                // update path.
-                self.pairs.clear();
-                let rows = self
-                    .col_a
-                    .chunks_exact(arity)
-                    .zip(self.col_b.chunks_exact(arity));
-                for (row_a, row_b) in rows {
-                    self.pairs.push((
-                        e.combiner.lhs().combine(row_a),
-                        e.combiner.rhs().combine(row_b),
-                    ));
-                }
-                e.matched += tuples.len() as u64;
-                e.est.update_hashed_batch(&self.pairs);
-            } else {
-                for (i, t) in tuples.iter().enumerate() {
-                    if !e.query.filter.matches(t) {
-                        continue;
-                    }
-                    let row_a = &self.col_a[i * arity..(i + 1) * arity];
-                    let row_b = &self.col_b[i * arity..(i + 1) * arity];
-                    e.matched += 1;
-                    e.est.update_hashed(
-                        e.combiner.lhs().combine(row_a),
-                        e.combiner.rhs().combine(row_b),
-                    );
-                }
-            }
+            e.feed(tuples, rows, &mut self.pairs);
         }
         self.tuples += tuples.len() as u64;
     }
@@ -378,21 +386,9 @@ impl QueryCatalog {
     /// same tuples: the combiners fold the same per-attribute hash rows.
     pub fn process_hashed(&mut self, batch: &HashedBatch) {
         debug_assert_eq!(batch.arity(), self.schema.arity(), "batch/schema arity");
+        let rows = |i: usize| (batch.row_a(i), batch.row_b(i));
         for e in &mut self.entries {
-            if e.query.filter.is_empty() {
-                batch.combine_into(&e.combiner, &mut self.pairs);
-                e.matched += batch.len() as u64;
-                e.est.update_hashed_batch(&self.pairs);
-            } else {
-                for (i, t) in batch.tuples().iter().enumerate() {
-                    if !e.query.filter.matches(t) {
-                        continue;
-                    }
-                    let (h_a, b_fp) = batch.combine_row(&e.combiner, i);
-                    e.matched += 1;
-                    e.est.update_hashed(h_a, b_fp);
-                }
-            }
+            e.feed(batch.tuples(), rows, &mut self.pairs);
         }
         self.tuples += batch.len() as u64;
     }

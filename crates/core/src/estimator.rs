@@ -22,7 +22,7 @@ use crate::arena::CellArena;
 use crate::budget::{CapacityPolicy, MemoryBudget};
 use crate::conditions::ImplicationConditions;
 use crate::metrics::{MetricsHandle, Stopwatch};
-use crate::nips::NipsBitmap;
+use crate::nips::{NipsBitmap, CELLS};
 use crate::trace::{SpanKind, TraceHandle};
 use crate::view::{pack_ranks, EstimateReader, ReadView, ViewPublisher};
 
@@ -283,6 +283,38 @@ pub struct ImplicationEstimator {
     /// working memory (never part of the sketch state), kept across
     /// batches so steady-state batch ingest is allocation-free.
     scratch: BatchScratch,
+    /// The Zone-1 mirror: word `i` is a copy of bitmap `i`'s `ones`, so
+    /// batch paths can drop rows routed to decided cells without loading
+    /// the bitmap (see [`Zone1`]). It only ever holds a **subset** of the
+    /// real `ones`; empty means stale, and the next batch rebuilds it.
+    zone1: Vec<u64>,
+}
+
+/// A read-only view of an estimator's Zone-1 mirror, for the batch
+/// paths' filter: a row whose `(bitmap, cell)` bit is set here is
+/// already recorded (paper §4.3, Zone 1), so updating it would change
+/// nothing and it can be skipped before it costs anything.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Zone1<'a> {
+    words: &'a [u64],
+    log2_m: u32,
+}
+
+impl Zone1<'_> {
+    /// Whether the row with lhs hash `h_a` lands in a cell the mirror
+    /// knows to be 1.
+    #[inline]
+    pub(crate) fn decided(self, h_a: u64) -> bool {
+        let (idx, rank) = split_rank(h_a, self.log2_m);
+        is_set(self.words, idx, rank)
+    }
+}
+
+/// Whether the mirror has cell `rank` (clamped like
+/// [`NipsBitmap::update`] clamps it) of bitmap `idx` at 1.
+#[inline]
+fn is_set(zone1: &[u64], idx: usize, rank: u32) -> bool {
+    zone1[idx] >> rank.min(CELLS - 1) & 1 == 1
 }
 
 /// Working buffers for [`ImplicationEstimator::update_hashed_batch`]'s
@@ -317,6 +349,7 @@ impl Clone for ImplicationEstimator {
             trace: self.trace.clone(),
             publisher: None,
             scratch: BatchScratch::default(),
+            zone1: Vec::new(),
         }
     }
 }
@@ -355,6 +388,7 @@ impl ImplicationEstimator {
             trace: TraceHandle::disabled(),
             publisher: None,
             scratch: BatchScratch::default(),
+            zone1: Vec::new(),
         };
         est.publish_mem_gauges();
         est
@@ -435,10 +469,23 @@ impl ImplicationEstimator {
     /// with one atomic add instead of one per row.
     #[inline]
     fn update_hashed_inner(&mut self, h_a: u64, b_fp: u64) {
-        self.tuples += 1;
         let (idx, rank) = split_rank(h_a, self.log2_m);
+        self.update_routed(idx, rank, h_a, b_fp);
+    }
+
+    /// Applies one pair already split into its bitmap index and rank.
+    #[inline]
+    fn update_routed(&mut self, idx: usize, rank: u32, h_a: u64, b_fp: u64) {
+        self.tuples += 1;
         let outcome = self.bitmaps[idx].update(rank, h_a, b_fp);
         self.metrics.estimator.record_outcome(&outcome);
+        if outcome.committed {
+            // The cell is 1 for good now; a stale (empty) mirror is
+            // rebuilt by the next batch instead.
+            if let Some(word) = self.zone1.get_mut(idx) {
+                *word |= 1 << rank.min(CELLS - 1);
+            }
+        }
         if outcome.entries_delta != 0 || outcome.budget_sheds > 0 {
             // Occupancy (and therefore the byte footprint) moved: refresh
             // the gauge. Steady-state updates skip the atomic store.
@@ -451,72 +498,148 @@ impl ImplicationEstimator {
             .record_update(idx as u32, rank, h_a, self.tuples, &outcome);
     }
 
+    /// Rebuilds the Zone-1 mirror if a merge, an adoption or a wire delta
+    /// left it stale.
+    fn refresh_zone1(&mut self) {
+        if self.zone1.len() != self.bitmaps.len() {
+            self.zone1.clear();
+            self.zone1.extend(self.bitmaps.iter().map(NipsBitmap::ones));
+        }
+        debug_assert!(
+            self.zone1
+                .iter()
+                .zip(&self.bitmaps)
+                .all(|(&word, bm)| word & !bm.ones() == 0),
+            "the Zone-1 mirror must be a subset of the bitmaps' ones"
+        );
+    }
+
+    /// The Zone-1 filter for the next batch (see
+    /// [`update_hashed_batch`](Self::update_hashed_batch)).
+    pub(crate) fn zone1(&mut self) -> Zone1<'_> {
+        self.refresh_zone1();
+        Zone1 {
+            words: &self.zone1,
+            log2_m: self.log2_m,
+        }
+    }
+
     /// Feeds a batch of pre-hashed pairs `(h_a, b_fp)` (see
     /// [`ImplicationEstimator::update_hashed`] for the hashing contract).
+    /// The resulting state is exactly that of feeding the pairs one by
+    /// one, in order.
     ///
-    /// Large batches are **grouped by bitmap index** before updating:
-    /// a stable two-pass counting sort scatters the pairs into per-bitmap
-    /// runs, then each run is applied with the bitmap (and its fringe
-    /// arena) held hot in cache, prefetching the next pair's arena slot
-    /// one iteration ahead. This is *exactly* state-equivalent to feeding
-    /// the pairs in arrival order: every update touches only the bitmap
-    /// its `h_a` routes to, so estimator state is a product of per-bitmap
-    /// states, and the stable scatter preserves each bitmap's subsequence
-    /// order. (Trace-journal `Update` events are emitted in the grouped
-    /// order — observability follows the actual execution order, and the
-    /// sketch state is what is pinned bit-identical.)
+    /// **Zone-1 filter.** A row routed to a cell that is already 1
+    /// changes nothing (paper §4.3: its non-implication event is
+    /// recorded and the cell holds no state). The estimator keeps a
+    /// contiguous mirror of its bitmaps' `ones` words and drops such rows
+    /// before touching their bitmap. Skipped rows still count in
+    /// [`tuples_seen`](Self::tuples_seen) and `estimator.tuples`;
+    /// `estimator.zone1_skips` counts them. The mirror is only ever a
+    /// subset of the real `ones`, so a row it lets through is still
+    /// dropped by [`NipsBitmap::update`]'s own check.
+    ///
+    /// **Grouping.** Large batches are grouped by bitmap index before
+    /// updating: a stable two-pass counting sort scatters the surviving
+    /// pairs into per-bitmap runs, then each run is applied with the
+    /// bitmap (and its fringe arena) held hot in cache, prefetching the
+    /// next pair's arena slot one iteration ahead. This is state-exact
+    /// too: every update touches only the bitmap its `h_a` routes to, so
+    /// estimator state is a product of per-bitmap states, and the stable
+    /// scatter preserves each bitmap's subsequence order.
+    ///
+    /// **Trace positions** are the tuple count when an event fires. Below
+    /// the grouping threshold a skipped row is counted where it stands,
+    /// so positions are stream positions. The grouped path counts the
+    /// batch's skipped rows first and then applies the survivors in
+    /// grouped order, so its positions are execution-order counts.
     pub fn update_hashed_batch(&mut self, pairs: &[(u64, u64)]) {
+        self.update_hashed_lane(pairs, 0);
+    }
+
+    /// [`update_hashed_batch`](Self::update_hashed_batch) for a lane from
+    /// which the caller already dropped `skipped` rows against
+    /// [`zone1`](Self::zone1) (the catalog's path). They count like rows
+    /// the batch skips itself, ahead of `pairs`.
+    pub(crate) fn update_hashed_lane(&mut self, pairs: &[(u64, u64)], skipped: u64) {
+        let rows = pairs.len() as u64 + skipped;
         let mut span = self.trace.span(SpanKind::UpdateBatch);
-        span.set_quantity(pairs.len() as u64);
+        span.set_quantity(rows);
         // One atomic add meters the whole batch; the inner updates then
         // touch the metrics lane only on state transitions.
-        self.metrics.estimator.tuples.add(pairs.len() as u64);
+        self.metrics.estimator.tuples.add(rows);
+        self.tuples += skipped;
+        self.refresh_zone1();
         // Below this, the two grouping passes cost more than the cache
         // misses they save: the batch-size ablation (EXPERIMENTS.md) puts
-        // the crossover between 1 k and 2 k rows on a large arena, and on
-        // small cache-resident arenas (e.g. a catalog query's 16-bitmap
-        // estimator fed 1024-row lanes) grouping is pure overhead.
+        // the crossover between 1 k and 2 k rows on a large arena.
         const GROUP_MIN: usize = 2048;
-        if pairs.len() < GROUP_MIN || self.bitmaps.len() < 2 {
-            for &(h_a, b_fp) in pairs {
-                self.update_hashed_inner(h_a, b_fp);
+        let skipped = skipped
+            + if pairs.len() < GROUP_MIN || self.bitmaps.len() < 2 {
+                self.update_in_order(pairs)
+            } else {
+                self.update_hashed_grouped(pairs)
+            };
+        self.metrics.estimator.zone1_skips.add(skipped);
+    }
+
+    /// The in-order body of
+    /// [`update_hashed_batch`](Self::update_hashed_batch); returns the
+    /// rows it skipped.
+    fn update_in_order(&mut self, pairs: &[(u64, u64)]) -> u64 {
+        let mut skipped = 0;
+        for &(h_a, b_fp) in pairs {
+            let (idx, rank) = split_rank(h_a, self.log2_m);
+            if is_set(&self.zone1, idx, rank) {
+                self.tuples += 1;
+                skipped += 1;
+                continue;
             }
-            return;
+            self.update_routed(idx, rank, h_a, b_fp);
         }
-        self.update_hashed_grouped(pairs);
+        skipped
     }
 
     /// The group-by-bitmap body of
-    /// [`update_hashed_batch`](Self::update_hashed_batch).
-    fn update_hashed_grouped(&mut self, pairs: &[(u64, u64)]) {
+    /// [`update_hashed_batch`](Self::update_hashed_batch); returns the
+    /// rows it skipped.
+    fn update_hashed_grouped(&mut self, pairs: &[(u64, u64)]) -> u64 {
         let m = self.bitmaps.len();
         let log2_m = self.log2_m;
-        // Pass 1: count pairs per bitmap, offset by one so the in-place
-        // prefix sum yields run start offsets.
+        // Pass 1: count surviving pairs per bitmap, offset by one so the
+        // in-place prefix sum yields run start offsets.
         let mut starts = std::mem::take(&mut self.scratch.starts);
         starts.clear();
         starts.resize(m + 1, 0);
         for &(h_a, _) in pairs {
-            let (idx, _) = split_rank(h_a, log2_m);
-            starts[idx + 1] += 1;
+            let (idx, rank) = split_rank(h_a, log2_m);
+            if !is_set(&self.zone1, idx, rank) {
+                starts[idx + 1] += 1;
+            }
         }
         for i in 1..=m {
             starts[i] += starts[i - 1];
         }
-        // Pass 2: stable scatter into per-bitmap runs — within a run,
-        // pairs keep their arrival order.
+        // Pass 2: stable scatter of the same survivors into per-bitmap
+        // runs — within a run, pairs keep their arrival order.
         let mut cursor = std::mem::take(&mut self.scratch.cursor);
         cursor.clear();
         cursor.extend_from_slice(&starts[..m]);
+        let survivors = starts[m] as usize;
         let mut grouped = std::mem::take(&mut self.scratch.grouped);
         grouped.clear();
-        grouped.resize(pairs.len(), (0, 0));
+        grouped.resize(survivors, (0, 0));
         for &(h_a, b_fp) in pairs {
-            let (idx, _) = split_rank(h_a, log2_m);
+            let (idx, rank) = split_rank(h_a, log2_m);
+            if is_set(&self.zone1, idx, rank) {
+                continue;
+            }
             let at = cursor[idx] as usize;
             grouped[at] = (h_a, b_fp);
             cursor[idx] = at as u32 + 1;
         }
+        let skipped = (pairs.len() - survivors) as u64;
+        self.tuples += skipped;
         // Apply each run with its bitmap held hot, prefetching the next
         // pair's arena slot one iteration ahead.
         for run in 0..m {
@@ -535,6 +658,7 @@ impl ImplicationEstimator {
         self.scratch.starts = starts;
         self.scratch.cursor = cursor;
         self.scratch.grouped = grouped;
+        skipped
     }
 
     /// Pre-hashes an `(a, b)` pair exactly as [`ImplicationEstimator::update`]
@@ -746,6 +870,7 @@ impl ImplicationEstimator {
             trace: _,
             publisher: _,
             scratch: _,
+            zone1: _,
         } = donor;
         self.cond = cond;
         self.log2_m = log2_m;
@@ -754,6 +879,7 @@ impl ImplicationEstimator {
         self.hasher_b = hasher_b;
         self.tuples = tuples;
         self.budget = budget;
+        self.zone1.clear();
         self.publish_mem_gauges();
     }
 
@@ -776,6 +902,7 @@ impl ImplicationEstimator {
         for (a, b) in self.bitmaps.iter_mut().zip(&other.bitmaps) {
             a.merge(b);
         }
+        self.zone1.clear();
         self.tuples += other.tuples;
         self.metrics.estimator.merges.inc();
     }
@@ -812,6 +939,7 @@ impl ImplicationEstimator {
             trace,
             publisher: None,
             scratch: BatchScratch::default(),
+            zone1: Vec::new(),
         }
     }
 
@@ -842,8 +970,11 @@ impl ImplicationEstimator {
     }
 
     /// Mutable access to the bitmaps — the wire decoder's delta path
-    /// replaces individual bitmaps in place (see [`crate::wire`]).
+    /// replaces individual bitmaps in place (see [`crate::wire`]). Marks
+    /// the Zone-1 mirror stale: a replaced bitmap's `ones` need not
+    /// contain the old one's.
     pub(crate) fn bitmaps_mut(&mut self) -> &mut [NipsBitmap] {
+        self.zone1.clear();
         &mut self.bitmaps
     }
 
@@ -1008,6 +1139,7 @@ impl ImplicationEstimator {
             trace: TraceHandle::disabled(),
             publisher: None,
             scratch: BatchScratch::default(),
+            zone1: Vec::new(),
         };
         est.publish_mem_gauges();
         Ok(est)
@@ -1260,6 +1392,32 @@ mod tests {
         let mut a = bounded(one_to_one(), 16, 4, 1);
         let b = bounded(one_to_one(), 16, 4, 2);
         a.merge(&b);
+    }
+
+    #[test]
+    fn replacing_bitmaps_makes_the_zone1_mirror_stale() {
+        // The wire decoder's delta path swaps whole bitmaps in, and a
+        // swapped-in bitmap may hold fewer ones than the mirror: rows
+        // routed to those cells must reach the bitmap again.
+        let mut batched = bounded(one_to_one(), 16, 4, 21);
+        let mut per_row = bounded(one_to_one(), 16, 4, 21);
+        let pairs: Vec<(u64, u64)> = (0..6_000u64)
+            .map(|i| batched.hash_pair(&[i % 1_500], &[i / 1_500 % 2]))
+            .collect();
+        batched.update_hashed_batch(&pairs);
+        for &(h_a, b_fp) in &pairs {
+            per_row.update_hashed(h_a, b_fp);
+        }
+        assert!(batched.bitmaps().iter().any(|bm| bm.ones() != 0));
+        for est in [&mut batched, &mut per_row] {
+            let fresh: Vec<NipsBitmap> = est.bitmaps().iter().map(NipsBitmap::fresh_like).collect();
+            est.bitmaps_mut().clone_from_slice(&fresh);
+        }
+        batched.update_hashed_batch(&pairs);
+        for &(h_a, b_fp) in &pairs {
+            per_row.update_hashed(h_a, b_fp);
+        }
+        assert_eq!(batched.to_bytes(), per_row.to_bytes());
     }
 
     #[test]

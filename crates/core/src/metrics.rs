@@ -319,6 +319,11 @@ impl Default for Histogram {
 pub struct EstimatorMetrics {
     /// `estimator.tuples` — `(a, b)` pairs ingested (`T` of §3.1).
     pub tuples: Counter,
+    /// `estimator.zone1_skips` — batch rows dropped before their update
+    /// because their cell is already 1 (§4.3, Zone 1: the event is
+    /// recorded and the cell holds no state). A subset of
+    /// `estimator.tuples`.
+    pub zone1_skips: Counter,
     /// `estimator.dirty_multiplicity` — dirty transitions caused by the
     /// `(K+1)`-th distinct partner (max-multiplicity condition `K`).
     pub dirty_multiplicity: Counter,
@@ -364,6 +369,7 @@ impl EstimatorMetrics {
     pub const fn new() -> Self {
         Self {
             tuples: Counter::new(),
+            zone1_skips: Counter::new(),
             dirty_multiplicity: Counter::new(),
             dirty_confidence: Counter::new(),
             dirty_support_gate: Counter::new(),
@@ -703,6 +709,7 @@ impl MetricsRegistry {
         }
         let e = &self.estimator;
         c!("estimator.tuples", e.tuples.get());
+        c!("estimator.zone1_skips", e.zone1_skips.get());
         c!("estimator.dirty_multiplicity", e.dirty_multiplicity.get());
         c!("estimator.dirty_confidence", e.dirty_confidence.get());
         c!("estimator.dirty_support_gate", e.dirty_support_gate.get());
@@ -842,6 +849,9 @@ impl MetricsRegistry {
         }
         match name {
             "estimator.tuples" => "(a, b) pairs ingested (T of paper section 3.1)",
+            "estimator.zone1_skips" => {
+                "Batch rows skipped because their cell is already 1 (paper section 4.3, Zone 1)"
+            }
             "estimator.dirty_multiplicity" => {
                 "Dirty transitions from the (K+1)-th distinct partner"
             }
@@ -1276,6 +1286,7 @@ mod tests {
                 );
             }
             assert!(text.contains("# TYPE implicate_estimator_tuples counter"));
+            assert!(text.contains("# TYPE implicate_estimator_zone1_skips counter"));
             assert!(text.contains("# TYPE implicate_estimator_occupancy gauge"));
             assert!(text.contains("# TYPE implicate_estimator_occupancy_peak gauge"));
             assert!(text.contains("# TYPE implicate_ingest_shards gauge"));

@@ -567,6 +567,12 @@ impl NipsBitmap {
         i < CELLS && self.ones >> i & 1 == 1
     }
 
+    /// The Zone-1 cells as one word: bit `i` is set iff cell `i` has
+    /// value 1.
+    pub(crate) fn ones(&self) -> u64 {
+        self.ones
+    }
+
     /// `R_S̄` — Algorithm 2 lines 5–8: leftmost cell with value ≠ 1.
     pub fn rank_non_implication(&self) -> u32 {
         (!self.ones).trailing_zeros()

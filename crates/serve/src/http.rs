@@ -409,7 +409,9 @@ pub fn accept_loop(listener: &TcpListener, mut handle: impl FnMut(TcpStream)) {
 ///
 /// Each worker calls `make` once for its own handler, so handlers may
 /// hold non-`Sync` state. Workers start with the first `workers`
-/// connections, so a server that is never queried never starts them.
+/// connections, so a server that is never queried never starts them;
+/// they are named `query-0`, `query-1`, …, and a worker that cannot be
+/// started is retried on the next connection.
 pub fn serve<H, M>(listener: &TcpListener, workers: usize, depth: usize, make: M)
 where
     H: FnMut(TcpStream) + 'static,
@@ -421,9 +423,13 @@ where
     let mut started = 0;
     accept_loop(listener, |stream| {
         if started < workers.max(1) {
-            started += 1;
             let (queue, make) = (Arc::clone(&queue), Arc::clone(&make));
-            std::thread::spawn(move || worker(&queue, make()));
+            let spawned = std::thread::Builder::new()
+                .name(format!("query-{started}"))
+                .spawn(move || worker(&queue, make()));
+            if spawned.is_ok() {
+                started += 1;
+            }
         }
         if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
             refuse_busy(stream);

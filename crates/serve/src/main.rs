@@ -424,16 +424,37 @@ where
     let (tx, rx) = sync_channel(INGEST_DEPTH);
     let writer = {
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || writer::run(role, &rx, &shared))
+        spawn_named("writer", move || writer::run(role, &rx, &shared))
     };
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
+    spawn_named("accept-ingest", move || {
+        let mut connections = 0u64;
         http::accept_loop(&listener, |stream| {
             let (tx, shared, connection) = (tx.clone(), Arc::clone(&shared), connection.clone());
-            std::thread::spawn(move || connection(stream, &shared, &tx));
+            let spawned = std::thread::Builder::new()
+                .name(format!("ingest-{connections}"))
+                .spawn(move || connection(stream, &shared, &tx));
+            connections += 1;
+            if let Err(e) = spawned {
+                // The stream went down with the closure: the client sees
+                // the connection close, and the acceptor carries on.
+                eprintln!("implicate-serve: ingest connection dropped: {e}");
+            }
         });
     });
     writer
+}
+
+/// Starts a named thread (the name shows in `/proc/<pid>/task/*/comm`
+/// and in debuggers); a process that cannot start one exits 2.
+fn spawn_named<T: Send + 'static>(
+    name: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(body)
+        .unwrap_or_else(|e| die(&format!("cannot start the {name} thread: {e}")))
 }
 
 fn main() {
@@ -609,7 +630,7 @@ fn main() {
             let slot = Arc::clone(slot);
             let shared = Arc::clone(&shared);
             let node_id = opts.node_id;
-            Some(std::thread::spawn(move || {
+            Some(spawn_named("edge-sender", move || {
                 edge_sender(&addr, node_id, &slot, &shared);
             }))
         }
@@ -622,7 +643,7 @@ fn main() {
         let shared = Arc::clone(&shared);
         let cat = cat_shared.clone();
         let reader_proto = Mutex::new(reader_proto);
-        std::thread::spawn(move || {
+        spawn_named("accept-query", move || {
             http::serve(
                 &query_listener,
                 http::QUERY_WORKERS,

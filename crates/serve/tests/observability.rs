@@ -237,6 +237,12 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
         );
     }
     assert!(metrics.contains("implicate_fleet_nodes 3"), "{metrics}");
+    if implicate::MetricsRegistry::enabled() {
+        assert!(
+            metrics.contains("# TYPE implicate_estimator_zone1_skips counter"),
+            "{metrics}"
+        );
+    }
 
     // An edge's own /status and /metrics report upstream connectivity.
     let edge_status = edges[1].status_body();

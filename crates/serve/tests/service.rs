@@ -145,6 +145,16 @@ fn json_u64(body: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("numeric {key} in {body}"))
 }
 
+/// The value of an unlabeled sample in a Prometheus exposition.
+#[cfg(feature = "metrics")]
+fn sample(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} in {exposition}"))
+}
+
 /// The service's default conditions/config, mirrored for a library run.
 fn serve_default_config() -> EstimatorConfig {
     let cond = ImplicationConditions::builder()
@@ -237,6 +247,14 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
             "view metrics exported: {metrics}"
         );
         assert!(metrics.contains("# TYPE implicate_view_epoch gauge"));
+        // The plain ingest path runs the batch spine's Zone-1 filter.
+        assert!(metrics.contains("# HELP implicate_estimator_zone1_skips "));
+        assert!(metrics.contains("# TYPE implicate_estimator_zone1_skips counter"));
+        // Hot keys betray their partners early, so later rows to their
+        // cells are skipped.
+        let skips = sample(&metrics, "implicate_estimator_zone1_skips");
+        assert!(skips > 0, "{metrics}");
+        assert!(skips <= sample(&metrics, "implicate_estimator_tuples"));
     }
 
     let (status, snapshot) = server.http("GET", "/snapshot");
@@ -427,5 +445,25 @@ fn crlf_lines_follow_the_cli_terminator_rule() {
     server.ingest_bytes(b"0 1\r\n\r\n\r\r\n2 3\r\n");
     let body = server.wait_for_tuples(2);
     assert_eq!(json_u64(&body, "skipped"), 1, "{body}");
+    server.shutdown();
+}
+
+/// Every serve thread carries its role's name, so per-thread CPU read
+/// from `/proc/<pid>/task/*/stat` says which role the time went to.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_threads_are_named() {
+    let server = Server::spawn(&[]);
+    server.ingest_rows(&workload(100));
+    server.wait_for_tuples(100);
+    let tasks = format!("/proc/{}/task", server.child.id());
+    let names: Vec<String> = std::fs::read_dir(&tasks)
+        .unwrap_or_else(|e| panic!("{tasks}: {e}"))
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned())
+        .collect();
+    for want in ["writer", "accept-ingest", "accept-query", "query-0"] {
+        assert!(names.iter().any(|n| n == want), "{want} in {names:?}");
+    }
     server.shutdown();
 }

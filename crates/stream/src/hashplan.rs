@@ -267,9 +267,10 @@ impl TupleHasher {
 /// This is the **only** currency that crosses layer boundaries in the
 /// batch pipeline: [`TupleHasher::hash_batch`] produces it from a
 /// [`TupleSource::next_batch`](crate::source::TupleSource::next_batch)
-/// slice, per-query `(h_a, b_fp)` lanes are derived from it by
-/// [`combine_into`](Self::combine_into), and the sharded pipelines ship it
-/// whole across their rings.
+/// slice, per-query `(h_a, b_fp)` pairs are derived from its rows by
+/// [`combine_row`](Self::combine_row) or [`row_a`](Self::row_a) /
+/// [`row_b`](Self::row_b), and the sharded pipelines ship it whole across
+/// their rings.
 #[derive(Debug, Default, Clone)]
 pub struct HashedBatch {
     tuples: Vec<Tuple>,
@@ -323,17 +324,6 @@ impl HashedBatch {
     #[inline]
     pub fn combine_row(&self, q: &QueryCombiner, i: usize) -> (u64, u64) {
         (q.lhs.combine(self.row_a(i)), q.rhs.combine(self.row_b(i)))
-    }
-
-    /// Derives one query's `(h_a, b_fp)` lane for the whole batch,
-    /// appending to `out` (cleared first) — the zero-marginal-hashing path
-    /// a catalog entry or single-query estimator consumes.
-    pub fn combine_into(&self, q: &QueryCombiner, out: &mut Vec<(u64, u64)>) {
-        out.clear();
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(self.combine_row(q, i));
-        }
     }
 
     /// Clears the batch and hands back the tuple storage so the producer
@@ -451,22 +441,6 @@ mod tests {
             h.hash_tuple(t);
             assert_eq!(h.combine(&q), batch.combine_row(&q, i));
             assert_eq!(batch.tuples()[i], *t);
-        }
-    }
-
-    #[test]
-    fn combine_into_matches_row_by_row_combination() {
-        let s = schema();
-        let h = TupleHasher::new(&s, 23);
-        let q = h.combiner(s.attr_set(&["B"]), s.attr_set(&["D"]));
-        let tuples: Vec<Tuple> = (0..8u64).map(|i| Tuple::from([i, i, i, i])).collect();
-        let mut batch = HashedBatch::new();
-        h.hash_batch(tuples, &mut batch);
-        let mut lane = Vec::new();
-        batch.combine_into(&q, &mut lane);
-        assert_eq!(lane.len(), batch.len());
-        for (i, &pair) in lane.iter().enumerate() {
-            assert_eq!(pair, batch.combine_row(&q, i));
         }
     }
 

@@ -162,6 +162,7 @@ fn stats_flag_prints_metrics_report() {
         assert_eq!(tuples, 2000, "stderr: {stderr}");
         // The report covers all three metric families.
         for name in [
+            "estimator.zone1_skips",
             "estimator.dirty_multiplicity",
             "ingest.shards",
             "snapshot.encodes",
@@ -193,6 +194,11 @@ fn stats_interval_emits_line_protocol() {
         );
         assert!(
             lines[1].contains("estimator.tuples=2000i"),
+            "second sample: {}",
+            lines[1]
+        );
+        assert!(
+            lines[1].contains(",estimator.zone1_skips="),
             "second sample: {}",
             lines[1]
         );
@@ -321,6 +327,10 @@ fn stats_format_prom_emits_parseable_exposition() {
         assert!(samples > 5, "stderr: {stderr}");
         assert!(
             stderr.contains("\nimplicate_estimator_tuples 1000\n"),
+            "stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("# TYPE implicate_estimator_zone1_skips counter\n"),
             "stderr: {stderr}"
         );
     } else {
