@@ -273,12 +273,13 @@ fn main() {
         / est.bitmap_count().max(1) as f64;
     let line_rate = rows as f64 / elapsed.max(1e-9);
 
-    // Phase 1b — the batch spine (ISSUE 10): the same stream through the
-    // columnar batch path — hash one chunk, apply it with one grouped
-    // estimator update — still single-threaded. The per-update loop
-    // above prices a row at timer + hash + an isolated arena probe; the
-    // batch path amortizes the timer away and sorts each chunk by bitmap
-    // so consecutive probes share cache lines (DESIGN.md §8.9). Best of
+    // Phase 1b — the batch spine: the same stream through the batch
+    // path — hash one chunk, apply it with one estimator batch update —
+    // still single-threaded. The per-update loop above prices a row at
+    // timer + hash + one metered update; the batch path applies the
+    // chunk in stream order with no per-row timer, meters it with one
+    // counter add, and drops rows whose cell is already 1 before they
+    // load their bitmap (the Zone-1 filter, DESIGN.md §8.9). Best of
     // `INGEST_TRIALS` cold runs, for the same reason phase 5 takes the
     // best trial: the gate below compares two rates and must not let one
     // scheduling hiccup swing the ratio.

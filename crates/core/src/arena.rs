@@ -261,26 +261,6 @@ impl CellArena {
         }
     }
 
-    /// Prefetches the cache line holding `key`'s home slot so an imminent
-    /// probe ([`find`](Self::find) or insert) starts hot — the grouped
-    /// batch path issues this one pair ahead. No-op off x86_64.
-    #[inline]
-    pub fn prefetch(&self, key: u64) {
-        let base = self.probe_home(key) * self.slot_words();
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `probe_home` is masked to the table, so `base` indexes
-        // a live word; prefetch has no architectural effect beyond the
-        // cache regardless.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(
-                self.words.as_ptr().add(base) as *const i8,
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = base;
-    }
-
     /// Inserts a zeroed slot for `(cell, key)` (which must not already be
     /// present) and returns its index. Fails with [`ArenaFull`] when the
     /// table is full and the budget denies growth; allocation-free unless
@@ -647,8 +627,6 @@ mod tests {
         assert_ne!(i3, i9, "same key, different cells → distinct slots");
         assert_eq!(a.find(3, 77), Some(i3));
         assert_eq!(a.find(9, 77), Some(i9));
-        a.prefetch(77); // must be a semantic no-op
-        assert_eq!(a.find(3, 77), Some(i3));
         a.remove(i3);
         assert_eq!(a.find(3, 77), None);
         // Backward-shift deletion may relocate the sibling; it must stay

@@ -38,9 +38,7 @@
 //! [`TraceEvent::QueryRetired`].
 
 use std::fmt;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use imp_stream::hashplan::{HashedBatch, QueryCombiner, TupleHasher};
 use imp_stream::schema::Schema;
@@ -48,9 +46,8 @@ use imp_stream::tuple::Tuple;
 
 use crate::budget::MemoryBudget;
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator};
-use crate::parallel::RING_DEPTH;
+use crate::lane::{LaneWorker, Lanes, RING_DEPTH};
 use crate::query::ImplicationQuery;
-use crate::ring;
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::view::EstimateReader;
 
@@ -662,18 +659,23 @@ impl QueryCatalog {
     }
 }
 
-/// What the router sends down a catalog lane: a shared pre-hashed batch
-/// (every lane sees every batch — queries, not tuples, are partitioned),
-/// a request to publish the lane's per-query views, or a barrier the
-/// worker acknowledges once everything before it has been applied.
-enum CatalogMsg {
-    Batch(Arc<HashedBatch>),
-    Publish,
-    Barrier(SyncSender<()>),
+/// A catalog lane: a [`QueryCatalog`] holding a subset of the queries,
+/// applying every batch of the stream.
+impl LaneWorker for QueryCatalog {
+    type Batch = Arc<HashedBatch>;
+
+    fn apply(&mut self, batch: Arc<HashedBatch>) {
+        self.process_hashed(&batch);
+    }
+
+    fn publish(&mut self) {
+        QueryCatalog::publish(self);
+    }
 }
 
 /// Batches the router keeps pooled for reuse once every lane has dropped
-/// its `Arc` — enough for everything in flight plus slack.
+/// its `Arc`. A lane holds at most `RING_DEPTH` queued batches plus the
+/// one it is applying, so one more than that always leaves a free one.
 const CATALOG_POOL: usize = RING_DEPTH + 2;
 
 /// A `T`-way parallel front-end for a [`QueryCatalog`]: the *queries*
@@ -694,9 +696,12 @@ const CATALOG_POOL: usize = RING_DEPTH + 2;
 /// The tuples are hashed attribute-wise once by the router; lanes share
 /// the columnar rows through an `Arc` and never re-hash.
 ///
-/// Batch buffers are pooled: once every lane drops its `Arc`, the router
-/// reclaims the allocation for the next batch, so steady-state ingestion
-/// allocates nothing.
+/// The lanes run on the crate's lane runtime, the one
+/// [`ShardedEstimator`](crate::ShardedEstimator) runs on too; the
+/// hand-off is this type's own. Batches travel in pooled `Arc`s: once
+/// every lane has dropped its reference, the router moves the next batch
+/// into that `Arc` and hands the old contents back to the caller, so
+/// steady-state ingestion, publishes and barriers allocate nothing.
 ///
 /// Mid-stream stats come from per-query readers ([`Self::reader`]),
 /// minted **before** the workers spawn and refreshed whenever a
@@ -709,11 +714,11 @@ pub struct ShardedCatalog {
     /// The base catalog minus its entries: schema, hasher, budget,
     /// counters — reused as the chassis of the reassembled catalog.
     shell: QueryCatalog,
-    lanes: Vec<ring::Producer<CatalogMsg>>,
-    workers: Vec<JoinHandle<QueryCatalog>>,
+    /// One lane per child catalog (see [`crate::lane`]).
+    lanes: Lanes<QueryCatalog>,
     /// One pre-minted reader per live query, in registration order.
     readers: Vec<(QueryId, String, EstimateReader)>,
-    /// In-flight / reclaimable batches (reusable once strong count is 1).
+    /// Shipped batches, reusable once no lane holds them.
     pool: Vec<Arc<HashedBatch>>,
     /// Rows shipped to the lanes by this router.
     shipped: u64,
@@ -733,20 +738,12 @@ impl ShardedCatalog {
         let mut shell = base;
         let entries = std::mem::take(&mut shell.entries);
         let mut children: Vec<QueryCatalog> = (0..threads)
-            .map(|_| QueryCatalog {
-                schema: shell.schema.clone(),
-                hasher: shell.hasher.clone(),
-                template: shell.template,
-                budget: shell.budget.clone(),
-                entries: Vec::new(),
-                next_id: shell.next_id,
-                tuples: shell.tuples,
-                registered: 0,
-                retired: 0,
-                col_a: Vec::new(),
-                col_b: Vec::new(),
-                pairs: Vec::new(),
-                trace: shell.trace.clone(),
+            .map(|_| {
+                let mut child = QueryCatalog::new(&shell.schema, shell.template);
+                child.budget = shell.budget.clone();
+                child.tuples = shell.tuples;
+                child.trace = shell.trace.clone();
+                child
             })
             .collect();
         let mut readers = Vec::with_capacity(entries.len());
@@ -754,39 +751,11 @@ impl ShardedCatalog {
             readers.push((e.id, e.name.clone(), e.est.reader()));
             children[i % threads].entries.push(e);
         }
-        let mut lanes = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for mut child in children {
-            let (tx, rx) = ring::ring::<CatalogMsg>(RING_DEPTH);
-            lanes.push(tx);
-            workers.push(std::thread::spawn(move || {
-                loop {
-                    let msg = match rx.try_pop() {
-                        Some(msg) => msg,
-                        None => match rx.pop() {
-                            Some(msg) => msg,
-                            None => break,
-                        },
-                    };
-                    match msg {
-                        CatalogMsg::Batch(batch) => child.process_hashed(&batch),
-                        CatalogMsg::Publish => child.publish(),
-                        // FIFO lane: everything pushed before the barrier
-                        // has been applied once we get here.
-                        CatalogMsg::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-                child
-            }));
-        }
         Self {
             shell,
-            lanes,
-            workers,
+            lanes: Lanes::spawn(children, "catalog worker"),
             readers,
-            pool: Vec::new(),
+            pool: (0..CATALOG_POOL).map(|_| Arc::default()).collect(),
             shipped: 0,
         }
     }
@@ -849,23 +818,21 @@ impl ShardedCatalog {
     }
 
     /// A pooled batch ready to refill (via [`HashedBatch::recycle`] +
-    /// [`TupleHasher::hash_batch`]), or a fresh one if everything is
-    /// still in flight.
+    /// [`TupleHasher::hash_batch`]), or an empty one if the pool has none
+    /// to spare.
     pub fn checkout(&mut self) -> HashedBatch {
-        for i in 0..self.pool.len() {
-            if Arc::strong_count(&self.pool[i]) == 1 {
-                let arc = self.pool.swap_remove(i);
-                return Arc::try_unwrap(arc).unwrap_or_else(|_| unreachable!("strong_count was 1"));
-            }
-        }
-        HashedBatch::new()
+        self.pool
+            .iter_mut()
+            .find_map(Arc::get_mut)
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Ships one pre-hashed batch to every lane and hands back a pooled
-    /// buffer for the caller's next read (often the very allocation a
-    /// previous batch used, once all lanes finished with it). The batch
-    /// must come from a hasher matching [`hasher`](Self::hasher).
-    pub fn process_hashed(&mut self, batch: HashedBatch) -> HashedBatch {
+    /// buffer for the caller's next read (a previous batch's allocation,
+    /// once every lane is done with it). The batch must come from a
+    /// hasher matching [`hasher`](Self::hasher).
+    pub fn process_hashed(&mut self, mut batch: HashedBatch) -> HashedBatch {
         debug_assert_eq!(
             batch.arity(),
             self.shell.schema.arity(),
@@ -875,15 +842,23 @@ impl ShardedCatalog {
             return batch;
         }
         self.shipped += batch.len() as u64;
-        let shared = Arc::new(batch);
-        for lane in &self.lanes {
-            lane.push(CatalogMsg::Batch(Arc::clone(&shared)))
-                .unwrap_or_else(|_| panic!("catalog worker exited early"));
+        // Move the batch into a pooled `Arc` no lane holds any more; the
+        // old contents come back out for the caller to refill.
+        let free = self.pool.iter_mut().position(|a| Arc::get_mut(a).is_some());
+        let shared = match free {
+            Some(i) => {
+                let free = &mut self.pool[i];
+                std::mem::swap(Arc::get_mut(free).expect("no lane holds it"), &mut batch);
+                Arc::clone(free)
+            }
+            // The pool outnumbers what the lanes can hold, so this is not
+            // reached; allocate rather than wait if it ever is.
+            None => Arc::new(std::mem::take(&mut batch)),
+        };
+        for lane in 0..self.lanes.len() {
+            self.lanes.send(lane, Arc::clone(&shared));
         }
-        if self.pool.len() < CATALOG_POOL {
-            self.pool.push(shared);
-        }
-        self.checkout()
+        batch
     }
 
     /// Hashes `tuples` once (attribute-wise, shared across all queries)
@@ -895,15 +870,8 @@ impl ShardedCatalog {
         let mut batch = self.checkout();
         let mut owned = batch.recycle();
         owned.extend_from_slice(tuples);
-        let hasher = self.shell.hasher.clone();
-        hasher.hash_batch(owned, &mut batch);
+        self.shell.hasher.hash_batch(owned, &mut batch);
         let _ = self.process_hashed(batch);
-    }
-
-    /// Feeds one tuple to every lane (a batch of one — prefer
-    /// [`process_batch`](Self::process_batch)).
-    pub fn process(&mut self, t: &Tuple) {
-        self.process_batch(std::slice::from_ref(t));
     }
 
     /// Asks every lane to publish its queries' current views at its next
@@ -911,10 +879,7 @@ impl ShardedCatalog {
     /// [`barrier`](Self::barrier) when a reader must observe the
     /// publication before proceeding.
     pub fn publish(&mut self) {
-        for lane in &self.lanes {
-            lane.push(CatalogMsg::Publish)
-                .unwrap_or_else(|_| panic!("catalog worker exited early"));
-        }
+        self.lanes.publish();
     }
 
     /// Blocks until every lane has applied everything routed so far.
@@ -926,19 +891,7 @@ impl ShardedCatalog {
     /// # Panics
     /// If a worker thread exited early.
     pub fn barrier(&mut self) {
-        let acks: Vec<Receiver<()>> = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                let (ack_tx, ack_rx) = sync_channel(1);
-                lane.push(CatalogMsg::Barrier(ack_tx))
-                    .unwrap_or_else(|_| panic!("catalog worker exited early"));
-                ack_rx
-            })
-            .collect();
-        for ack in acks {
-            ack.recv().expect("catalog worker exited early");
-        }
+        self.lanes.barrier();
     }
 
     /// Joins the lanes and reassembles the single catalog — per-query
@@ -951,16 +904,11 @@ impl ShardedCatalog {
         let Self {
             mut shell,
             lanes,
-            workers,
             shipped,
             ..
         } = self;
-        // Dropping the producers closes the lanes: each worker drains,
-        // then its blocking pop returns `None`.
-        drop(lanes);
         let mut entries = Vec::new();
-        for worker in workers {
-            let child = worker.join().expect("catalog worker panicked");
+        for child in lanes.finish() {
             debug_assert_eq!(child.tuples, shell.tuples + shipped, "lane saw every batch");
             entries.extend(child.entries);
         }
@@ -1336,7 +1284,7 @@ mod tests {
             batch = sharded.process_hashed(batch);
         }
         // The pool caps in-flight allocations regardless of round count.
-        assert!(sharded.pool.len() <= CATALOG_POOL);
+        assert_eq!(sharded.pool.len(), CATALOG_POOL);
         assert_eq!(sharded.finish().tuples_seen(), 200 * 64);
     }
 

@@ -279,10 +279,6 @@ pub struct ImplicationEstimator {
     /// [`publish`](ImplicationEstimator::publish); created lazily by the
     /// first of those calls.
     publisher: Option<ViewPublisher>,
-    /// Persistent scratch for the grouped batch path — purely transient
-    /// working memory (never part of the sketch state), kept across
-    /// batches so steady-state batch ingest is allocation-free.
-    scratch: BatchScratch,
     /// The Zone-1 mirror: word `i` is a copy of bitmap `i`'s `ones`, so
     /// batch paths can drop rows routed to decided cells without loading
     /// the bitmap (see [`Zone1`]). It only ever holds a **subset** of the
@@ -317,18 +313,6 @@ fn is_set(zone1: &[u64], idx: usize, rank: u32) -> bool {
     zone1[idx] >> rank.min(CELLS - 1) & 1 == 1
 }
 
-/// Working buffers for [`ImplicationEstimator::update_hashed_batch`]'s
-/// group-by-bitmap pass; see that method for the exactness argument.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Prefix-summed run boundaries, one per bitmap plus a terminator.
-    starts: Vec<u32>,
-    /// Scatter cursors, one per bitmap.
-    cursor: Vec<u32>,
-    /// Pairs reordered into per-bitmap runs.
-    grouped: Vec<(u64, u64)>,
-}
-
 impl Clone for ImplicationEstimator {
     /// Clones the sketch state. The clone is an independent *writer*: it
     /// shares the metrics registry, trace journal and memory account (as
@@ -348,7 +332,6 @@ impl Clone for ImplicationEstimator {
             metrics: self.metrics.clone(),
             trace: self.trace.clone(),
             publisher: None,
-            scratch: BatchScratch::default(),
             zone1: Vec::new(),
         }
     }
@@ -387,7 +370,6 @@ impl ImplicationEstimator {
             metrics: MetricsHandle::new(),
             trace: TraceHandle::disabled(),
             publisher: None,
-            scratch: BatchScratch::default(),
             zone1: Vec::new(),
         };
         est.publish_mem_gauges();
@@ -461,19 +443,13 @@ impl ImplicationEstimator {
     #[inline]
     pub fn update_hashed(&mut self, h_a: u64, b_fp: u64) {
         self.metrics.estimator.tuples.inc();
-        self.update_hashed_inner(h_a, b_fp);
-    }
-
-    /// [`update_hashed`](Self::update_hashed) minus the per-update
-    /// `tuples` counter bump, so batch paths can meter a whole batch
-    /// with one atomic add instead of one per row.
-    #[inline]
-    fn update_hashed_inner(&mut self, h_a: u64, b_fp: u64) {
         let (idx, rank) = split_rank(h_a, self.log2_m);
         self.update_routed(idx, rank, h_a, b_fp);
     }
 
-    /// Applies one pair already split into its bitmap index and rank.
+    /// Applies one pair already split into its bitmap index and rank,
+    /// minus the `estimator.tuples` counter bump, so batch paths can
+    /// meter a whole batch with one atomic add instead of one per row.
     #[inline]
     fn update_routed(&mut self, idx: usize, rank: u32, h_a: u64, b_fp: u64) {
         self.tuples += 1;
@@ -539,20 +515,11 @@ impl ImplicationEstimator {
     /// subset of the real `ones`, so a row it lets through is still
     /// dropped by [`NipsBitmap::update`]'s own check.
     ///
-    /// **Grouping.** Large batches are grouped by bitmap index before
-    /// updating: a stable two-pass counting sort scatters the surviving
-    /// pairs into per-bitmap runs, then each run is applied with the
-    /// bitmap (and its fringe arena) held hot in cache, prefetching the
-    /// next pair's arena slot one iteration ahead. This is state-exact
-    /// too: every update touches only the bitmap its `h_a` routes to, so
-    /// estimator state is a product of per-bitmap states, and the stable
-    /// scatter preserves each bitmap's subsequence order.
-    ///
-    /// **Trace positions** are the tuple count when an event fires. Below
-    /// the grouping threshold a skipped row is counted where it stands,
-    /// so positions are stream positions. The grouped path counts the
-    /// batch's skipped rows first and then applies the survivors in
-    /// grouped order, so its positions are execution-order counts.
+    /// **Trace positions** are the tuple count when an event fires. The
+    /// batch applies its rows in stream order and counts a skipped row
+    /// where it stands, so at every batch size its update events carry
+    /// the positions per-row [`update_hashed`](Self::update_hashed) calls
+    /// would give them.
     pub fn update_hashed_batch(&mut self, pairs: &[(u64, u64)]) {
         self.update_hashed_lane(pairs, 0);
     }
@@ -561,33 +528,15 @@ impl ImplicationEstimator {
     /// which the caller already dropped `skipped` rows against
     /// [`zone1`](Self::zone1) (the catalog's path). They count like rows
     /// the batch skips itself, ahead of `pairs`.
-    pub(crate) fn update_hashed_lane(&mut self, pairs: &[(u64, u64)], skipped: u64) {
+    pub(crate) fn update_hashed_lane(&mut self, pairs: &[(u64, u64)], mut skipped: u64) {
         let rows = pairs.len() as u64 + skipped;
         let mut span = self.trace.span(SpanKind::UpdateBatch);
         span.set_quantity(rows);
-        // One atomic add meters the whole batch; the inner updates then
-        // touch the metrics lane only on state transitions.
+        // One atomic add meters the whole batch; the updates then touch
+        // the metrics lane only on state transitions.
         self.metrics.estimator.tuples.add(rows);
         self.tuples += skipped;
         self.refresh_zone1();
-        // Below this, the two grouping passes cost more than the cache
-        // misses they save: the batch-size ablation (EXPERIMENTS.md) puts
-        // the crossover between 1 k and 2 k rows on a large arena.
-        const GROUP_MIN: usize = 2048;
-        let skipped = skipped
-            + if pairs.len() < GROUP_MIN || self.bitmaps.len() < 2 {
-                self.update_in_order(pairs)
-            } else {
-                self.update_hashed_grouped(pairs)
-            };
-        self.metrics.estimator.zone1_skips.add(skipped);
-    }
-
-    /// The in-order body of
-    /// [`update_hashed_batch`](Self::update_hashed_batch); returns the
-    /// rows it skipped.
-    fn update_in_order(&mut self, pairs: &[(u64, u64)]) -> u64 {
-        let mut skipped = 0;
         for &(h_a, b_fp) in pairs {
             let (idx, rank) = split_rank(h_a, self.log2_m);
             if is_set(&self.zone1, idx, rank) {
@@ -597,68 +546,7 @@ impl ImplicationEstimator {
             }
             self.update_routed(idx, rank, h_a, b_fp);
         }
-        skipped
-    }
-
-    /// The group-by-bitmap body of
-    /// [`update_hashed_batch`](Self::update_hashed_batch); returns the
-    /// rows it skipped.
-    fn update_hashed_grouped(&mut self, pairs: &[(u64, u64)]) -> u64 {
-        let m = self.bitmaps.len();
-        let log2_m = self.log2_m;
-        // Pass 1: count surviving pairs per bitmap, offset by one so the
-        // in-place prefix sum yields run start offsets.
-        let mut starts = std::mem::take(&mut self.scratch.starts);
-        starts.clear();
-        starts.resize(m + 1, 0);
-        for &(h_a, _) in pairs {
-            let (idx, rank) = split_rank(h_a, log2_m);
-            if !is_set(&self.zone1, idx, rank) {
-                starts[idx + 1] += 1;
-            }
-        }
-        for i in 1..=m {
-            starts[i] += starts[i - 1];
-        }
-        // Pass 2: stable scatter of the same survivors into per-bitmap
-        // runs — within a run, pairs keep their arrival order.
-        let mut cursor = std::mem::take(&mut self.scratch.cursor);
-        cursor.clear();
-        cursor.extend_from_slice(&starts[..m]);
-        let survivors = starts[m] as usize;
-        let mut grouped = std::mem::take(&mut self.scratch.grouped);
-        grouped.clear();
-        grouped.resize(survivors, (0, 0));
-        for &(h_a, b_fp) in pairs {
-            let (idx, rank) = split_rank(h_a, log2_m);
-            if is_set(&self.zone1, idx, rank) {
-                continue;
-            }
-            let at = cursor[idx] as usize;
-            grouped[at] = (h_a, b_fp);
-            cursor[idx] = at as u32 + 1;
-        }
-        let skipped = (pairs.len() - survivors) as u64;
-        self.tuples += skipped;
-        // Apply each run with its bitmap held hot, prefetching the next
-        // pair's arena slot one iteration ahead.
-        for run in 0..m {
-            let (lo, hi) = (starts[run] as usize, starts[run + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            for at in lo..hi {
-                if at + 1 < hi {
-                    self.bitmaps[run].prefetch(grouped[at + 1].0);
-                }
-                let (h_a, b_fp) = grouped[at];
-                self.update_hashed_inner(h_a, b_fp);
-            }
-        }
-        self.scratch.starts = starts;
-        self.scratch.cursor = cursor;
-        self.scratch.grouped = grouped;
-        skipped
+        self.metrics.estimator.zone1_skips.add(skipped);
     }
 
     /// Pre-hashes an `(a, b)` pair exactly as [`ImplicationEstimator::update`]
@@ -701,7 +589,9 @@ impl ImplicationEstimator {
     /// [`publish_full`](ImplicationEstimator::publish_full)) is called;
     /// the view captured when the channel is first created is epoch 0.
     pub fn reader(&mut self) -> EstimateReader {
-        self.ensure_publisher();
+        if self.publisher.is_none() {
+            self.publish();
+        }
         self.publisher.as_ref().expect("publisher created").reader()
     }
 
@@ -732,34 +622,9 @@ impl ImplicationEstimator {
     }
 
     fn publish_view(&mut self, with_snapshot: bool) -> u64 {
-        if self.publisher.is_none() {
-            // First publish: the channel's epoch-0 view *is* the current
-            // state, so creating the channel already publishes it.
-            self.ensure_publisher_with(with_snapshot);
-            return 0;
-        }
         let view = self.capture_view(with_snapshot);
-        let rows = self.tuples;
-        self.publisher
-            .as_mut()
-            .expect("publisher created")
-            .publish(view, rows)
-    }
-
-    fn ensure_publisher(&mut self) {
-        self.ensure_publisher_with(false);
-    }
-
-    fn ensure_publisher_with(&mut self, with_snapshot: bool) {
-        if self.publisher.is_none() {
-            let view = self.capture_view(with_snapshot);
-            self.publisher = Some(ViewPublisher::new(
-                view,
-                self.tuples,
-                self.metrics.clone(),
-                self.trace.clone(),
-            ));
-        }
+        let (metrics, trace) = (&self.metrics, &self.trace);
+        ViewPublisher::publish_into(&mut self.publisher, view, self.tuples, metrics, trace)
     }
 
     /// Captures the current read-off state as an unpublished view.
@@ -869,7 +734,6 @@ impl ImplicationEstimator {
             metrics: _,
             trace: _,
             publisher: _,
-            scratch: _,
             zone1: _,
         } = donor;
         self.cond = cond;
@@ -938,7 +802,6 @@ impl ImplicationEstimator {
             metrics,
             trace,
             publisher: None,
-            scratch: BatchScratch::default(),
             zone1: Vec::new(),
         }
     }
@@ -988,16 +851,7 @@ impl ImplicationEstimator {
     /// this estimator's metrics registry and trace journal (shards of one
     /// pipeline report into one place).
     pub(crate) fn fresh_like(&self) -> Self {
-        Self::from_parts(
-            self.cond,
-            self.bitmaps.iter().map(NipsBitmap::fresh_like).collect(),
-            self.hasher_a,
-            self.hasher_b,
-            0,
-            self.budget.clone(),
-            self.metrics.clone(),
-            self.trace.clone(),
-        )
+        self.keeping(|_| false, false)
     }
 
     /// Splits this estimator into `threads` shard estimators. Shard `k`
@@ -1009,31 +863,32 @@ impl ImplicationEstimator {
     pub(crate) fn split_shards(&self, threads: usize) -> Vec<Self> {
         assert!(threads >= 1, "need at least one shard");
         (0..threads)
-            .map(|k| {
-                let bitmaps = self
-                    .bitmaps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, bm)| {
-                        if i % threads == k {
-                            bm.clone()
-                        } else {
-                            bm.fresh_like()
-                        }
-                    })
-                    .collect();
-                Self::from_parts(
-                    self.cond,
-                    bitmaps,
-                    self.hasher_a,
-                    self.hasher_b,
-                    if k == 0 { self.tuples } else { 0 },
-                    self.budget.clone(),
-                    self.metrics.clone(),
-                    self.trace.clone(),
-                )
-            })
+            .map(|k| self.keeping(|i| i % threads == k, k == 0))
             .collect()
+    }
+
+    /// A same-configuration estimator holding the state of the bitmaps
+    /// `owned` selects (and the tuple counter if `tuples`), every other
+    /// bitmap fresh, on the same metrics, trace and budget.
+    fn keeping(&self, owned: impl Fn(usize) -> bool, tuples: bool) -> Self {
+        let bitmaps = self.bitmaps.iter().enumerate();
+        let bitmaps = bitmaps.map(|(i, bm)| {
+            if owned(i) {
+                bm.clone()
+            } else {
+                bm.fresh_like()
+            }
+        });
+        Self::from_parts(
+            self.cond,
+            bitmaps.collect(),
+            self.hasher_a,
+            self.hasher_b,
+            if tuples { self.tuples } else { 0 },
+            self.budget.clone(),
+            self.metrics.clone(),
+            self.trace.clone(),
+        )
     }
 }
 
@@ -1138,7 +993,6 @@ impl ImplicationEstimator {
             // attach a journal with `set_trace` to resume journaling.
             trace: TraceHandle::disabled(),
             publisher: None,
-            scratch: BatchScratch::default(),
             zone1: Vec::new(),
         };
         est.publish_mem_gauges();

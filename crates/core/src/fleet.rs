@@ -46,8 +46,9 @@ pub const DEFAULT_STALE_AFTER_MS: u64 = 10_000;
 /// Number of power-of-two buckets in a [`Log2Hist`].
 pub const LOG2_HIST_BUCKETS: usize = 64;
 
-/// A plain (non-atomic) log₂-bucketed histogram mirroring
-/// [`crate::metrics::Histogram`] but independent of the `metrics`
+/// A plain (non-atomic) log₂-bucketed histogram sharing bucket indexing
+/// and quantile read-off with [`crate::metrics::Histogram`] but
+/// independent of the `metrics`
 /// feature — fleet latency quantiles (merge, publish, edge ship) must
 /// survive `--no-default-features`. Lives under the registry's mutex,
 /// so it needs no interior mutability.
@@ -70,8 +71,7 @@ impl Log2Hist {
 
     /// Records one observation (bucket = bit length of the value).
     pub fn observe(&mut self, v: u64) {
-        let idx = (64 - v.leading_zeros() as usize).min(LOG2_HIST_BUCKETS - 1);
-        self.buckets[idx] += 1;
+        self.buckets[log2_bucket(v, LOG2_HIST_BUCKETS)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
     }
@@ -89,19 +89,38 @@ impl Log2Hist {
     /// Upper bound (exclusive, a power of two) of the bucket containing
     /// the `q`-quantile, or 0 with no data. `q` is clamped to `[0, 1]`.
     pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << i.min(63);
-            }
-        }
-        u64::MAX
+        log2_quantile_bound(self.buckets, self.count, q)
     }
+}
+
+/// The bucket of `v` in a log₂ histogram of `buckets` buckets: its bit
+/// length, with the last bucket catching every wider value. Shared by
+/// [`Log2Hist`] and [`crate::metrics::Histogram`].
+#[inline]
+pub(crate) fn log2_bucket(v: u64, buckets: usize) -> usize {
+    (64 - v.leading_zeros() as usize).min(buckets - 1)
+}
+
+/// Upper bound (exclusive, a power of two) of the log₂ bucket holding the
+/// `q`-quantile of `count` observations with per-bucket counts `buckets`,
+/// or 0 with no data. `q` is clamped to `[0, 1]`.
+pub(crate) fn log2_quantile_bound(
+    buckets: impl IntoIterator<Item = u64>,
+    count: u64,
+    q: f64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, b) in buckets.into_iter().enumerate() {
+        seen += b;
+        if seen >= target {
+            return 1u64 << i.min(63);
+        }
+    }
+    u64::MAX
 }
 
 impl Default for Log2Hist {

@@ -60,6 +60,7 @@ pub mod conditions;
 pub mod estimator;
 pub mod fleet;
 pub mod incremental;
+mod lane;
 pub mod metrics;
 pub mod nips;
 pub mod parallel;

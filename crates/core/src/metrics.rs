@@ -204,70 +204,45 @@ impl Default for Gauge {
 /// A log₂-bucketed histogram of `u64` observations (durations in
 /// nanoseconds, sizes in bytes). Bucket `i` holds values whose bit length
 /// is `i` — i.e. `[2^(i−1), 2^i)` — so relative resolution is a constant
-/// 2× at every scale, which is what latency/size telemetry needs.
+/// 2× at every scale, which is what latency/size telemetry needs. Built
+/// from [`Counter`]s, so it is relaxed atomics with the `metrics` feature
+/// and zero-size without; it indexes buckets and reads quantiles with the
+/// same two functions as [`Log2Hist`](crate::fleet::Log2Hist).
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(feature = "metrics")]
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    #[cfg(feature = "metrics")]
-    count: AtomicU64,
-    #[cfg(feature = "metrics")]
-    sum: AtomicU64,
+    buckets: [Counter; HISTOGRAM_BUCKETS],
+    count: Counter,
+    sum: Counter,
 }
 
 impl Histogram {
     /// An empty histogram.
     pub const fn new() -> Self {
-        #[cfg(feature = "metrics")]
-        {
-            #[allow(clippy::declare_interior_mutable_const)]
-            const ZERO: AtomicU64 = AtomicU64::new(0);
-            Self {
-                buckets: [ZERO; HISTOGRAM_BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            Self {}
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: Counter = Counter::new();
+        Self {
+            buckets: [ZERO; HISTOGRAM_BUCKETS],
+            count: Counter::new(),
+            sum: Counter::new(),
         }
     }
 
     /// Records one observation.
     #[inline]
-    pub fn observe(&self, _v: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            let idx = (64 - _v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-            self.buckets[idx].fetch_add(1, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(_v, Relaxed);
-        }
+    pub fn observe(&self, v: u64) {
+        self.buckets[crate::fleet::log2_bucket(v, HISTOGRAM_BUCKETS)].inc();
+        self.count.inc();
+        self.sum.add(v);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.count.load(Relaxed)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.count.get()
     }
 
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.sum.load(Relaxed)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.sum.get()
     }
 
     /// Mean observation, or 0.0 with no data.
@@ -282,27 +257,9 @@ impl Histogram {
 
     /// Upper bound (exclusive, a power of two) of the bucket containing
     /// the `q`-quantile, or 0 with no data. `q` is clamped to `[0, 1]`.
-    pub fn quantile_bound(&self, _q: f64) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            let total = self.count.load(Relaxed);
-            if total == 0 {
-                return 0;
-            }
-            let target = (_q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, b) in self.buckets.iter().enumerate() {
-                seen += b.load(Relaxed);
-                if seen >= target {
-                    return 1u64 << i;
-                }
-            }
-            u64::MAX
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+    pub fn quantile_bound(&self, q: f64) -> u64 {
+        let buckets = self.buckets.iter().map(Counter::get);
+        crate::fleet::log2_quantile_bound(buckets, self.count(), q)
     }
 }
 
@@ -1198,6 +1155,16 @@ mod tests {
             assert!(h.mean() > 300.0);
         } else {
             assert_eq!(h.count(), 0);
+        }
+    }
+
+    #[test]
+    fn histogram_is_zero_size_without_the_feature() {
+        let size = std::mem::size_of::<Histogram>();
+        if MetricsRegistry::enabled() {
+            assert!(size >= (HISTOGRAM_BUCKETS + 2) * 8);
+        } else {
+            assert_eq!(size, 0);
         }
     }
 

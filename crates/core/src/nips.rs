@@ -430,16 +430,6 @@ impl NipsBitmap {
         self.policy.fringe.is_some()
     }
 
-    /// Prefetches the fringe-arena slot an imminent
-    /// [`update`](Self::update) for `a_key` would probe first. Batch
-    /// callers that know the next pair one iteration ahead use this to
-    /// hide the dependent-load latency of the probe; it has no semantic
-    /// effect.
-    #[inline]
-    pub fn prefetch(&self, a_key: u64) {
-        self.arena.prefetch(a_key);
-    }
-
     /// Records the arrival of an `(a, b)` pair and reports what happened
     /// as an [`UpdateOutcome`] (callers that predate the observability
     /// layer may simply ignore it).

@@ -22,19 +22,15 @@
 //! *raw stream* across workers, which interleaves updates to one bitmap
 //! across threads and loses that order.
 //!
-//! # The handoff: SPSC rings, whole batches, recycled buffers
+//! # The handoff: whole batches, recycled buffers
 //!
-//! Each lane is a fixed-capacity single-producer/single-consumer ring
-//! ([`crate::ring`]) carrying whole batches: the router is the only
-//! producer and the shard worker the only consumer, so a handoff costs
-//! exactly one release/acquire pair — no mutex, no condvar, no
-//! read-modify-write (see the ring module docs for the Lamport-queue
-//! memory-ordering argument). Backpressure is ring occupancy: a full lane
-//! makes the router's push spin until the worker retires a slot, bounding
-//! the in-flight backlog at [`RING_DEPTH`] batches per lane. A second,
-//! reverse ring per lane returns drained batch buffers to the router, so
-//! steady-state ingestion allocates nothing: buffers circulate
-//! router → worker → router for the life of the pipeline.
+//! Shards run on the crate's lane runtime, as
+//! [`ShardedCatalog`](crate::ShardedCatalog)'s lanes do: one worker per
+//! lane behind an SPSC ring ([`crate::ring`]), one release/acquire pair
+//! per batch, and at most [`RING_DEPTH`] batches in flight per lane. The
+//! hand-off is this front-end's own: the router buffers each shard's
+//! pairs in its own `Vec`, and a reverse ring per lane sends drained
+//! buffers home, so steady-state ingestion allocates nothing.
 //!
 //! Reassembly is merge-based: shards are merged into a fresh estimator.
 //! Because each bitmap carries non-trivial state on exactly one shard,
@@ -82,14 +78,14 @@
 //! [`ShardedEstimator::reader`]; see [`crate::view`] for the protocol.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use imp_sketch::hash::{Hasher64, MixHasher};
 use imp_sketch::rank::split_rank;
 
 use crate::estimator::ImplicationEstimator;
+pub use crate::lane::RING_DEPTH;
+use crate::lane::{LaneWorker, Lanes};
 use crate::metrics::MetricsHandle;
 use crate::ring;
 use crate::trace::{Span, SpanKind, TraceEvent, TraceHandle};
@@ -98,22 +94,10 @@ use crate::view::{pack_ranks, EstimateReader, ReadView, ViewPublisher};
 /// Pre-hashed pairs buffered per shard before a batch is shipped.
 const BATCH: usize = 1024;
 
-/// Bound, in batches, of each lane's forward ring (back-pressure).
-pub const RING_DEPTH: usize = 8;
-
 /// Slots in each lane's reverse (buffer-recycling) ring: every batch that
 /// can be in flight forward, plus slack so a drained buffer is never
 /// dropped just because the router briefly lags on reclaiming them.
 const RECYCLE_DEPTH: usize = RING_DEPTH + 2;
-
-/// What the router sends down a shard's lane: a batch of pre-hashed
-/// updates, or a synchronization barrier the worker acknowledges once
-/// everything before it has been applied (see
-/// [`ShardedEstimator::barrier`]).
-enum ShardMsg {
-    Batch(Vec<(u64, u64)>),
-    Barrier(SyncSender<()>),
-}
 
 /// A cheap, copyable pre-hasher matching an estimator's internal hash
 /// functions, for pipelines that parse and hash on different threads than
@@ -174,9 +158,10 @@ impl SharedRegisters {
         }
     }
 
-    /// Worker `k` of `threads` refreshes the registers of the bitmaps it
-    /// owns after applying a batch of `applied` pairs.
-    fn refresh(&self, shard: &ImplicationEstimator, k: usize, threads: usize, applied: u64) {
+    /// Worker `k` refreshes the registers of the bitmaps it owns after
+    /// applying a batch of `applied` pairs.
+    fn refresh(&self, shard: &ImplicationEstimator, k: usize, applied: u64) {
+        let threads = self.entries.len();
         for (i, bm) in shard.bitmaps().iter().enumerate().skip(k).step_by(threads) {
             self.ranks[i].store(
                 pack_ranks(bm.rank_f0_sup(), bm.rank_non_implication()),
@@ -187,6 +172,42 @@ impl SharedRegisters {
         // entry count is exactly its owned bitmaps' count.
         self.entries[k].store(shard.entries() as u64, Ordering::Release);
         self.applied.fetch_add(applied, Ordering::Release);
+    }
+}
+
+/// One bitmap lane's worker: shard `k`, which applies the batches routed
+/// to the bitmaps it owns and sends each drained buffer home.
+#[derive(Debug)]
+struct Shard {
+    est: ImplicationEstimator,
+    k: usize,
+    registers: Arc<SharedRegisters>,
+    recycle: ring::Producer<Vec<(u64, u64)>>,
+}
+
+impl LaneWorker for Shard {
+    type Batch = Vec<(u64, u64)>;
+
+    fn apply(&mut self, mut batch: Vec<(u64, u64)>) {
+        self.est
+            .metrics()
+            .ingest
+            .lane(self.k)
+            .queue_depth
+            .adjust(-1);
+        self.est.update_hashed_batch(&batch);
+        // Expose the owned bitmaps' new read-off state at this batch
+        // boundary, so the router can publish views without a barrier.
+        self.registers
+            .refresh(&self.est, self.k, batch.len() as u64);
+        // Send the drained buffer home for reuse; if the reverse ring is
+        // full (router lagging on reclaims) just let the allocation go.
+        batch.clear();
+        let _ = self.recycle.try_push(batch);
+    }
+
+    fn idle(&self) {
+        self.est.metrics().ingest.idle_waits.inc();
     }
 }
 
@@ -202,19 +223,17 @@ impl SharedRegisters {
 /// argument).
 #[derive(Debug)]
 pub struct ShardedEstimator {
+    /// A stateless estimator of the same configuration, sharing the
+    /// base's metrics registry, trace journal and budget: the hashers,
+    /// routing and read-off context, and the chassis `finish` merges the
+    /// shards into.
     template: ImplicationEstimator,
-    hasher_a: MixHasher,
-    hasher_b: MixHasher,
-    log2_m: u32,
-    /// Forward rings, router → worker, one per lane.
-    lanes: Vec<ring::Producer<ShardMsg>>,
+    /// One lane per shard (see [`crate::lane`]).
+    lanes: Lanes<Shard>,
     /// Reverse rings, worker → router: drained batch buffers coming home
     /// for reuse, one per lane.
     recycled: Vec<ring::Consumer<Vec<(u64, u64)>>>,
-    workers: Vec<JoinHandle<ImplicationEstimator>>,
     pending: Vec<Vec<(u64, u64)>>,
-    metrics: MetricsHandle,
-    trace: TraceHandle,
     /// Pre-hashed updates routed so far (plain field; reported by the
     /// session-long ingest span even when `metrics` is compiled out).
     routed: u64,
@@ -225,12 +244,8 @@ pub struct ShardedEstimator {
     /// from without barriering the lanes.
     registers: Arc<SharedRegisters>,
     /// Tuples the base estimator carried at construction (snapshot
-    /// resume); `preloaded + routed` is the router's stream position.
+    /// resume).
     preloaded: u64,
-    /// One reusable ack channel for every [`barrier`](Self::barrier):
-    /// workers send on clones of the sender (a refcount bump, no heap),
-    /// so quiesce points stay off the allocator too.
-    barrier_ack: (SyncSender<()>, Receiver<()>),
     /// The view-publication channel (created lazily, or inherited from a
     /// base writer that already had readers).
     publisher: Option<ViewPublisher>,
@@ -246,90 +261,40 @@ impl ShardedEstimator {
     pub fn new(mut base: ImplicationEstimator, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one ingestion shard");
         let publisher = base.take_publisher();
-        let (hasher_a, hasher_b) = base.hashers();
-        let log2_m = base.log2_m();
-        let metrics = base.metrics().clone();
-        let trace = base.trace().clone();
-        metrics.ingest.shards.set(threads as u64);
-        let ingest_span = trace.span(SpanKind::Ingest);
+        base.metrics().ingest.shards.set(threads as u64);
+        let ingest_span = base.trace().span(SpanKind::Ingest);
         let template = base.fresh_like();
         let registers = Arc::new(SharedRegisters::capture(&base, threads));
         let preloaded = base.tuples_seen();
-        let shards = base.split_shards(threads);
-        let mut lanes = Vec::with_capacity(threads);
         let mut recycled = Vec::with_capacity(threads);
         let mut workers = Vec::with_capacity(threads);
-        for (k, mut shard) in shards.into_iter().enumerate() {
-            let (tx, rx) = ring::ring::<ShardMsg>(RING_DEPTH);
-            let (recycle_tx, recycle_rx) = ring::ring::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
+        for (k, est) in base.split_shards(threads).into_iter().enumerate() {
+            let (recycle, recycle_rx) = ring::ring::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
             // Seed the reverse ring before the worker exists: the router's
             // very first ships already find buffers to reclaim, so the
             // circulating pool is born at working size (one buffer per
             // possible in-flight batch) instead of growing through
             // first-contact allocations on the hot path.
             for _ in 0..RING_DEPTH {
-                let _ = recycle_tx.try_push(Vec::with_capacity(BATCH));
+                let _ = recycle.try_push(Vec::with_capacity(BATCH));
             }
-            lanes.push(tx);
             recycled.push(recycle_rx);
-            let worker_metrics = metrics.clone();
-            let worker_registers = Arc::clone(&registers);
-            workers.push(std::thread::spawn(move || {
-                loop {
-                    // Distinguish "batch was already waiting" from "had to
-                    // block": the idle_waits counter tells a router-bound
-                    // pipeline (workers starving) from a worker-bound one.
-                    let msg = match rx.try_pop() {
-                        Some(msg) => msg,
-                        None => {
-                            worker_metrics.ingest.idle_waits.inc();
-                            match rx.pop() {
-                                Some(msg) => msg,
-                                None => break,
-                            }
-                        }
-                    };
-                    match msg {
-                        ShardMsg::Batch(mut batch) => {
-                            worker_metrics.ingest.lane(k).queue_depth.adjust(-1);
-                            shard.update_hashed_batch(&batch);
-                            // Expose the owned bitmaps' new read-off state
-                            // at this batch boundary, so the router can
-                            // publish views without a barrier.
-                            worker_registers.refresh(&shard, k, threads, batch.len() as u64);
-                            // Send the drained buffer home for reuse; if the
-                            // reverse ring is full (router lagging on
-                            // reclaims) just let the allocation go.
-                            batch.clear();
-                            let _ = recycle_tx.try_push(batch);
-                        }
-                        // FIFO lane: every batch pushed before the barrier
-                        // has been applied once we get here, so the ack
-                        // certifies this shard's state is current.
-                        ShardMsg::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-                shard
-            }));
+            workers.push(Shard {
+                est,
+                k,
+                registers: Arc::clone(&registers),
+                recycle,
+            });
         }
         Self {
             template,
-            hasher_a,
-            hasher_b,
-            log2_m,
-            lanes,
+            lanes: Lanes::spawn(workers, "ingestion worker"),
             recycled,
-            workers,
             pending: vec![Vec::with_capacity(BATCH); threads],
-            metrics,
-            trace,
             routed: 0,
             ingest_span,
             registers,
             preloaded,
-            barrier_ack: sync_channel(threads),
             publisher,
         }
     }
@@ -337,32 +302,36 @@ impl ShardedEstimator {
     /// The observability registry shared with the base estimator, its
     /// shards, and the reassembled result (see [`crate::metrics`]).
     pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
+        self.template.metrics()
     }
 
     /// The structured-tracing handle shared with the base estimator, its
     /// shards, and the reassembled result (see [`crate::trace`]).
     pub fn trace(&self) -> &TraceHandle {
-        &self.trace
+        self.template.trace()
     }
 
-    /// Ships one batch to shard `shard`, maintaining the routing counters
-    /// and the in-flight queue-depth gauge.
-    fn ship(&mut self, shard: usize, batch: Vec<(u64, u64)>) {
-        let m = &self.metrics.ingest;
+    /// Ships shard `shard`'s pending buffer to its lane, maintaining the
+    /// routing counters and the in-flight queue-depth gauge, and leaves a
+    /// buffer the worker sent home in its place: once every lane's
+    /// buffers are circulating, the steady state allocates nothing.
+    fn ship(&mut self, shard: usize) {
+        let replacement = self.recycled[shard]
+            .try_pop()
+            .unwrap_or_else(|| Vec::with_capacity(BATCH));
+        let batch = std::mem::replace(&mut self.pending[shard], replacement);
+        let m = &self.template.metrics().ingest;
         m.batches_routed.inc();
         m.updates_routed.add(batch.len() as u64);
         let lane = m.lane(shard);
         lane.batches.inc();
         lane.queue_depth.adjust(1);
         self.routed += batch.len() as u64;
-        self.trace.record(|| TraceEvent::ShardHandoff {
+        self.template.trace().record(|| TraceEvent::ShardHandoff {
             shard: shard as u32,
             updates: batch.len() as u32,
         });
-        self.lanes[shard]
-            .push(ShardMsg::Batch(batch))
-            .unwrap_or_else(|_| panic!("ingestion worker exited early"));
+        self.lanes.send(shard, batch);
     }
 
     /// Number of worker shards.
@@ -372,16 +341,14 @@ impl ShardedEstimator {
 
     /// A copyable hasher matching this pipeline's internal hash functions.
     pub fn pair_hasher(&self) -> PairHasher {
-        PairHasher {
-            hasher_a: self.hasher_a,
-            hasher_b: self.hasher_b,
-        }
+        self.template.pair_hasher()
     }
 
     /// Routes one `(a, b)` pair (value-slice form, as in
     /// [`ImplicationEstimator::update`]).
     pub fn update(&mut self, a: &[u64], b: &[u64]) {
-        self.update_hashed(self.hasher_a.hash_slice(a), self.hasher_b.hash_slice(b));
+        let (h_a, b_fp) = self.template.hash_pair(a, b);
+        self.update_hashed(h_a, b_fp);
     }
 
     /// Routes one pre-hashed pair (see
@@ -389,19 +356,11 @@ impl ShardedEstimator {
     /// [`PairHasher`] produces conforming pairs).
     #[inline]
     pub fn update_hashed(&mut self, h_a: u64, b_fp: u64) {
-        let (idx, _) = split_rank(h_a, self.log2_m);
+        let (idx, _) = split_rank(h_a, self.template.log2_m());
         let shard = idx % self.lanes.len();
-        let buf = &mut self.pending[shard];
-        buf.push((h_a, b_fp));
-        if buf.len() >= BATCH {
-            // Prefer a buffer the worker sent home over a fresh allocation:
-            // once every lane's buffers are circulating, the steady state
-            // allocates nothing.
-            let replacement = self.recycled[shard]
-                .try_pop()
-                .unwrap_or_else(|| Vec::with_capacity(BATCH));
-            let batch = std::mem::replace(buf, replacement);
-            self.ship(shard, batch);
+        self.pending[shard].push((h_a, b_fp));
+        if self.pending[shard].len() >= BATCH {
+            self.ship(shard);
         }
     }
 
@@ -416,17 +375,10 @@ impl ShardedEstimator {
     /// Called automatically by [`ShardedEstimator::finish`]; useful on its
     /// own only to bound buffering latency.
     pub fn flush(&mut self) {
-        self.metrics.ingest.flushes.inc();
+        self.template.metrics().ingest.flushes.inc();
         for shard in 0..self.pending.len() {
             if !self.pending[shard].is_empty() {
-                // Same reclaim discipline as the full-buffer ship: leave a
-                // recycled buffer (with its capacity) behind, not an empty
-                // `Vec` whose next push would have to grow from zero.
-                let replacement = self.recycled[shard]
-                    .try_pop()
-                    .unwrap_or_else(|| Vec::with_capacity(BATCH));
-                let batch = std::mem::replace(&mut self.pending[shard], replacement);
-                self.ship(shard, batch);
+                self.ship(shard);
             }
         }
     }
@@ -445,16 +397,7 @@ impl ShardedEstimator {
     /// If a worker thread exited early.
     pub fn barrier(&mut self) {
         self.flush();
-        for lane in &self.lanes {
-            lane.push(ShardMsg::Barrier(self.barrier_ack.0.clone()))
-                .unwrap_or_else(|_| panic!("ingestion worker exited early"));
-        }
-        for _ in 0..self.lanes.len() {
-            self.barrier_ack
-                .1
-                .recv()
-                .expect("ingestion worker exited early");
-        }
+        self.lanes.barrier();
     }
 
     /// Publishes a read view assembled from the workers' lock-free
@@ -465,24 +408,9 @@ impl ShardedEstimator {
     /// After a [`barrier`](ShardedEstimator::barrier), a publish is
     /// bit-identical to the sequential read-off over the routed prefix.
     pub fn publish(&mut self) -> u64 {
-        let view = self.assemble_view();
-        // Stream position includes pairs still buffered in the router,
-        // so `view.age_rows` reports the full backlog a barrier would
-        // drain — not just what has already been shipped to the lanes.
-        let buffered: u64 = self.pending.iter().map(|b| b.len() as u64).sum();
-        let rows = self.preloaded + self.routed + buffered;
-        match &mut self.publisher {
-            Some(publisher) => publisher.publish(view, rows),
-            None => {
-                self.publisher = Some(ViewPublisher::new(
-                    view,
-                    rows,
-                    self.metrics.clone(),
-                    self.trace.clone(),
-                ));
-                0
-            }
-        }
+        let (view, rows) = (self.assemble_view(), self.position());
+        let (metrics, trace) = (self.template.metrics(), self.template.trace());
+        ViewPublisher::publish_into(&mut self.publisher, view, rows, metrics, trace)
     }
 
     /// A wait-free read handle answering estimates from the latest
@@ -504,9 +432,15 @@ impl ShardedEstimator {
     /// publisher that wants fully-settled views can keep republishing
     /// until this reaches zero instead of paying for a barrier.
     pub fn backlog(&self) -> u64 {
+        self.position() - self.registers.applied.load(Ordering::Acquire)
+    }
+
+    /// The router's stream position. It includes pairs still buffered
+    /// here, so `view.age_rows` and [`backlog`](Self::backlog) report the
+    /// full backlog a barrier would drain, not just what has shipped.
+    fn position(&self) -> u64 {
         let buffered: u64 = self.pending.iter().map(|b| b.len() as u64).sum();
-        let rows = self.preloaded + self.routed + buffered;
-        rows - self.registers.applied.load(Ordering::Acquire)
+        self.preloaded + self.routed + buffered
     }
 
     /// Assembles an unpublished view from the shared registers.
@@ -545,18 +479,13 @@ impl ShardedEstimator {
         let Self {
             template,
             lanes,
-            workers,
             ingest_span,
             publisher,
             ..
         } = self;
-        // Dropping the producers closes the lanes: each worker drains its
-        // remaining occupancy, then its blocking pop returns `None`.
-        drop(lanes);
         let mut out = template;
-        for worker in workers {
-            let shard = worker.join().expect("ingestion worker panicked");
-            out.merge(&shard);
+        for shard in lanes.finish() {
+            out.merge(&shard.est);
         }
         // The session span covers reassembly too.
         drop(ingest_span);

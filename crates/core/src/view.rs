@@ -205,9 +205,29 @@ pub(crate) struct ViewPublisher {
 }
 
 impl ViewPublisher {
+    /// Publishes `view` on the channel in `slot` and returns its epoch,
+    /// first creating the channel, with `view` as epoch 0, if there is
+    /// none yet — the one publish path of the estimator and the sharded
+    /// pipeline.
+    pub(crate) fn publish_into(
+        slot: &mut Option<Self>,
+        view: ReadView,
+        stream_rows: u64,
+        metrics: &MetricsHandle,
+        trace: &TraceHandle,
+    ) -> u64 {
+        match slot {
+            Some(publisher) => publisher.publish(view, stream_rows),
+            None => {
+                *slot = Some(Self::new(view, stream_rows, metrics.clone(), trace.clone()));
+                0
+            }
+        }
+    }
+
     /// Creates the channel with `initial` as epoch 0; `stream_rows` is
     /// the writer's position, as in [`publish`](Self::publish).
-    pub(crate) fn new(
+    fn new(
         initial: ReadView,
         stream_rows: u64,
         metrics: MetricsHandle,

@@ -1027,13 +1027,11 @@ pub fn decode_compat(bytes: Bytes) -> Result<ImplicationEstimator, WireError> {
             if version != crate::snapshot::VERSION {
                 return Err(WireError::BadVersion(version));
             }
-            // Pre-validate the allocation-relevant header fields under
-            // the wire caps before handing off to the snapshot decoder.
-            let mut peeked = bytes.slice(6..bytes.len());
-            let cond = decode_checked_conditions(&mut peeked)?;
-            let _ = cond;
-            let mut after_cond = Cursor::new(&peeked);
-            let m = after_cond.u32_le()? as usize;
+            // Check the allocation-relevant header fields against the
+            // wire caps before the snapshot decoder sizes anything.
+            let mut header = bytes.slice(6..bytes.len());
+            decode_checked_conditions(&mut header)?;
+            let m = Cursor::new(&header).u32_le()? as usize;
             if !m.is_power_of_two() || m == 0 || m > MAX_WIRE_BITMAPS {
                 return Err(WireError::Corrupt("bitmap count"));
             }

@@ -87,12 +87,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
+use implicate::core::wire;
 use implicate::opts::{self, EstimatorOpts};
 use implicate::pipeline::Pipeline;
 use implicate::spec;
-use implicate::{
-    EstimatorConfig, ImplicationEstimator, MetricsHandle, QueryCatalog, Schema, TraceHandle,
-};
+use implicate::{EstimatorConfig, MetricsHandle, QueryCatalog, Schema, TraceHandle};
 
 use imp_serve::http;
 
@@ -464,7 +463,7 @@ fn main() {
     let mut est = match &opts.checkpoint {
         Some(path) if std::path::Path::new(path).exists() => {
             let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let est = ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
+            let est = wire::decode_compat(bytes::Bytes::from(raw))
                 .unwrap_or_else(|e| die(&format!("{path}: {e}")));
             if est.conditions() != opts.config.conditions_ref() {
                 die("checkpoint was built with different implication conditions");

@@ -62,3 +62,50 @@ fn help_lists_every_shared_flag() {
         );
     }
 }
+
+#[test]
+fn a_checkpoint_past_the_wire_caps_exits_2_instead_of_aborting() {
+    // A checkpoint whose max multiplicity K was patched to 2^31 - 1 would
+    // size every tracked cell for K fingerprints; startup restore must
+    // refuse it with a message before any listener opens.
+    let dir = std::env::temp_dir().join(format!("implicate-serve-capped-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("state.imps");
+    let config = EstimatorOpts::default()
+        .config()
+        .expect("default flags build");
+    let mut est = config.build();
+    for a in 0..500u64 {
+        est.update(&[a], &[a]);
+    }
+    let mut raw = est.to_bytes().to_vec();
+    // Magic (4 bytes) and version (2), then the conditions, K first.
+    raw[6..10].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+    std::fs::write(&path, raw).expect("write checkpoint");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
+        .args(["--checkpoint", path.to_str().expect("utf-8 path")])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run implicate-serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll implicate-serve") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("implicate-serve started from a checkpoint past the wire caps");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("max multiplicity"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

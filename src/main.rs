@@ -59,6 +59,7 @@ use std::process::exit;
 use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
+use implicate::core::wire;
 use implicate::opts::{self, EstimatorOpts, Flag};
 use implicate::pipeline::Pipeline;
 use implicate::sketch::estimate::relative_error;
@@ -67,11 +68,12 @@ use implicate::spec::{QuerySpec, FIELD_HASHER_SEED};
 use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
     AccuracyAuditor, EstimateReader, EstimatorConfig, ExactCounter, HashedBatch,
-    ImplicationConditions, ImplicationCounter, ImplicationEstimator, MetricsHandle, QueryCatalog,
-    QueryId, QueryKind, Schema, ShardedCatalog, TraceHandle, Tuple, TupleHasher,
+    ImplicationConditions, ImplicationCounter, MetricsHandle, QueryCatalog, QueryId, QueryKind,
+    Schema, ShardedCatalog, TraceHandle, Tuple, TupleHasher,
 };
 
-/// Lines per batch dealt to the parser pool.
+/// Lines per batch dealt to the parser pool, and the most rows one
+/// [`Engine::apply`] takes.
 const LINE_BATCH: usize = 2048;
 
 /// Bound, in batches, of the parallel pipeline's channels.
@@ -355,8 +357,6 @@ impl Cli {
 trait Engine {
     /// One accepted input row, as the engine ingests it.
     type Row: Send;
-    /// The most rows one [`apply`](Engine::apply) takes.
-    const BATCH: usize;
     /// Applies `rows` in order and leaves the vector empty.
     fn apply(&mut self, rows: &mut Vec<Self::Row>);
     /// Shadows one accepted row's fields for `--audit` (`--threads 1`).
@@ -390,7 +390,7 @@ fn run<E: Engine + Send>(
         batch.push(row);
         rows += 1;
         let report = due(cli.audit, rows) || due(cli.stats_interval, rows) || due(cli.watch, rows);
-        if report || batch.len() >= E::BATCH {
+        if report || batch.len() >= LINE_BATCH {
             engine.apply(&mut batch);
         }
         if report {
@@ -545,10 +545,6 @@ struct Plain<'c> {
 
 impl Engine for Plain<'_> {
     type Row = (u64, u64);
-    // Under the estimator's group-by-bitmap threshold (2,048 rows), so
-    // rows apply in stream order and every metric, the occupancy
-    // high-watermark included, matches per-row ingestion.
-    const BATCH: usize = LINE_BATCH / 2;
 
     fn apply(&mut self, rows: &mut Vec<(u64, u64)>) {
         self.pipeline.apply(rows);
@@ -606,7 +602,7 @@ fn plain(cli: &Cli) {
     let mut est = match &cli.resume {
         Some(path) => {
             let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
+            wire::decode_compat(bytes::Bytes::from(raw))
                 .unwrap_or_else(|e| die(&format!("{path}: {e}")))
         }
         None => cli.config.build(),
@@ -771,7 +767,6 @@ impl Catalog<'_> {
 
 impl Engine for Catalog<'_> {
     type Row = Tuple;
-    const BATCH: usize = LINE_BATCH;
 
     fn apply(&mut self, rows: &mut Vec<Tuple>) {
         self.hasher

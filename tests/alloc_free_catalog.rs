@@ -14,7 +14,7 @@ use implicate::query::Filter;
 use implicate::stream::AttrId;
 use implicate::{
     AttrSet, EstimatorConfig, HashedBatch, ImplicationConditions, ImplicationQuery, QueryCatalog,
-    Schema, Tuple,
+    Schema, ShardedCatalog, Tuple,
 };
 
 struct CountingAlloc;
@@ -101,7 +101,7 @@ fn steady_state_process_batch_performs_zero_allocations() {
 fn steady_state_process_hashed_performs_zero_allocations() {
     // The batch currency one layer up: applying a pre-hashed columnar
     // [`HashedBatch`] to every query — combiner fold into the shared
-    // pair scratch, grouped estimator update, filters walking the raw
+    // pair scratch, in-order estimator update, filters walking the raw
     // tuples — must never touch the heap once warm. This is exactly the
     // per-batch path every `ShardedCatalog` lane runs, so a quiet run
     // here certifies the `--threads N` catalog workers' steady state.
@@ -144,6 +144,77 @@ fn steady_state_process_hashed_performs_zero_allocations() {
         "steady-state catalog process_hashed allocated on the hot path"
     );
     assert_eq!(catalog.tuples_seen(), 202 * 256);
+}
+
+#[test]
+fn sharded_router_stays_off_the_heap() {
+    // The `--threads N` catalog's router thread: it ships each batch to
+    // every lane in a pooled `Arc`, asks the lanes to publish, and
+    // quiesces them at barriers. None of that may touch its heap once
+    // warm; the caller refills the batches the router hands back.
+    let schema = Schema::new([("Src", 0), ("Dst", 0), ("Svc", 0)]);
+    let template = EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1_000_000))
+        .bitmaps(16)
+        .seed(31);
+    let mut catalog = QueryCatalog::new(&schema, template);
+    let (src, dst, svc) = (
+        schema.attr_set(&["Src"]),
+        schema.attr_set(&["Dst"]),
+        schema.attr_set(&["Svc"]),
+    );
+    catalog.register("loyal", ImplicationQuery::one_to_one(src, dst, 1));
+    catalog.register("services", ImplicationQuery::distinct_count(svc));
+    catalog.register("pair", ImplicationQuery::at_most(src.union(svc), dst, 2, 1));
+    let mut sharded = ShardedCatalog::new(catalog, 2);
+
+    // More batches than the router's pool holds, so the caller always
+    // has one to ship while the rest are in flight or pooled.
+    let hasher = sharded.hasher().clone();
+    let mut mine: Vec<HashedBatch> = Vec::with_capacity(64);
+    for round in 0..16u64 {
+        let tuples: Vec<Tuple> = (0..256u64)
+            .map(|i| Tuple::from([round * 256 + i, i % 5, i % 3]))
+            .collect();
+        let mut batch = HashedBatch::new();
+        hasher.hash_batch(tuples, &mut batch);
+        mine.push(batch);
+    }
+    let mut shipped = 0u64;
+    let mut round = |sharded: &mut ShardedCatalog, mine: &mut Vec<HashedBatch>, i: u64| {
+        let batch = mine.pop().expect("the caller keeps batches to ship");
+        shipped += batch.len() as u64;
+        let back = sharded.process_hashed(batch);
+        if !back.is_empty() {
+            mine.push(back);
+        }
+        if i.is_multiple_of(4) {
+            sharded.publish();
+        }
+        if i.is_multiple_of(16) {
+            sharded.barrier();
+        }
+    };
+    // Warm: the lanes' arenas reach working size and every channel the
+    // barrier waits on has been used once.
+    for i in 0..64 {
+        round(&mut sharded, &mut mine, i);
+    }
+
+    let before = allocs_on_this_thread();
+    for i in 0..400 {
+        round(&mut sharded, &mut mine, i);
+    }
+    sharded.publish();
+    sharded.barrier();
+    let after = allocs_on_this_thread();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state sharded catalog router allocated"
+    );
+    assert_eq!(sharded.tuples_seen(), shipped);
+    let done = sharded.finish();
+    assert_eq!(done.tuples_seen(), shipped);
 }
 
 #[test]

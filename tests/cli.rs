@@ -141,6 +141,76 @@ fn save_and_resume_roundtrip() {
 }
 
 #[test]
+fn resume_refuses_a_snapshot_past_the_wire_caps() {
+    // A snapshot whose max multiplicity K was patched to 2^31 - 1 would
+    // size every tracked cell for K fingerprints; restore must refuse it
+    // with a message instead of attempting the allocation.
+    let dir = std::env::temp_dir().join(format!("implicate-capped-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let snap = dir.join("state.imps");
+    let snap_s = snap.to_str().expect("utf-8 path");
+    let (_, stderr, ok) = run_cli(
+        &["--lhs", "0", "--rhs", "1", "--save", snap_s],
+        &traffic(500, 0),
+    );
+    assert!(ok, "stderr: {stderr}");
+    let mut raw = std::fs::read(&snap).expect("snapshot written");
+    // Magic (4 bytes) and version (2), then the conditions, K first.
+    raw[6..10].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+    std::fs::write(&snap, raw).expect("patch snapshot");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+        .args(["--lhs", "0", "--rhs", "1", "--resume", snap_s])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run implicate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("max multiplicity"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_accepts_a_full_wire_frame() {
+    // Checkpoints restore through the cross-version decoder, so a wire
+    // full frame of the same state resumes like its snapshot.
+    let dir = std::env::temp_dir().join(format!("implicate-frame-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let config = implicate::opts::EstimatorOpts::default()
+        .config()
+        .expect("default flags build");
+    let mut est = config.build();
+    for a in 0..2000u64 {
+        est.update(&[a], &[a]);
+    }
+    let paths = [dir.join("state.imps"), dir.join("state.impw")];
+    std::fs::write(&paths[0], est.to_bytes()).expect("write snapshot");
+    let frame = implicate::core::wire::WireSnapshot::capture(&est, 1).full_frame(0);
+    std::fs::write(&paths[1], frame).expect("write frame");
+    let answers: Vec<String> = paths
+        .iter()
+        .map(|path| {
+            let (stdout, stderr, ok) = run_cli(
+                &[
+                    "--lhs",
+                    "0",
+                    "--rhs",
+                    "1",
+                    "--resume",
+                    path.to_str().unwrap(),
+                ],
+                &traffic(300, 0),
+            );
+            assert!(ok, "{}: {stderr}", path.display());
+            stdout
+        })
+        .collect();
+    assert_eq!(answers[0], answers[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stats_flag_prints_metrics_report() {
     let (_, stderr, ok) = run_cli(
         &["--lhs", "0", "--rhs", "1", "--stats"],

@@ -117,11 +117,10 @@ fn sharded_bytes(
 }
 
 #[test]
-fn grouped_batch_update_is_bit_identical_to_per_row() {
-    // Pins the counting-sort grouped path directly (sharded lanes ship
-    // 1024-row buffers, which fall below the grouping threshold): one
-    // call far above the threshold, plus chunk sizes straddling it,
-    // must all match the per-row loop bit for bit.
+fn large_batch_update_is_bit_identical_to_per_row() {
+    // Batches larger than anything a sharded lane ships (1024 rows), up
+    // to one call over the whole stream, must all match the per-row loop
+    // bit for bit.
     let stream = zipf_stream(30_000, 0x9e37);
     let config = EstimatorConfig::new(ImplicationConditions::one_to_c(2, 0.9, 2)).seed(7);
 

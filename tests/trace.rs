@@ -100,6 +100,66 @@ fn batch_and_snapshot_spans_close_into_the_journal() {
 }
 
 #[test]
+fn batch_positions_are_stream_positions_at_every_size() {
+    // A batch applies its rows in stream order and counts a Zone-1 skip
+    // where it stands, so even a 4,096-row batch must journal the events
+    // of 4,096 per-row calls, position for position.
+    let config = EstimatorConfig::new(ImplicationConditions::one_to_c(2, 0.9, 2))
+        .bitmaps(16)
+        .seed(8);
+    let pairs: Vec<(u64, u64)> = {
+        let est = config.build();
+        (0..4_096u64)
+            .map(|i| {
+                // Skewed repeats (commits, then Zone-1 rows), violations
+                // and a one-shot tail.
+                let a = if i % 3 == 0 { i % 64 } else { i };
+                let b = if i % 7 == 0 { i % 5 } else { a % 11 };
+                est.hash_pair(&[a], &[b])
+            })
+            .collect()
+    };
+    let journal = |batched: bool| {
+        let mut est = config.build();
+        let trace = TraceHandle::with_capacity(1 << 16);
+        est.set_trace(trace.clone());
+        if batched {
+            est.update_hashed_batch(&pairs);
+        } else {
+            for &(h_a, b_fp) in &pairs {
+                est.update_hashed(h_a, b_fp);
+            }
+        }
+        let events = trace.journal().map(|j| j.events()).unwrap_or_default();
+        let updates: Vec<TraceEvent> = events
+            .into_iter()
+            .map(|t| t.event)
+            .filter(|e| !matches!(e, TraceEvent::SpanClosed { .. }))
+            .collect();
+        (updates, est.metrics().estimator.zone1_skips.get())
+    };
+    let (per_row, _) = journal(false);
+    let (batch, skips) = journal(true);
+    if !TraceHandle::enabled() {
+        assert!(per_row.is_empty() && batch.is_empty());
+        return;
+    }
+    assert!(
+        per_row
+            .iter()
+            .any(|e| matches!(e, TraceEvent::CellCommit { .. }))
+            && per_row
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Dirty { .. })),
+        "the stream must commit cells and mark keys dirty"
+    );
+    assert_eq!(batch, per_row);
+    if implicate::MetricsRegistry::enabled() {
+        assert!(skips > 0, "the batch must skip Zone-1 rows");
+    }
+}
+
+#[test]
 fn jsonl_drain_reports_the_feature_state() {
     let cond = ImplicationConditions::strict_one_to_one(1);
     let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(6).build();

@@ -138,10 +138,9 @@ fn catalog_queries(schema: &Schema) -> Vec<ImplicationQuery> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random batch cuts (crossing the grouping threshold of 2048 rows)
-    /// with merges, adoptions, snapshot and wire round trips between
-    /// batches leave the batched estimator exactly where per-row updates
-    /// leave the reference.
+    /// Random batch cuts (up to 5,000 rows) with merges, adoptions,
+    /// snapshot and wire round trips between batches leave the batched
+    /// estimator exactly where per-row updates leave the reference.
     #[test]
     fn batches_with_the_filter_match_per_row_updates(
         seed in 0u64..1_000_000,
