@@ -278,11 +278,11 @@ impl QueryCatalog {
         if self.entries.iter().any(|e| e.name == name) {
             return Err(CatalogError::DuplicateName(name));
         }
-        let config = self.template.conditions(query.conditions);
+        let plan = query.estimator_plan(self.template);
         if self.budget.is_limited() {
             // The floor depends on the query's own conditions (multiplicity
-            // widens the arena cells), so preflight the re-targeted config.
-            let needed = config.construction_floor();
+            // widens the arena cells), so preflight the query's own plan.
+            let needed = plan.construction_floor();
             let headroom = self.budget.limit().saturating_sub(self.budget.used());
             if headroom < needed {
                 return Err(CatalogError::BudgetExhausted { needed, headroom });
@@ -290,7 +290,7 @@ impl QueryCatalog {
         }
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        let mut est = config.build_on(self.budget.clone());
+        let mut est = plan.build_on(self.budget.clone());
         est.set_trace(self.trace.clone());
         let combiner = self.hasher.combiner(query.lhs, query.rhs);
         self.entries.push(CatalogEntry {

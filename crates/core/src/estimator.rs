@@ -212,6 +212,13 @@ impl EstimatorConfig {
     /// tables each) — a budget the estimator could never fit inside is a
     /// configuration error, not a pressure condition.
     pub fn build(self) -> ImplicationEstimator {
+        self.build_as(false)
+    }
+
+    /// [`build`](Self::build), support-only if `support_only` (the
+    /// per-query constructor's choice, see
+    /// [`ImplicationQuery::estimator`](crate::query::ImplicationQuery::estimator)).
+    pub(crate) fn build_as(self, support_only: bool) -> ImplicationEstimator {
         let budget = match self.memory_budget {
             None => MemoryBudget::unlimited(),
             Some(limit) => {
@@ -225,13 +232,7 @@ impl EstimatorConfig {
                 MemoryBudget::with_limit(limit)
             }
         };
-        ImplicationEstimator::build(
-            self.cond,
-            self.bitmaps,
-            self.fringe.size(),
-            self.seed,
-            budget,
-        )
+        self.build_on(budget, support_only)
     }
 
     /// Builds the estimator on an **externally owned** (typically shared)
@@ -240,13 +241,14 @@ impl EstimatorConfig {
     /// global [`MemoryBudget`]. The caller is responsible for checking
     /// headroom against [`construction_floor`](Self::construction_floor)
     /// first; construction itself reserves via the shared account.
-    pub(crate) fn build_on(self, budget: MemoryBudget) -> ImplicationEstimator {
+    pub(crate) fn build_on(self, budget: MemoryBudget, support_only: bool) -> ImplicationEstimator {
         ImplicationEstimator::build(
             self.cond,
             self.bitmaps,
             self.fringe.size(),
             self.seed,
             budget,
+            support_only,
         )
     }
 }
@@ -284,6 +286,13 @@ pub struct ImplicationEstimator {
     /// the bitmap (see [`Zone1`]). It only ever holds a **subset** of the
     /// real `ones`; empty means stale, and the next batch rebuilds it.
     zone1: Vec<u64>,
+    /// Whether this estimator keeps only the `F0^sup` side-fringe, as a
+    /// query whose implication side is vacuous does (see
+    /// [`ImplicationQuery::estimator`](crate::query::ImplicationQuery::estimator)).
+    /// Its updates never touch a NIPS arena, no cell of it ever turns 1,
+    /// and its Zone-1 mirror holds `ones | certified`: an arrival in a
+    /// certified cell changes nothing either.
+    support_only: bool,
 }
 
 /// A read-only view of an estimator's Zone-1 mirror, for the batch
@@ -333,6 +342,7 @@ impl Clone for ImplicationEstimator {
             trace: self.trace.clone(),
             publisher: None,
             zone1: Vec::new(),
+            support_only: self.support_only,
         }
     }
 }
@@ -344,6 +354,7 @@ impl ImplicationEstimator {
         fringe: Option<u32>,
         seed: u64,
         budget: MemoryBudget,
+        support_only: bool,
     ) -> Self {
         assert!(m.is_power_of_two(), "bitmap count must be a power of two");
         let policy = match fringe {
@@ -371,6 +382,7 @@ impl ImplicationEstimator {
             trace: TraceHandle::disabled(),
             publisher: None,
             zone1: Vec::new(),
+            support_only,
         };
         est.publish_mem_gauges();
         est
@@ -444,19 +456,36 @@ impl ImplicationEstimator {
     pub fn update_hashed(&mut self, h_a: u64, b_fp: u64) {
         self.metrics.estimator.tuples.inc();
         let (idx, rank) = split_rank(h_a, self.log2_m);
-        self.update_routed(idx, rank, h_a, b_fp);
+        if self.support_only {
+            self.update_routed::<true>(idx, rank, h_a, b_fp);
+        } else {
+            self.update_routed::<false>(idx, rank, h_a, b_fp);
+        }
     }
 
     /// Applies one pair already split into its bitmap index and rank,
     /// minus the `estimator.tuples` counter bump, so batch paths can
     /// meter a whole batch with one atomic add instead of one per row.
+    /// `SUPPORT_ONLY` must equal the estimator's mode; it is a constant so
+    /// the mode is chosen once per call site, not once per row.
     #[inline]
-    fn update_routed(&mut self, idx: usize, rank: u32, h_a: u64, b_fp: u64) {
+    fn update_routed<const SUPPORT_ONLY: bool>(
+        &mut self,
+        idx: usize,
+        rank: u32,
+        h_a: u64,
+        b_fp: u64,
+    ) {
         self.tuples += 1;
-        let outcome = self.bitmaps[idx].update(rank, h_a, b_fp);
+        let bitmap = &mut self.bitmaps[idx];
+        let outcome = if SUPPORT_ONLY {
+            bitmap.update_support(rank, h_a)
+        } else {
+            bitmap.update(rank, h_a, b_fp)
+        };
         self.metrics.estimator.record_outcome(&outcome);
-        if outcome.committed {
-            // The cell is 1 for good now; a stale (empty) mirror is
+        if outcome.committed || SUPPORT_ONLY && outcome.certified {
+            // The cell is decided for good now; a stale (empty) mirror is
             // rebuilt by the next batch instead.
             if let Some(word) = self.zone1.get_mut(idx) {
                 *word |= 1 << rank.min(CELLS - 1);
@@ -477,16 +506,25 @@ impl ImplicationEstimator {
     /// Rebuilds the Zone-1 mirror if a merge, an adoption or a wire delta
     /// left it stale.
     fn refresh_zone1(&mut self) {
+        let support_only = self.support_only;
+        // The cells of a bitmap an arrival can no longer change.
+        let decided = |bm: &NipsBitmap| {
+            if support_only {
+                bm.ones() | bm.certified()
+            } else {
+                bm.ones()
+            }
+        };
         if self.zone1.len() != self.bitmaps.len() {
             self.zone1.clear();
-            self.zone1.extend(self.bitmaps.iter().map(NipsBitmap::ones));
+            self.zone1.extend(self.bitmaps.iter().map(decided));
         }
         debug_assert!(
             self.zone1
                 .iter()
                 .zip(&self.bitmaps)
-                .all(|(&word, bm)| word & !bm.ones() == 0),
-            "the Zone-1 mirror must be a subset of the bitmaps' ones"
+                .all(|(&word, bm)| word & !decided(bm) == 0),
+            "the Zone-1 mirror must be a subset of the bitmaps' decided cells"
         );
     }
 
@@ -513,7 +551,9 @@ impl ImplicationEstimator {
     /// [`tuples_seen`](Self::tuples_seen) and `estimator.tuples`;
     /// `estimator.zone1_skips` counts them. The mirror is only ever a
     /// subset of the real `ones`, so a row it lets through is still
-    /// dropped by [`NipsBitmap::update`]'s own check.
+    /// dropped by [`NipsBitmap::update`]'s own check. For a support-only
+    /// estimator the mirror also holds the certified cells, where an
+    /// arrival changes nothing either.
     ///
     /// **Trace positions** are the tuple count when an event fires. The
     /// batch applies its rows in stream order and counts a skipped row
@@ -537,6 +577,18 @@ impl ImplicationEstimator {
         self.metrics.estimator.tuples.add(rows);
         self.tuples += skipped;
         self.refresh_zone1();
+        skipped += if self.support_only {
+            self.apply_lane::<true>(pairs)
+        } else {
+            self.apply_lane::<false>(pairs)
+        };
+        self.metrics.estimator.zone1_skips.add(skipped);
+    }
+
+    /// Applies `pairs` in order, dropping the rows the Zone-1 mirror has
+    /// decided; returns how many it dropped.
+    fn apply_lane<const SUPPORT_ONLY: bool>(&mut self, pairs: &[(u64, u64)]) -> u64 {
+        let mut skipped = 0;
         for &(h_a, b_fp) in pairs {
             let (idx, rank) = split_rank(h_a, self.log2_m);
             if is_set(&self.zone1, idx, rank) {
@@ -544,9 +596,9 @@ impl ImplicationEstimator {
                 skipped += 1;
                 continue;
             }
-            self.update_routed(idx, rank, h_a, b_fp);
+            self.update_routed::<SUPPORT_ONLY>(idx, rank, h_a, b_fp);
         }
-        self.metrics.estimator.zone1_skips.add(skipped);
+        skipped
     }
 
     /// Pre-hashes an `(a, b)` pair exactly as [`ImplicationEstimator::update`]
@@ -722,7 +774,14 @@ impl ImplicationEstimator {
     /// never re-attach. The donor's arenas carry their own budget
     /// accounting with them; the previously held state releases its
     /// reservations on drop.
+    ///
+    /// # Panics
+    /// If one estimator is support-only and the other is not.
     pub fn adopt_state(&mut self, donor: ImplicationEstimator) {
+        assert_eq!(
+            self.support_only, donor.support_only,
+            "estimator modes (support-only or not) must match"
+        );
         let ImplicationEstimator {
             cond,
             log2_m,
@@ -735,6 +794,7 @@ impl ImplicationEstimator {
             trace: _,
             publisher: _,
             zone1: _,
+            support_only: _,
         } = donor;
         self.cond = cond;
         self.log2_m = log2_m;
@@ -748,11 +808,16 @@ impl ImplicationEstimator {
     }
 
     /// # Panics
-    /// If conditions, bitmap counts or hash seeds differ.
+    /// If conditions, bitmap counts, hash seeds or modes (support-only or
+    /// not) differ.
     pub fn merge(&mut self, other: &ImplicationEstimator) {
         let mut span = self.trace.span(SpanKind::Merge);
         span.set_quantity(self.bitmaps.len() as u64);
         assert_eq!(self.cond, other.cond, "conditions must match");
+        assert_eq!(
+            self.support_only, other.support_only,
+            "estimator modes (support-only or not) must match"
+        );
         assert_eq!(
             self.bitmaps.len(),
             other.bitmaps.len(),
@@ -775,7 +840,9 @@ impl ImplicationEstimator {
 /// Internal plumbing for the sharded ingestion pipeline
 /// (see [`crate::parallel`]).
 impl ImplicationEstimator {
-    /// Reassembles an estimator from parts (shard construction).
+    /// Reassembles a general (not support-only) estimator from parts —
+    /// the wire decoder's replica; shard construction copies the mode
+    /// over afterwards.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         cond: ImplicationConditions,
@@ -803,6 +870,7 @@ impl ImplicationEstimator {
             trace,
             publisher: None,
             zone1: Vec::new(),
+            support_only: false,
         }
     }
 
@@ -879,7 +947,7 @@ impl ImplicationEstimator {
                 bm.fresh_like()
             }
         });
-        Self::from_parts(
+        let mut est = Self::from_parts(
             self.cond,
             bitmaps.collect(),
             self.hasher_a,
@@ -888,7 +956,9 @@ impl ImplicationEstimator {
             self.budget.clone(),
             self.metrics.clone(),
             self.trace.clone(),
-        )
+        );
+        est.support_only = self.support_only;
+        est
     }
 }
 
@@ -919,6 +989,11 @@ impl ImplicationEstimator {
     /// assert_eq!(restored.to_bytes(), est.to_bytes());
     /// # Ok::<(), imp_core::SnapshotError>(())
     /// ```
+    ///
+    /// The format has no mode field: a support-only estimator encodes
+    /// like any other and restores as a general one with the same
+    /// answers, since a query with an empty rhs can turn no cell 1 on
+    /// either path. (Front ends never checkpoint catalog estimators.)
     pub fn to_bytes(&self) -> bytes::Bytes {
         use bytes::BufMut;
         let mut span = self.trace.span(SpanKind::SnapshotEncode);
@@ -994,6 +1069,7 @@ impl ImplicationEstimator {
             trace: TraceHandle::disabled(),
             publisher: None,
             zone1: Vec::new(),
+            support_only: false,
         };
         est.publish_mem_gauges();
         Ok(est)

@@ -89,4 +89,4 @@ pub use snapshot::SnapshotError;
 pub use state::{DirtyReason, ItemState, Verdict};
 pub use trace::{Span, SpanKind, TraceEvent, TraceHandle, TraceJournal, TracedEvent};
 pub use view::{EstimateReader, ReadView};
-pub use wire::{FrameHeader, FrameKind, WireDecoder, WireError, WireSnapshot};
+pub use wire::{CheckpointError, FrameHeader, FrameKind, WireDecoder, WireError, WireSnapshot};

@@ -447,10 +447,7 @@ impl NipsBitmap {
         let entries_before = self.arena.len() + self.support.entries();
         // The monotone F0^sup event is recorded for every arrival (a
         // value-1 cell is implicitly supported, so it can be skipped).
-        let (certified, support_evictions, support_sheds) = self.support.update(i, a_key);
-        out.certified = certified;
-        out.evictions += support_evictions;
-        out.budget_sheds += support_sheds;
+        self.record_support(i, a_key, &mut out);
         match self.policy.fringe {
             Some(_) => self.update_bounded(i, a_key, b_fingerprint, &mut out),
             None => self.update_unbounded(i, a_key, b_fingerprint, &mut out),
@@ -458,6 +455,29 @@ impl NipsBitmap {
         out.entries_delta =
             (self.arena.len() + self.support.entries()) as i32 - entries_before as i32;
         out
+    }
+
+    /// Records an arrival in the `F0^sup` side-fringe only, leaving the
+    /// NIPS arena untouched — the whole update of a support-only
+    /// estimator, whose cells can never turn 1 (see
+    /// [`ImplicationQuery::estimator`](crate::query::ImplicationQuery::estimator)).
+    /// The outcome reports what [`update`](Self::update) would report for
+    /// the support side.
+    pub(crate) fn update_support(&mut self, rank: u32, a_key: u64) -> UpdateOutcome {
+        let i = rank.min(CELLS - 1);
+        let mut out = UpdateOutcome::default();
+        let entries_before = self.support.entries();
+        self.record_support(i, a_key, &mut out);
+        out.entries_delta = self.support.entries() as i32 - entries_before as i32;
+        out
+    }
+
+    #[inline]
+    fn record_support(&mut self, i: u32, a_key: u64, out: &mut UpdateOutcome) {
+        let (certified, evictions, sheds) = self.support.update(i, a_key);
+        out.certified = certified;
+        out.evictions += evictions;
+        out.budget_sheds += sheds;
     }
 
     fn update_unbounded(&mut self, i: u32, a_key: u64, b_fp: u64, out: &mut UpdateOutcome) {
@@ -561,6 +581,12 @@ impl NipsBitmap {
     /// value 1.
     pub(crate) fn ones(&self) -> u64 {
         self.ones
+    }
+
+    /// The cells the `F0^sup` side-fringe has certified to hold a
+    /// supported itemset, as one word.
+    pub(crate) fn certified(&self) -> u64 {
+        self.support.certified
     }
 
     /// `R_S̄` — Algorithm 2 lines 5–8: leftmost cell with value ≠ 1.

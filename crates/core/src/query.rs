@@ -20,6 +20,7 @@ use imp_stream::hashplan::{QueryCombiner, TupleHasher};
 use imp_stream::schema::{AttrId, AttrSet, Schema};
 use imp_stream::tuple::Tuple;
 
+use crate::budget::MemoryBudget;
 use crate::conditions::{Confidence, ImplicationConditions};
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator};
 
@@ -194,6 +195,40 @@ impl ImplicationQuery {
         self
     }
 
+    /// This query's estimator: `template`'s tuning knobs (bitmaps, fringe,
+    /// seed, memory budget) with the query's own conditions — the one
+    /// constructor behind [`QueryEngine::new`] and
+    /// [`QueryCatalog::try_register`](crate::catalog::QueryCatalog::try_register).
+    ///
+    /// A query with an empty `rhs` gets a **support-only** estimator,
+    /// which keeps only the `F0^sup` side-fringe. With `B = ∅` every
+    /// itemset co-occurs with exactly one `B`-itemset, so under `K ≥ 1`
+    /// and `c ≥ 1` neither the multiplicity nor the top-confidence
+    /// condition can fail, no cell can turn 1, and the NIPS fringe
+    /// state could never change an answer. Its estimates equal a general
+    /// estimator's, bit for bit, whenever the memory budget does not
+    /// force shedding; its resident bytes, occupancy and eviction
+    /// counters cover the side-fringe alone. Support-only and general
+    /// estimators refuse to [`merge`](ImplicationEstimator::merge) with
+    /// each other.
+    ///
+    /// # Panics
+    /// As [`EstimatorConfig::build`].
+    pub fn estimator(&self, template: EstimatorConfig) -> ImplicationEstimator {
+        self.estimator_plan(template).build()
+    }
+
+    /// How [`estimator`](Self::estimator) builds this query's estimator;
+    /// the catalog preflights its floor before building it on the shared
+    /// budget.
+    pub(crate) fn estimator_plan(&self, template: EstimatorConfig) -> EstimatorPlan {
+        let cond = self.conditions;
+        EstimatorPlan {
+            config: template.conditions(cond),
+            support_only: self.rhs.is_empty() && cond.max_multiplicity >= 1 && cond.top_c >= 1,
+        }
+    }
+
     /// Selects this query's scalar answer out of a full three-component
     /// estimate, per its [`QueryKind`] — shared by [`QueryEngine`] and
     /// the multi-query [`catalog`](crate::catalog).
@@ -203,6 +238,33 @@ impl ImplicationQuery {
             QueryKind::Implication => e.implication_count,
             QueryKind::Complement => e.non_implication_count,
         }
+    }
+}
+
+/// A query's estimator before it is built (see
+/// [`ImplicationQuery::estimator`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EstimatorPlan {
+    config: EstimatorConfig,
+    support_only: bool,
+}
+
+impl EstimatorPlan {
+    /// The smallest memory budget the estimator can be built under. A
+    /// support-only estimator reserves the same floor: its bitmaps keep
+    /// their (never used) initial NIPS arena tables.
+    pub(crate) fn construction_floor(&self) -> usize {
+        self.config.construction_floor()
+    }
+
+    fn build(self) -> ImplicationEstimator {
+        self.config.build_as(self.support_only)
+    }
+
+    /// Builds the estimator on an externally owned budget (see
+    /// [`EstimatorConfig::build_on`]).
+    pub(crate) fn build_on(self, budget: MemoryBudget) -> ImplicationEstimator {
+        self.config.build_on(budget, self.support_only)
     }
 }
 
@@ -243,7 +305,7 @@ impl QueryEngine {
         );
         let hasher = TupleHasher::new(schema, tuning.hash_seed());
         let combiner = hasher.combiner(query.lhs, query.rhs);
-        let est = tuning.conditions(query.conditions).build();
+        let est = query.estimator(tuning);
         Self {
             query,
             hasher,

@@ -112,8 +112,7 @@ const MAX_VARINT_BYTES: usize = 10;
 /// to one of these; the decoder never panics on hostile bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The buffer does not open with [`WIRE_MAGIC`] (or, for
-    /// [`decode_compat`], the VERSION 2 snapshot magic).
+    /// The buffer does not open with [`WIRE_MAGIC`].
     BadMagic,
     /// The version field names a layout this decoder does not speak.
     BadVersion(u16),
@@ -242,6 +241,43 @@ impl From<SnapshotError> for WireError {
             SnapshotError::BadVersion(v) => WireError::BadVersion(v),
             SnapshotError::Truncated => WireError::Truncated,
             SnapshotError::Corrupt(what) => WireError::Corrupt(what),
+        }
+    }
+}
+
+/// Why [`decode_compat`] refused a checkpoint. Each variant names the
+/// format the bytes turned out to be, so a bad `IMPS` snapshot is not
+/// reported as a bad wire frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The bytes open with neither the snapshot magic (`IMPS`) nor
+    /// [`WIRE_MAGIC`] (`IMPW`).
+    UnknownFormat,
+    /// A VERSION 2 snapshot that does not decode, or whose `K` or `m`
+    /// is past the wire caps.
+    Snapshot(SnapshotError),
+    /// A wire frame that does not decode to an estimator on its own.
+    Frame(WireError),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::UnknownFormat => {
+                write!(f, "neither an IMPS snapshot nor an IMPW frame (bad magic)")
+            }
+            CheckpointError::Snapshot(e) => e.fmt(f),
+            CheckpointError::Frame(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointError::UnknownFormat => None,
+            CheckpointError::Snapshot(e) => Some(e),
+            CheckpointError::Frame(e) => Some(e),
         }
     }
 }
@@ -1014,31 +1050,41 @@ fn verify_read_offs(replica: &ImplicationEstimator, header: &FrameHeader) -> Res
 /// A VERSION 3 *delta* frame is rejected with
 /// [`WireError::DeltaWithoutBase`]: deltas are only meaningful against
 /// a held base, i.e. through a [`WireDecoder`].
-pub fn decode_compat(bytes: Bytes) -> Result<ImplicationEstimator, WireError> {
-    let mut cur = Cursor::new(&bytes);
-    match cur.u32_le()? {
-        WIRE_MAGIC => {
+pub fn decode_compat(bytes: Bytes) -> Result<ImplicationEstimator, CheckpointError> {
+    let magic = (bytes.len() >= 4).then(|| bytes.slice(0..4).get_u32_le());
+    match magic {
+        Some(WIRE_MAGIC) => {
             let mut dec = WireDecoder::new();
-            dec.apply(bytes)?;
+            dec.apply(bytes).map_err(CheckpointError::Frame)?;
             Ok(dec.into_estimator().expect("apply succeeded"))
         }
-        crate::snapshot::MAGIC => {
-            let version = cur.u16_le()?;
-            if version != crate::snapshot::VERSION {
-                return Err(WireError::BadVersion(version));
-            }
-            // Check the allocation-relevant header fields against the
-            // wire caps before the snapshot decoder sizes anything.
-            let mut header = bytes.slice(6..bytes.len());
-            decode_checked_conditions(&mut header)?;
-            let m = Cursor::new(&header).u32_le()? as usize;
-            if !m.is_power_of_two() || m == 0 || m > MAX_WIRE_BITMAPS {
-                return Err(WireError::Corrupt("bitmap count"));
-            }
-            Ok(ImplicationEstimator::from_bytes(bytes)?)
+        Some(crate::snapshot::MAGIC) => {
+            decode_capped_snapshot(bytes).map_err(CheckpointError::Snapshot)
         }
-        _ => Err(WireError::BadMagic),
+        _ => Err(CheckpointError::UnknownFormat),
     }
+}
+
+/// [`decode_compat`]'s VERSION 2 path: checks the allocation-relevant
+/// header fields against the wire caps before the snapshot decoder
+/// sizes anything.
+fn decode_capped_snapshot(bytes: Bytes) -> Result<ImplicationEstimator, SnapshotError> {
+    use crate::snapshot::need;
+    let mut header = bytes.slice(4..bytes.len());
+    need(&header, 2)?;
+    let version = header.get_u16_le();
+    if version != crate::snapshot::VERSION {
+        return Err(SnapshotError::BadVersion(version));
+    }
+    if ImplicationConditions::decode(&mut header)?.max_multiplicity > MAX_WIRE_MULTIPLICITY {
+        return Err(SnapshotError::Corrupt("max multiplicity"));
+    }
+    need(&header, 4)?;
+    let m = header.get_u32_le() as usize;
+    if !m.is_power_of_two() || m == 0 || m > MAX_WIRE_BITMAPS {
+        return Err(SnapshotError::Corrupt("bitmap count"));
+    }
+    ImplicationEstimator::from_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -1158,8 +1204,33 @@ mod tests {
         let delta = WireSnapshot::capture(&est, 2).delta_frame(&base, 0);
         assert_eq!(
             decode_compat(delta).err(),
-            Some(WireError::DeltaWithoutBase)
+            Some(CheckpointError::Frame(WireError::DeltaWithoutBase))
         );
+    }
+
+    #[test]
+    fn decode_compat_names_the_format_it_found() {
+        let mut est = edge(9);
+        run(&mut est, 0..500);
+        let mut v2 = est.to_bytes().to_vec();
+        // Magic (4 bytes) and version (2), then the conditions, K first.
+        v2[6..10].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+        let err = decode_compat(Bytes::from(v2)).expect_err("K past the cap");
+        assert_eq!(
+            err,
+            CheckpointError::Snapshot(SnapshotError::Corrupt("max multiplicity"))
+        );
+        assert_eq!(err.to_string(), "snapshot corrupt: max multiplicity");
+        for garbage in [&b"not a checkpoint"[..], b"IM", b""] {
+            let err = decode_compat(Bytes::from(garbage.to_vec())).expect_err("garbage");
+            assert_eq!(err, CheckpointError::UnknownFormat);
+            assert!(err
+                .to_string()
+                .contains("neither an IMPS snapshot nor an IMPW frame"));
+        }
+        let frame = WireSnapshot::capture(&est, 1).full_frame(0);
+        let cut = frame.slice(0..frame.len() - 1);
+        assert!(matches!(decode_compat(cut), Err(CheckpointError::Frame(_))));
     }
 
     #[test]

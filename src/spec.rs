@@ -99,7 +99,14 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
     let mut support: u64 = 1;
     let mut complement = false;
     let mut filter = Filter::new();
+    // The first option other than `where=`: each one tunes the
+    // conditions or the kind, which a `distinct` query has no use for.
+    let mut tuning: Option<&str> = None;
     for opt in tokens {
+        let name = opt.find('=').map_or(opt, |eq| &opt[..=eq]);
+        if name != "where=" {
+            tuning.get_or_insert(name);
+        }
         if opt == "complement" {
             complement = true;
         } else if let Some(v) = opt.strip_prefix("k=") {
@@ -138,6 +145,11 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
         "distinct" => {
             if !rhs_cols.is_empty() {
                 return Err("distinct takes no rhs (use `-`)".into());
+            }
+            // A distinct count fixes σ = 1 and has no implication side or
+            // complement, so these options would be silently dropped.
+            if let Some(opt) = tuning {
+                return Err(format!("distinct takes no {opt} option"));
             }
             ImplicationQuery::distinct_count(lhs)
         }
@@ -242,5 +254,23 @@ mod tests {
         }
         assert!(parse_query_file("# only comments\n").is_err());
         assert!(parse_query_line("q at-most 0 1 k=4096").is_ok());
+    }
+
+    #[test]
+    fn distinct_rejects_the_options_it_would_ignore() {
+        for (line, option) in [
+            ("q distinct 0 - k=2", "k="),
+            ("q distinct 0 - c=2", "c="),
+            ("q distinct 0 - psi=50", "psi="),
+            ("q distinct 0 - support=3", "support="),
+            ("q distinct 0 - complement", "complement"),
+            ("q distinct 0 - where=1=x support=3 k=2", "support="),
+        ] {
+            let err = parse_query_line(line).expect_err(line);
+            assert_eq!(err, format!("distinct takes no {option} option"), "{line}");
+        }
+        let spec = parse_query_line("q distinct 0,1 - where=2=am where=3=x").expect("parses");
+        assert_eq!(spec.query.kind, QueryKind::DistinctCount);
+        assert!(!spec.query.filter.is_empty());
     }
 }

@@ -166,8 +166,26 @@ fn resume_refuses_a_snapshot_past_the_wire_caps() {
         .expect("run implicate");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("max multiplicity"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("snapshot corrupt: max multiplicity"),
+        "stderr: {stderr}"
+    );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // A file in neither checkpoint format is named as such, not as a
+    // bad wire frame.
+    std::fs::write(&snap, "src1 dst1\n").expect("write garbage");
+    let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+        .args(["--lhs", "0", "--rhs", "1", "--resume", snap_s])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run implicate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("neither an IMPS snapshot nor an IMPW frame"),
+        "stderr: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -220,7 +220,7 @@ proptest! {
         let combiners: Vec<_> = queries.iter().map(|q| hasher.combiner(q.lhs, q.rhs)).collect();
         let mut reference: Vec<ImplicationEstimator> = queries
             .iter()
-            .map(|q| template.conditions(q.conditions).build())
+            .map(|q| q.estimator(template))
             .collect();
 
         let mut state = seed;
