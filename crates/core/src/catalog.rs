@@ -47,6 +47,7 @@ use imp_stream::tuple::Tuple;
 use crate::budget::MemoryBudget;
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator};
 use crate::lane::{LaneWorker, Lanes, RING_DEPTH};
+use crate::metrics::{Exposition, Kind, Row};
 use crate::query::ImplicationQuery;
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::view::EstimateReader;
@@ -515,149 +516,63 @@ impl QueryCatalog {
     /// gauges plus the per-query `implicate_query_*{query="…"}` labeled
     /// series (passes [`lint_prometheus`](crate::metrics::lint_prometheus)).
     pub fn prometheus_into(&self, namespace: &str, out: &mut String) {
-        use std::fmt::Write;
-        fn label_escape(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
+        let mut w = Exposition::new(namespace, out);
+        for row in &CATALOG_SERIES {
+            w.single(row.name, row.kind, row.help, (row.read)(self));
         }
-        let catalog_gauges: [(&str, &str, u64); 5] = [
-            (
-                "catalog_queries",
-                "Live registered queries",
-                self.entries.len() as u64,
-            ),
-            (
-                "catalog_registered_total",
-                "Queries registered over the catalog's lifetime",
-                self.registered,
-            ),
-            (
-                "catalog_retired_total",
-                "Queries retired over the catalog's lifetime",
-                self.retired,
-            ),
-            (
-                "catalog_tuples_total",
-                "Tuples offered to the catalog",
-                self.tuples,
-            ),
-            (
-                "catalog_mem_bytes",
-                "Tracked bytes across all live queries (shared budget usage)",
-                self.tracked_bytes() as u64,
-            ),
-        ];
-        for (suffix, help, value) in catalog_gauges {
-            let kind = if suffix.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            let _ = write!(
-                out,
-                "# HELP {namespace}_{suffix} {help}\n\
-                 # TYPE {namespace}_{suffix} {kind}\n\
-                 {namespace}_{suffix} {value}\n"
-            );
-        }
-        let _ = write!(
-            out,
-            "# HELP {namespace}_catalog_mem_budget_bytes Global shared budget limit (0 when unlimited)\n\
-             # TYPE {namespace}_catalog_mem_budget_bytes gauge\n\
-             {namespace}_catalog_mem_budget_bytes {}\n",
-            if self.budget.is_limited() { self.budget.limit() as u64 } else { 0 }
-        );
         if self.entries.is_empty() {
             return;
         }
-        struct PerQuery {
-            suffix: &'static str,
-            kind: &'static str,
-            help: &'static str,
-            value: fn(&CatalogEntry) -> String,
-        }
-        let families: [PerQuery; 5] = [
-            PerQuery {
-                suffix: "query_tuples",
-                kind: "counter",
-                help: "Tuples a query's estimator has absorbed (post-filter)",
-                value: |e| e.est.tuples_seen().to_string(),
-            },
-            PerQuery {
-                suffix: "query_mem_bytes",
-                kind: "gauge",
-                help: "Tracked bytes resident for a query on the shared budget",
-                value: |e| {
-                    e.est
-                        .bitmaps()
-                        .iter()
-                        .map(|b| b.tracked_bytes())
-                        .sum::<usize>()
-                        .to_string()
-                },
-            },
-            PerQuery {
-                suffix: "query_shed_events",
-                kind: "counter",
-                help: "Budget-pressure sheds attributed to a query",
-                value: |e| {
-                    e.est
-                        .metrics()
-                        .registry()
-                        .estimator
-                        .shed_events
-                        .get()
-                        .to_string()
-                },
-            },
-            PerQuery {
-                suffix: "query_dirty_total",
-                kind: "counter",
-                help: "Itemsets a query's estimator marked dirty",
-                value: |e| {
-                    e.est
-                        .metrics()
-                        .registry()
-                        .estimator
-                        .dirty_total()
-                        .to_string()
-                },
-            },
-            PerQuery {
-                suffix: "query_answer",
-                kind: "gauge",
-                help: "The query's current scalar answer per its kind",
-                value: |e| {
-                    let v = e.query.answer_from(&e.est.estimate_now());
-                    if v.is_finite() {
-                        format!("{v}")
-                    } else {
-                        "0".to_owned()
-                    }
-                },
-            },
-        ];
-        for family in families {
-            let _ = write!(
-                out,
-                "# HELP {namespace}_{suffix} {help}\n# TYPE {namespace}_{suffix} {kind}\n",
-                suffix = family.suffix,
-                help = family.help,
-                kind = family.kind,
-            );
+        for row in &QUERY_SERIES {
+            w.family(row.name, row.kind, row.help);
             for e in &self.entries {
-                let _ = writeln!(
-                    out,
-                    "{namespace}_{suffix}{{query=\"{name}\"}} {value}",
-                    suffix = family.suffix,
-                    name = label_escape(&e.name),
-                    value = (family.value)(e),
-                );
+                w.labeled(row.name, "query", &e.name, (row.read)(e));
             }
+        }
+        let name = "query_answer";
+        w.family(
+            name,
+            Kind::Gauge,
+            "The query's current scalar answer per its kind",
+        );
+        for e in &self.entries {
+            let answer = e.query.answer_from(&e.est.estimate_now());
+            let answer = if answer.is_finite() { answer } else { 0.0 };
+            w.labeled(name, "query", &e.name, answer);
         }
     }
 }
+
+/// The catalog-wide series of [`QueryCatalog::prometheus_into`].
+const CATALOG_SERIES: [Row<QueryCatalog>; 6] = crate::metric_rows![
+    Gauge "catalog_queries" |c| c.entries.len() as u64,
+        "Live registered queries";
+    Counter "catalog_registered_total" |c| c.registered,
+        "Queries registered over the catalog's lifetime";
+    Counter "catalog_retired_total" |c| c.retired,
+        "Queries retired over the catalog's lifetime";
+    Counter "catalog_tuples_total" |c| c.tuples,
+        "Tuples offered to the catalog";
+    Gauge "catalog_mem_bytes" |c| c.tracked_bytes() as u64,
+        "Tracked bytes across all live queries (shared budget usage)";
+    Gauge "catalog_mem_budget_bytes"
+        |c| if c.budget.is_limited() { c.budget.limit() as u64 } else { 0 },
+        "Global shared budget limit (0 when unlimited)";
+];
+
+/// The per-query series of [`QueryCatalog::prometheus_into`], one sample
+/// per query labeled `query="<name>"` (followed by `query_answer`, the
+/// one valued in `f64`).
+const QUERY_SERIES: [Row<CatalogEntry>; 4] = crate::metric_rows![
+    Counter "query_tuples" |e| e.est.tuples_seen(),
+        "Tuples a query's estimator has absorbed (post-filter)";
+    Gauge "query_mem_bytes" |e| e.est.bitmaps().iter().map(|b| b.tracked_bytes() as u64).sum(),
+        "Tracked bytes resident for a query on the shared budget";
+    Counter "query_shed_events" |e| e.est.metrics().registry().estimator.shed_events.get(),
+        "Budget-pressure sheds attributed to a query";
+    Counter "query_dirty_total" |e| e.est.metrics().registry().estimator.dirty_total(),
+        "Itemsets a query's estimator marked dirty";
+];
 
 /// A catalog lane: a [`QueryCatalog`] holding a subset of the queries,
 /// applying every batch of the stream.
@@ -1111,6 +1026,15 @@ mod tests {
             batched.answer(id_batched).unwrap().to_bits()
         );
         assert_eq!(one.tuples_seen(), batched.tuples_seen());
+    }
+
+    #[test]
+    fn every_catalog_family_is_in_the_design_glossary() {
+        let design = include_str!("../../../DESIGN.md");
+        let names = CATALOG_SERIES.iter().map(|row| row.name);
+        for name in names.chain(QUERY_SERIES.iter().map(|row| row.name)) {
+            assert!(design.contains(&format!("`{name}")), "{name}");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::metrics::{Exposition, Row};
 use crate::wire::FrameKind;
 
 /// Default staleness window in milliseconds (the serve binary's
@@ -469,115 +470,57 @@ impl NodeRegistry {
     /// registry, not the sample-based one.
     pub fn prometheus_into(&self, namespace: &str, now_ms: u64, out: &mut String) {
         let nodes = self.snapshot(now_ms);
-        struct Series {
-            suffix: &'static str,
-            kind: &'static str,
-            help: &'static str,
-            get: fn(&NodeStatus) -> u64,
-        }
-        let series: [Series; 12] = [
-            Series {
-                suffix: "node_health",
-                kind: "gauge",
-                help: "Derived node health (0=live 1=lagging 2=stale 3=poisoned)",
-                get: |n| n.health.code(),
-            },
-            Series {
-                suffix: "node_age_ms",
-                kind: "gauge",
-                help: "Milliseconds since the node's last applied frame",
-                get: |n| n.age_ms,
-            },
-            Series {
-                suffix: "node_epoch",
-                kind: "gauge",
-                help: "Epoch of the node's last applied frame",
-                get: |n| n.epoch,
-            },
-            Series {
-                suffix: "node_epoch_lag",
-                kind: "gauge",
-                help: "Newest declared epoch minus applied epoch",
-                get: |n| n.epoch_lag,
-            },
-            Series {
-                suffix: "node_tuples",
-                kind: "gauge",
-                help: "Tuples the node had ingested at its applied epoch",
-                get: |n| n.tuples,
-            },
-            Series {
-                suffix: "node_frames_total",
-                kind: "counter",
-                help: "Frames applied from this node",
-                get: |n| n.frames,
-            },
-            Series {
-                suffix: "node_fulls_total",
-                kind: "counter",
-                help: "Full frames applied from this node",
-                get: |n| n.fulls,
-            },
-            Series {
-                suffix: "node_deltas_total",
-                kind: "counter",
-                help: "Delta frames applied from this node",
-                get: |n| n.deltas,
-            },
-            Series {
-                suffix: "node_bytes_total",
-                kind: "counter",
-                help: "Frame bytes applied from this node",
-                get: |n| n.bytes,
-            },
-            Series {
-                suffix: "node_decode_errors_total",
-                kind: "counter",
-                help: "Frames from this node rejected by the decoder",
-                get: |n| n.decode_errors,
-            },
-            Series {
-                suffix: "node_reconnects_total",
-                kind: "counter",
-                help: "Connections beyond the first pinning this node id",
-                get: |n| n.reconnects,
-            },
-            Series {
-                suffix: "node_id_conflicts_total",
-                kind: "counter",
-                help: "Frames rejected for switching node id mid-connection",
-                get: |n| n.id_conflicts,
-            },
-        ];
-        for s in &series {
-            if nodes.is_empty() {
-                continue; // a TYPE with no samples is legal but noisy
-            }
-            out.push_str(&format!(
-                "# HELP {namespace}_{} {}\n# TYPE {namespace}_{} {}\n",
-                s.suffix, s.help, s.suffix, s.kind
-            ));
+        let mut w = Exposition::new(namespace, out);
+        // A family with no samples is legal but noisy: an empty fleet
+        // writes only the fleet-wide gauges.
+        for row in NODE_SERIES.iter().filter(|_| !nodes.is_empty()) {
+            w.family(row.name, row.kind, row.help);
             for n in &nodes {
-                out.push_str(&format!(
-                    "{namespace}_{}{{node=\"{}\"}} {}\n",
-                    s.suffix,
-                    n.node_id,
-                    (s.get)(n)
-                ));
+                w.labeled(row.name, "node", n.node_id, (row.read)(n));
             }
         }
-        out.push_str(&format!(
-            "# HELP {namespace}_fleet_nodes Nodes known to the aggregator\n\
-             # TYPE {namespace}_fleet_nodes gauge\n\
-             {namespace}_fleet_nodes {}\n\
-             # HELP {namespace}_fleet_aggregate_lag_ms Oldest last-frame age across the fleet\n\
-             # TYPE {namespace}_fleet_aggregate_lag_ms gauge\n\
-             {namespace}_fleet_aggregate_lag_ms {}\n",
-            nodes.len(),
-            nodes.iter().map(|n| n.age_ms).max().unwrap_or(0),
-        ));
+        for row in &FLEET_SERIES {
+            w.single(row.name, row.kind, row.help, (row.read)(&nodes));
+        }
     }
 }
+
+/// The per-node series of [`NodeRegistry::prometheus_into`], one sample
+/// per node labeled `node="<id>"`.
+const NODE_SERIES: [Row<NodeStatus>; 12] = crate::metric_rows![
+    Gauge "node_health" |n| n.health.code(),
+        "Derived node health (0=live 1=lagging 2=stale 3=poisoned)";
+    Gauge "node_age_ms" |n| n.age_ms,
+        "Milliseconds since the node's last applied frame";
+    Gauge "node_epoch" |n| n.epoch,
+        "Epoch of the node's last applied frame";
+    Gauge "node_epoch_lag" |n| n.epoch_lag,
+        "Newest declared epoch minus applied epoch";
+    Gauge "node_tuples" |n| n.tuples,
+        "Tuples the node had ingested at its applied epoch";
+    Counter "node_frames_total" |n| n.frames,
+        "Frames applied from this node";
+    Counter "node_fulls_total" |n| n.fulls,
+        "Full frames applied from this node";
+    Counter "node_deltas_total" |n| n.deltas,
+        "Delta frames applied from this node";
+    Counter "node_bytes_total" |n| n.bytes,
+        "Frame bytes applied from this node";
+    Counter "node_decode_errors_total" |n| n.decode_errors,
+        "Frames from this node rejected by the decoder";
+    Counter "node_reconnects_total" |n| n.reconnects,
+        "Connections beyond the first pinning this node id";
+    Counter "node_id_conflicts_total" |n| n.id_conflicts,
+        "Frames rejected for switching node id mid-connection";
+];
+
+/// The fleet-wide gauges of [`NodeRegistry::prometheus_into`].
+const FLEET_SERIES: [Row<[NodeStatus]>; 2] = crate::metric_rows![
+    Gauge "fleet_nodes" |nodes| nodes.len() as u64,
+        "Nodes known to the aggregator";
+    Gauge "fleet_aggregate_lag_ms" |nodes| nodes.iter().map(|n| n.age_ms).max().unwrap_or(0),
+        "Oldest last-frame age across the fleet";
+];
 
 impl Default for NodeRegistry {
     fn default() -> Self {
@@ -714,6 +657,15 @@ mod tests {
         assert!(!text.contains("node_health"), "{text}");
         assert_eq!(lint_prometheus(&text), Ok(2));
         assert!(reg.status_json(0).contains("\"nodes\":[]"));
+    }
+
+    #[test]
+    fn every_fleet_family_is_in_the_design_glossary() {
+        let design = include_str!("../../../DESIGN.md");
+        let names = NODE_SERIES.iter().map(|row| row.name);
+        for name in names.chain(FLEET_SERIES.iter().map(|row| row.name)) {
+            assert!(design.contains(&format!("`{name}")), "{name}");
+        }
     }
 
     #[test]

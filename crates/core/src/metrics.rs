@@ -7,9 +7,15 @@
 //! The registry is a *fixed struct of atomics*, not a string-keyed map:
 //! every metric is a named field, reachable without hashing, locking or
 //! allocation, so recording on the `update` hot path is a handful of
-//! `Relaxed` `fetch_add`s. Reporting walks the same fields and renders
-//! them by name ([`MetricsRegistry::samples`], [`MetricsRegistry::report`],
-//! [`MetricsRegistry::line_protocol`]).
+//! `Relaxed` `fetch_add`s. Reporting walks one table that declares each
+//! series once — name, kind, help text and the field it reads — and
+//! renders it by name ([`MetricsRegistry::samples`],
+//! [`MetricsRegistry::report`], [`MetricsRegistry::line_protocol`],
+//! [`MetricsRegistry::prometheus`]).
+//!
+//! Every Prometheus exposition of the workspace (this registry, the
+//! catalog's, the fleet's, the serve binary's) is written through one
+//! writer, [`Exposition`].
 //!
 //! All atomics use [`Ordering::Relaxed`](std::sync::atomic::Ordering):
 //! each metric is an independent monotone counter (or a gauge whose exact
@@ -54,6 +60,7 @@
 //! }
 //! ```
 
+use std::fmt::{self, Write as _};
 #[cfg(feature = "metrics")]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 #[cfg(feature = "metrics")]
@@ -652,98 +659,31 @@ impl MetricsRegistry {
     /// `<name>_count`, `<name>_sum` and `<name>_p95` (a power-of-two
     /// upper bound). Empty when the `metrics` feature is off.
     pub fn samples(&self) -> Vec<(String, u64)> {
-        if !Self::enabled() {
-            return Vec::new();
+        let mut out = Vec::with_capacity(SERIES.len() + 2 * LANES);
+        if Self::enabled() {
+            self.each(|name, _, _, value| out.push((name.to_string(), value)));
         }
-        fn push(out: &mut Vec<(String, u64)>, name: impl Into<String>, v: u64) {
-            out.push((name.into(), v));
-        }
-        let mut out: Vec<(String, u64)> = Vec::with_capacity(64);
-        macro_rules! c {
-            ($name:expr, $v:expr) => {
-                push(&mut out, $name, $v)
-            };
-        }
-        let e = &self.estimator;
-        c!("estimator.tuples", e.tuples.get());
-        c!("estimator.zone1_skips", e.zone1_skips.get());
-        c!("estimator.dirty_multiplicity", e.dirty_multiplicity.get());
-        c!("estimator.dirty_confidence", e.dirty_confidence.get());
-        c!("estimator.dirty_support_gate", e.dirty_support_gate.get());
-        c!("estimator.cells_committed", e.cells_committed.get());
-        c!("estimator.fringe_evictions", e.fringe_evictions.get());
-        c!("estimator.support_certified", e.support_certified.get());
-        c!("estimator.occupancy", e.occupancy.get());
-        c!("estimator.occupancy_peak", e.occupancy.peak());
-        c!("estimator.merges", e.merges.get());
-        c!("estimator.mem_bytes", e.mem_bytes.get());
-        c!("estimator.mem_bytes_peak", e.mem_bytes.peak());
-        c!("estimator.mem_budget", e.mem_budget.get());
-        c!("estimator.shed_events", e.shed_events.get());
-        let i = &self.ingest;
-        c!("ingest.shards", i.shards.get());
-        c!("ingest.batches_routed", i.batches_routed.get());
-        c!("ingest.updates_routed", i.updates_routed.get());
-        c!("ingest.flushes", i.flushes.get());
-        c!("ingest.idle_waits", i.idle_waits.get());
-        let lanes_in_use = (i.shards.peak() as usize).min(LANES);
-        for k in 0..lanes_in_use {
-            let lane = i.lane(k);
-            out.push((format!("ingest.shard{k}.batches"), lane.batches.get()));
-            out.push((
-                format!("ingest.shard{k}.queue_depth_peak"),
-                lane.queue_depth.peak(),
-            ));
-        }
-        let v = &self.view;
-        c!("view.publishes", v.publishes.get());
-        c!("view.epoch", v.epoch.get());
-        c!("view.published_tuples", v.published_tuples.get());
-        c!("view.age_rows", v.age_rows.get());
-        c!("view.reads", v.reads.get());
-        let s = &self.snapshot;
-        c!("snapshot.encodes", s.encodes.get());
-        c!("snapshot.decodes", s.decodes.get());
-        c!("snapshot.bytes_written", s.bytes_written.get());
-        c!("snapshot.bytes_read", s.bytes_read.get());
-        c!("snapshot.encode_nanos_count", s.encode_nanos.count());
-        c!("snapshot.encode_nanos_sum", s.encode_nanos.sum());
-        c!(
-            "snapshot.encode_nanos_p95",
-            s.encode_nanos.quantile_bound(0.95)
-        );
-        c!("snapshot.decode_nanos_count", s.decode_nanos.count());
-        c!("snapshot.decode_nanos_sum", s.decode_nanos.sum());
-        c!(
-            "snapshot.decode_nanos_p95",
-            s.decode_nanos.quantile_bound(0.95)
-        );
-        let w = &self.wire;
-        c!("wire.frames_encoded_full", w.frames_encoded_full.get());
-        c!("wire.frames_encoded_delta", w.frames_encoded_delta.get());
-        c!("wire.bytes_out", w.bytes_out.get());
-        c!("wire.frames_decoded_full", w.frames_decoded_full.get());
-        c!("wire.frames_decoded_delta", w.frames_decoded_delta.get());
-        c!("wire.bytes_in", w.bytes_in.get());
-        c!("wire.decode_errors", w.decode_errors.get());
-        c!("wire.resyncs_forced", w.resyncs_forced.get());
-        c!("wire.node_id_conflicts", w.node_id_conflicts.get());
-        c!("wire.err_bad_magic", w.err_bad_magic.get());
-        c!("wire.err_bad_version", w.err_bad_version.get());
-        c!("wire.err_truncated", w.err_truncated.get());
-        c!("wire.err_corrupt", w.err_corrupt.get());
-        c!("wire.err_frame_too_large", w.err_frame_too_large.get());
-        c!("wire.err_budget_exceeded", w.err_budget_exceeded.get());
-        c!(
-            "wire.err_delta_without_base",
-            w.err_delta_without_base.get()
-        );
-        c!(
-            "wire.err_base_epoch_mismatch",
-            w.err_base_epoch_mismatch.get()
-        );
-        c!("wire.err_config_mismatch", w.err_config_mismatch.get());
         out
+    }
+
+    /// Visits every series in glossary order as `(name, kind, help,
+    /// value)`: the rows of [`SERIES`], with the `ingest.shardK.*` pairs
+    /// of the lanes in use after `ingest.idle_waits`.
+    fn each(&self, mut visit: impl FnMut(&dyn fmt::Display, Kind, &'static str, u64)) {
+        let lanes_in_use = (self.ingest.shards.peak() as usize).min(LANES);
+        for (i, row) in SERIES.iter().enumerate() {
+            visit(&row.name, row.kind, row.help, (row.read)(self));
+            if i + 1 != LANES_AFTER {
+                continue;
+            }
+            for k in 0..lanes_in_use {
+                let lane = self.ingest.lane(k);
+                for row in &LANE_SERIES {
+                    let name = format_args!("ingest.shard{k}.{}", row.name);
+                    visit(&name, row.kind, row.help, (row.read)(lane));
+                }
+            }
+        }
     }
 
     /// A human-readable multi-line report of every metric.
@@ -755,7 +695,7 @@ impl MetricsRegistry {
         let width = samples.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
         let mut out = String::from("metrics:\n");
         for (name, value) in samples {
-            out.push_str(&format!("  {name:<width$}  {value}\n"));
+            let _ = writeln!(out, "  {name:<width$}  {value}");
         }
         out.pop();
         out
@@ -768,102 +708,12 @@ impl MetricsRegistry {
         if !Self::enabled() {
             return format!("{measurement} metrics_enabled=false");
         }
-        let fields: Vec<String> = self
-            .samples()
-            .into_iter()
-            .map(|(name, value)| format!("{name}={value}i"))
-            .collect();
-        format!("{measurement} {}", fields.join(","))
-    }
-
-    /// Whether a metric name denotes a level (Prometheus `gauge`) rather
-    /// than a monotone total (`counter`): instantaneous levels, peaks and
-    /// quantile read-offs can go down between scrapes.
-    fn is_gauge(name: &str) -> bool {
-        name.contains("occupancy")
-            || name.contains("queue_depth")
-            || name == "ingest.shards"
-            || name == "estimator.mem_bytes"
-            || name == "estimator.mem_budget"
-            || name == "view.epoch"
-            || name == "view.published_tuples"
-            || name == "view.age_rows"
-            || name.ends_with("_peak")
-            || name.ends_with("_p95")
-    }
-
-    /// One-line `# HELP` text for a sample name of
-    /// [`MetricsRegistry::samples`]. Unknown names get a generic line so
-    /// the exposition stays well-formed even if a series is added without
-    /// a help entry.
-    fn help_for(name: &str) -> &'static str {
-        if name.starts_with("ingest.shard") {
-            return if name.ends_with(".batches") {
-                "Batches shipped to this ingestion shard's worker"
-            } else {
-                "High-watermark of batches in flight to this shard's worker"
-            };
-        }
-        match name {
-            "estimator.tuples" => "(a, b) pairs ingested (T of paper section 3.1)",
-            "estimator.zone1_skips" => {
-                "Batch rows skipped because their cell is already 1 (paper section 4.3, Zone 1)"
-            }
-            "estimator.dirty_multiplicity" => {
-                "Dirty transitions from the (K+1)-th distinct partner"
-            }
-            "estimator.dirty_confidence" => "Dirty transitions from top-c confidence below psi_c",
-            "estimator.dirty_support_gate" => "Dirty transitions materialized at the support gate",
-            "estimator.cells_committed" => "NIPS bitmap cells committed to value 1",
-            "estimator.fringe_evictions" => "Itemset slots recycled or shed by the bounded fringe",
-            "estimator.support_certified" => "Side-fringe cells certified as supported itemsets",
-            "estimator.occupancy" => "Tracked itemset entries currently held",
-            "estimator.occupancy_peak" => "High-watermark of tracked itemset entries",
-            "estimator.merges" => "Estimators merged into this one",
-            "estimator.mem_bytes" => "Bytes of tracked state reserved from the memory budget",
-            "estimator.mem_bytes_peak" => "High-watermark of reserved tracked-state bytes",
-            "estimator.mem_budget" => "Configured memory-budget ceiling in bytes (0 = unlimited)",
-            "estimator.shed_events" => "Slots recycled because the memory budget denied growth",
-            "ingest.shards" => "Configured worker shard count",
-            "ingest.batches_routed" => "Batches shipped across all ingestion shards",
-            "ingest.updates_routed" => "Pre-hashed pairs shipped inside routed batches",
-            "ingest.flushes" => "Explicit partial-buffer flushes",
-            "ingest.idle_waits" => "Times a shard worker blocked on an empty queue",
-            "view.publishes" => "Read views published",
-            "view.epoch" => "Latest published view epoch",
-            "view.published_tuples" => "Tuples applied at the latest published epoch",
-            "view.age_rows" => "Rows ingested beyond the latest view at publication",
-            "view.reads" => "Estimates answered from published views",
-            "snapshot.encodes" => "Snapshots serialized",
-            "snapshot.decodes" => "Snapshots restored",
-            "snapshot.bytes_written" => "Total serialized snapshot bytes",
-            "snapshot.bytes_read" => "Total bytes consumed by snapshot restores",
-            "snapshot.encode_nanos_count" => "Snapshot encodes timed",
-            "snapshot.encode_nanos_sum" => "Total snapshot encode wall-clock nanoseconds",
-            "snapshot.encode_nanos_p95" => "p95 snapshot encode nanoseconds (power-of-two bound)",
-            "snapshot.decode_nanos_count" => "Snapshot decodes timed",
-            "snapshot.decode_nanos_sum" => "Total snapshot decode wall-clock nanoseconds",
-            "snapshot.decode_nanos_p95" => "p95 snapshot decode nanoseconds (power-of-two bound)",
-            "wire.frames_encoded_full" => "Full wire frames encoded for shipping",
-            "wire.frames_encoded_delta" => "Delta wire frames encoded for shipping",
-            "wire.bytes_out" => "Encoded wire frame bytes produced",
-            "wire.frames_decoded_full" => "Full wire frames applied successfully",
-            "wire.frames_decoded_delta" => "Delta wire frames applied successfully",
-            "wire.bytes_in" => "Wire frame bytes consumed by successful applies",
-            "wire.decode_errors" => "Wire frames rejected by the decoder (all variants)",
-            "wire.resyncs_forced" => "Replica resets forcing a full-frame resync",
-            "wire.node_id_conflicts" => "Frames rejected for switching node_id mid-connection",
-            "wire.err_bad_magic" => "Wire rejects: bad magic",
-            "wire.err_bad_version" => "Wire rejects: unsupported version",
-            "wire.err_truncated" => "Wire rejects: truncated frame",
-            "wire.err_corrupt" => "Wire rejects: corrupt payload or rank-sum mismatch",
-            "wire.err_frame_too_large" => "Wire rejects: declared length above the frame cap",
-            "wire.err_budget_exceeded" => "Wire rejects: decoded state would exceed the budget",
-            "wire.err_delta_without_base" => "Wire rejects: delta frame with no base replica",
-            "wire.err_base_epoch_mismatch" => "Wire rejects: delta base epoch mismatch",
-            "wire.err_config_mismatch" => "Wire rejects: estimator config mismatch",
-            _ => "implicate metric (no specific help registered)",
-        }
+        let mut out = format!("{measurement} ");
+        self.each(|name, _, _, value| {
+            let _ = write!(out, "{name}={value}i,");
+        });
+        out.pop();
+        out
     }
 
     /// The full registry in Prometheus text exposition format: for every
@@ -894,24 +744,300 @@ impl MetricsRegistry {
             );
         }
         let mut out = String::with_capacity(8192);
-        for (name, value) in self.samples() {
-            let flat: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            let kind = if Self::is_gauge(&name) {
-                "gauge"
-            } else {
-                "counter"
-            };
-            let help = Self::help_for(&name);
-            out.push_str(&format!(
-                "# HELP {namespace}_{flat} {help}\n\
-                 # TYPE {namespace}_{flat} {kind}\n\
-                 {namespace}_{flat} {value}\n"
-            ));
-        }
+        let mut w = Exposition::new(namespace, &mut out);
+        self.each(|name, kind, help, value| w.single(name, kind, help, value));
         out
+    }
+}
+
+/// One declared series: its name, its Prometheus kind, its `# HELP` text
+/// and how to read its value off a `T`. The fixed series of every
+/// exposition in the workspace are tables of these, built with
+/// [`metric_rows!`](crate::metric_rows) and written with [`Exposition`].
+pub struct Row<T: ?Sized> {
+    /// The series name, before flattening (`estimator.tuples`).
+    pub name: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// Reads the current value.
+    pub read: fn(&T) -> u64,
+}
+
+/// Builds a `[Row<T>; N]` (see [`metrics::Row`](crate::metrics::Row))
+/// from `Kind "name" reader, "help";` entries, one per series.
+///
+/// ```
+/// use imp_core::metrics::Row;
+///
+/// const SERIES: [Row<(u64, u64)>; 2] = imp_core::metric_rows![
+///     Counter "requests_total" |s| s.0, "Requests answered";
+///     Gauge "queue_depth" |s| s.1, "Requests waiting";
+/// ];
+/// assert_eq!((SERIES[1].read)(&(7, 2)), 2);
+/// ```
+#[macro_export]
+macro_rules! metric_rows {
+    ($($kind:ident $name:literal $read:expr, $help:literal;)*) => {
+        [$($crate::metrics::Row {
+            name: $name,
+            kind: $crate::metrics::Kind::$kind,
+            help: $help,
+            read: $read,
+        },)*]
+    };
+}
+
+/// The registry's series in glossary order (DESIGN.md §8.2), each
+/// declared once. Levels, peaks and quantile read-offs are gauges: they
+/// can go down between scrapes.
+const SERIES: [Row<MetricsRegistry>; 53] = crate::metric_rows![
+    Counter "estimator.tuples" |r| r.estimator.tuples.get(),
+        "(a, b) pairs ingested (T of paper section 3.1)";
+    Counter "estimator.zone1_skips" |r| r.estimator.zone1_skips.get(),
+        "Batch rows skipped because their cell is already 1 (paper section 4.3, Zone 1)";
+    Counter "estimator.dirty_multiplicity" |r| r.estimator.dirty_multiplicity.get(),
+        "Dirty transitions from the (K+1)-th distinct partner";
+    Counter "estimator.dirty_confidence" |r| r.estimator.dirty_confidence.get(),
+        "Dirty transitions from top-c confidence below psi_c";
+    Counter "estimator.dirty_support_gate" |r| r.estimator.dirty_support_gate.get(),
+        "Dirty transitions materialized at the support gate";
+    Counter "estimator.cells_committed" |r| r.estimator.cells_committed.get(),
+        "NIPS bitmap cells committed to value 1";
+    Counter "estimator.fringe_evictions" |r| r.estimator.fringe_evictions.get(),
+        "Itemset slots recycled or shed by the bounded fringe";
+    Counter "estimator.support_certified" |r| r.estimator.support_certified.get(),
+        "Side-fringe cells certified as supported itemsets";
+    Gauge "estimator.occupancy" |r| r.estimator.occupancy.get(),
+        "Tracked itemset entries currently held";
+    Gauge "estimator.occupancy_peak" |r| r.estimator.occupancy.peak(),
+        "High-watermark of tracked itemset entries";
+    Counter "estimator.merges" |r| r.estimator.merges.get(),
+        "Estimators merged into this one";
+    Gauge "estimator.mem_bytes" |r| r.estimator.mem_bytes.get(),
+        "Bytes of tracked state reserved from the memory budget";
+    Gauge "estimator.mem_bytes_peak" |r| r.estimator.mem_bytes.peak(),
+        "High-watermark of reserved tracked-state bytes";
+    Gauge "estimator.mem_budget" |r| r.estimator.mem_budget.get(),
+        "Configured memory-budget ceiling in bytes (0 = unlimited)";
+    Counter "estimator.shed_events" |r| r.estimator.shed_events.get(),
+        "Slots recycled because the memory budget denied growth";
+    // This help text is the lanes' (`ingest.shardK.queue_depth_peak`),
+    // not the shard count's; the exposition keeps it byte for byte.
+    Gauge "ingest.shards" |r| r.ingest.shards.get(),
+        "High-watermark of batches in flight to this shard's worker";
+    Counter "ingest.batches_routed" |r| r.ingest.batches_routed.get(),
+        "Batches shipped across all ingestion shards";
+    Counter "ingest.updates_routed" |r| r.ingest.updates_routed.get(),
+        "Pre-hashed pairs shipped inside routed batches";
+    Counter "ingest.flushes" |r| r.ingest.flushes.get(),
+        "Explicit partial-buffer flushes";
+    Counter "ingest.idle_waits" |r| r.ingest.idle_waits.get(),
+        "Times a shard worker blocked on an empty queue";
+    Counter "view.publishes" |r| r.view.publishes.get(),
+        "Read views published";
+    Gauge "view.epoch" |r| r.view.epoch.get(),
+        "Latest published view epoch";
+    Gauge "view.published_tuples" |r| r.view.published_tuples.get(),
+        "Tuples applied at the latest published epoch";
+    Gauge "view.age_rows" |r| r.view.age_rows.get(),
+        "Rows ingested beyond the latest view at publication";
+    Counter "view.reads" |r| r.view.reads.get(),
+        "Estimates answered from published views";
+    Counter "snapshot.encodes" |r| r.snapshot.encodes.get(),
+        "Snapshots serialized";
+    Counter "snapshot.decodes" |r| r.snapshot.decodes.get(),
+        "Snapshots restored";
+    Counter "snapshot.bytes_written" |r| r.snapshot.bytes_written.get(),
+        "Total serialized snapshot bytes";
+    Counter "snapshot.bytes_read" |r| r.snapshot.bytes_read.get(),
+        "Total bytes consumed by snapshot restores";
+    Counter "snapshot.encode_nanos_count" |r| r.snapshot.encode_nanos.count(),
+        "Snapshot encodes timed";
+    Counter "snapshot.encode_nanos_sum" |r| r.snapshot.encode_nanos.sum(),
+        "Total snapshot encode wall-clock nanoseconds";
+    Gauge "snapshot.encode_nanos_p95" |r| r.snapshot.encode_nanos.quantile_bound(0.95),
+        "p95 snapshot encode nanoseconds (power-of-two bound)";
+    Counter "snapshot.decode_nanos_count" |r| r.snapshot.decode_nanos.count(),
+        "Snapshot decodes timed";
+    Counter "snapshot.decode_nanos_sum" |r| r.snapshot.decode_nanos.sum(),
+        "Total snapshot decode wall-clock nanoseconds";
+    Gauge "snapshot.decode_nanos_p95" |r| r.snapshot.decode_nanos.quantile_bound(0.95),
+        "p95 snapshot decode nanoseconds (power-of-two bound)";
+    Counter "wire.frames_encoded_full" |r| r.wire.frames_encoded_full.get(),
+        "Full wire frames encoded for shipping";
+    Counter "wire.frames_encoded_delta" |r| r.wire.frames_encoded_delta.get(),
+        "Delta wire frames encoded for shipping";
+    Counter "wire.bytes_out" |r| r.wire.bytes_out.get(),
+        "Encoded wire frame bytes produced";
+    Counter "wire.frames_decoded_full" |r| r.wire.frames_decoded_full.get(),
+        "Full wire frames applied successfully";
+    Counter "wire.frames_decoded_delta" |r| r.wire.frames_decoded_delta.get(),
+        "Delta wire frames applied successfully";
+    Counter "wire.bytes_in" |r| r.wire.bytes_in.get(),
+        "Wire frame bytes consumed by successful applies";
+    Counter "wire.decode_errors" |r| r.wire.decode_errors.get(),
+        "Wire frames rejected by the decoder (all variants)";
+    Counter "wire.resyncs_forced" |r| r.wire.resyncs_forced.get(),
+        "Replica resets forcing a full-frame resync";
+    Counter "wire.node_id_conflicts" |r| r.wire.node_id_conflicts.get(),
+        "Frames rejected for switching node_id mid-connection";
+    Counter "wire.err_bad_magic" |r| r.wire.err_bad_magic.get(),
+        "Wire rejects: bad magic";
+    Counter "wire.err_bad_version" |r| r.wire.err_bad_version.get(),
+        "Wire rejects: unsupported version";
+    Counter "wire.err_truncated" |r| r.wire.err_truncated.get(),
+        "Wire rejects: truncated frame";
+    Counter "wire.err_corrupt" |r| r.wire.err_corrupt.get(),
+        "Wire rejects: corrupt payload or rank-sum mismatch";
+    Counter "wire.err_frame_too_large" |r| r.wire.err_frame_too_large.get(),
+        "Wire rejects: declared length above the frame cap";
+    Counter "wire.err_budget_exceeded" |r| r.wire.err_budget_exceeded.get(),
+        "Wire rejects: decoded state would exceed the budget";
+    Counter "wire.err_delta_without_base" |r| r.wire.err_delta_without_base.get(),
+        "Wire rejects: delta frame with no base replica";
+    Counter "wire.err_base_epoch_mismatch" |r| r.wire.err_base_epoch_mismatch.get(),
+        "Wire rejects: delta base epoch mismatch";
+    Counter "wire.err_config_mismatch" |r| r.wire.err_config_mismatch.get(),
+        "Wire rejects: estimator config mismatch";
+];
+
+/// How many rows of [`SERIES`] precede the per-lane series: the lanes
+/// follow `ingest.idle_waits`.
+const LANES_AFTER: usize = 20;
+
+/// The series of each shard lane in use, named `ingest.shard<K>.<name>`.
+const LANE_SERIES: [Row<ShardLane>; 2] = crate::metric_rows![
+    Counter "batches" |l| l.batches.get(),
+        "Batches shipped to this ingestion shard's worker";
+    Gauge "queue_depth_peak" |l| l.queue_depth.peak(),
+        "High-watermark of batches in flight to this shard's worker";
+];
+
+/// The kind of a Prometheus metric family, written in its `# TYPE` line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone total.
+    Counter,
+    /// A level that can go down between scrapes.
+    Gauge,
+}
+
+/// The one writer of Prometheus text exposition: appends families and
+/// samples to a caller's `String` under `<namespace>_`, with no
+/// allocation of its own. Names are flattened as they are written (every
+/// character other than an ASCII letter or digit becomes `_`, so
+/// `estimator.tuples` is written `estimator_tuples`), and a label value
+/// is escaped (`\`, `"` and newline).
+///
+/// ```
+/// use imp_core::metrics::{lint_prometheus, Exposition, Kind};
+///
+/// let mut text = String::new();
+/// let mut w = Exposition::new("ns", &mut text);
+/// w.single("up", Kind::Gauge, "Whether the node is up", 1);
+/// w.family("frames_total", Kind::Counter, "Frames per node");
+/// w.labeled("frames_total", "node", 3, 12);
+/// let want = [
+///     "# HELP ns_up Whether the node is up",
+///     "# TYPE ns_up gauge",
+///     "ns_up 1",
+///     "# HELP ns_frames_total Frames per node",
+///     "# TYPE ns_frames_total counter",
+///     "ns_frames_total{node=\"3\"} 12",
+/// ];
+/// assert_eq!(text, want.map(|line| format!("{line}\n")).concat());
+/// assert_eq!(lint_prometheus(&text), Ok(2));
+/// ```
+pub struct Exposition<'a> {
+    namespace: &'a str,
+    out: &'a mut String,
+}
+
+impl<'a> Exposition<'a> {
+    /// A writer appending to `out`, every name prefixed `<namespace>_`.
+    pub fn new(namespace: &'a str, out: &'a mut String) -> Self {
+        Self { namespace, out }
+    }
+
+    /// Writes a family's `# HELP` and `# TYPE` lines.
+    pub fn family(&mut self, name: impl fmt::Display, kind: Kind, help: impl fmt::Display) {
+        let kind = match kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        };
+        self.out.push_str("# HELP ");
+        self.name(&name);
+        let _ = writeln!(self.out, " {help}");
+        self.out.push_str("# TYPE ");
+        self.name(&name);
+        let _ = writeln!(self.out, " {kind}");
+    }
+
+    /// Writes one unlabeled sample.
+    pub fn sample(&mut self, name: impl fmt::Display, value: impl fmt::Display) {
+        self.name(&name);
+        let _ = writeln!(self.out, " {value}");
+    }
+
+    /// Writes one sample with the single label `key="label"`.
+    pub fn labeled(
+        &mut self,
+        name: impl fmt::Display,
+        key: &str,
+        label: impl fmt::Display,
+        value: impl fmt::Display,
+    ) {
+        self.name(&name);
+        let _ = write!(self.out, "{{{key}=\"");
+        let _ = write!(CharMap(self.out, escaped), "{label}");
+        let _ = writeln!(self.out, "\"}} {value}");
+    }
+
+    /// Writes a family holding one unlabeled sample.
+    pub fn single(
+        &mut self,
+        name: impl fmt::Display,
+        kind: Kind,
+        help: impl fmt::Display,
+        value: impl fmt::Display,
+    ) {
+        self.family(&name, kind, help);
+        self.sample(&name, value);
+    }
+
+    fn name(&mut self, name: &dyn fmt::Display) {
+        self.out.push_str(self.namespace);
+        self.out.push('_');
+        let _ = write!(CharMap(self.out, flat), "{name}");
+    }
+}
+
+/// Appends to a `String`, each character through its function: name
+/// flattening ([`flat`]) or label-value escaping ([`escaped`]).
+struct CharMap<'a>(&'a mut String, fn(char, &mut String));
+
+impl fmt::Write for CharMap<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        s.chars().for_each(|c| (self.1)(c, self.0));
+        Ok(())
+    }
+}
+
+/// Writes a metric-name character: an ASCII letter or digit as itself,
+/// anything else as `_`.
+fn flat(c: char, out: &mut String) {
+    out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
+}
+
+/// Writes a label-value character, escaping `\`, `"` and newline.
+fn escaped(c: char, out: &mut String) {
+    match c {
+        '\\' => out.push_str("\\\\"),
+        '"' => out.push_str("\\\""),
+        '\n' => out.push_str("\\n"),
+        c => out.push(c),
     }
 }
 
@@ -1339,6 +1465,44 @@ mod tests {
         if MetricsRegistry::enabled() {
             assert_eq!(i.lane(0).batches.get(), 2);
         }
+    }
+
+    #[test]
+    fn every_table_series_is_in_the_design_glossary() {
+        let design = include_str!("../../../DESIGN.md");
+        for row in &SERIES {
+            assert!(design.contains(&format!("`{}`", row.name)), "{}", row.name);
+        }
+        for row in &LANE_SERIES {
+            let name = format!("`ingest.shardK.{}`", row.name);
+            assert!(design.contains(&name), "{name}");
+        }
+    }
+
+    #[test]
+    fn table_names_are_unique_and_lanes_follow_the_ingest_rows() {
+        let mut names: Vec<&str> = SERIES.iter().map(|row| row.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SERIES.len());
+        assert!(SERIES[LANES_AFTER - 1].name.starts_with("ingest."));
+        assert!(!SERIES[LANES_AFTER].name.starts_with("ingest."));
+    }
+
+    #[test]
+    fn exposition_flattens_names_and_escapes_label_values() {
+        let mut text = String::new();
+        let mut w = Exposition::new("ns", &mut text);
+        w.family("a.b-c", Kind::Counter, "Help with \"quotes\"");
+        w.labeled("a.b-c", "query", "x\"y\\z\nw", 1.5);
+        w.sample(format_args!("lane{}.depth", 3), 0);
+        assert_eq!(
+            text,
+            "# HELP ns_a_b_c Help with \"quotes\"\n\
+             # TYPE ns_a_b_c counter\n\
+             ns_a_b_c{query=\"x\\\"y\\\\z\\nw\"} 1.5\n\
+             ns_lane3_depth 0\n"
+        );
     }
 
     #[test]

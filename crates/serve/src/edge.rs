@@ -140,41 +140,45 @@ pub fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Share
                 edge.set_connected(false);
             }
         }
-        if conn.is_none() {
-            base = None;
-            match TcpStream::connect(upstream) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    conn = Some(stream);
-                    backoff = BACKOFF_START;
-                    if let Some(edge) = &shared.edge {
-                        edge.record_connect();
+        // The connection is taken for the write and put back only when
+        // the write succeeds.
+        let mut stream = match conn.take() {
+            Some(stream) => stream,
+            None => {
+                base = None;
+                match TcpStream::connect(upstream) {
+                    Ok(stream) => {
+                        stream.set_nodelay(true).ok();
+                        backoff = BACKOFF_START;
+                        if let Some(edge) = &shared.edge {
+                            edge.record_connect();
+                        }
+                        stream
                     }
-                }
-                Err(_) => {
-                    if let Some(edge) = &shared.edge {
-                        edge.record_backoff(backoff.as_millis() as u64);
+                    Err(_) => {
+                        if let Some(edge) = &shared.edge {
+                            edge.record_backoff(backoff.as_millis() as u64);
+                        }
+                        // Don't spin while unreachable — but stay
+                        // responsive to shutdown: with the aggregator
+                        // unreachable when the writer closes the slot,
+                        // the state is lost to this session, as
+                        // documented — exit rather than hang.
+                        if slot.closed_before(std::time::Instant::now() + backoff) {
+                            return;
+                        }
+                        backoff = (backoff * 2).min(BACKOFF_CAP);
+                        continue;
                     }
-                    // Don't spin while unreachable — but stay
-                    // responsive to shutdown: with the aggregator
-                    // unreachable when the writer closes the slot, the
-                    // state is lost to this session, as documented —
-                    // exit rather than hang.
-                    if slot.closed_before(std::time::Instant::now() + backoff) {
-                        return;
-                    }
-                    backoff = (backoff * 2).min(BACKOFF_CAP);
-                    continue;
                 }
             }
-        }
+        };
 
         let is_full = base.is_none();
         let frame = match &base {
             Some(b) => snap.delta_frame(b, node_id),
             None => snap.full_frame(node_id),
         };
-        let stream = conn.as_mut().expect("connected above");
         let write_started = std::time::Instant::now();
         match stream.write_all(&frame).and_then(|()| stream.flush()) {
             Ok(()) => {
@@ -186,15 +190,15 @@ pub fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Share
                         shared.now_ms(),
                     );
                 }
+                conn = Some(stream);
                 base = pending.take();
                 if slot.drained() {
                     return;
                 }
             }
             Err(_) => {
-                // Keep `pending`: it resends as a full frame once the
-                // connection is back.
-                conn = None;
+                // The connection drops with `stream`. Keep `pending`: it
+                // resends as a full frame once the connection is back.
                 if let Some(edge) = &shared.edge {
                     edge.record_send_error();
                 }

@@ -29,8 +29,9 @@
 //!   previous process stopped.
 //!
 //! The binary is pure `std`: no async runtime, one writer thread, one
-//! thread per ingest connection, and a fixed pool of query workers
-//! behind a blocking acceptor (see [`imp_serve::http`]).
+//! thread per ingest connection (at most
+//! [`MAX_INGEST_CONNECTIONS`] at once), and a fixed pool of query
+//! workers behind a blocking acceptor (see [`imp_serve::http`]).
 //!
 //! The estimator flags (`--lhs` … `--threads`) are the CLI's: both parse
 //! and document them through [`implicate::opts`]. This file keeps the
@@ -76,6 +77,8 @@
 //! any decode error or panic drains the in-memory trace ring to a
 //! bounded JSONL flight recording for post-mortem analysis.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -87,13 +90,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
+use implicate::core::metrics::{Exposition, Kind::Counter};
 use implicate::core::wire;
 use implicate::opts::{self, EstimatorOpts};
 use implicate::pipeline::Pipeline;
 use implicate::spec;
 use implicate::{EstimatorConfig, MetricsHandle, QueryCatalog, Schema, TraceHandle};
 
-use imp_serve::http;
+use imp_serve::{http, MAX_INGEST_CONNECTIONS};
 
 use edge::{edge_sender, ShipSlot};
 use ingest::{
@@ -364,6 +368,9 @@ struct Shared {
     skipped: AtomicU64,
     /// Lines dropped for exceeding [`MAX_INGEST_LINE`].
     skipped_oversize: AtomicU64,
+    /// Ingest connections closed on accept because
+    /// [`MAX_INGEST_CONNECTIONS`] were being served.
+    ingest_refused: AtomicU64,
     /// Latest checkpoint bytes (written by the writer thread at each
     /// `publish_full` / checkpoint, served verbatim by `GET /snapshot`).
     snapshot: Mutex<Option<bytes::Bytes>>,
@@ -394,19 +401,19 @@ impl Shared {
     /// Appends the line-protocol ingest counters to a Prometheus
     /// exposition.
     fn ingest_prometheus_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "# HELP implicate_ingest_skipped_oversize_total Ingest lines over the \
-             {MAX_INGEST_LINE}-byte cap, discarded\n\
-             # TYPE implicate_ingest_skipped_oversize_total counter\n\
-             implicate_ingest_skipped_oversize_total {}\n",
-            self.skipped_oversize.load(Ordering::Relaxed)
-        ));
+        Exposition::new("implicate", out).single(
+            "ingest_skipped_oversize_total",
+            Counter,
+            format_args!("Ingest lines over the {MAX_INGEST_LINE}-byte cap, discarded"),
+            self.skipped_oversize.load(Ordering::Relaxed),
+        );
     }
 }
 
 /// Spawns the writer thread running `role` and the ingest acceptor that
 /// feeds it: each accepted connection runs `connection` on a thread of
-/// its own, with a sender into the writer's channel. Only the acceptor
+/// its own, with a sender into the writer's channel; a connection past
+/// [`MAX_INGEST_CONNECTIONS`] is closed at once. Only the acceptor
 /// and its connections hold senders, and the acceptor never exits, so
 /// the writer leaves its loop on the stop flag, not on a disconnected
 /// channel.
@@ -428,11 +435,23 @@ where
     let shared = Arc::clone(shared);
     spawn_named("accept-ingest", move || {
         let mut connections = 0u64;
+        // One clone per connection thread, dropped when the thread ends
+        // (or fails to start). Only this loop clones it, so the count it
+        // reads can only be high by connections that have just ended.
+        let live = Arc::new(());
         http::accept_loop(&listener, |stream| {
+            if Arc::strong_count(&live) > MAX_INGEST_CONNECTIONS {
+                shared.ingest_refused.fetch_add(1, Ordering::Relaxed);
+                return; // dropping `stream` closes it
+            }
+            let place = Arc::clone(&live);
             let (tx, shared, connection) = (tx.clone(), Arc::clone(&shared), connection.clone());
             let spawned = std::thread::Builder::new()
                 .name(format!("ingest-{connections}"))
-                .spawn(move || connection(stream, &shared, &tx));
+                .spawn(move || {
+                    connection(stream, &shared, &tx);
+                    drop(place);
+                });
             connections += 1;
             if let Err(e) = spawned {
                 // The stream went down with the closure: the client sees
@@ -534,6 +553,7 @@ fn main() {
         accepted: AtomicU64::new(0),
         skipped: AtomicU64::new(0),
         skipped_oversize: AtomicU64::new(0),
+        ingest_refused: AtomicU64::new(0),
         snapshot: Mutex::new(None),
         metrics: est.metrics().clone(),
         trace,
@@ -557,8 +577,12 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.ingest_addr)));
     let query_listener = TcpListener::bind(&opts.query_addr)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.query_addr)));
-    let ingest_addr = ingest_listener.local_addr().expect("bound");
-    let query_addr = query_listener.local_addr().expect("bound");
+    let local_addr = |listener: &TcpListener| {
+        listener
+            .local_addr()
+            .unwrap_or_else(|e| die(&format!("cannot read a bound address: {e}")))
+    };
+    let (ingest_addr, query_addr) = (local_addr(&ingest_listener), local_addr(&query_listener));
     // Announced on stdout (and flushed) so wrappers can discover the
     // actual ports when binding :0.
     println!("serve: ingest listening on {ingest_addr}");
@@ -584,12 +608,11 @@ fn main() {
     // The writer thread, the single owner of estimator mutation, and the
     // ingest acceptor feeding it: wire frames when aggregating, text rows
     // otherwise.
-    let writer = if opts.catalog {
+    let writer = if let Some(cat) = &cat_shared {
         let schema = Schema::new((0..opts.arity).map(|i| (format!("c{i}"), 0)));
         let mut engine = QueryCatalog::new(&schema, opts.config);
         engine.set_trace(shared.trace.clone());
-        let cat = Arc::clone(cat_shared.as_ref().expect("catalog mode"));
-        let mut role = writer::Catalog::new(engine, ctrl_rx, cat, &opts);
+        let mut role = writer::Catalog::new(engine, ctrl_rx, Arc::clone(cat), &opts);
         // Preload from --query-file (same grammar as POST /query); any
         // bad line is a startup error, not a silently-empty catalog.
         if let Some(path) = &opts.query_file {
@@ -658,11 +681,15 @@ fn main() {
         });
     }
 
-    let (rows, final_tuples) = writer.join().expect("writer thread panicked");
+    let (rows, final_tuples) = writer
+        .join()
+        .unwrap_or_else(|_| die("the writer thread panicked"));
     if let Some(sender) = sender {
         // Wait for the final captured state to reach the aggregator
         // (or for the sender to give up on an unreachable one).
-        sender.join().expect("sender thread panicked");
+        if sender.join().is_err() {
+            die("the edge sender thread panicked");
+        }
     }
     eprintln!(
         "implicate-serve: shut down after {rows} rows this session \

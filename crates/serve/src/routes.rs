@@ -186,10 +186,12 @@ fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<
             let queries = lock(&cat.queries).len();
             let body = format!(
                 "{{\"role\":\"catalog\",\"queries\":{queries},\
-                 \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\"uptime_ms\":{}}}\n",
+                 \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\
+                 \"ingest_refused\":{},\"uptime_ms\":{}}}\n",
                 shared.accepted.load(Ordering::Relaxed),
                 shared.skipped.load(Ordering::Relaxed),
                 shared.skipped_oversize.load(Ordering::Relaxed),
+                shared.ingest_refused.load(Ordering::Relaxed),
                 shared.now_ms(),
             );
             Response::new("200 OK", "application/json", body)
@@ -252,13 +254,15 @@ pub fn route(
             let now = shared.now_ms();
             let mut body = format!(
                 "{{\"role\":\"{}\",\"epoch\":{},\"tuples\":{},\
-             \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\"uptime_ms\":{now}",
+             \"accepted\":{},\"skipped\":{},\"skipped_oversize\":{},\
+             \"ingest_refused\":{},\"uptime_ms\":{now}",
                 shared.role,
                 view.epoch(),
                 view.tuples(),
                 shared.accepted.load(Ordering::Relaxed),
                 shared.skipped.load(Ordering::Relaxed),
                 shared.skipped_oversize.load(Ordering::Relaxed),
+                shared.ingest_refused.load(Ordering::Relaxed),
             );
             if let Some(fleet) = &shared.fleet {
                 body.push_str(",\"fleet\":");

@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use implicate::core::metrics::{Exposition, Kind::Gauge, Row};
 use implicate::core::Log2Hist;
 
 /// Escapes `s` as the contents of a JSON string literal (quotes not
@@ -153,105 +154,64 @@ impl EdgeStatus {
     /// Appends the edge's Prometheus series (with `# HELP`/`# TYPE`
     /// metadata) to `out`.
     pub fn prometheus_into(&self, namespace: &str, now_ms: u64, out: &mut String) {
-        let ships = self.ships.load(Ordering::Relaxed);
-        let last = self.last_ship_ms.load(Ordering::Relaxed);
+        let mut w = Exposition::new(namespace, out);
+        for row in &EDGE_SERIES {
+            w.single(row.name, row.kind, row.help, (row.read)(self));
+        }
+        let last_ship_age_ms = match self.ships.load(Ordering::Relaxed) {
+            0 => 0,
+            _ => now_ms.saturating_sub(self.last_ship_ms.load(Ordering::Relaxed)),
+        };
+        w.single(
+            "edge_last_ship_age_ms",
+            Gauge,
+            "Milliseconds since the last shipped frame",
+            last_ship_age_ms,
+        );
         let (p50, p99) = {
             let h = self.ship_nanos.lock().unwrap_or_else(|e| e.into_inner());
             (h.quantile_bound(0.50), h.quantile_bound(0.99))
         };
-        let series: [(&str, &str, &str, u64); 13] = [
-            (
-                "edge_connected",
-                "gauge",
-                "Whether the upstream connection is up (1) or down (0)",
-                u64::from(self.connected.load(Ordering::Relaxed)),
-            ),
-            (
-                "edge_connects_total",
-                "counter",
-                "Successful upstream connects",
-                self.connects.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_reconnects_total",
-                "counter",
-                "Upstream connects beyond the first",
-                self.connects.load(Ordering::Relaxed).saturating_sub(1),
-            ),
-            (
-                "edge_backoff_ms",
-                "gauge",
-                "Reconnect backoff currently in force (0 while connected)",
-                self.backoff_ms.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_ships_total",
-                "counter",
-                "Wire frames shipped upstream",
-                ships,
-            ),
-            (
-                "edge_ship_bytes_total",
-                "counter",
-                "Wire bytes shipped upstream",
-                self.ship_bytes.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_ship_fulls_total",
-                "counter",
-                "Full snapshots shipped upstream",
-                self.fulls.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_ship_deltas_total",
-                "counter",
-                "Delta frames shipped upstream",
-                self.deltas.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_send_errors_total",
-                "counter",
-                "Frame writes that failed and dropped the connection",
-                self.send_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_unshipped_rows",
-                "gauge",
-                "Rows ingested since the last wire capture",
-                self.unshipped_rows.load(Ordering::Relaxed),
-            ),
-            (
-                "edge_last_ship_age_ms",
-                "gauge",
-                "Milliseconds since the last shipped frame",
-                if ships > 0 {
-                    now_ms.saturating_sub(last)
-                } else {
-                    0
-                },
-            ),
-            (
-                "edge_ship_p50_nanos",
-                "gauge",
-                "Median upstream write+flush latency bucket bound",
-                p50,
-            ),
-            (
-                "edge_ship_p99_nanos",
-                "gauge",
-                "p99 upstream write+flush latency bucket bound",
-                p99,
-            ),
-        ];
-        for (suffix, kind, help, value) in series {
-            out.push_str(&format!(
-                "# HELP {namespace}_{suffix} {help}\n\
-                 # TYPE {namespace}_{suffix} {kind}\n\
-                 {namespace}_{suffix} {value}\n"
-            ));
-        }
+        w.single(
+            "edge_ship_p50_nanos",
+            Gauge,
+            "Median upstream write+flush latency bucket bound",
+            p50,
+        );
+        w.single(
+            "edge_ship_p99_nanos",
+            Gauge,
+            "p99 upstream write+flush latency bucket bound",
+            p99,
+        );
     }
 }
+
+/// The edge's series that read one counter each, in exposition order;
+/// [`EdgeStatus::prometheus_into`] follows them with the last-ship age
+/// and the ship-latency quantiles.
+const EDGE_SERIES: [Row<EdgeStatus>; 10] = implicate::core::metric_rows![
+    Gauge "edge_connected" |e| u64::from(e.connected.load(Ordering::Relaxed)),
+        "Whether the upstream connection is up (1) or down (0)";
+    Counter "edge_connects_total" |e| e.connects.load(Ordering::Relaxed),
+        "Successful upstream connects";
+    Counter "edge_reconnects_total" |e| e.connects.load(Ordering::Relaxed).saturating_sub(1),
+        "Upstream connects beyond the first";
+    Gauge "edge_backoff_ms" |e| e.backoff_ms.load(Ordering::Relaxed),
+        "Reconnect backoff currently in force (0 while connected)";
+    Counter "edge_ships_total" |e| e.ships.load(Ordering::Relaxed),
+        "Wire frames shipped upstream";
+    Counter "edge_ship_bytes_total" |e| e.ship_bytes.load(Ordering::Relaxed),
+        "Wire bytes shipped upstream";
+    Counter "edge_ship_fulls_total" |e| e.fulls.load(Ordering::Relaxed),
+        "Full snapshots shipped upstream";
+    Counter "edge_ship_deltas_total" |e| e.deltas.load(Ordering::Relaxed),
+        "Delta frames shipped upstream";
+    Counter "edge_send_errors_total" |e| e.send_errors.load(Ordering::Relaxed),
+        "Frame writes that failed and dropped the connection";
+    Gauge "edge_unshipped_rows" |e| e.unshipped_rows.load(Ordering::Relaxed),
+        "Rows ingested since the last wire capture";
+];
 
 #[cfg(test)]
 mod tests {
@@ -284,6 +244,26 @@ mod tests {
 
         edge.record_send_error();
         assert!(edge.status_json(40).contains("\"connected\":false"));
+    }
+
+    /// The edge exposition, byte for byte, on injected ship latencies and
+    /// clock: one reconnect, two ships (one full, one delta), then a
+    /// send error and a failed reconnect backing off 400 ms, 7 rows
+    /// unshipped.
+    #[test]
+    fn edge_prometheus_is_byte_exact() {
+        let edge = EdgeStatus::new("10.0.0.1:7071".into(), 4);
+        edge.record_connect();
+        edge.record_backoff(200);
+        edge.record_connect();
+        edge.record_ship(2_048, true, 5_000, 100);
+        edge.record_ship(96, false, 700_000, 250);
+        edge.record_send_error();
+        edge.record_backoff(400);
+        edge.set_unshipped(7);
+        let mut text = String::new();
+        edge.prometheus_into("implicate", 400, &mut text);
+        assert_eq!(text, include_str!("../../../tests/golden/edge.prom"));
     }
 
     #[test]

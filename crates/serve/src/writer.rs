@@ -19,7 +19,7 @@ use implicate::{
 
 use crate::edge::ShipSlot;
 use crate::routes::{CatalogCtrl, CatalogQueryHandle, CatalogShared};
-use crate::{flight, lock, Opts, Shared, POLL};
+use crate::{die, flight, lock, Opts, Shared, POLL};
 
 /// One role's work on the writer thread; [`run`] drives it.
 pub trait Role {
@@ -284,7 +284,12 @@ impl Catalog {
             .catalog
             .try_register(spec.name.clone(), spec.query.clone())
             .map_err(|e| e.to_string())?;
-        let reader = self.catalog.reader(id).expect("just registered");
+        let Some(reader) = self.catalog.reader(id) else {
+            die(&format!(
+                "query {} has no reader right after registering",
+                id.raw()
+            ));
+        };
         lock(&self.cat.queries).insert(
             id.raw(),
             CatalogQueryHandle {

@@ -8,6 +8,7 @@ use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use imp_serve::MAX_INGEST_CONNECTIONS;
 use implicate::sketch::hash::MixHasher;
 use implicate::{EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy};
 
@@ -433,6 +434,61 @@ fn bad_lines_are_counted_and_the_connection_survives() {
         "{metrics}"
     );
     implicate::lint_prometheus(&metrics).expect("exposition lints");
+    server.shutdown();
+}
+
+/// With `MAX_INGEST_CONNECTIONS` ingest connections held open, one more
+/// is closed at once and counted as `ingest_refused` in `/status`, while
+/// `/metrics` gains no series; once the held connections close, rows
+/// ingest again.
+#[test]
+fn ingest_connections_past_the_cap_are_refused_and_counted() {
+    let server = Server::spawn(&[]);
+    let held: Vec<TcpStream> = (0..MAX_INGEST_CONNECTIONS)
+        .map(|_| TcpStream::connect(&server.ingest).expect("connect ingest"))
+        .collect();
+
+    // The acceptor takes connections in order, so this one finds every
+    // place taken and must see the server close it.
+    let mut extra = TcpStream::connect(&server.ingest).expect("connect ingest");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    match extra.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("connection past the cap was not closed: {other:?}"),
+    }
+    let status_json = || {
+        let (status, body) = server.http("GET", "/status");
+        assert!(status.contains("200"), "{status}");
+        String::from_utf8(body).expect("json body")
+    };
+    assert_eq!(json_u64(&status_json(), "ingest_refused"), 1);
+    let (_, metrics) = server.http("GET", "/metrics");
+    let metrics = String::from_utf8(metrics).expect("utf8 metrics");
+    assert!(!metrics.contains("refused"), "{metrics}");
+
+    // Closing the held connections gives their places back. A retry
+    // covers a connection accepted before the places were.
+    drop(held);
+    let mut refused = 1;
+    let start = Instant::now();
+    'send: loop {
+        server.ingest_rows("1 2\n3 4\n");
+        loop {
+            let status = status_json();
+            if json_u64(&status, "tuples") == 2 {
+                break 'send;
+            }
+            if json_u64(&status, "ingest_refused") > refused {
+                refused = json_u64(&status, "ingest_refused");
+                continue 'send;
+            }
+            assert!(start.elapsed() < DEADLINE, "rows never ingested: {status}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
     server.shutdown();
 }
 
