@@ -92,6 +92,14 @@ pub enum CatalogError {
     /// A live query already uses this name (names key the labeled
     /// metrics and the HTTP lookup, so they must be unique).
     DuplicateName(String),
+    /// The query's sides or filter name a column at or beyond the schema
+    /// arity; rows carry only `arity` values.
+    ColumnOutOfRange {
+        /// The highest column the query touches.
+        column: usize,
+        /// The catalog schema's arity.
+        arity: usize,
+    },
 }
 
 impl fmt::Display for CatalogError {
@@ -104,6 +112,9 @@ impl fmt::Display for CatalogError {
             ),
             CatalogError::DuplicateName(name) => {
                 write!(f, "a live query is already named {name:?}")
+            }
+            CatalogError::ColumnOutOfRange { column, arity } => {
+                write!(f, "column {column} out of range for schema arity {arity}")
             }
         }
     }
@@ -124,32 +135,25 @@ struct CatalogEntry {
 }
 
 impl CatalogEntry {
-    /// Feeds this query one batch, whose row `i` is `tuples[i]` with
-    /// per-attribute hash rows `rows(i)`. The lane is built in one pass:
-    /// apply the filter, combine `h_a`, drop the row if the estimator's
-    /// Zone-1 mirror already has its cell at 1, and combine `b_fp` only
-    /// for the rows that survive. Dropped rows still count as matched
-    /// and as tuples, exactly as if each had been updated.
-    fn feed<'a>(
-        &mut self,
-        tuples: &[Tuple],
-        rows: impl Fn(usize) -> (&'a [u64], &'a [u64]),
-        lane: &mut Vec<(u64, u64)>,
-    ) {
+    /// Feeds this query one batch. The lane is built in one pass: apply
+    /// the filter to the row's values, combine `h_a`, drop the row if the
+    /// estimator's Zone-1 mirror already has its cell at 1, and combine
+    /// `b_fp` only for the rows that survive. Dropped rows still count as
+    /// matched and as tuples, exactly as if each had been updated.
+    fn feed(&mut self, batch: &HashedBatch, lane: &mut Vec<(u64, u64)>) {
         let filtered = !self.query.filter.is_empty();
         let (lhs, rhs) = (self.combiner.lhs(), self.combiner.rhs());
         let zone1 = self.est.zone1();
         lane.clear();
         let mut matched = 0u64;
-        for (i, t) in tuples.iter().enumerate() {
-            if filtered && !self.query.filter.matches(t) {
+        for i in 0..batch.len() {
+            if filtered && !self.query.filter.matches(batch.row(i)) {
                 continue;
             }
             matched += 1;
-            let (row_a, row_b) = rows(i);
-            let h_a = lhs.combine(row_a);
+            let h_a = lhs.combine(batch.row_a(i));
             if !zone1.decided(h_a) {
-                lane.push((h_a, rhs.combine(row_b)));
+                lane.push((h_a, rhs.combine(batch.row_b(i))));
             }
         }
         self.matched += matched;
@@ -202,11 +206,9 @@ pub struct QueryCatalog {
     tuples: u64,
     registered: u64,
     retired: u64,
-    /// Columnar per-attribute hash rows for the current batch
-    /// (`batch_len × arity`, family A then family B), reused across
-    /// batches so steady-state processing is allocation-free.
-    col_a: Vec<u64>,
-    col_b: Vec<u64>,
+    /// [`process_batch`](Self::process_batch)'s hashed rows, reused
+    /// across batches so steady-state processing is allocation-free.
+    scratch: HashedBatch,
     /// Per-query `(h_a, b_fp)` scratch for the current batch, reused so
     /// the combine pass and the estimator pass each run as a tight loop.
     pairs: Vec<(u64, u64)>,
@@ -234,8 +236,7 @@ impl QueryCatalog {
             tuples: 0,
             registered: 0,
             retired: 0,
-            col_a: Vec::new(),
-            col_b: Vec::new(),
+            scratch: HashedBatch::new(),
             pairs: Vec::new(),
             trace: TraceHandle::disabled(),
         }
@@ -269,7 +270,8 @@ impl QueryCatalog {
     /// [`CatalogError::BudgetExhausted`] when the global budget's
     /// headroom cannot fit a fresh estimator's construction floor;
     /// [`CatalogError::DuplicateName`] when a live query already uses
-    /// `name`.
+    /// `name`; [`CatalogError::ColumnOutOfRange`] when the query's sides
+    /// or filter name a column the schema does not have.
     pub fn try_register(
         &mut self,
         name: impl Into<String>,
@@ -278,6 +280,13 @@ impl QueryCatalog {
         let name = name.into();
         if self.entries.iter().any(|e| e.name == name) {
             return Err(CatalogError::DuplicateName(name));
+        }
+        let arity = self.schema.arity();
+        let touched = query.lhs.union(query.rhs).union(query.filter.attrs());
+        if let Some(column) = touched.iter().map(|a| a.index()).max() {
+            if column >= arity {
+                return Err(CatalogError::ColumnOutOfRange { column, arity });
+            }
         }
         let plan = query.estimator_plan(self.template);
         if self.budget.is_limited() {
@@ -315,7 +324,7 @@ impl QueryCatalog {
     /// static catalogs assembled at startup.
     ///
     /// # Panics
-    /// On budget exhaustion or a duplicate name.
+    /// On any [`CatalogError`].
     pub fn register(&mut self, name: impl Into<String>, query: ImplicationQuery) -> QueryId {
         match self.try_register(name, query) {
             Ok(id) => id,
@@ -346,37 +355,28 @@ impl QueryCatalog {
     }
 
     /// Feeds a batch of tuples to every registered query, query-major:
-    /// the batch is hashed attribute-wise once into columnar rows, then
-    /// each query's combiner + estimator consumes the whole batch before
-    /// the next query runs — keeping one estimator's arenas cache-hot
-    /// across the batch. Steady-state processing with a stable batch
-    /// size is allocation-free.
+    /// the batch is hashed attribute-wise once into a reused
+    /// [`HashedBatch`], then [`process_hashed`](Self::process_hashed)
+    /// runs each query's combiner + estimator over the whole batch before
+    /// the next query — keeping one estimator's arenas cache-hot across
+    /// the batch. Steady-state processing with a stable batch size is
+    /// allocation-free.
     ///
     /// Equivalent to calling [`process`](Self::process) per tuple (each
     /// query sees tuples in stream order), just faster.
+    ///
+    /// # Panics
+    /// If a tuple is narrower than the schema's arity.
     pub fn process_batch(&mut self, tuples: &[Tuple]) {
-        let arity = self.schema.arity();
-        self.col_a.clear();
-        self.col_b.clear();
-        for t in tuples {
-            self.hasher
-                .hash_tuple_append(t, &mut self.col_a, &mut self.col_b);
-        }
-        let (col_a, col_b) = (&self.col_a[..], &self.col_b[..]);
-        let rows = |i: usize| {
-            let row = i * arity..(i + 1) * arity;
-            (&col_a[row.clone()], &col_b[row])
-        };
-        for e in &mut self.entries {
-            e.feed(tuples, rows, &mut self.pairs);
-        }
-        self.tuples += tuples.len() as u64;
+        let mut batch = std::mem::take(&mut self.scratch);
+        self.hasher.hash_batch(tuples, &mut batch);
+        self.process_hashed(&batch);
+        self.scratch = batch;
     }
 
-    /// Feeds a pre-hashed batch to every registered query — the zero-copy
-    /// entry point when the caller already holds a [`HashedBatch`] (e.g.
-    /// from [`TupleSource::next_hashed_batch`](imp_stream::source::TupleSource::next_hashed_batch)).
-    /// The batch must have been produced by a [`TupleHasher`] matching
+    /// Feeds a pre-hashed batch to every registered query — the entry
+    /// point when the caller already holds a [`HashedBatch`]. The batch
+    /// must have been produced by a [`TupleHasher`] matching
     /// [`hasher`](Self::hasher) (same schema, same seed), or per-query
     /// hashes diverge from the sequential contract.
     ///
@@ -384,9 +384,8 @@ impl QueryCatalog {
     /// same tuples: the combiners fold the same per-attribute hash rows.
     pub fn process_hashed(&mut self, batch: &HashedBatch) {
         debug_assert_eq!(batch.arity(), self.schema.arity(), "batch/schema arity");
-        let rows = |i: usize| (batch.row_a(i), batch.row_b(i));
         for e in &mut self.entries {
-            e.feed(batch.tuples(), rows, &mut self.pairs);
+            e.feed(batch, &mut self.pairs);
         }
         self.tuples += batch.len() as u64;
     }
@@ -732,9 +731,8 @@ impl ShardedCatalog {
             .map(|(id, name, _)| (*id, name.as_str()))
     }
 
-    /// A pooled batch ready to refill (via [`HashedBatch::recycle`] +
-    /// [`TupleHasher::hash_batch`]), or an empty one if the pool has none
-    /// to spare.
+    /// A pooled batch ready to refill with [`TupleHasher::hash_batch`],
+    /// or an empty one if the pool has none to spare.
     pub fn checkout(&mut self) -> HashedBatch {
         self.pool
             .iter_mut()
@@ -783,9 +781,7 @@ impl ShardedCatalog {
             return;
         }
         let mut batch = self.checkout();
-        let mut owned = batch.recycle();
-        owned.extend_from_slice(tuples);
-        self.shell.hasher.hash_batch(owned, &mut batch);
+        self.shell.hasher.hash_batch(tuples, &mut batch);
         let _ = self.process_hashed(batch);
     }
 
@@ -840,6 +836,7 @@ mod tests {
     use super::*;
     use crate::conditions::ImplicationConditions;
     use crate::query::QueryEngine;
+    use imp_stream::AttrSet;
 
     fn schema() -> Schema {
         Schema::new([("Src", 0), ("Dst", 0), ("Svc", 4), ("Time", 4)])
@@ -983,6 +980,38 @@ mod tests {
     }
 
     #[test]
+    fn register_refuses_columns_beyond_the_schema() {
+        let s = schema();
+        let mut catalog = QueryCatalog::new(&s, template());
+        let wide = Schema::new([("A", 0), ("B", 0), ("C", 0), ("D", 0), ("E", 0)]);
+        let e = wide.attr_expect("E");
+        // A filter past the arity would read the next row's values out of
+        // the batch's flat lane.
+        let filtered = ImplicationQuery::one_to_one(s.attr_set(&["Src"]), s.attr_set(&["Dst"]), 1)
+            .filtered(crate::query::Filter::new().and_eq(e, 0));
+        assert_eq!(
+            catalog.try_register("filtered", filtered),
+            Err(CatalogError::ColumnOutOfRange {
+                column: 4,
+                arity: 4
+            })
+        );
+        let side = ImplicationQuery::distinct_count(AttrSet::single(e));
+        assert_eq!(
+            catalog.try_register("side", side),
+            Err(CatalogError::ColumnOutOfRange {
+                column: 4,
+                arity: 4
+            })
+        );
+        assert!(catalog.is_empty());
+        let last = ImplicationQuery::distinct_count(s.attr_set(&["Time"]));
+        catalog
+            .try_register("last", last)
+            .expect("column 3 is in range");
+    }
+
+    #[test]
     fn per_query_readers_follow_publication() {
         let s = schema();
         let mut catalog = QueryCatalog::new(&s, template());
@@ -1086,9 +1115,7 @@ mod tests {
         let hasher = hashed.hasher().clone();
         let mut batch = HashedBatch::new();
         for chunk in tuples.chunks(512) {
-            let mut owned = batch.recycle();
-            owned.extend_from_slice(chunk);
-            hasher.hash_batch(owned, &mut batch);
+            hasher.hash_batch(chunk, &mut batch);
             hashed.process_hashed(&batch);
         }
 
@@ -1201,10 +1228,7 @@ mod tests {
             let tuples: Vec<Tuple> = (0..64)
                 .map(|i| Tuple::from([round * 64 + i, i % 7, i % 4, i % 3]))
                 .collect();
-            let mut owned = batch.recycle();
-            owned.clear();
-            owned.extend_from_slice(&tuples);
-            hasher.hash_batch(owned, &mut batch);
+            hasher.hash_batch(&tuples, &mut batch);
             batch = sharded.process_hashed(batch);
         }
         // The pool caps in-flight allocations regardless of round count.

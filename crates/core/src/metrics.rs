@@ -823,10 +823,8 @@ const SERIES: [Row<MetricsRegistry>; 53] = crate::metric_rows![
         "Configured memory-budget ceiling in bytes (0 = unlimited)";
     Counter "estimator.shed_events" |r| r.estimator.shed_events.get(),
         "Slots recycled because the memory budget denied growth";
-    // This help text is the lanes' (`ingest.shardK.queue_depth_peak`),
-    // not the shard count's; the exposition keeps it byte for byte.
     Gauge "ingest.shards" |r| r.ingest.shards.get(),
-        "High-watermark of batches in flight to this shard's worker";
+        "Configured worker shard count";
     Counter "ingest.batches_routed" |r| r.ingest.batches_routed.get(),
         "Batches shipped across all ingestion shards";
     Counter "ingest.updates_routed" |r| r.ingest.updates_routed.get(),

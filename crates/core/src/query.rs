@@ -61,11 +61,11 @@ impl Filter {
         self.and_in(attr, vec![value])
     }
 
-    /// Whether a tuple passes all clauses.
-    pub fn matches(&self, t: &Tuple) -> bool {
+    /// Whether a row's values (in schema order) pass all clauses.
+    pub fn matches(&self, row: &[u64]) -> bool {
         self.clauses
             .iter()
-            .all(|(attr, vals)| vals.contains(&t.get(attr.index())))
+            .all(|(attr, vals)| vals.contains(&row[attr.index()]))
     }
 
     /// Whether the filter has no clause.
@@ -317,7 +317,7 @@ impl QueryEngine {
 
     /// Feeds one tuple (skipped if the filter rejects it).
     pub fn process(&mut self, t: &Tuple) {
-        if !self.query.filter.is_empty() && !self.query.filter.matches(t) {
+        if !self.query.filter.is_empty() && !self.query.filter.matches(t.values()) {
             return;
         }
         self.matched += 1;
@@ -472,12 +472,12 @@ mod tests {
         let s = schema();
         let svc = s.attr_expect("Svc");
         let f = Filter::new().and_in(svc, vec![1, 2]);
-        assert!(f.matches(&Tuple::from([0u64, 0, 1, 0])));
-        assert!(f.matches(&Tuple::from([0u64, 0, 2, 0])));
-        assert!(!f.matches(&Tuple::from([0u64, 0, 3, 0])));
+        assert!(f.matches(Tuple::from([0u64, 0, 1, 0]).values()));
+        assert!(f.matches(Tuple::from([0u64, 0, 2, 0]).values()));
+        assert!(!f.matches(Tuple::from([0u64, 0, 3, 0]).values()));
         let f2 = f.and_eq(s.attr_expect("Time"), 0);
-        assert!(f2.matches(&Tuple::from([0u64, 0, 1, 0])));
-        assert!(!f2.matches(&Tuple::from([0u64, 0, 1, 1])));
+        assert!(f2.matches(Tuple::from([0u64, 0, 1, 0]).values()));
+        assert!(!f2.matches(Tuple::from([0u64, 0, 1, 1]).values()));
     }
 
     #[test]

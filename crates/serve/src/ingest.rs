@@ -11,7 +11,7 @@ use std::sync::Arc;
 use implicate::core::wire::{peek_frame, DEFAULT_MAX_FRAME_BYTES, REJECT_NODE_ID_SWITCH};
 use implicate::sketch::hash::MixHasher;
 use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
-use implicate::{PairHasher, TraceEvent, Tuple};
+use implicate::{PairHasher, TraceEvent};
 
 use crate::{Shared, FIELD_HASHER_SEED, POLL};
 
@@ -25,39 +25,45 @@ const INGEST_BATCH: usize = 256;
 pub const MAX_INGEST_LINE: usize = 64 * 1024;
 
 /// One catalog ingest connection: every line becomes a full
-/// `--arity`-wide tuple of field fingerprints (narrower rows are
-/// skipped), so any query registered now *or later in the stream* is
-/// answered from the same pass.
+/// `--arity`-wide row of field fingerprints (narrower rows are skipped),
+/// so any query registered now *or later in the stream* is answered from
+/// the same pass. A batch is one flat buffer of `arity` words per row.
 pub fn catalog_ingest_connection(
     stream: TcpStream,
     shared: &Shared,
     arity: usize,
     delimiter: Option<char>,
-    tx: &SyncSender<Vec<Tuple>>,
+    tx: &SyncSender<Vec<u64>>,
 ) {
-    ingest_lines(stream, shared, delimiter, &vec![true; arity], tx, |row| {
-        (row.len() >= arity).then(|| Tuple::new(row))
+    let wanted = vec![true; arity];
+    ingest_lines(stream, shared, delimiter, &wanted, tx, |row, batch| {
+        let full = row.len() >= arity;
+        if full {
+            batch.extend_from_slice(&row[..arity]);
+        }
+        full
     });
 }
 
 /// Drives one line-protocol ingest connection: reads lines capped at
 /// [`MAX_INGEST_LINE`], hashes the leading fields `wanted` selects, and
-/// batches what `make_row` builds from them to the writer. `make_row`
-/// returns `None` for a row too short for it; such rows and non-UTF-8
-/// lines count as `skipped`, oversize lines as `skipped_oversize`, and
-/// none of them closes the connection.
+/// ships batches of [`INGEST_BATCH`] rows to the writer. `append_row`
+/// appends one row built from the fields to the batch, or returns
+/// `false` for a row too short for it; such rows and non-UTF-8 lines
+/// count as `skipped`, oversize lines as `skipped_oversize`, and none of
+/// them closes the connection.
 fn ingest_lines<T>(
     stream: TcpStream,
     shared: &Shared,
     delimiter: Option<char>,
     wanted: &[bool],
     tx: &SyncSender<Vec<T>>,
-    mut make_row: impl FnMut(&[u64]) -> Option<T>,
+    mut append_row: impl FnMut(&[u64], &mut Vec<T>) -> bool,
 ) {
     stream.set_read_timeout(Some(POLL)).ok();
     let mut lines = LineReader::with_cap(BufReader::new(stream), MAX_INGEST_LINE);
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), delimiter);
-    let mut batch = Vec::with_capacity(INGEST_BATCH);
+    let (mut batch, mut rows) = (Vec::new(), 0);
     loop {
         let row = match lines.next_line() {
             Ok(Line::Text(line)) => fields.hash_line(line, wanted),
@@ -74,9 +80,10 @@ fn ingest_lines<T>(
                 // and the next read resumes it. Flush what we have so
                 // slow trickles still become visible, then check for
                 // stop.
-                if !batch.is_empty() && tx.send(std::mem::take(&mut batch)).is_err() {
+                if rows > 0 && tx.send(std::mem::take(&mut batch)).is_err() {
                     return;
                 }
+                rows = 0;
                 if shared.stop.load(Ordering::Acquire) {
                     return;
                 }
@@ -84,25 +91,27 @@ fn ingest_lines<T>(
             }
             Err(_) => break,
         };
-        let made = match row {
+        let appended = match row {
             Row::Blank => continue,
-            Row::Fields(row) => make_row(row),
-            Row::NotUtf8 => None,
+            Row::Fields(row) => append_row(row, &mut batch),
+            Row::NotUtf8 => false,
         };
-        let Some(made) = made else {
+        if !appended {
             shared.skipped.fetch_add(1, Ordering::Relaxed);
             continue;
-        };
-        batch.push(made);
+        }
         shared.accepted.fetch_add(1, Ordering::Relaxed);
-        if batch.len() >= INGEST_BATCH {
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-            if tx.send(full).is_err() {
+        rows += 1;
+        if rows >= INGEST_BATCH {
+            // The next batch starts at the size this one reached.
+            let next = Vec::with_capacity(batch.len());
+            if tx.send(std::mem::replace(&mut batch, next)).is_err() {
                 return;
             }
+            rows = 0;
         }
     }
-    if !batch.is_empty() {
+    if rows > 0 {
         let _ = tx.send(batch);
     }
 }
@@ -202,8 +211,11 @@ pub fn ingest_connection(
 ) {
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     let wanted = wanted_columns(&[lhs, rhs]);
-    ingest_lines(stream, shared, delimiter, &wanted, tx, |row| {
-        (project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b))
-            .then(|| pair_hasher.hash_pair(&buf_a, &buf_b))
+    ingest_lines(stream, shared, delimiter, &wanted, tx, |row, batch| {
+        let projected = project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b);
+        if projected {
+            batch.push(pair_hasher.hash_pair(&buf_a, &buf_b));
+        }
+        projected
     });
 }

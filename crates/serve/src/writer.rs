@@ -14,7 +14,7 @@ use implicate::core::wire::{peek_frame, WireDecoder, WireSnapshot};
 use implicate::pipeline::Pipeline;
 use implicate::spec::QuerySpec;
 use implicate::{
-    EstimatorConfig, HashedBatch, ImplicationEstimator, QueryCatalog, QueryId, Tuple, TupleHasher,
+    EstimatorConfig, HashedBatch, ImplicationEstimator, QueryCatalog, QueryId, TupleHasher,
 };
 
 use crate::edge::ShipSlot;
@@ -233,8 +233,8 @@ impl Role for Plain {
 }
 
 /// The catalog role's writer: single owner of the [`QueryCatalog`].
-/// Hashes each incoming row batch attribute-wise exactly once into a
-/// reused [`HashedBatch`], applies it to every registered query,
+/// Hashes each incoming flat row batch (`arity` words per row)
+/// attribute-wise exactly once into a reused [`HashedBatch`], applies it to every registered query,
 /// services register/retire control messages between batches, and
 /// republishes every query's view (plus the metrics exposition) on the
 /// publish cadence.
@@ -273,13 +273,6 @@ impl Catalog {
     /// Registers one parsed spec and makes it answerable to the query
     /// connections; returns its raw id.
     pub fn register(&mut self, spec: QuerySpec) -> Result<u64, String> {
-        let arity = self.catalog.schema().arity();
-        if spec.max_column() >= arity {
-            return Err(format!(
-                "column {} out of range (--arity {arity})",
-                spec.max_column()
-            ));
-        }
         let id = self
             .catalog
             .try_register(spec.name.clone(), spec.query.clone())
@@ -340,13 +333,14 @@ impl Catalog {
 }
 
 impl Role for Catalog {
-    type Msg = Vec<Tuple>;
+    type Msg = Vec<u64>;
 
-    fn apply(&mut self, batch: Vec<Tuple>, _shared: &Shared) {
+    fn apply(&mut self, batch: Vec<u64>, _shared: &Shared) {
         self.control();
-        let n = batch.len() as u64;
-        self.hasher.hash_batch(batch, &mut self.hashed);
+        let rows = batch.chunks_exact(self.hasher.arity());
+        self.hasher.hash_batch(rows, &mut self.hashed);
         self.catalog.process_hashed(&self.hashed);
+        let n = self.hashed.len() as u64;
         self.rows += n;
         self.since_publish += n;
         if self.since_publish >= self.publish_every {

@@ -394,3 +394,110 @@ fn crashing_spec_lines_are_refused_and_the_server_survives() {
     let (status, _) = srv.http("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
 }
+
+/// The catalog server answers exactly what the library's
+/// [`QueryCatalog`](implicate::QueryCatalog) answers over the same
+/// field-hashed rows: every `/estimate` `answer_bits` equals
+/// `QueryCatalog::answer(id).to_bits()`. The stream mixes in blank,
+/// comment, short and over-wide lines; the server skips the short ones
+/// and keeps the first `--arity` fields of the wide ones.
+#[test]
+fn catalog_server_answers_match_the_library_bit_for_bit() {
+    use implicate::sketch::hash::MixHasher;
+    use implicate::spec::{parse_query_line, FIELD_HASHER_SEED};
+    use implicate::text::hash_field;
+    use implicate::{QueryCatalog, Schema};
+
+    const ARITY: usize = 4;
+    let specs = [
+        "loyal one-to-one 0 1\n",
+        "morning one-to-one 0 1 where=3=am\n",
+        "sources distinct 0 -\n",
+        "pairs at-most 0,2 1 k=2\n",
+    ];
+    let mut lines = String::new();
+    for i in 0..6_000u64 {
+        let (src, dst) = (i % 700, (i % 700) * 3 + (i % 11 == 0) as u64);
+        let half = if i % 3 == 0 { "am" } else { "pm" };
+        lines.push_str(&format!("s{src} d{dst} v{} {half}\n", i % 5));
+        match i % 97 {
+            0 => lines.push('\n'),
+            1 => lines.push_str("# a comment line\n"),
+            2 => lines.push_str(&format!("s{src} d{dst}\n")),
+            3 => lines.push_str(&format!("w{i} x{i} y z extra fields\n")),
+            _ => {}
+        }
+    }
+
+    let schema = Schema::new((0..ARITY).map(|i| (format!("c{i}"), 0)));
+    let config = implicate::opts::EstimatorOpts::default()
+        .config()
+        .expect("default flags");
+    let mut library = QueryCatalog::new(&schema, config);
+    let ids: Vec<_> = specs
+        .iter()
+        .map(|line| {
+            let spec = parse_query_line(line).expect("spec parses");
+            library.register(spec.name, spec.query)
+        })
+        .collect();
+    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
+    let rows: Vec<implicate::Tuple> = lines
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let fields = l.split_whitespace().take(ARITY);
+            fields
+                .map(|f| hash_field(&field_hasher, f))
+                .collect::<Vec<u64>>()
+        })
+        .filter(|row| row.len() == ARITY)
+        .map(implicate::Tuple::new)
+        .collect();
+    for chunk in rows.chunks(256) {
+        library.process_batch(chunk);
+    }
+
+    let srv = Server::spawn(&["--catalog", "--arity", "4", "--publish-every", "512"]);
+    let mut served = Vec::new();
+    for line in specs {
+        let (status, body) = srv.http("POST", "/query", line);
+        assert!(status.contains("200"), "{line:?}: {status}: {body}");
+        served.push(field_u64(&body, "id"));
+    }
+    srv.ingest_rows(&lines);
+    srv.wait_status("rows accepted", |b| {
+        field_u64(b, "accepted") == rows.len() as u64
+    });
+    for (&id, &lib_id) in served.iter().zip(&ids) {
+        let want = library.matched(lib_id).expect("live query");
+        assert!(want > 0, "query {id} matched nothing");
+        let start = Instant::now();
+        let body = loop {
+            let (status, body) = srv.get(&format!("/estimate?query={id}"));
+            assert!(status.contains("200"), "{status}: {body}");
+            if field_u64(&body, "tuples") == want {
+                break body;
+            }
+            assert!(
+                start.elapsed() < DEADLINE,
+                "query {id} never reached {want} tuples; last: {body}"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        };
+        let answer = library.answer(lib_id).expect("live query");
+        assert_eq!(
+            field_u64(&body, "answer_bits"),
+            answer.to_bits(),
+            "query {id}: served {body}, library {answer}"
+        );
+    }
+    let morning = library.matched(ids[1]).unwrap();
+    assert!(
+        morning < rows.len() as u64,
+        "the where= filter kept every row"
+    );
+
+    let (status, _) = srv.http("POST", "/shutdown", "");
+    assert!(status.contains("200"), "{status}");
+}

@@ -16,6 +16,14 @@
 //! ([`ItemsetCombiner::combine`]). Marginal cost per query is a few XORs,
 //! not a projection and a re-hash.
 //!
+//! Batches are hashed by one loop, [`TupleHasher::hash_batch`], into a
+//! [`HashedBatch`]: three flat row-major lanes of `arity` words per row,
+//! the raw values beside the two families' per-attribute hashes. It takes
+//! any rows that are `AsRef<[u64]>` — [`Tuple`]s, or `chunks_exact(arity)`
+//! of a flat buffer a front end filled without one heap object per row —
+//! and refuses a row narrower than the schema, which would otherwise
+//! shift every later row of the lane.
+//!
 //! Two independent hash families are maintained — the `a` family for
 //! left-hand (antecedent) itemsets and the `b` family for right-hand
 //! fingerprints — matching the estimator's two-hasher scheme, and they are
@@ -205,32 +213,13 @@ impl TupleHasher {
     /// rows until the next `hash_tuple`.
     ///
     /// # Panics
-    /// In debug builds, if the tuple's arity is below the schema's.
+    /// If the tuple is narrower than the schema's arity.
     #[inline]
     pub fn hash_tuple(&mut self, tuple: &Tuple) {
-        let vals = tuple.values();
-        debug_assert!(
-            vals.len() >= self.ha.len(),
-            "tuple arity {} below schema arity {}",
-            vals.len(),
-            self.ha.len()
-        );
-        for (j, &v) in vals.iter().enumerate().take(self.ha.len()) {
+        let vals = self.leading(tuple.values());
+        for (j, &v) in vals.iter().enumerate() {
             self.row_a[j] = self.ha[j].hash_u64(v);
             self.row_b[j] = self.hb[j].hash_u64(v);
-        }
-    }
-
-    /// Hashes `tuple` attribute-wise and **appends** both rows to caller
-    /// buffers — the columnar form a batch-processing catalog uses to
-    /// keep one query's estimator hot across a whole batch.
-    #[inline]
-    pub fn hash_tuple_append(&self, tuple: &Tuple, out_a: &mut Vec<u64>, out_b: &mut Vec<u64>) {
-        let vals = tuple.values();
-        debug_assert!(vals.len() >= self.ha.len());
-        for (j, &v) in vals.iter().enumerate().take(self.ha.len()) {
-            out_a.push(self.ha[j].hash_u64(v));
-            out_b.push(self.hb[j].hash_u64(v));
         }
     }
 
@@ -241,45 +230,75 @@ impl TupleHasher {
         (q.lhs.combine(&self.row_a), q.rhs.combine(&self.row_b))
     }
 
-    /// Hashes a whole batch of tuples attribute-wise exactly once into
-    /// `out` — the columnar pass that produces the [`HashedBatch`]
-    /// currency the rest of the pipeline rides on.
+    /// Hashes a batch of rows attribute-wise exactly once into `out`,
+    /// replacing its contents — the one loop that produces the
+    /// [`HashedBatch`] currency the rest of the pipeline rides on. Each
+    /// row's first `arity` values are copied into the batch's flat value
+    /// lane (filters read them there) and hashed into its two hash lanes;
+    /// a row may be any `AsRef<[u64]>`: a [`Tuple`], a `&[u64]`, or a
+    /// `chunks_exact(arity)` piece of a flat buffer. Once `out` has grown
+    /// to the batch size, refilling it allocates nothing.
     ///
-    /// `tuples` is moved *into* the batch (filtered consumers still need
-    /// the raw values); reclaim the allocation with
-    /// [`HashedBatch::recycle`] to keep steady-state ingest
-    /// allocation-free.
-    pub fn hash_batch(&self, tuples: Vec<Tuple>, out: &mut HashedBatch) {
+    /// # Panics
+    /// If a row is narrower than the schema's arity.
+    pub fn hash_batch<R: AsRef<[u64]>>(
+        &self,
+        rows: impl IntoIterator<Item = R>,
+        out: &mut HashedBatch,
+    ) {
+        out.values.clear();
         out.col_a.clear();
         out.col_b.clear();
         out.arity = self.ha.len();
-        for t in &tuples {
-            self.hash_tuple_append(t, &mut out.col_a, &mut out.col_b);
+        out.len = 0;
+        for row in rows {
+            let vals = self.leading(row.as_ref());
+            out.values.extend_from_slice(vals);
+            for ((&v, ha), hb) in vals.iter().zip(&self.ha).zip(&self.hb) {
+                out.col_a.push(ha.hash_u64(v));
+                out.col_b.push(hb.hash_u64(v));
+            }
+            out.len += 1;
         }
-        out.tuples = tuples;
+    }
+
+    /// The schema's `arity` leading values of `row`.
+    ///
+    /// # Panics
+    /// If `row` is narrower than the schema: a short row would leave the
+    /// hash rows stale, or shift every later row of a flat batch.
+    #[inline]
+    fn leading<'r>(&self, row: &'r [u64]) -> &'r [u64] {
+        let arity = self.ha.len();
+        assert!(
+            row.len() >= arity,
+            "row of {} values is narrower than the schema arity {arity}",
+            row.len()
+        );
+        &row[..arity]
     }
 }
 
-/// A batch of tuples hashed attribute-wise exactly once: the raw tuples
-/// (filters still need values) plus the two columnar per-attribute hash
-/// lanes, `arity` words per row per family.
+/// A batch of rows hashed attribute-wise exactly once: three row-major
+/// lanes of `arity` words per row — the raw values (filters still read
+/// them) and the per-attribute hashes of the two families.
 ///
 /// This is the **only** currency that crosses layer boundaries in the
-/// batch pipeline: [`TupleHasher::hash_batch`] produces it from a
-/// [`TupleSource::next_batch`](crate::source::TupleSource::next_batch)
-/// slice, per-query `(h_a, b_fp)` pairs are derived from its rows by
+/// batch pipeline: [`TupleHasher::hash_batch`] produces it, per-query
+/// `(h_a, b_fp)` pairs are derived from its rows by
 /// [`combine_row`](Self::combine_row) or [`row_a`](Self::row_a) /
-/// [`row_b`](Self::row_b), and the sharded pipelines ship it whole across
-/// their rings.
+/// [`row_b`](Self::row_b), filters read [`row`](Self::row), and the
+/// sharded pipelines ship it whole across their rings.
 #[derive(Debug, Default, Clone)]
 pub struct HashedBatch {
-    tuples: Vec<Tuple>,
-    /// Row-major per-attribute hashes, family A: row `i` occupies
-    /// `[i*arity, (i+1)*arity)`.
+    /// Row-major raw values: row `i` occupies `[i*arity, (i+1)*arity)`.
+    values: Vec<u64>,
+    /// Row-major per-attribute hashes, family A.
     col_a: Vec<u64>,
     /// Row-major per-attribute hashes, family B.
     col_b: Vec<u64>,
     arity: usize,
+    len: usize,
 }
 
 impl HashedBatch {
@@ -290,22 +309,24 @@ impl HashedBatch {
 
     /// Number of rows in the batch.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// Whether the batch holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
-    /// The schema arity the hash lanes were produced under.
+    /// The schema arity the lanes were produced under.
     pub fn arity(&self) -> usize {
         self.arity
     }
 
-    /// The raw tuples, aligned row-for-row with the hash lanes.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// Row `i`'s raw values (the schema's `arity` leading values of the
+    /// row that was hashed).
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.values[i * self.arity..(i + 1) * self.arity]
     }
 
     /// Row `i`'s family-A per-attribute hash row.
@@ -324,16 +345,6 @@ impl HashedBatch {
     #[inline]
     pub fn combine_row(&self, q: &QueryCombiner, i: usize) -> (u64, u64) {
         (q.lhs.combine(self.row_a(i)), q.rhs.combine(self.row_b(i)))
-    }
-
-    /// Clears the batch and hands back the tuple storage so the producer
-    /// can refill it without allocating.
-    pub fn recycle(&mut self) -> Vec<Tuple> {
-        self.col_a.clear();
-        self.col_b.clear();
-        let mut tuples = std::mem::take(&mut self.tuples);
-        tuples.clear();
-        tuples
     }
 }
 
@@ -412,20 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn append_form_matches_in_place_rows() {
-        let s = schema();
-        let mut h = TupleHasher::new(&s, 21);
-        let q = h.combiner(s.attr_set(&["B", "D"]), s.attr_set(&["C"]));
-        let t = Tuple::from([4u64, 3, 2, 1]);
-        h.hash_tuple(&t);
-        let direct = h.combine(&q);
-        let (mut col_a, mut col_b) = (Vec::new(), Vec::new());
-        h.hash_tuple_append(&t, &mut col_a, &mut col_b);
-        let appended = (q.lhs().combine(&col_a), q.rhs().combine(&col_b));
-        assert_eq!(direct, appended);
-    }
-
-    #[test]
     fn hash_batch_matches_per_tuple_rows() {
         let s = schema();
         let mut h = TupleHasher::new(&s, 17);
@@ -440,21 +437,41 @@ mod tests {
         for (i, t) in tuples.iter().enumerate() {
             h.hash_tuple(t);
             assert_eq!(h.combine(&q), batch.combine_row(&q, i));
-            assert_eq!(batch.tuples()[i], *t);
+            assert_eq!(batch.row(i), t.values());
         }
     }
 
     #[test]
-    fn recycle_returns_cleared_storage_with_capacity() {
+    fn hash_batch_reads_flat_rows_like_tuples() {
         let s = schema();
-        let h = TupleHasher::new(&s, 29);
-        let tuples: Vec<Tuple> = (0..16u64).map(|i| Tuple::from([i, i, i, i])).collect();
-        let mut batch = HashedBatch::new();
-        h.hash_batch(tuples, &mut batch);
-        let storage = batch.recycle();
-        assert!(storage.is_empty());
-        assert!(storage.capacity() >= 16, "tuple storage must be reusable");
-        assert!(batch.is_empty());
+        let h = TupleHasher::new(&s, 23);
+        let tuples: Vec<Tuple> = (0..6u64)
+            .map(|i| Tuple::from([i, i + 1, i * i, 9 - i]))
+            .collect();
+        let flat: Vec<u64> = tuples.iter().flat_map(|t| t.values().to_vec()).collect();
+        let (mut boxed, mut lane) = (HashedBatch::new(), HashedBatch::new());
+        h.hash_batch(&tuples, &mut boxed);
+        h.hash_batch(flat.chunks_exact(4), &mut lane);
+        assert_eq!(lane.len(), 6);
+        for i in 0..6 {
+            assert_eq!(lane.row(i), boxed.row(i));
+            assert_eq!(lane.row_a(i), boxed.row_a(i));
+            assert_eq!(lane.row_b(i), boxed.row_b(i));
+        }
+        // Refilling replaces the contents; a wider row keeps its leading
+        // `arity` values.
+        h.hash_batch([[7u64, 8, 9, 10, 11]], &mut lane);
+        assert_eq!(lane.len(), 1);
+        assert_eq!(lane.row(0), &[7, 8, 9, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "narrower than the schema arity 4")]
+    fn hash_batch_rejects_a_narrow_row() {
+        let s = schema();
+        let h = TupleHasher::new(&s, 31);
+        let rows: [&[u64]; 3] = [&[1, 2, 3, 4], &[5, 6, 7], &[8, 9, 10, 11]];
+        h.hash_batch(rows, &mut HashedBatch::new());
     }
 
     #[test]

@@ -17,12 +17,11 @@
 //! * [`source`] — the tuple-stream abstraction plus in-memory sources.
 //! * [`window`] — timestamps and sliding-window delivery (§3.2).
 //! * [`toy`] — the paper's Table 1 "Network Traffic" example window.
-//! * [`io`] — a compact binary trace format (length-prefixed `u64` rows)
-//!   for persisting generated workloads.
+//! * [`hashplan`] — each attribute of a row hashed once, into the flat
+//!   [`HashedBatch`] lanes every query's itemset hashes are combined from.
 
 pub mod dictionary;
 pub mod hashplan;
-pub mod io;
 pub mod item;
 pub mod project;
 pub mod schema;
@@ -36,5 +35,5 @@ pub use hashplan::{HashedBatch, ItemsetCombiner, QueryCombiner, TupleHasher};
 pub use item::ItemKey;
 pub use project::Projector;
 pub use schema::{AttrId, AttrSet, Schema};
-pub use source::{SliceSource, TupleSource, VecSource};
+pub use source::{TupleSource, VecSource};
 pub use tuple::Tuple;

@@ -5,7 +5,6 @@
 //! (§1) allows exactly one pass, so sources are consumed-by-iteration and
 //! algorithms never ask to rewind.
 
-use crate::hashplan::{HashedBatch, TupleHasher};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 
@@ -25,42 +24,6 @@ pub trait TupleSource {
             f(&t);
             n += 1;
         }
-        n
-    }
-
-    /// Reads up to `max` tuples into `out` (cleared first), preserving
-    /// arrival order; returns the number read. Zero means end of stream
-    /// (for `max > 0`). The batched shape feeds pipelines that hand work
-    /// to parsing or ingestion workers a chunk at a time.
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
-        out.clear();
-        while out.len() < max {
-            match self.next_tuple() {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        out.len()
-    }
-
-    /// Reads up to `max` tuples and hashes them attribute-wise exactly
-    /// once into `out` — the batch-pipeline entry point: everything
-    /// downstream of the source consumes the [`HashedBatch`] currency.
-    /// Returns the number of rows read; zero means end of stream (for
-    /// `max > 0`).
-    ///
-    /// The tuple storage cycles through `out` across calls
-    /// ([`HashedBatch::recycle`]), so steady-state reading is
-    /// allocation-free once capacities have grown to the batch size.
-    fn next_hashed_batch(
-        &mut self,
-        hasher: &TupleHasher,
-        out: &mut HashedBatch,
-        max: usize,
-    ) -> usize {
-        let mut tuples = out.recycle();
-        let n = self.next_batch(&mut tuples, max);
-        hasher.hash_batch(tuples, out);
         n
     }
 }
@@ -92,33 +55,6 @@ impl TupleSource for VecSource {
     }
 }
 
-/// A borrowing source over a tuple slice (clones on yield).
-#[derive(Debug)]
-pub struct SliceSource<'a> {
-    schema: &'a Schema,
-    tuples: std::slice::Iter<'a, Tuple>,
-}
-
-impl<'a> SliceSource<'a> {
-    /// Wraps a borrowed window of tuples.
-    pub fn new(schema: &'a Schema, tuples: &'a [Tuple]) -> Self {
-        Self {
-            schema,
-            tuples: tuples.iter(),
-        }
-    }
-}
-
-impl TupleSource for SliceSource<'_> {
-    fn schema(&self) -> &Schema {
-        self.schema
-    }
-
-    fn next_tuple(&mut self) -> Option<Tuple> {
-        self.tuples.next().cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,48 +73,5 @@ mod tests {
         assert_eq!(src.next_tuple(), Some(Tuple::from([2u64, 3])));
         assert_eq!(src.next_tuple(), None);
         assert_eq!(src.next_tuple(), None, "stays exhausted");
-    }
-
-    #[test]
-    fn batch_read_preserves_order_and_signals_end() {
-        let tuples: Vec<Tuple> = (0..7u64).map(|i| Tuple::from([i, i])).collect();
-        let mut src = VecSource::new(schema(), tuples.clone());
-        let mut batch = Vec::new();
-        assert_eq!(src.next_batch(&mut batch, 3), 3);
-        assert_eq!(batch, tuples[..3]);
-        assert_eq!(src.next_batch(&mut batch, 3), 3);
-        assert_eq!(batch, tuples[3..6]);
-        assert_eq!(src.next_batch(&mut batch, 3), 1);
-        assert_eq!(batch, tuples[6..]);
-        assert_eq!(src.next_batch(&mut batch, 3), 0);
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn hashed_batch_read_matches_plain_batch_read() {
-        let s = schema();
-        let tuples: Vec<Tuple> = (0..7u64).map(|i| Tuple::from([i, i + 1])).collect();
-        let hasher = TupleHasher::new(&s, 42);
-        let mut src = VecSource::new(s.clone(), tuples.clone());
-        let mut batch = HashedBatch::new();
-        assert_eq!(src.next_hashed_batch(&hasher, &mut batch, 4), 4);
-        assert_eq!(batch.tuples(), &tuples[..4]);
-        let mut check = HashedBatch::new();
-        hasher.hash_batch(tuples[..4].to_vec(), &mut check);
-        assert_eq!(batch.row_a(2), check.row_a(2));
-        assert_eq!(src.next_hashed_batch(&hasher, &mut batch, 4), 3);
-        assert_eq!(batch.tuples(), &tuples[4..]);
-        assert_eq!(src.next_hashed_batch(&hasher, &mut batch, 4), 0);
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn slice_source_counts() {
-        let s = schema();
-        let tuples = vec![Tuple::from([1u64, 1]); 7];
-        let mut src = SliceSource::new(&s, &tuples);
-        let mut seen = 0;
-        let n = src.for_each_tuple(|_| seen += 1);
-        assert_eq!((n, seen), (7, 7));
     }
 }

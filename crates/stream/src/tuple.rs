@@ -43,6 +43,12 @@ impl Tuple {
     }
 }
 
+impl AsRef<[u64]> for Tuple {
+    fn as_ref(&self) -> &[u64] {
+        &self.values
+    }
+}
+
 impl From<Vec<u64>> for Tuple {
     fn from(v: Vec<u64>) -> Self {
         Tuple::new(v)

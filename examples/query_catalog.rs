@@ -120,7 +120,7 @@ fn exact_answer(schema: &Schema, tuples: &[Tuple], query: &ImplicationQuery) -> 
     let pr = Projector::new(schema, query.rhs);
     let mut exact = ExactCounter::new(query.conditions);
     for t in tuples {
-        if !query.filter.is_empty() && !query.filter.matches(t) {
+        if !query.filter.is_empty() && !query.filter.matches(t.values()) {
             continue;
         }
         exact.update(pl.project(t).as_slice(), pr.project(t).as_slice());

@@ -115,7 +115,7 @@ struct Cli {
     trace_out: Option<String>,
     trace_buffer: usize,
     audit: Option<u64>,
-    audit_sample: u64,
+    audit_sample: Option<u64>,
     save: Option<String>,
     resume: Option<String>,
     query_file: Option<String>,
@@ -139,7 +139,7 @@ impl Default for Cli {
             trace_out: None,
             trace_buffer: implicate::core::trace::DEFAULT_JOURNAL_EVENTS,
             audit: None,
-            audit_sample: 1,
+            audit_sample: None,
             save: None,
             resume: None,
             query_file: None,
@@ -218,8 +218,8 @@ const OPTIONS: &[Flag<Cli>] = &[
     Flag {
         name: "--audit-sample",
         metavar: "K",
-        doc: "shadow one in K itemsets exactly during --audit\n(default 1 = all; >1 trades memory for sampling noise)",
-        set: |d, v| opts::at_least_one(v, "--audit-sample").map(|n| d.audit_sample = n),
+        doc: "shadow one in K itemsets exactly during --audit\n(default 1 = all; >1 trades memory for sampling noise;\nnot with --query-file)",
+        set: |d, v| opts::at_least_one(v, "--audit-sample").map(|n| d.audit_sample = Some(n)),
     },
     Flag {
         name: "--save",
@@ -324,6 +324,10 @@ impl Cli {
             if self.complement {
                 die("--complement is per-query in a query file (use the `complement` option)");
             }
+            if self.audit_sample.is_some() {
+                // Catalog audits shadow every key of every query exactly.
+                die("--audit-sample is not supported with --query-file");
+            }
             // Line grammar: `implicate::spec`.
             let body =
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
@@ -340,6 +344,9 @@ impl Cli {
                 .rhs
                 .clone()
                 .unwrap_or_else(|| die("--rhs is required"));
+        }
+        if self.audit_sample.is_some() && self.audit.is_none() {
+            die("--audit-sample needs --audit");
         }
         if self.audit.is_some() && self.est.threads > 1 {
             // The audit compares an exact prefix count against the live
@@ -620,9 +627,9 @@ fn plain(cli: &Cli) {
     }
     // The auditor shares the estimator's trace handle, so audit samples
     // land in the same journal.
+    let sample = cli.audit_sample.unwrap_or(1);
     let auditor = cli.audit.map(|cadence| {
-        let mut auditor =
-            AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, cli.audit_sample);
+        let mut auditor = AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, sample);
         auditor.set_trace(est.trace().clone());
         auditor
     });
@@ -698,14 +705,14 @@ struct CatalogAudit {
 }
 
 impl CatalogAudit {
-    fn observe(&mut self, q: &QuerySpec, t: &Tuple) {
-        if !q.query.filter.is_empty() && !q.query.filter.matches(t) {
+    fn observe(&mut self, q: &QuerySpec, fields: &[u64]) {
+        if !q.query.filter.is_empty() && !q.query.filter.matches(fields) {
             return;
         }
         self.buf_a.clear();
         self.buf_b.clear();
-        self.buf_a.extend(q.lhs_cols.iter().map(|&c| t.get(c)));
-        self.buf_b.extend(q.rhs_cols.iter().map(|&c| t.get(c)));
+        self.buf_a.extend(q.lhs_cols.iter().map(|&c| fields[c]));
+        self.buf_b.extend(q.rhs_cols.iter().map(|&c| fields[c]));
         self.exact.update(&self.buf_a, &self.buf_b);
     }
 
@@ -769,21 +776,18 @@ impl Engine for Catalog<'_> {
     type Row = Tuple;
 
     fn apply(&mut self, rows: &mut Vec<Tuple>) {
-        self.hasher
-            .hash_batch(std::mem::take(rows), &mut self.hashed);
+        self.hasher.hash_batch(rows.drain(..), &mut self.hashed);
         match &mut self.queries {
             Queries::Single(catalog) => catalog.process_hashed(&self.hashed),
             Queries::Sharded(sharded, _) => {
                 self.hashed = sharded.process_hashed(std::mem::take(&mut self.hashed));
             }
         }
-        *rows = self.hashed.recycle();
     }
 
     fn observe(&mut self, fields: &[u64]) {
-        let t = Tuple::new(fields);
         for (q, audit) in self.cli.queries.iter().zip(&mut self.audits) {
-            audit.observe(q, &t);
+            audit.observe(q, fields);
         }
     }
 

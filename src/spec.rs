@@ -223,8 +223,8 @@ mod tests {
         let hasher = MixHasher::new(FIELD_HASHER_SEED);
         let am = crate::text::hash_field(&hasher, "am");
         let pm = crate::text::hash_field(&hasher, "pm");
-        assert!(spec.query.filter.matches(&Tuple::from([1, 2, am])));
-        assert!(!spec.query.filter.matches(&Tuple::from([1, 2, pm])));
+        assert!(spec.query.filter.matches(Tuple::from([1, 2, am]).values()));
+        assert!(!spec.query.filter.matches(Tuple::from([1, 2, pm]).values()));
         assert_eq!(spec.max_column(), 2);
     }
 

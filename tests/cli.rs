@@ -662,6 +662,46 @@ fn catalog_audit_still_requires_one_thread() {
 }
 
 #[test]
+fn audit_sample_without_audit_is_refused() {
+    let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+        .args(["--lhs", "0", "--rhs", "1", "--audit-sample", "4"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run implicate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--audit-sample needs --audit"), "{stderr}");
+}
+
+#[test]
+fn audit_sample_with_a_query_file_is_refused() {
+    let dir = std::env::temp_dir().join(format!("implicate-qsample-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let qfile = dir.join("queries.txt");
+    std::fs::write(&qfile, "loyal one-to-one 0 1\n").expect("write query file");
+    let qfile_s = qfile.to_str().expect("utf-8 path");
+    let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+        .args([
+            "--query-file",
+            qfile_s,
+            "--audit",
+            "100",
+            "--audit-sample",
+            "4",
+        ])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run implicate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--audit-sample is not supported with --query-file"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_option_fails_with_usage() {
     let (_, stderr, ok) = run_cli(&["--bogus"], "");
     assert!(!ok);

@@ -94,14 +94,12 @@ proptest! {
             if k % 2 == 0 {
                 catalog.process_batch(&tuples);
             }
-            let mut owned = batch.recycle();
-            owned.extend_from_slice(&tuples);
-            hasher.hash_batch(owned, &mut batch);
+            hasher.hash_batch(&tuples, &mut batch);
             if k % 2 == 1 {
                 catalog.process_hashed(&batch);
             }
-            for (i, t) in batch.tuples().iter().enumerate() {
-                if query.filter.matches(t) {
+            for i in 0..batch.len() {
+                if query.filter.matches(batch.row(i)) {
                     let (h_a, b_fp) = batch.combine_row(&combiner, i);
                     general.update_hashed(h_a, b_fp);
                 }
@@ -146,9 +144,7 @@ fn zone1_skips_fire_for_a_distinct_query() {
         .collect();
     let mut batch = HashedBatch::new();
     for chunk in tuples.chunks(256) {
-        let mut owned = batch.recycle();
-        owned.extend_from_slice(chunk);
-        hasher.hash_batch(owned, &mut batch);
+        hasher.hash_batch(chunk, &mut batch);
         let pairs: Vec<(u64, u64)> = (0..batch.len())
             .map(|i| batch.combine_row(&combiner, i))
             .collect();

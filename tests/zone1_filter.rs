@@ -235,15 +235,13 @@ proptest! {
             if k % 2 == 0 {
                 catalog.process_batch(&tuples);
             }
-            let mut owned = batch.recycle();
-            owned.extend_from_slice(&tuples);
-            hasher.hash_batch(owned, &mut batch);
+            hasher.hash_batch(&tuples, &mut batch);
             if k % 2 == 1 {
                 catalog.process_hashed(&batch);
             }
             for ((q, combiner), est) in queries.iter().zip(&combiners).zip(&mut reference) {
-                for (i, t) in batch.tuples().iter().enumerate() {
-                    if q.filter.matches(t) {
+                for i in 0..batch.len() {
+                    if q.filter.matches(batch.row(i)) {
                         let (h_a, b_fp) = batch.combine_row(combiner, i);
                         est.update_hashed(h_a, b_fp);
                     }
