@@ -18,6 +18,11 @@
 //!   each query's estimator over the *entire batch* before moving to the
 //!   next query — one estimator's arenas stay cache-hot across the batch
 //!   instead of being thrashed per tuple.
+//! * **One Zone-1 pass per shared antecedent.** Queries with the same
+//!   lhs and filter route every row to the same `(bitmap, cell)`, so one
+//!   pass per batch drops the rows whose cell is already 1 for all of
+//!   them (paper §4.3, Zone 1); each query then looks only at the rows
+//!   left.
 //! * **One budget.** All per-query estimators draw from a single global
 //!   [`MemoryBudget`]. Registration preflights the construction floor
 //!   against the remaining headroom; retiring a query drops its
@@ -40,15 +45,15 @@
 use std::fmt;
 use std::sync::Arc;
 
-use imp_stream::hashplan::{HashedBatch, QueryCombiner, TupleHasher};
+use imp_stream::hashplan::{HashedBatch, ItemsetCombiner, QueryCombiner, TupleHasher};
 use imp_stream::schema::Schema;
 use imp_stream::tuple::Tuple;
 
 use crate::budget::MemoryBudget;
-use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator};
+use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator, Zone1};
 use crate::lane::{LaneWorker, Lanes, RING_DEPTH};
 use crate::metrics::{Exposition, Kind, Row};
-use crate::query::ImplicationQuery;
+use crate::query::{Filter, ImplicationQuery};
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::view::EstimateReader;
 
@@ -132,33 +137,68 @@ struct CatalogEntry {
     /// Tuples that passed this query's filter (== its estimator's tuple
     /// counter; kept separately so the invariant is checkable).
     matched: u64,
+    /// Index of this query's [`Antecedent`] group.
+    group: usize,
 }
 
 impl CatalogEntry {
-    /// Feeds this query one batch. The lane is built in one pass: apply
-    /// the filter to the row's values, combine `h_a`, drop the row if the
-    /// estimator's Zone-1 mirror already has its cell at 1, and combine
-    /// `b_fp` only for the rows that survive. Dropped rows still count as
-    /// matched and as tuples, exactly as if each had been updated.
-    fn feed(&mut self, batch: &HashedBatch, lane: &mut Vec<(u64, u64)>) {
-        let filtered = !self.query.filter.is_empty();
-        let (lhs, rhs) = (self.combiner.lhs(), self.combiner.rhs());
+    /// Feeds this query one batch from its group's candidates. The lane
+    /// keeps the candidates this estimator's own Zone-1 mirror lets
+    /// through and combines `b_fp` only for those. Every other matched
+    /// row is one the mirror drops; it still counts as matched and as a
+    /// tuple, exactly as if it had been updated.
+    fn feed(&mut self, batch: &HashedBatch, group: &Antecedent, lane: &mut Vec<(u64, u64)>) {
+        let rhs = self.combiner.rhs();
         let zone1 = self.est.zone1();
         lane.clear();
-        let mut matched = 0u64;
+        for &(row, h_a) in &group.candidates {
+            if !zone1.decided(h_a) {
+                lane.push((h_a, rhs.combine(batch.row_b(row))));
+            }
+        }
+        self.matched += group.matched;
+        self.est
+            .update_hashed_lane(lane, group.matched - lane.len() as u64);
+    }
+}
+
+/// The queries that share one antecedent and one filter. They compute
+/// the same `h_a` for every row, so they route it to the same
+/// `(bitmap, cell)`: one pass per batch applies the filter, combines
+/// `h_a` and drops each row whose cell is 1 in *every* member's Zone-1
+/// mirror, leaving the members only the rows some of them may still
+/// need.
+struct Antecedent {
+    lhs: ItemsetCombiner,
+    filter: Filter,
+    log2_m: u32,
+    /// The AND of the members' Zone-1 mirrors at the start of the batch.
+    mask: Vec<u64>,
+    /// Rows of the batch that passed the filter.
+    matched: u64,
+    /// `(row, h_a)` of each matched row the mask does not drop, in row
+    /// order.
+    candidates: Vec<(usize, u64)>,
+}
+
+impl Antecedent {
+    /// Collects this batch's candidates against `mask` as it stands.
+    fn scan(&mut self, batch: &HashedBatch) {
+        let filtered = !self.filter.is_empty();
+        let mask = Zone1::new(&self.mask, self.log2_m);
+        self.candidates.clear();
+        let mut matched = 0;
         for i in 0..batch.len() {
-            if filtered && !self.query.filter.matches(batch.row(i)) {
+            if filtered && !self.filter.matches(batch.row(i)) {
                 continue;
             }
             matched += 1;
-            let h_a = lhs.combine(batch.row_a(i));
-            if !zone1.decided(h_a) {
-                lane.push((h_a, rhs.combine(batch.row_b(i))));
+            let h_a = self.lhs.combine(batch.row_a(i));
+            if !mask.decided(h_a) {
+                self.candidates.push((i, h_a));
             }
         }
-        self.matched += matched;
-        self.est
-            .update_hashed_lane(lane, matched - lane.len() as u64);
+        self.matched = matched;
     }
 }
 
@@ -201,6 +241,9 @@ pub struct QueryCatalog {
     /// The one global account every per-query estimator draws from.
     budget: MemoryBudget,
     entries: Vec<CatalogEntry>,
+    /// The live queries grouped by antecedent and filter; rebuilt on
+    /// register and retire (see [`regroup`](Self::regroup)).
+    groups: Vec<Antecedent>,
     next_id: u64,
     /// Tuples offered to the catalog (pre-filter).
     tuples: u64,
@@ -232,6 +275,7 @@ impl QueryCatalog {
             template,
             budget,
             entries: Vec::new(),
+            groups: Vec::new(),
             next_id: 0,
             tuples: 0,
             registered: 0,
@@ -310,7 +354,9 @@ impl QueryCatalog {
             combiner,
             est,
             matched: 0,
+            group: 0,
         });
+        self.regroup();
         self.registered += 1;
         let position = self.tuples;
         self.trace.record(|| TraceEvent::QueryRegistered {
@@ -340,6 +386,7 @@ impl QueryCatalog {
             return false;
         };
         self.entries.remove(at);
+        self.regroup();
         self.retired += 1;
         let position = self.tuples;
         self.trace.record(|| TraceEvent::QueryRetired {
@@ -382,12 +429,55 @@ impl QueryCatalog {
     ///
     /// Bit-identical to [`process_batch`](Self::process_batch) over the
     /// same tuples: the combiners fold the same per-attribute hash rows.
+    ///
+    /// Queries sharing an antecedent and a filter share one pass: each
+    /// [`Antecedent`] group ANDs its members' Zone-1 mirrors, then
+    /// filters the batch, combines `h_a` and drops the rows every member
+    /// would drop, once for all of them. The members then run in
+    /// registration order over the rows left, each re-checking its own
+    /// mirror, so every estimator sees the same lane, in the same
+    /// order, as a per-query pass would give it.
     pub fn process_hashed(&mut self, batch: &HashedBatch) {
         debug_assert_eq!(batch.arity(), self.schema.arity(), "batch/schema arity");
+        for group in &mut self.groups {
+            group.mask.clear();
+        }
+        // A member's mirror only moves when that member updates, so all
+        // masks are taken before any member runs.
         for e in &mut self.entries {
-            e.feed(batch, &mut self.pairs);
+            e.est.zone1().and_into(&mut self.groups[e.group].mask);
+        }
+        for group in &mut self.groups {
+            group.scan(batch);
+        }
+        for e in &mut self.entries {
+            e.feed(batch, &self.groups[e.group], &mut self.pairs);
         }
         self.tuples += batch.len() as u64;
+    }
+
+    /// Rebuilds the [`Antecedent`] groups over the live queries.
+    fn regroup(&mut self) {
+        self.groups.clear();
+        for e in &mut self.entries {
+            let (lhs, filter) = (e.combiner.lhs(), &e.query.filter);
+            let found = self
+                .groups
+                .iter()
+                .position(|g| g.lhs == *lhs && g.filter == *filter);
+            e.group = found.unwrap_or_else(|| {
+                self.groups.push(Antecedent {
+                    lhs: lhs.clone(),
+                    filter: filter.clone(),
+                    // Every estimator is built from the one template.
+                    log2_m: e.est.log2_m(),
+                    mask: Vec::new(),
+                    matched: 0,
+                    candidates: Vec::new(),
+                });
+                self.groups.len() - 1
+            });
+        }
     }
 
     /// The attribute-wise hasher every registered query combines over.
@@ -442,6 +532,14 @@ impl QueryCatalog {
     pub fn shed_events(&self, id: QueryId) -> Option<u64> {
         self.entry(id)
             .map(|e| e.est.metrics().registry().estimator.shed_events.get())
+    }
+
+    /// Rows of one query dropped by the Zone-1 filter before they reached
+    /// a bitmap (its estimator's `zone1_skips` counter; 0 with metrics
+    /// compiled out).
+    pub fn zone1_skips(&self, id: QueryId) -> Option<u64> {
+        self.entry(id)
+            .map(|e| e.est.metrics().registry().estimator.zone1_skips.get())
     }
 
     /// The registered query behind an id.
@@ -660,10 +758,14 @@ impl ShardedCatalog {
                 child
             })
             .collect();
+        shell.regroup();
         let mut readers = Vec::with_capacity(entries.len());
         for (i, mut e) in entries.into_iter().enumerate() {
             readers.push((e.id, e.name.clone(), e.est.reader()));
             children[i % threads].entries.push(e);
+        }
+        for child in &mut children {
+            child.regroup();
         }
         Self {
             shell,
@@ -826,6 +928,7 @@ impl ShardedCatalog {
         // Ids are issued monotonically, so id order is registration order.
         entries.sort_by_key(|e| e.id);
         shell.entries = entries;
+        shell.regroup();
         shell.tuples += shipped;
         shell
     }

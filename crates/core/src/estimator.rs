@@ -14,6 +14,8 @@
 //! `‖A‖ = 100` split over 64 bitmaps). The implication count is the
 //! difference of the two expansions, never negative.
 
+use std::sync::Arc;
+
 use imp_sketch::estimate::FM_PHI;
 use imp_sketch::hash::{Hasher64, MixHasher};
 use imp_sketch::rank::split_rank;
@@ -293,6 +295,10 @@ pub struct ImplicationEstimator {
     /// and its Zone-1 mirror holds `ones | certified`: an arrival in a
     /// certified cell changes nothing either.
     support_only: bool,
+    /// Whether a rank register or the entry count may have moved since
+    /// the last publish. While it is clear, a publish reuses the last
+    /// view's rank words instead of re-reading every bitmap.
+    moved: bool,
 }
 
 /// A read-only view of an estimator's Zone-1 mirror, for the batch
@@ -305,13 +311,32 @@ pub(crate) struct Zone1<'a> {
     log2_m: u32,
 }
 
-impl Zone1<'_> {
+impl<'a> Zone1<'a> {
+    /// A filter over mirror words routed by `log2_m` — e.g. the AND of
+    /// several estimators' mirrors, which has a cell at 1 only where
+    /// every one of them does.
+    pub(crate) fn new(words: &'a [u64], log2_m: u32) -> Self {
+        Self { words, log2_m }
+    }
+
     /// Whether the row with lhs hash `h_a` lands in a cell the mirror
     /// knows to be 1.
     #[inline]
     pub(crate) fn decided(self, h_a: u64) -> bool {
         let (idx, rank) = split_rank(h_a, self.log2_m);
         is_set(self.words, idx, rank)
+    }
+
+    /// ANDs this mirror into `mask`, or copies it there if `mask` is
+    /// empty.
+    pub(crate) fn and_into(self, mask: &mut Vec<u64>) {
+        if mask.is_empty() {
+            mask.extend_from_slice(self.words);
+        } else {
+            for (m, &w) in mask.iter_mut().zip(self.words) {
+                *m &= w;
+            }
+        }
     }
 }
 
@@ -343,6 +368,7 @@ impl Clone for ImplicationEstimator {
             publisher: None,
             zone1: Vec::new(),
             support_only: self.support_only,
+            moved: true,
         }
     }
 }
@@ -383,6 +409,7 @@ impl ImplicationEstimator {
             publisher: None,
             zone1: Vec::new(),
             support_only,
+            moved: true,
         };
         est.publish_mem_gauges();
         est
@@ -477,6 +504,7 @@ impl ImplicationEstimator {
         b_fp: u64,
     ) {
         self.tuples += 1;
+        self.moved = true;
         let bitmap = &mut self.bitmaps[idx];
         let outcome = if SUPPORT_ONLY {
             bitmap.update_support(rank, h_a)
@@ -532,10 +560,7 @@ impl ImplicationEstimator {
     /// [`update_hashed_batch`](Self::update_hashed_batch)).
     pub(crate) fn zone1(&mut self) -> Zone1<'_> {
         self.refresh_zone1();
-        Zone1 {
-            words: &self.zone1,
-            log2_m: self.log2_m,
-        }
+        Zone1::new(&self.zone1, self.log2_m)
     }
 
     /// Feeds a batch of pre-hashed pairs `(h_a, b_fp)` (see
@@ -651,7 +676,10 @@ impl ImplicationEstimator {
     /// plus stream counters) as the next epoch, and returns that epoch.
     /// Readers from [`reader`](ImplicationEstimator::reader) switch to
     /// the new view wait-free. Costs one small allocation plus an atomic
-    /// store — cheap enough to call every few hundred updates.
+    /// store — cheap enough to call every batch. When no row has reached
+    /// a bitmap since the last publish (every arrival was dropped by the
+    /// Zone-1 filter, or none came), the new view shares the last one's
+    /// rank words and entry count and only the counters are read fresh.
     pub fn publish(&mut self) -> u64 {
         self.publish_view(false)
     }
@@ -675,25 +703,43 @@ impl ImplicationEstimator {
 
     fn publish_view(&mut self, with_snapshot: bool) -> u64 {
         let view = self.capture_view(with_snapshot);
+        self.moved = false;
         let (metrics, trace) = (&self.metrics, &self.trace);
         ViewPublisher::publish_into(&mut self.publisher, view, self.tuples, metrics, trace)
     }
 
-    /// Captures the current read-off state as an unpublished view.
+    /// Captures the current read-off state as an unpublished view,
+    /// reusing the last view's rank words and entry count when nothing
+    /// has moved them (a full capture always reads them fresh).
     fn capture_view(&self, with_snapshot: bool) -> ReadView {
-        let ranks = self
-            .bitmaps
-            .iter()
-            .map(|bm| pack_ranks(bm.rank_f0_sup(), bm.rank_non_implication()))
-            .collect();
+        let last = self.publisher.as_ref().map(ViewPublisher::latest);
+        let (ranks, entries) = match last.filter(|_| !self.moved && !with_snapshot) {
+            Some(last) => {
+                debug_assert_eq!(
+                    (&**last.ranks(), last.entries()),
+                    (&*self.fresh_ranks(), self.entries() as u64),
+                    "a rank register or the entry count moved without marking the estimator"
+                );
+                (Arc::clone(last.ranks()), last.entries())
+            }
+            None => (self.fresh_ranks(), self.entries() as u64),
+        };
         ReadView::from_parts(
             self.tuples,
-            self.entries() as u64,
+            entries,
             self.budget.used() as u64,
             self.cond,
             ranks,
             with_snapshot.then(|| self.to_bytes()),
         )
+    }
+
+    /// Every bitmap's rank registers, packed, read off the bitmaps.
+    fn fresh_ranks(&self) -> Arc<[u64]> {
+        self.bitmaps
+            .iter()
+            .map(|bm| pack_ranks(bm.rank_f0_sup(), bm.rank_non_implication()))
+            .collect()
     }
 
     /// Total `(a, b)` tracking entries held across all bitmaps — the
@@ -726,6 +772,7 @@ impl ImplicationEstimator {
     /// that originally squeezed them.
     pub fn set_memory_budget(&mut self, limit: Option<usize>) {
         self.budget.set_limit(limit.unwrap_or(usize::MAX));
+        self.moved = true;
         self.publish_mem_gauges();
     }
 
@@ -795,6 +842,7 @@ impl ImplicationEstimator {
             publisher: _,
             zone1: _,
             support_only: _,
+            moved: _,
         } = donor;
         self.cond = cond;
         self.log2_m = log2_m;
@@ -804,6 +852,7 @@ impl ImplicationEstimator {
         self.tuples = tuples;
         self.budget = budget;
         self.zone1.clear();
+        self.moved = true;
         self.publish_mem_gauges();
     }
 
@@ -832,6 +881,7 @@ impl ImplicationEstimator {
             a.merge(b);
         }
         self.zone1.clear();
+        self.moved = true;
         self.tuples += other.tuples;
         self.metrics.estimator.merges.inc();
     }
@@ -871,6 +921,7 @@ impl ImplicationEstimator {
             publisher: None,
             zone1: Vec::new(),
             support_only: false,
+            moved: true,
         }
     }
 
@@ -881,6 +932,8 @@ impl ImplicationEstimator {
     pub(crate) fn adopt_publisher(&mut self, publisher: ViewPublisher) {
         debug_assert!(self.publisher.is_none(), "writer already has a channel");
         self.publisher = Some(publisher);
+        // The channel's last view is not this estimator's.
+        self.moved = true;
     }
 
     /// The writer's publication channel, if created — taken by
@@ -906,6 +959,7 @@ impl ImplicationEstimator {
     /// contain the old one's.
     pub(crate) fn bitmaps_mut(&mut self) -> &mut [NipsBitmap] {
         self.zone1.clear();
+        self.moved = true;
         &mut self.bitmaps
     }
 
@@ -1070,6 +1124,7 @@ impl ImplicationEstimator {
             publisher: None,
             zone1: Vec::new(),
             support_only: false,
+            moved: true,
         };
         est.publish_mem_gauges();
         Ok(est)

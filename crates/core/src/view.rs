@@ -109,8 +109,10 @@ pub struct ReadView {
     tracked_bytes: u64,
     cond: ImplicationConditions,
     /// One packed `(rank_f0_sup, rank_non_implication)` word per bitmap,
-    /// in bitmap order (see [`pack_ranks`]).
-    ranks: Box<[u64]>,
+    /// in bitmap order (see [`pack_ranks`]). Shared with the next view
+    /// when the writer's registers have not moved since (see
+    /// [`ImplicationEstimator::publish`](crate::ImplicationEstimator::publish)).
+    ranks: Arc<[u64]>,
     /// The canonical snapshot encoding captured at publication, when the
     /// writer published with
     /// [`publish_full`](crate::ImplicationEstimator::publish_full).
@@ -123,7 +125,7 @@ impl ReadView {
         entries: u64,
         tracked_bytes: u64,
         cond: ImplicationConditions,
-        ranks: Box<[u64]>,
+        ranks: Arc<[u64]>,
         snapshot: Option<bytes::Bytes>,
     ) -> Self {
         Self {
@@ -169,12 +171,17 @@ impl ReadView {
     pub fn estimate(&self) -> Estimate {
         let m = self.ranks.len() as f64;
         let (mut sum_sup, mut sum_non) = (0u32, 0u32);
-        for &packed in &self.ranks {
+        for &packed in self.ranks.iter() {
             let (sup, non) = unpack_ranks(packed);
             sum_sup += sup;
             sum_non += non;
         }
         estimate_from_rank_sums(sum_sup, sum_non, m)
+    }
+
+    /// The packed rank registers, one word per bitmap.
+    pub(crate) fn ranks(&self) -> &Arc<[u64]> {
+        &self.ranks
     }
 
     /// The canonical VERSION 2 snapshot payload, when this view was
@@ -200,6 +207,8 @@ struct SharedViews {
 #[derive(Debug)]
 pub(crate) struct ViewPublisher {
     shared: Arc<SharedViews>,
+    /// The view published last, which the writer may reuse parts of.
+    latest: Arc<ReadView>,
     metrics: MetricsHandle,
     trace: TraceHandle,
 }
@@ -241,10 +250,11 @@ impl ViewPublisher {
                 epoch: AtomicU64::new(0),
                 slots: std::array::from_fn(|_| RwLock::new(Arc::clone(&view))),
             }),
+            latest: view,
             metrics,
             trace,
         };
-        publisher.record(&view, stream_rows);
+        publisher.record(stream_rows);
         publisher
     }
 
@@ -268,11 +278,18 @@ impl ViewPublisher {
         // Release-publish the epoch *after* the slot write: a reader that
         // Acquire-loads this epoch therefore sees the completed slot.
         self.shared.epoch.store(epoch, Ordering::Release);
-        self.record(&view, stream_rows);
+        self.latest = view;
+        self.record(stream_rows);
         epoch
     }
 
-    fn record(&self, view: &ReadView, stream_rows: u64) {
+    /// The view published last.
+    pub(crate) fn latest(&self) -> &ReadView {
+        &self.latest
+    }
+
+    fn record(&self, stream_rows: u64) {
+        let view = &self.latest;
         let m = &self.metrics.view;
         m.publishes.inc();
         m.epoch.set(view.epoch);
@@ -380,6 +397,7 @@ impl EstimateReader {
 mod tests {
     use super::*;
     use crate::estimator::EstimatorConfig;
+    use crate::ImplicationEstimator;
 
     fn cond() -> ImplicationConditions {
         ImplicationConditions::strict_one_to_one(1)
@@ -510,6 +528,95 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Publishes `est` and checks that `reader` now answers exactly what
+    /// the writer reads off itself.
+    fn publish_and_check(est: &mut ImplicationEstimator, reader: &EstimateReader) {
+        est.publish();
+        let view = reader.view();
+        assert_eq!(view.estimate(), est.estimate_now());
+        assert_eq!(view.tuples(), est.tuples_seen());
+        assert_eq!(view.entries(), est.entries() as u64);
+        assert_eq!(view.tracked_bytes(), est.tracked_bytes() as u64);
+    }
+
+    /// Publishes `est` twice with nothing in between: the second view
+    /// must share the first one's rank words.
+    fn assert_republish_reuses(est: &mut ImplicationEstimator, reader: &EstimateReader) {
+        publish_and_check(est, reader);
+        let first = reader.view();
+        publish_and_check(est, reader);
+        let second = reader.view();
+        assert_eq!(second.epoch(), first.epoch() + 1);
+        assert!(Arc::ptr_eq(first.ranks(), second.ranks()), "ranks re-read");
+    }
+
+    #[test]
+    fn every_mutator_republishes_fresh_and_a_quiet_publish_reuses() {
+        let config = EstimatorConfig::new(ImplicationConditions::one_to_c(2, 0.8, 3))
+            .bitmaps(16)
+            .seed(5);
+        // Keys repeat every 900 rows, so cells fill up and turn 1.
+        let pairs = |est: &ImplicationEstimator, range: std::ops::Range<u64>| {
+            range
+                .map(|a| est.hash_pair(&[a % 900], &[a % 11]))
+                .collect::<Vec<_>>()
+        };
+        let mut est = config.build();
+        let reader = est.reader();
+        assert_republish_reuses(&mut est, &reader);
+
+        let batch = pairs(&est, 0..3_000);
+        est.update_hashed_batch(&batch);
+        assert_republish_reuses(&mut est, &reader);
+
+        // A batch every row of which the Zone-1 filter drops moves only
+        // the tuple counter.
+        let decided: Vec<_> = batch
+            .iter()
+            .copied()
+            .filter(|&(h_a, _)| est.zone1().decided(h_a))
+            .collect();
+        assert!(!decided.is_empty());
+        est.update_hashed_batch(&decided);
+        let before = reader.view();
+        publish_and_check(&mut est, &reader);
+        assert!(Arc::ptr_eq(before.ranks(), reader.view().ranks()));
+
+        let mut other = config.build();
+        other.update_hashed_batch(&pairs(&other, 5_000..9_000));
+        est.merge(&other);
+        assert_republish_reuses(&mut est, &reader);
+
+        let mut donor = config.build();
+        donor.update_hashed_batch(&pairs(&donor, 20_000..21_000));
+        est.adopt_state(donor);
+        assert_republish_reuses(&mut est, &reader);
+
+        let mut restored = ImplicationEstimator::from_bytes(est.to_bytes()).expect("restores");
+        let restored_reader = restored.reader();
+        assert_republish_reuses(&mut restored, &restored_reader);
+
+        // Re-arming a tight budget, then growing under it, sheds.
+        restored.set_memory_budget(Some(restored.tracked_bytes()));
+        assert_republish_reuses(&mut restored, &restored_reader);
+        let fresh_keys: Vec<_> = (0..10_000u64)
+            .map(|a| restored.hash_pair(&[a + 1_000_000], &[a % 11]))
+            .collect();
+        restored.update_hashed_batch(&fresh_keys);
+        if crate::MetricsRegistry::enabled() {
+            let sheds = restored.metrics().estimator.shed_events.get();
+            assert!(sheds > 0, "the budget must shed");
+        }
+        assert_republish_reuses(&mut restored, &restored_reader);
+
+        // A full publication always captures fresh.
+        let before = restored_reader.view();
+        restored.publish_full();
+        let full = restored_reader.view();
+        assert!(!Arc::ptr_eq(before.ranks(), full.ranks()));
+        assert_eq!(full.ranks(), before.ranks());
     }
 
     #[test]

@@ -1153,6 +1153,25 @@ mod tests {
     }
 
     #[test]
+    fn a_published_replica_republishes_what_a_delta_changed() {
+        let mut est = edge(13);
+        run(&mut est, 0..2_000);
+        let base = WireSnapshot::capture(&est, 1);
+        let mut dec = WireDecoder::new();
+        dec.apply(base.full_frame(7)).expect("full");
+        let reader = dec.replica.as_mut().expect("held").reader();
+        run(&mut est, 2_000..4_000);
+        let next = WireSnapshot::capture(&est, 2);
+        dec.apply(next.delta_frame(&base, 7)).expect("delta");
+        let replica = dec.replica.as_mut().expect("held");
+        replica.publish();
+        let view = reader.view();
+        assert_eq!(view.estimate(), est.estimate_now());
+        assert_eq!(view.tuples(), est.tuples_seen());
+        assert_eq!(view.entries(), est.entries() as u64);
+    }
+
+    #[test]
     fn empty_delta_is_valid_and_tiny() {
         let mut est = edge(3);
         run(&mut est, 0..1_000);

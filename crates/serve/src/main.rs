@@ -163,7 +163,9 @@ struct Opts {
 /// from [`opts::FLAGS`].
 const USAGE: &str = "\
 service:
-  --publish-every N      rows between view publications (default 4096)
+  --publish-every N      at most N rows between view publications
+                         (default 4096; the catalog role also publishes
+                         whenever its writer catches up)
   --checkpoint FILE      snapshot file: restored at startup if present,
                          written on graceful shutdown
   --checkpoint-every N   also checkpoint every N ingested rows

@@ -2,7 +2,7 @@
 //! catalog) mutation. [`run`] owns the poll loop, the stop flag and the
 //! drain after stop; each role — [`Plain`] (standalone and edge),
 //! [`Catalog`] and [`Aggregate`] — supplies only its per-message work,
-//! its idle work and its final state.
+//! its catch-up and idle work and its final state.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,6 +30,10 @@ pub trait Role {
     /// alike.
     fn apply(&mut self, msg: Self::Msg, shared: &Shared);
 
+    /// Runs once the live loop has applied every queued message: the
+    /// writer has caught up with its ingest connections.
+    fn caught_up(&mut self, _shared: &Shared) {}
+
     /// Runs after each [`POLL`] interval without a message while the
     /// service is not stopping.
     fn idle(&mut self, _shared: &Shared) {}
@@ -40,12 +44,19 @@ pub trait Role {
 }
 
 /// The writer loop of every role: applies messages as they arrive, runs
-/// the idle work after each quiet [`POLL`], and once the stop flag is up
-/// applies whatever is still queued before [`Role::finish`].
+/// the catch-up work each time the queue is empty again, the idle work
+/// after each quiet [`POLL`], and once the stop flag is up applies
+/// whatever is still queued before [`Role::finish`].
 pub fn run<R: Role>(mut role: R, rx: &Receiver<R::Msg>, shared: &Shared) -> (u64, u64) {
     loop {
         match rx.recv_timeout(POLL) {
-            Ok(msg) => role.apply(msg, shared),
+            Ok(msg) => {
+                role.apply(msg, shared);
+                while let Ok(msg) = rx.try_recv() {
+                    role.apply(msg, shared);
+                }
+                role.caught_up(shared);
+            }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop.load(Ordering::Acquire) {
                     break;
@@ -234,10 +245,16 @@ impl Role for Plain {
 
 /// The catalog role's writer: single owner of the [`QueryCatalog`].
 /// Hashes each incoming flat row batch (`arity` words per row)
-/// attribute-wise exactly once into a reused [`HashedBatch`], applies it to every registered query,
-/// services register/retire control messages between batches, and
-/// republishes every query's view (plus the metrics exposition) on the
-/// publish cadence.
+/// attribute-wise exactly once into a reused [`HashedBatch`], applies it
+/// to every registered query, and services register/retire control
+/// messages between batches.
+///
+/// Every query's view is republished whenever the writer catches up
+/// with its ingest queue and rows arrived since the last publication, so
+/// an answer is as old as the last batch; a writer that never catches up
+/// still publishes every `--publish-every` rows. The metrics exposition
+/// is re-rendered on that cadence, on register/retire and when idle, but
+/// never on a catch-up publication.
 pub struct Catalog {
     catalog: QueryCatalog,
     hasher: TupleHasher,
@@ -246,7 +263,10 @@ pub struct Catalog {
     cat: Arc<CatalogShared>,
     publish_every: u64,
     rows: u64,
-    since_publish: u64,
+    /// Rows applied since the views were last published.
+    unpublished: u64,
+    /// Rows applied since the exposition was last re-rendered.
+    since_refresh: u64,
 }
 
 impl Catalog {
@@ -266,7 +286,8 @@ impl Catalog {
             cat,
             publish_every: opts.publish_every,
             rows: 0,
-            since_publish: 0,
+            unpublished: 0,
+            since_refresh: 0,
         }
     }
 
@@ -318,14 +339,15 @@ impl Catalog {
         }
     }
 
+    /// Publishes every query's view.
     fn publish(&mut self) {
-        self.since_publish = 0;
+        self.unpublished = 0;
         self.catalog.publish();
-        self.refresh();
     }
 
     /// Re-renders the metrics exposition the query connections serve.
-    pub fn refresh(&self) {
+    pub fn refresh(&mut self) {
+        self.since_refresh = 0;
         let mut text = String::new();
         self.catalog.prometheus_into("implicate", &mut text);
         *lock(&self.cat.exposition) = text;
@@ -342,21 +364,33 @@ impl Role for Catalog {
         self.catalog.process_hashed(&self.hashed);
         let n = self.hashed.len() as u64;
         self.rows += n;
-        self.since_publish += n;
-        if self.since_publish >= self.publish_every {
+        self.unpublished += n;
+        self.since_refresh += n;
+        if self.since_refresh >= self.publish_every {
+            self.publish();
+            self.refresh();
+        }
+    }
+
+    fn caught_up(&mut self, _shared: &Shared) {
+        if self.unpublished > 0 {
             self.publish();
         }
     }
 
     fn idle(&mut self, _shared: &Shared) {
         self.control();
-        if self.since_publish > 0 {
+        if self.unpublished > 0 {
             self.publish();
+        }
+        if self.since_refresh > 0 {
+            self.refresh();
         }
     }
 
     fn finish(mut self, _shared: &Shared) -> (u64, u64) {
         self.publish();
+        self.refresh();
         (self.rows, self.catalog.tuples_seen())
     }
 }
@@ -484,5 +518,135 @@ impl Role for Aggregate {
     fn finish(mut self, shared: &Shared) -> (u64, u64) {
         store_final(shared, &mut self.serving, self.checkpoint.as_deref());
         (self.frames, self.serving.tuples_seen())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc::{channel, Sender};
+    use std::sync::Mutex;
+
+    use implicate::{MetricsHandle, TraceHandle};
+
+    use super::*;
+
+    fn shared() -> Shared {
+        Shared {
+            stop: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
+            skipped_oversize: AtomicU64::new(0),
+            ingest_refused: AtomicU64::new(0),
+            snapshot: Mutex::new(None),
+            metrics: MetricsHandle::new(),
+            trace: TraceHandle::disabled(),
+            fleet: None,
+            edge: None,
+            flight: None,
+            started: Instant::now(),
+            role: "test",
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Apply(u32),
+        CaughtUp,
+        Idle,
+    }
+
+    /// Records every call [`run`] makes into `calls`. Its first catch-up
+    /// queues `burst`, as an ingest connection would; its idle work
+    /// raises the stop flag.
+    struct Recorder {
+        calls: Rc<RefCell<Vec<Call>>>,
+        burst: Option<(Sender<u32>, Vec<u32>)>,
+    }
+
+    impl Role for Recorder {
+        type Msg = u32;
+
+        fn apply(&mut self, msg: u32, _shared: &Shared) {
+            self.calls.borrow_mut().push(Call::Apply(msg));
+        }
+
+        fn caught_up(&mut self, _shared: &Shared) {
+            self.calls.borrow_mut().push(Call::CaughtUp);
+            if let Some((tx, burst)) = self.burst.take() {
+                for msg in burst {
+                    tx.send(msg).unwrap();
+                }
+            }
+        }
+
+        fn idle(&mut self, shared: &Shared) {
+            self.calls.borrow_mut().push(Call::Idle);
+            shared.stop.store(true, Ordering::Release);
+        }
+
+        fn finish(self, _shared: &Shared) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
+    /// Runs a [`Recorder`] over `queued` (sent before the call) and
+    /// `burst` (sent at its first catch-up), then returns its calls. The
+    /// loop ends once every sender is gone, or at its first idle pass if
+    /// `keep_open` holds a sender past that.
+    fn recorded(queued: &[u32], burst: &[u32], keep_open: bool) -> Vec<Call> {
+        let (tx, rx) = channel();
+        for &msg in queued {
+            tx.send(msg).unwrap();
+        }
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let role = Recorder {
+            calls: Rc::clone(&calls),
+            burst: Some((tx.clone(), burst.to_vec())),
+        };
+        let held = keep_open.then_some(tx);
+        run(role, &rx, &shared());
+        drop(held);
+        calls.take()
+    }
+
+    fn applies(msgs: std::ops::Range<u32>) -> Vec<Call> {
+        msgs.map(Call::Apply).collect()
+    }
+
+    #[test]
+    fn a_queued_backlog_is_applied_then_caught_up_once() {
+        let mut want = applies(0..5);
+        want.push(Call::CaughtUp);
+        assert_eq!(recorded(&[0, 1, 2, 3, 4], &[], false), want);
+    }
+
+    #[test]
+    fn a_later_burst_catches_up_once_more() {
+        let mut want = applies(0..3);
+        want.push(Call::CaughtUp);
+        want.extend(applies(3..7));
+        want.push(Call::CaughtUp);
+        assert_eq!(recorded(&[0, 1, 2], &[3, 4, 5, 6], false), want);
+    }
+
+    #[test]
+    fn no_catch_up_runs_without_an_apply_before_it() {
+        // A quiet queue runs the idle work (which stops this loop), never
+        // the catch-up work.
+        assert_eq!(recorded(&[], &[], true), vec![Call::Idle]);
+        let calls = recorded(&[0, 1], &[2], true);
+        for (i, call) in calls.iter().enumerate() {
+            if *call == Call::CaughtUp {
+                assert!(matches!(calls[i - 1], Call::Apply(_)), "{calls:?}");
+            }
+        }
+        let mut want = applies(0..2);
+        want.push(Call::CaughtUp);
+        want.push(Call::Apply(2));
+        want.extend([Call::CaughtUp, Call::Idle]);
+        assert_eq!(calls, want);
     }
 }

@@ -121,6 +121,15 @@ fn steady_state_process_hashed_performs_zero_allocations() {
         "filtered",
         ImplicationQuery::one_to_one(src, dst, 1).filtered(Filter::new().and_eq(AttrId(2), 0)),
     );
+    // Siblings sharing an antecedent: two more on `src` (one of them a
+    // distinct count) join `loyal`'s pass, and one joins `filtered`'s,
+    // so the grouped pass runs its mask, scan and candidate lanes here.
+    catalog.register("fanout", ImplicationQuery::more_than(src, svc, 2, 1));
+    catalog.register("sources", ImplicationQuery::distinct_count(src));
+    catalog.register(
+        "filtered_sibling",
+        ImplicationQuery::at_most(src, dst, 2, 1).filtered(Filter::new().and_eq(AttrId(2), 0)),
+    );
 
     // Hash the workload once; steady state re-applies the same batch.
     let tuples: Vec<Tuple> = (0..256u64)

@@ -234,3 +234,143 @@ proptest! {
         );
     }
 }
+
+/// One pinned query: `(name, answer bits, matched, shed_events,
+/// resident_bytes, zone1_skips)`.
+type Pin = (&'static str, u64, u64, u64, usize, u64);
+
+/// A skewed 4-column stream: a few hot keys on `c0` and `c1`, so cells
+/// turn 1 early and the Zone-1 filter has rows to drop.
+fn skewed_stream(n: usize, mut state: u64) -> Vec<Tuple> {
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..n)
+        .map(|_| {
+            let r = next();
+            let hot = r % 8 < 5;
+            let c0 = if hot { r >> 8 & 31 } else { r >> 8 & 4095 };
+            let c1 = if hot { c0 % 7 } else { r >> 24 & 63 };
+            Tuple::from([c0, c1, r >> 32 & 3, r >> 40 & 7])
+        })
+        .collect()
+}
+
+/// Everything a catalog run can observe per query, pinned to the values
+/// the one-query-at-a-time pass produced: a catalog in which several
+/// queries share an antecedent (plain, filtered and distinct), queries
+/// come and go mid-stream, and a tight shared budget makes estimators
+/// shed. Grouping queries by antecedent must move none of it — not the
+/// answers, not which estimator sheds when, not what the filter skips.
+#[test]
+fn shared_antecedent_catalog_is_pinned_through_churn_and_shedding() {
+    let schema = Schema::new((0..4).map(|i| (format!("c{i}"), 0)));
+    let set = |names: &[&str]| schema.attr_set(names);
+    let morning = Filter::new().and_in(AttrId(3), vec![0, 1, 2]);
+    let template = EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1))
+        .bitmaps(16)
+        .seed(17);
+    let floor = template.construction_floor();
+    let template = template.memory_budget(12 * floor);
+    let mut catalog = QueryCatalog::new(&schema, template);
+    let queries = [
+        (
+            "loyal",
+            ImplicationQuery::one_to_one(set(&["c0"]), set(&["c1"]), 1),
+        ),
+        (
+            "loyal_morning",
+            ImplicationQuery::one_to_one(set(&["c0"]), set(&["c2"]), 1).filtered(morning.clone()),
+        ),
+        ("keys", ImplicationQuery::distinct_count(set(&["c0"]))),
+        (
+            "fanout",
+            ImplicationQuery::more_than(set(&["c0"]), set(&["c2"]), 2, 1),
+        ),
+        (
+            "svc",
+            ImplicationQuery::one_to_one(set(&["c1"]), set(&["c2"]), 2),
+        ),
+        ("svc_keys", ImplicationQuery::distinct_count(set(&["c1"]))),
+        (
+            "pair",
+            ImplicationQuery::at_most(set(&["c0", "c1"]), set(&["c3"]), 2, 1),
+        ),
+        (
+            "wide_morning",
+            ImplicationQuery::one_to_one(set(&["c0"]), set(&["c3"]), 1).filtered(morning),
+        ),
+    ];
+    let ids: Vec<_> = queries
+        .iter()
+        .map(|(name, q)| catalog.register(*name, q.clone()))
+        .collect();
+
+    let stream = skewed_stream(24_000, 0x9e37_79b9);
+    let hasher = catalog.hasher().clone();
+    let mut batch = implicate::HashedBatch::new();
+    for (i, chunk) in stream.chunks(256).enumerate() {
+        if i == 30 {
+            // Churn: retire a member of the shared-antecedent group and
+            // add a late one to it.
+            assert!(catalog.retire(ids[3]));
+            catalog.register(
+                "late",
+                ImplicationQuery::one_to_one(set(&["c0"]), set(&["c3"]), 1),
+            );
+        }
+        if i == 60 {
+            assert!(catalog.retire(ids[5]));
+        }
+        if i % 3 == 0 {
+            catalog.process_batch(chunk);
+        } else {
+            hasher.hash_batch(chunk, &mut batch);
+            catalog.process_hashed(&batch);
+        }
+    }
+    assert_eq!(catalog.tuples_seen(), 24_000);
+
+    let want: [Pin; 7] = [
+        ("loyal", 0x4096_60c1_fd1d_feda, 24_000, 42, 24_832, 22_349),
+        (
+            "loyal_morning",
+            0x40a2_db32_c119_91d4,
+            9_146,
+            356,
+            14_848,
+            8_289,
+        ),
+        ("keys", 0x40af_d323_9d47_9e26, 24_000, 0, 10_240, 23_867),
+        ("svc", 0, 24_000, 0, 10_240, 23_903),
+        ("pair", 0x40c8_79da_ad27_4270, 24_000, 3_374, 41_984, 18_785),
+        (
+            "wide_morning",
+            0x40a4_e79b_73db_22c2,
+            9_146,
+            754,
+            10_240,
+            8_027,
+        ),
+        ("late", 0x40a1_6f00_b467_92e8, 16_320, 790, 10_240, 15_094),
+    ];
+    // Counters read 0 with metrics compiled out.
+    let metered = implicate::MetricsRegistry::enabled();
+    assert_eq!(catalog.len(), want.len());
+    for (name, bits, matched, sheds, resident, skips) in want {
+        let id = catalog.find(name).expect("pinned query live");
+        let got = (
+            name,
+            catalog.answer(id).unwrap().to_bits(),
+            catalog.matched(id).unwrap(),
+            catalog.shed_events(id).unwrap(),
+            catalog.resident_bytes(id).unwrap(),
+            catalog.zone1_skips(id).unwrap(),
+        );
+        let (sheds, skips) = if metered { (sheds, skips) } else { (0, 0) };
+        assert_eq!(got, (name, bits, matched, sheds, resident, skips));
+    }
+}
