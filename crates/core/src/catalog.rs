@@ -51,7 +51,7 @@ use imp_stream::tuple::Tuple;
 
 use crate::budget::MemoryBudget;
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator, Zone1};
-use crate::lane::{LaneWorker, Lanes, RING_DEPTH};
+use crate::lane::{LaneWorker, Lanes, LANE_DEPTH};
 use crate::metrics::{Exposition, Kind, Row};
 use crate::query::{Filter, ImplicationQuery};
 use crate::trace::{TraceEvent, TraceHandle};
@@ -431,7 +431,7 @@ impl QueryCatalog {
     /// same tuples: the combiners fold the same per-attribute hash rows.
     ///
     /// Queries sharing an antecedent and a filter share one pass: each
-    /// [`Antecedent`] group ANDs its members' Zone-1 mirrors, then
+    /// such group ANDs its members' Zone-1 mirrors, then
     /// filters the batch, combines `h_a` and drops the rows every member
     /// would drop, once for all of them. The members then run in
     /// registration order over the rows left, each re-checking its own
@@ -686,14 +686,14 @@ impl LaneWorker for QueryCatalog {
 }
 
 /// Batches the router keeps pooled for reuse once every lane has dropped
-/// its `Arc`. A lane holds at most `RING_DEPTH` queued batches plus the
+/// its `Arc`. A lane holds at most `LANE_DEPTH` queued batches plus the
 /// one it is applying, so one more than that always leaves a free one.
-const CATALOG_POOL: usize = RING_DEPTH + 2;
+const CATALOG_POOL: usize = LANE_DEPTH + 2;
 
 /// A `T`-way parallel front-end for a [`QueryCatalog`]: the *queries*
 /// are partitioned across `T` worker threads, and every worker sees the
-/// *whole* stream as shared [`HashedBatch`]es shipped over SPSC rings
-/// ([`crate::ring`]).
+/// *whole* stream as shared [`HashedBatch`]es shipped over bounded
+/// blocking queues, which park an idle lane's thread.
 ///
 /// # Why partitioning queries is exact
 ///
@@ -769,7 +769,7 @@ impl ShardedCatalog {
         }
         Self {
             shell,
-            lanes: Lanes::spawn(children, "catalog worker"),
+            lanes: Lanes::spawn(children, "catalog worker", "catalog-lane"),
             readers,
             pool: (0..CATALOG_POOL).map(|_| Arc::default()).collect(),
             shipped: 0,

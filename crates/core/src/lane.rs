@@ -3,19 +3,203 @@
 //! [`ShardedEstimator`](crate::ShardedEstimator) partitions bitmaps and
 //! [`ShardedCatalog`](crate::ShardedCatalog) partitions queries; each
 //! keeps its own routing and hand-off, and both run their lanes here:
-//! one worker thread per lane fed over an SPSC ring ([`crate::ring`]) of
-//! [`RING_DEPTH`] messages (a full ring makes the router's push spin),
-//! one message loop, one reusable ack ring per lane for barriers (so a
-//! barrier allocates nothing), and drop-and-join on
-//! [`finish`](Lanes::finish). A dead worker makes the next push or
-//! barrier panic with "… exited early", and `finish` with "… panicked".
+//! one named worker thread per lane fed over a bounded blocking queue
+//! ([`queue`]) of [`LANE_DEPTH`] messages (a full queue blocks the
+//! router), one message loop, one reusable ack queue per lane for
+//! barriers (so a barrier allocates nothing), and drop-and-join on
+//! [`finish`](Lanes::finish). A lane with nothing to do parks its thread
+//! rather than spinning on an idle core. A dead worker makes the next
+//! push or barrier panic with "… exited early", and `finish` with "…
+//! panicked".
 
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::ring;
+/// Bound, in messages, of each lane's forward queue (back-pressure).
+pub const LANE_DEPTH: usize = 8;
 
-/// Bound, in messages, of each lane's forward ring (back-pressure).
-pub const RING_DEPTH: usize = 8;
+/// Busy-wait rounds a waiting side makes before it yields; round `r`
+/// spins `2^r` times, so a queue that is empty only for a moment is
+/// picked up again without a system call.
+const SPIN_ROUNDS: u32 = 6;
+
+/// `yield_now` calls after the spins, before the waiting side parks.
+const YIELDS: u32 = 4;
+
+/// A bounded single-producer/single-consumer FIFO: a `VecDeque` sized at
+/// construction (so pushing within capacity never allocates) behind a
+/// lock, plus one `Condvar` the waiting side parks on.
+///
+/// Dropping the [`Sender`] lets the [`Receiver`] drain what is left and
+/// then get `None`; dropping the `Receiver` makes every push fail and
+/// hand its value back. Payloads still queued when both are gone drop
+/// with the queue.
+struct Queue<T> {
+    state: Mutex<QueueState<T>>,
+    wake: Condvar,
+    capacity: usize,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    sender: bool,
+    receiver: bool,
+    /// Sides waiting on `wake`. A side signals only while it runs, so a
+    /// nonzero count it sees is the other side, parked or woken but not
+    /// yet running again (a woken side stays counted until it relocks).
+    parked: u8,
+}
+
+impl<T> Queue<T> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        // `Drop` takes the lock too and must not panic. No step panics
+        // while holding it and each leaves the state valid, so a poisoned
+        // lock still guards a sound queue.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `step` under the lock until it settles, and then wakes the
+    /// other side if it is parked. A blocking caller spins, then yields,
+    /// then parks between attempts; a non-blocking one makes one attempt.
+    fn settle<R>(
+        &self,
+        block: bool,
+        mut step: impl FnMut(&mut QueueState<T>) -> Option<R>,
+    ) -> Option<R> {
+        let mut state = self.lock();
+        let mut round = 0;
+        loop {
+            if let Some(done) = step(&mut state) {
+                if state.parked > 0 {
+                    self.wake.notify_one();
+                }
+                return Some(done);
+            }
+            if !block {
+                return None;
+            }
+            if round < SPIN_ROUNDS + YIELDS {
+                drop(state);
+                if round < SPIN_ROUNDS {
+                    (0..1u32 << round).for_each(|_| std::hint::spin_loop());
+                } else {
+                    std::thread::yield_now();
+                }
+                round += 1;
+                state = self.lock();
+            } else {
+                state.parked += 1;
+                state = self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.parked -= 1;
+            }
+        }
+    }
+}
+
+/// The sending half of a [`queue`].
+pub(crate) struct Sender<T>(Arc<Queue<T>>);
+
+/// The receiving half of a [`queue`].
+pub(crate) struct Receiver<T>(Arc<Queue<T>>);
+
+/// A [`Queue`] of at most `capacity` (at least one) items.
+pub(crate) fn queue<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
+    let capacity = capacity.max(1);
+    let queue = Arc::new(Queue {
+        state: Mutex::new(QueueState {
+            items: VecDeque::with_capacity(capacity),
+            sender: true,
+            receiver: true,
+            parked: 0,
+        }),
+        wake: Condvar::new(),
+        capacity,
+    });
+    (Sender(Arc::clone(&queue)), Receiver(queue))
+}
+
+impl<T> Sender<T> {
+    /// Pushes `value`, blocking while the queue is full; hands it back if
+    /// the receiver is gone.
+    pub(crate) fn push(&self, value: T) -> Result<(), T> {
+        self.send(value, true)
+    }
+
+    /// Pushes `value` if there is room; hands it back otherwise.
+    pub(crate) fn try_push(&self, value: T) -> Result<(), T> {
+        self.send(value, false)
+    }
+
+    fn send(&self, value: T, block: bool) -> Result<(), T> {
+        let mut value = Some(value);
+        let capacity = self.0.capacity;
+        self.0.settle(block, |s| {
+            let room = s.items.len() < capacity;
+            if s.receiver && room {
+                s.items.extend(value.take());
+            }
+            (room || !s.receiver).then_some(())
+        });
+        value.map_or(Ok(()), Err)
+    }
+}
+
+impl<T> Receiver<T> {
+    /// The oldest item, blocking while the queue is empty; `None` once the
+    /// sender is gone and everything it pushed has been taken.
+    pub(crate) fn pop(&self) -> Option<T> {
+        self.recv(true)
+    }
+
+    /// The oldest item, if there is one.
+    pub(crate) fn try_pop(&self) -> Option<T> {
+        self.recv(false)
+    }
+
+    fn recv(&self, block: bool) -> Option<T> {
+        self.0
+            .settle(block, |s| match s.items.pop_front() {
+                Some(item) => Some(Some(item)),
+                None => (!s.sender).then_some(None),
+            })
+            .flatten()
+    }
+}
+
+impl<T> Drop for Sender<T> {
+    fn drop(&mut self) {
+        self.0.settle(false, |s| {
+            s.sender = false;
+            Some(())
+        });
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        self.0.settle(false, |s| {
+            s.receiver = false;
+            Some(())
+        });
+    }
+}
+
+impl<T> fmt::Debug for Sender<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Sender").field(&self.0.capacity).finish()
+    }
+}
+
+impl<T> fmt::Debug for Receiver<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Receiver").field(&self.0.capacity).finish()
+    }
+}
 
 /// The state one lane's worker thread owns, and what it does with each
 /// message.
@@ -29,7 +213,7 @@ pub(crate) trait LaneWorker: Send + 'static {
     /// Publishes this lane's read views.
     fn publish(&mut self) {}
 
-    /// Called when the worker finds its ring empty and has to wait.
+    /// Called when the worker finds its queue empty and has to wait.
     fn idle(&self) {}
 }
 
@@ -44,26 +228,31 @@ enum LaneMsg<B> {
 /// One lane per [`LaneWorker`], each on its own thread.
 #[derive(Debug)]
 pub(crate) struct Lanes<W: LaneWorker> {
-    lanes: Vec<ring::Producer<LaneMsg<W::Batch>>>,
-    /// Barrier acks, one ring per lane: a dead worker drops its end,
+    lanes: Vec<Sender<LaneMsg<W::Batch>>>,
+    /// Barrier acks, one queue per lane: a dead worker drops its end,
     /// which fails the wait instead of hanging it.
-    acks: Vec<ring::Consumer<()>>,
+    acks: Vec<Receiver<()>>,
     workers: Vec<JoinHandle<W>>,
     /// Names the worker in panics ("ingestion worker", "catalog worker").
     role: &'static str,
 }
 
 impl<W: LaneWorker> Lanes<W> {
-    /// Starts one lane per worker state.
-    pub(crate) fn spawn(workers: impl IntoIterator<Item = W>, role: &'static str) -> Self {
+    /// Starts one lane per worker state; lane `k`'s thread is named
+    /// `{thread}-{k}` (Linux keeps the first 15 bytes).
+    pub(crate) fn spawn(
+        workers: impl IntoIterator<Item = W>,
+        role: &'static str,
+        thread: &'static str,
+    ) -> Self {
         let (mut lanes, mut acks, mut handles) = (Vec::new(), Vec::new(), Vec::new());
-        for mut worker in workers {
-            let (tx, rx) = ring::ring::<LaneMsg<W::Batch>>(RING_DEPTH);
-            let (ack, ack_rx) = ring::ring::<()>(1);
+        for (k, mut worker) in workers.into_iter().enumerate() {
+            let (tx, rx) = queue::<LaneMsg<W::Batch>>(LANE_DEPTH);
+            let (ack, ack_rx) = queue::<()>(1);
             lanes.push(tx);
             acks.push(ack_rx);
-            handles.push(std::thread::spawn(move || loop {
-                // Count the waits that find the ring empty: they tell a
+            let lane = move || loop {
+                // Count the waits that find the queue empty: they tell a
                 // router-bound pipeline from a worker-bound one.
                 let msg = match rx.try_pop() {
                     Some(msg) => msg,
@@ -82,7 +271,12 @@ impl<W: LaneWorker> Lanes<W> {
                         let _ = ack.push(());
                     }
                 }
-            }));
+            };
+            let handle = std::thread::Builder::new()
+                .name(format!("{thread}-{k}"))
+                .spawn(lane)
+                .unwrap_or_else(|e| panic!("cannot start {role}: {e}"));
+            handles.push(handle);
         }
         Self {
             lanes,
@@ -124,8 +318,8 @@ impl<W: LaneWorker> Lanes<W> {
     /// states in lane order.
     pub(crate) fn finish(self) -> Vec<W> {
         let role = self.role;
-        // Dropping the producers closes the lanes: each worker drains its
-        // remaining occupancy, then its blocking pop returns `None`.
+        // Dropping the senders closes the lanes: each worker drains what
+        // is queued, then its blocking pop returns `None`.
         drop(self.lanes);
         self.workers
             .into_iter()
@@ -179,7 +373,7 @@ mod tests {
     #[test]
     fn barrier_settles_every_lane_and_finish_returns_them_in_order() {
         let seen = Arc::new(AtomicU64::new(0));
-        let lanes = Lanes::spawn(summers(3, &seen), "test worker");
+        let lanes = Lanes::spawn(summers(3, &seen), "test worker", "test-lane");
         for i in 1..=300u64 {
             lanes.send((i % 3) as usize, i);
         }
@@ -199,7 +393,7 @@ mod tests {
     #[test]
     fn finish_drains_what_was_still_in_flight() {
         let seen = Arc::new(AtomicU64::new(0));
-        let lanes = Lanes::spawn(summers(2, &seen), "test worker");
+        let lanes = Lanes::spawn(summers(2, &seen), "test worker", "test-lane");
         for i in 0..1_000u64 {
             lanes.send((i % 2) as usize, 1);
         }
@@ -220,8 +414,101 @@ mod tests {
     #[test]
     #[should_panic(expected = "test worker exited early")]
     fn a_dead_worker_fails_the_barrier_instead_of_hanging_it() {
-        let lanes = Lanes::spawn([Bomb], "test worker");
+        let lanes = Lanes::spawn([Bomb], "test worker", "test-lane");
         lanes.send(0, ());
         lanes.barrier();
+    }
+
+    #[test]
+    fn queue_is_fifo_and_a_full_queue_refuses_until_an_item_leaves() {
+        let (tx, rx) = queue::<u32>(2);
+        for round in 0..5 {
+            tx.try_push(2 * round).unwrap();
+            tx.try_push(2 * round + 1).unwrap();
+            assert_eq!(tx.try_push(99), Err(99));
+            assert_eq!(rx.try_pop(), Some(2 * round));
+            assert_eq!(rx.try_pop(), Some(2 * round + 1));
+        }
+        assert_eq!(rx.try_pop(), None);
+    }
+
+    #[test]
+    fn cross_thread_transfer_preserves_every_payload() {
+        // A one-slot queue makes both sides park often, in turn.
+        const N: u64 = 100_000;
+        for capacity in [1, LANE_DEPTH] {
+            let (tx, rx) = queue::<u64>(capacity);
+            let producer = std::thread::spawn(move || {
+                for i in 0..N {
+                    tx.push(i).expect("receiver alive");
+                }
+            });
+            let mut expect = 0u64;
+            while let Some(v) = rx.pop() {
+                assert_eq!(v, expect, "payloads must arrive in order");
+                expect += 1;
+            }
+            assert_eq!(expect, N, "every payload must arrive exactly once");
+            producer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn receiver_drains_the_queue_after_the_sender_drops() {
+        let (tx, rx) = queue::<u32>(8);
+        tx.push(7).unwrap();
+        tx.push(8).unwrap();
+        drop(tx);
+        assert_eq!(rx.pop(), Some(7));
+        assert_eq!(rx.pop(), Some(8));
+        assert_eq!(rx.pop(), None);
+    }
+
+    #[test]
+    fn push_fails_once_the_receiver_is_gone() {
+        let (tx, rx) = queue::<u32>(2);
+        tx.push(1).unwrap();
+        drop(rx);
+        assert_eq!(tx.push(2), Err(2));
+        assert_eq!(tx.try_push(3), Err(3));
+    }
+
+    /// Waits until a side has parked on `queue`'s condvar.
+    fn until_parked<T>(queue: &Queue<T>) {
+        while queue.lock().parked == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_parked_side_wakes_when_the_other_side_drops() {
+        let (tx, rx) = queue::<u32>(1);
+        let shared = Arc::clone(&tx.0);
+        let receiver = std::thread::spawn(move || rx.pop());
+        until_parked(&shared);
+        drop(tx);
+        assert_eq!(receiver.join().unwrap(), None);
+
+        let (tx, rx) = queue::<u32>(1);
+        tx.push(1).unwrap();
+        let shared = Arc::clone(&tx.0);
+        let sender = std::thread::spawn(move || tx.push(2));
+        until_parked(&shared);
+        drop(rx);
+        assert_eq!(sender.join().unwrap(), Err(2));
+    }
+
+    #[test]
+    fn queued_payloads_drop_with_the_queue() {
+        let payload = Arc::new(());
+        let (tx, rx) = queue::<Arc<()>>(4);
+        for _ in 0..3 {
+            tx.push(Arc::clone(&payload)).unwrap();
+        }
+        drop(rx.pop());
+        assert_eq!(Arc::strong_count(&payload), 3);
+        drop(tx);
+        drop(rx);
+        assert_eq!(Arc::strong_count(&payload), 1);
     }
 }

@@ -65,7 +65,6 @@ pub mod metrics;
 pub mod nips;
 pub mod parallel;
 pub mod query;
-pub mod ring;
 pub mod sliding;
 pub mod snapshot;
 pub mod state;

@@ -15,7 +15,7 @@
 //! routed to it, in stream order.
 //!
 //! Sharding by bitmap index (`shard = idx % T`) sends every update for a
-//! given bitmap to the same worker, over a FIFO ring, in the order the
+//! given bitmap to the same worker, over a FIFO queue, in the order the
 //! coordinator observed the stream. Each worker therefore replays, for
 //! each bitmap it owns, exactly the subsequence a sequential run would
 //! have applied — same updates, same order. Contrast with splitting the
@@ -26,11 +26,11 @@
 //!
 //! Shards run on the crate's lane runtime, as
 //! [`ShardedCatalog`](crate::ShardedCatalog)'s lanes do: one worker per
-//! lane behind an SPSC ring ([`crate::ring`]), one release/acquire pair
-//! per batch, and at most [`RING_DEPTH`] batches in flight per lane. The
-//! hand-off is this front-end's own: the router buffers each shard's
-//! pairs in its own `Vec`, and a reverse ring per lane sends drained
-//! buffers home, so steady-state ingestion allocates nothing.
+//! lane behind a bounded blocking queue, one lock per batch, and at most
+//! [`LANE_DEPTH`] batches in flight per lane. The hand-off is this
+//! front-end's own: the router buffers each shard's pairs in its own
+//! `Vec`, and a reverse queue per lane sends drained buffers home, so
+//! steady-state ingestion allocates nothing.
 //!
 //! Reassembly is merge-based: shards are merged into a fresh estimator.
 //! Because each bitmap carries non-trivial state on exactly one shard,
@@ -84,20 +84,19 @@ use imp_sketch::hash::{Hasher64, MixHasher};
 use imp_sketch::rank::split_rank;
 
 use crate::estimator::ImplicationEstimator;
-pub use crate::lane::RING_DEPTH;
-use crate::lane::{LaneWorker, Lanes};
+pub use crate::lane::LANE_DEPTH;
+use crate::lane::{queue, LaneWorker, Lanes, Receiver, Sender};
 use crate::metrics::MetricsHandle;
-use crate::ring;
 use crate::trace::{Span, SpanKind, TraceEvent, TraceHandle};
 use crate::view::{pack_ranks, EstimateReader, ReadView, ViewPublisher};
 
 /// Pre-hashed pairs buffered per shard before a batch is shipped.
 const BATCH: usize = 1024;
 
-/// Slots in each lane's reverse (buffer-recycling) ring: every batch that
-/// can be in flight forward, plus slack so a drained buffer is never
+/// Bound of each lane's reverse (buffer-recycling) queue: every batch
+/// that can be in flight forward, plus slack so a drained buffer is never
 /// dropped just because the router briefly lags on reclaiming them.
-const RECYCLE_DEPTH: usize = RING_DEPTH + 2;
+const RECYCLE_DEPTH: usize = LANE_DEPTH + 2;
 
 /// A cheap, copyable pre-hasher matching an estimator's internal hash
 /// functions, for pipelines that parse and hash on different threads than
@@ -182,7 +181,7 @@ struct Shard {
     est: ImplicationEstimator,
     k: usize,
     registers: Arc<SharedRegisters>,
-    recycle: ring::Producer<Vec<(u64, u64)>>,
+    recycle: Sender<Vec<(u64, u64)>>,
 }
 
 impl LaneWorker for Shard {
@@ -200,7 +199,7 @@ impl LaneWorker for Shard {
         // boundary, so the router can publish views without a barrier.
         self.registers
             .refresh(&self.est, self.k, batch.len() as u64);
-        // Send the drained buffer home for reuse; if the reverse ring is
+        // Send the drained buffer home for reuse; if the reverse queue is
         // full (router lagging on reclaims) just let the allocation go.
         batch.clear();
         let _ = self.recycle.try_push(batch);
@@ -215,8 +214,8 @@ impl LaneWorker for Shard {
 ///
 /// Construction consumes a base estimator (fresh or restored from a
 /// snapshot) and splits its state across `T` worker shards by bitmap
-/// index; updates are routed to the owning shard over fixed-capacity
-/// SPSC rings ([`crate::ring`]);
+/// index; updates are routed to the owning shard over bounded blocking
+/// queues;
 /// [`ShardedEstimator::finish`] joins the workers and reassembles a
 /// single estimator whose state is bit-for-bit identical to feeding the
 /// same updates sequentially into the base (see the module docs for the
@@ -230,9 +229,9 @@ pub struct ShardedEstimator {
     template: ImplicationEstimator,
     /// One lane per shard (see [`crate::lane`]).
     lanes: Lanes<Shard>,
-    /// Reverse rings, worker → router: drained batch buffers coming home
+    /// Reverse queues, worker → router: drained batch buffers coming home
     /// for reuse, one per lane.
-    recycled: Vec<ring::Consumer<Vec<(u64, u64)>>>,
+    recycled: Vec<Receiver<Vec<(u64, u64)>>>,
     pending: Vec<Vec<(u64, u64)>>,
     /// Pre-hashed updates routed so far (plain field; reported by the
     /// session-long ingest span even when `metrics` is compiled out).
@@ -269,13 +268,13 @@ impl ShardedEstimator {
         let mut recycled = Vec::with_capacity(threads);
         let mut workers = Vec::with_capacity(threads);
         for (k, est) in base.split_shards(threads).into_iter().enumerate() {
-            let (recycle, recycle_rx) = ring::ring::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
-            // Seed the reverse ring before the worker exists: the router's
+            let (recycle, recycle_rx) = queue::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
+            // Seed the reverse queue before the worker exists: the router's
             // very first ships already find buffers to reclaim, so the
             // circulating pool is born at working size (one buffer per
             // possible in-flight batch) instead of growing through
             // first-contact allocations on the hot path.
-            for _ in 0..RING_DEPTH {
+            for _ in 0..LANE_DEPTH {
                 let _ = recycle.try_push(Vec::with_capacity(BATCH));
             }
             recycled.push(recycle_rx);
@@ -288,7 +287,7 @@ impl ShardedEstimator {
         }
         Self {
             template,
-            lanes: Lanes::spawn(workers, "ingestion worker"),
+            lanes: Lanes::spawn(workers, "ingestion worker", "ingest-lane"),
             recycled,
             pending: vec![Vec::with_capacity(BATCH); threads],
             routed: 0,

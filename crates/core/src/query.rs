@@ -16,7 +16,7 @@
 //! A [`QueryEngine`] binds a query to a schema and runs it over a stream
 //! with the NIPS/CI estimator underneath.
 
-use imp_stream::hashplan::{QueryCombiner, TupleHasher};
+use imp_stream::hashplan::{HashedBatch, QueryCombiner, TupleHasher};
 use imp_stream::schema::{AttrId, AttrSet, Schema};
 use imp_stream::tuple::Tuple;
 
@@ -280,6 +280,8 @@ pub struct QueryEngine {
     query: ImplicationQuery,
     hasher: TupleHasher,
     combiner: QueryCombiner,
+    /// The current tuple, hashed as a one-row batch.
+    row: HashedBatch,
     est: ImplicationEstimator,
     matched: u64,
 }
@@ -310,6 +312,7 @@ impl QueryEngine {
             query,
             hasher,
             combiner,
+            row: HashedBatch::new(),
             est,
             matched: 0,
         }
@@ -321,8 +324,8 @@ impl QueryEngine {
             return;
         }
         self.matched += 1;
-        self.hasher.hash_tuple(t);
-        let (h_a, b_fp) = self.hasher.combine(&self.combiner);
+        self.hasher.hash_batch([t], &mut self.row);
+        let (h_a, b_fp) = self.row.combine_row(&self.combiner, 0);
         self.est.update_hashed(h_a, b_fp);
     }
 

@@ -10,19 +10,19 @@
 //! consistent-subset-sampling observation is that one *per-attribute*
 //! hashing pass suffices — each attribute position `j` gets its own
 //! independently seeded hash function, a tuple is hashed attribute-wise
-//! exactly once ([`TupleHasher::hash_tuple`], zero-alloc like
-//! `project_into`), and a query's itemset hash is derived from the shared
+//! exactly once, and a query's itemset hash is derived from the shared
 //! per-attribute hashes by XOR plus one finalizing mix
 //! ([`ItemsetCombiner::combine`]). Marginal cost per query is a few XORs,
 //! not a projection and a re-hash.
 //!
-//! Batches are hashed by one loop, [`TupleHasher::hash_batch`], into a
+//! Rows are hashed by one loop, [`TupleHasher::hash_batch`], into a
 //! [`HashedBatch`]: three flat row-major lanes of `arity` words per row,
-//! the raw values beside the two families' per-attribute hashes. It takes
-//! any rows that are `AsRef<[u64]>` — [`Tuple`]s, or `chunks_exact(arity)`
-//! of a flat buffer a front end filled without one heap object per row —
-//! and refuses a row narrower than the schema, which would otherwise
-//! shift every later row of the lane.
+//! the raw values beside the two families' per-attribute hashes; a single
+//! tuple is a one-row batch. It takes any rows that are `AsRef<[u64]>` —
+//! [`Tuple`](crate::Tuple)s, or `chunks_exact(arity)` of a flat buffer a
+//! front end filled without one heap object per row — and refuses a row
+//! narrower than the schema, which would otherwise shift every later row
+//! of the lane.
 //!
 //! Two independent hash families are maintained — the `a` family for
 //! left-hand (antecedent) itemsets and the `b` family for right-hand
@@ -34,7 +34,6 @@
 use imp_sketch::hash::{mix64, Hasher64, MixHasher};
 
 use crate::schema::{AttrSet, Schema};
-use crate::tuple::Tuple;
 
 /// Family-A seed tweak — matches the estimator's `hasher_a` derivation so
 /// one `seed` names one coherent hash configuration across the stack.
@@ -139,19 +138,20 @@ impl QueryCombiner {
 /// [`QueryCombiner`]s can derive their itemset hashes by combination.
 ///
 /// ```
-/// use imp_stream::hashplan::TupleHasher;
+/// use imp_stream::hashplan::{HashedBatch, TupleHasher};
 /// use imp_stream::{Schema, Tuple};
 ///
 /// let schema = Schema::new([("src", 1 << 32), ("dst", 1 << 32), ("port", 65_536)]);
-/// let mut hasher = TupleHasher::new(&schema, 42);
+/// let hasher = TupleHasher::new(&schema, 42);
 /// let q = hasher.combiner(schema.attr_set(&["src"]), schema.attr_set(&["dst"]));
 ///
-/// hasher.hash_tuple(&Tuple::new([10u64, 20, 443]));
-/// let (h_a, b_fp) = hasher.combine(&q);
+/// let mut row = HashedBatch::new();
+/// hasher.hash_batch([Tuple::new([10u64, 20, 443])], &mut row);
+/// let (h_a, b_fp) = row.combine_row(&q, 0);
 /// // Same tuple, same seed → same hashes, independent of how many other
 /// // combiners share this hasher.
-/// hasher.hash_tuple(&Tuple::new([10u64, 20, 443]));
-/// assert_eq!(hasher.combine(&q), (h_a, b_fp));
+/// hasher.hash_batch([Tuple::new([10u64, 20, 443])], &mut row);
+/// assert_eq!(row.combine_row(&q, 0), (h_a, b_fp));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TupleHasher {
@@ -159,10 +159,6 @@ pub struct TupleHasher {
     ha: Vec<MixHasher>,
     /// Per-attribute hashers, family B (rhs fingerprints).
     hb: Vec<MixHasher>,
-    /// Most recent tuple's per-attribute hash row, family A.
-    row_a: Vec<u64>,
-    /// Most recent tuple's per-attribute hash row, family B.
-    row_b: Vec<u64>,
     seed: u64,
 }
 
@@ -179,8 +175,6 @@ impl TupleHasher {
             hb: (0..arity)
                 .map(|j| MixHasher::new(attr_seed(seed ^ FAMILY_B, j)))
                 .collect(),
-            row_a: vec![0; arity],
-            row_b: vec![0; arity],
             seed,
         }
     }
@@ -207,37 +201,14 @@ impl TupleHasher {
         }
     }
 
-    /// Hashes each of `tuple`'s attributes exactly once into the internal
-    /// rows — the zero-allocation per-tuple pass. Subsequent
-    /// [`combine`](Self::combine) calls derive itemset hashes from these
-    /// rows until the next `hash_tuple`.
-    ///
-    /// # Panics
-    /// If the tuple is narrower than the schema's arity.
-    #[inline]
-    pub fn hash_tuple(&mut self, tuple: &Tuple) {
-        let vals = self.leading(tuple.values());
-        for (j, &v) in vals.iter().enumerate() {
-            self.row_a[j] = self.ha[j].hash_u64(v);
-            self.row_b[j] = self.hb[j].hash_u64(v);
-        }
-    }
-
-    /// Derives one query's `(h_a, b_fp)` pair from the rows of the most
-    /// recent [`hash_tuple`](Self::hash_tuple).
-    #[inline]
-    pub fn combine(&self, q: &QueryCombiner) -> (u64, u64) {
-        (q.lhs.combine(&self.row_a), q.rhs.combine(&self.row_b))
-    }
-
     /// Hashes a batch of rows attribute-wise exactly once into `out`,
     /// replacing its contents — the one loop that produces the
     /// [`HashedBatch`] currency the rest of the pipeline rides on. Each
     /// row's first `arity` values are copied into the batch's flat value
     /// lane (filters read them there) and hashed into its two hash lanes;
-    /// a row may be any `AsRef<[u64]>`: a [`Tuple`], a `&[u64]`, or a
-    /// `chunks_exact(arity)` piece of a flat buffer. Once `out` has grown
-    /// to the batch size, refilling it allocates nothing.
+    /// a row may be any `AsRef<[u64]>`: a [`Tuple`](crate::Tuple), a
+    /// `&[u64]`, or a `chunks_exact(arity)` piece of a flat buffer. Once
+    /// `out` has grown to the batch size, refilling it allocates nothing.
     ///
     /// # Panics
     /// If a row is narrower than the schema's arity.
@@ -265,8 +236,8 @@ impl TupleHasher {
     /// The schema's `arity` leading values of `row`.
     ///
     /// # Panics
-    /// If `row` is narrower than the schema: a short row would leave the
-    /// hash rows stale, or shift every later row of a flat batch.
+    /// If `row` is narrower than the schema: a short row would shift every
+    /// later row of a flat batch.
     #[inline]
     fn leading<'r>(&self, row: &'r [u64]) -> &'r [u64] {
         let arity = self.ha.len();
@@ -288,7 +259,7 @@ impl TupleHasher {
 /// `(h_a, b_fp)` pairs are derived from its rows by
 /// [`combine_row`](Self::combine_row) or [`row_a`](Self::row_a) /
 /// [`row_b`](Self::row_b), filters read [`row`](Self::row), and the
-/// sharded pipelines ship it whole across their rings.
+/// sharded pipelines ship it whole across their lanes.
 #[derive(Debug, Default, Clone)]
 pub struct HashedBatch {
     /// Row-major raw values: row `i` occupies `[i*arity, (i+1)*arity)`.
@@ -351,56 +322,57 @@ impl HashedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
 
     fn schema() -> Schema {
         Schema::new([("A", 100), ("B", 100), ("C", 100), ("D", 100)])
     }
 
+    /// `q`'s `(h_a, b_fp)` for one tuple, hashed as a one-row batch.
+    fn hash_one(h: &TupleHasher, q: &QueryCombiner, t: &Tuple) -> (u64, u64) {
+        let mut row = HashedBatch::new();
+        h.hash_batch([t], &mut row);
+        row.combine_row(q, 0)
+    }
+
     #[test]
     fn same_tuple_same_seed_same_hashes() {
         let s = schema();
-        let mut h1 = TupleHasher::new(&s, 7);
-        let mut h2 = TupleHasher::new(&s, 7);
+        let h1 = TupleHasher::new(&s, 7);
+        let h2 = TupleHasher::new(&s, 7);
         let q1 = h1.combiner(s.attr_set(&["A", "C"]), s.attr_set(&["B"]));
         let q2 = h2.combiner(s.attr_set(&["A", "C"]), s.attr_set(&["B"]));
         let t = Tuple::from([1u64, 2, 3, 4]);
-        h1.hash_tuple(&t);
-        h2.hash_tuple(&t);
-        assert_eq!(h1.combine(&q1), h2.combine(&q2));
+        assert_eq!(hash_one(&h1, &q1, &t), hash_one(&h2, &q2, &t));
     }
 
     #[test]
     fn different_seeds_decorrelate() {
         let s = schema();
-        let mut h1 = TupleHasher::new(&s, 7);
-        let mut h2 = TupleHasher::new(&s, 8);
+        let h1 = TupleHasher::new(&s, 7);
+        let h2 = TupleHasher::new(&s, 8);
         let q1 = h1.combiner(s.attr_set(&["A"]), s.attr_set(&["B"]));
         let q2 = h2.combiner(s.attr_set(&["A"]), s.attr_set(&["B"]));
         let t = Tuple::from([1u64, 2, 3, 4]);
-        h1.hash_tuple(&t);
-        h2.hash_tuple(&t);
-        assert_ne!(h1.combine(&q1), h2.combine(&q2));
+        assert_ne!(hash_one(&h1, &q1, &t), hash_one(&h2, &q2, &t));
     }
 
     #[test]
     fn lhs_and_rhs_families_are_independent() {
         let s = schema();
-        let mut h = TupleHasher::new(&s, 3);
+        let h = TupleHasher::new(&s, 3);
         let q = h.combiner(s.attr_set(&["A"]), s.attr_set(&["A"]));
-        h.hash_tuple(&Tuple::from([5u64, 0, 0, 0]));
-        let (a, b) = h.combine(&q);
+        let (a, b) = hash_one(&h, &q, &Tuple::from([5u64, 0, 0, 0]));
         assert_ne!(a, b, "same attribute must hash differently per family");
     }
 
     #[test]
     fn empty_itemset_is_a_fixed_constant() {
         let s = schema();
-        let mut h = TupleHasher::new(&s, 3);
+        let h = TupleHasher::new(&s, 3);
         let q = h.combiner(s.attr_set(&["A"]), AttrSet::EMPTY);
-        h.hash_tuple(&Tuple::from([5u64, 0, 0, 0]));
-        let (_, b1) = h.combine(&q);
-        h.hash_tuple(&Tuple::from([9u64, 8, 7, 6]));
-        let (_, b2) = h.combine(&q);
+        let (_, b1) = hash_one(&h, &q, &Tuple::from([5u64, 0, 0, 0]));
+        let (_, b2) = hash_one(&h, &q, &Tuple::from([9u64, 8, 7, 6]));
         assert_eq!(b1, b2, "empty rhs must not vary per tuple");
     }
 
@@ -409,14 +381,14 @@ mod tests {
         // {A,B} vs {A,C} vs {A} over a tuple with identical values in
         // every attribute — a structured worst case for naive XOR.
         let s = schema();
-        let mut h = TupleHasher::new(&s, 11);
+        let h = TupleHasher::new(&s, 11);
         let qa = h.combiner(s.attr_set(&["A"]), AttrSet::EMPTY);
         let qab = h.combiner(s.attr_set(&["A", "B"]), AttrSet::EMPTY);
         let qac = h.combiner(s.attr_set(&["A", "C"]), AttrSet::EMPTY);
-        h.hash_tuple(&Tuple::from([5u64, 5, 5, 5]));
-        let (a, _) = h.combine(&qa);
-        let (ab, _) = h.combine(&qab);
-        let (ac, _) = h.combine(&qac);
+        let t = Tuple::from([5u64, 5, 5, 5]);
+        let (a, _) = hash_one(&h, &qa, &t);
+        let (ab, _) = hash_one(&h, &qab, &t);
+        let (ac, _) = hash_one(&h, &qac, &t);
         assert_ne!(a, ab);
         assert_ne!(a, ac);
         assert_ne!(ab, ac);
@@ -425,7 +397,7 @@ mod tests {
     #[test]
     fn hash_batch_matches_per_tuple_rows() {
         let s = schema();
-        let mut h = TupleHasher::new(&s, 17);
+        let h = TupleHasher::new(&s, 17);
         let q = h.combiner(s.attr_set(&["A", "C"]), s.attr_set(&["B"]));
         let tuples: Vec<Tuple> = (0..5u64)
             .map(|i| Tuple::from([i, i * 3, i ^ 7, 100 - i]))
@@ -435,8 +407,7 @@ mod tests {
         assert_eq!(batch.len(), 5);
         assert_eq!(batch.arity(), 4);
         for (i, t) in tuples.iter().enumerate() {
-            h.hash_tuple(t);
-            assert_eq!(h.combine(&q), batch.combine_row(&q, i));
+            assert_eq!(hash_one(&h, &q, t), batch.combine_row(&q, i));
             assert_eq!(batch.row(i), t.values());
         }
     }

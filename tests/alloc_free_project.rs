@@ -8,6 +8,10 @@
 //! Isolated in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
 
+// Implementing `GlobalAlloc` needs `unsafe`, which the workspace denies
+// everywhere else.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -6,6 +6,10 @@
 //! Isolated in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
 
+// Implementing `GlobalAlloc` needs `unsafe`, which the workspace denies
+// everywhere else.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -128,18 +132,18 @@ fn steady_state_large_batch_update_performs_zero_allocations() {
 }
 
 #[test]
-fn sharded_ingest_across_the_spsc_rings_keeps_the_router_off_the_heap() {
-    // The batch handoff contract one layer up: once the recycle rings'
+fn sharded_ingest_across_the_lane_queues_keeps_the_router_off_the_heap() {
+    // The batch handoff contract one layer up: once the recycle queues'
     // seeded buffer pools are circulating, the router's steady state —
-    // fill a buffer, ship it down the forward ring, reclaim a drained
-    // one from the reverse ring, quiesce at a barrier — must never
+    // fill a buffer, ship it down the forward queue, reclaim a drained
+    // one from the reverse queue, quiesce at a barrier — must never
     // allocate on the routing thread. (Worker threads count their own
     // allocations; the thread-local counter isolates the router.)
     let cond = ImplicationConditions::strict_one_to_one(1_000_000);
     let est = EstimatorConfig::new(cond).bitmaps(32).seed(13).build();
     let mut sharded = ShardedEstimator::new(est, 3);
     let hasher = sharded.pair_hasher();
-    // One burst stays within RING_DEPTH × BATCH pairs (8 × 1024), so even
+    // One burst stays within LANE_DEPTH × BATCH pairs (8 × 1024), so even
     // if every batch hashed to the same lane its ships fit the seeded
     // buffer pool without waiting on the worker to recycle mid-burst.
     let hashed: Vec<(u64, u64)> = (0..4_096u64)
@@ -162,7 +166,7 @@ fn sharded_ingest_across_the_spsc_rings_keeps_the_router_off_the_heap() {
     assert_eq!(
         after - before,
         0,
-        "router allocated on the steady-state ring handoff"
+        "router allocated on the steady-state lane handoff"
     );
     let est = sharded.finish();
     assert_eq!(est.tuples_seen(), 52 * 4_096);

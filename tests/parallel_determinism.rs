@@ -150,7 +150,7 @@ fn large_batch_update_is_bit_identical_to_per_row() {
 #[test]
 fn edge_batch_sizes_are_bit_identical_too() {
     // Empty batches (a no-op ship), single-pair batches, and one batch
-    // larger than a whole lane's forward ring can absorb (RING_DEPTH ×
+    // larger than a whole lane's forward queue can absorb (LANE_DEPTH ×
     // the router's internal buffer — forcing backpressure and buffer
     // recycling mid-batch) must all reduce to the same per-bitmap
     // routed subsequences.
@@ -178,7 +178,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any batch partitioning of any stream, at any thread count, is
-    /// unobservable: the ring handoff and the router's buffering never
+    /// unobservable: the lane handoff and the router's buffering never
     /// leak into the final snapshot bytes.
     #[test]
     fn any_batching_any_thread_count_is_bit_identical(
