@@ -4,11 +4,20 @@
 //! estimator, once through [`ExactCounter`], compare at the end (§6).  The
 //! auditor moves that comparison *into* the stream: it shadows a sampled
 //! subset of `A`-itemsets with exact per-key state and, every `cadence`
-//! rows, scales the sampled exact implication count up to a full-stream
-//! figure and journals the relative error of the estimator's answer at
-//! that moment.  The result is an error *trajectory* — how accuracy
-//! evolves as the stream grows — for the cost of `F0(A) / sample_one_in`
-//! exact entries instead of `F0(A)`.
+//! rows, scales the sampled exact figure up to a full-stream one and
+//! journals the relative error of the estimator's answer at that moment.
+//! The audited figure is the one the query reports
+//! ([`reporting`](AccuracyAuditor::reporting)): `S` by default, `S̄` for a
+//! complement query, `F0^sup` for a distinct count.  The result is an
+//! error *trajectory* — how accuracy evolves as the stream grows — for the
+//! cost of `F0(A) / sample_one_in` exact entries instead of `F0(A)`.
+//!
+//! A driver may feed the projected fields or, as the `implicate` CLI
+//! does, the `(h_a, b_fp)` pair the estimator ingests as `[h_a]` and
+//! `[b_fp]`.  At `sample_one_in = 1` both give the same counts (a 64-bit
+//! hash merges two itemsets with negligible probability; a unit test pins
+//! this on the Figure 4 workload); above 1 the inclusion test hashes
+//! `h_a`, so the subset differs from a field-keyed one.
 //!
 //! # Sampling semantics and bias
 //!
@@ -36,7 +45,7 @@
 //! [`AccuracyAuditor::samples`] / [`AccuracyAuditor::final_error`].
 //! See `DESIGN.md` §8.3 for the journal schema.
 
-use imp_core::{ImplicationConditions, SpanKind, TraceEvent, TraceHandle};
+use imp_core::{ImplicationConditions, QueryKind, SpanKind, TraceEvent, TraceHandle};
 use imp_sketch::estimate::relative_error;
 use imp_sketch::hash::{Hasher64, MixHasher};
 
@@ -53,9 +62,9 @@ const AUDIT_SAMPLE_SEED: u64 = 0x5eed_a0d1;
 pub struct ErrorSample {
     /// Stream position (rows ingested) when the audit ran.
     pub position: u64,
-    /// Scaled exact implication count at that position.
+    /// Scaled exact figure of the audited kind at that position.
     pub exact: f64,
-    /// The estimator's implication count at that position.
+    /// The estimator's answer at that position.
     pub estimated: f64,
     /// `|exact − estimated| / |exact|` (∞ when exact is 0 and the
     /// estimate is not; 0 when both are 0).
@@ -66,7 +75,8 @@ pub struct ErrorSample {
 /// key subset, recording relative error at a fixed row cadence.
 ///
 /// The auditor never touches the estimator: the driver feeds it the same
-/// `(a, b)` projections via [`observe`](Self::observe), asks
+/// `(a, b)` projections, or the hashed pairs the estimator ingests (see
+/// the module docs), via [`observe`](Self::observe), asks
 /// [`due`](Self::due) at row boundaries, and hands the current estimate to
 /// [`audit`](Self::audit).  This keeps it usable against any
 /// [`ImplicationCounter`], not just NIPS.
@@ -93,6 +103,7 @@ pub struct ErrorSample {
 #[derive(Debug)]
 pub struct AccuracyAuditor {
     exact: ExactCounter,
+    kind: QueryKind,
     hasher: MixHasher,
     cadence: u64,
     sample_one_in: u64,
@@ -108,10 +119,12 @@ impl AccuracyAuditor {
     ///
     /// Both `cadence` and `sample_one_in` are clamped to at least 1;
     /// `sample_one_in == 1` means every key is shadowed (no scaling, no
-    /// sampling variance).
+    /// sampling variance).  It audits `S` unless [`reporting`](Self::reporting)
+    /// says otherwise.
     pub fn new(cond: ImplicationConditions, cadence: u64, sample_one_in: u64) -> Self {
         Self {
             exact: ExactCounter::new(cond),
+            kind: QueryKind::Implication,
             hasher: MixHasher::new(AUDIT_SAMPLE_SEED),
             cadence: cadence.max(1),
             sample_one_in: sample_one_in.max(1),
@@ -120,6 +133,13 @@ impl AccuracyAuditor {
             samples: Vec::new(),
             trace: TraceHandle::disabled(),
         }
+    }
+
+    /// Audits the figure a `kind` query reports: `S`, `S̄` or `F0^sup`.
+    #[must_use]
+    pub fn reporting(mut self, kind: QueryKind) -> Self {
+        self.kind = kind;
+        self
     }
 
     /// Attaches a trace journal; subsequent audits emit
@@ -131,11 +151,6 @@ impl AccuracyAuditor {
     /// The audit cadence in rows.
     pub fn cadence(&self) -> u64 {
         self.cadence
-    }
-
-    /// The key-sampling rate (1 = every key shadowed).
-    pub fn sample_one_in(&self) -> u64 {
-        self.sample_one_in
     }
 
     /// Rows observed so far.
@@ -153,11 +168,13 @@ impl AccuracyAuditor {
         self.exact.distinct_items()
     }
 
-    /// Feeds one `(a, b)` projection pair.  Returns `true` when the key is
-    /// in the shadow sample (and exact state was updated).
+    /// Feeds one `(a, b)` pair: projected fields, or `[h_a]` and `[b_fp]`.
+    /// Returns `true` when the key is in the shadow sample (and exact
+    /// state was updated).
     pub fn observe(&mut self, a: &[u64], b: &[u64]) -> bool {
         self.rows += 1;
-        let included = self.sample_one_in == 1 || self.included(a);
+        let k = self.sample_one_in;
+        let included = k == 1 || self.hasher.hash_slice(a).is_multiple_of(k);
         if included {
             self.sampled_rows += 1;
             self.exact.update(a, b);
@@ -171,8 +188,8 @@ impl AccuracyAuditor {
         self.rows > 0 && self.rows.is_multiple_of(self.cadence)
     }
 
-    /// Compares the estimator's implication count against the scaled
-    /// exact figure, records the sample, and journals it.
+    /// Compares the estimator's answer against the scaled exact figure of
+    /// the audited kind, records the sample, and journals it.
     pub fn audit(&mut self, estimated: f64) -> ErrorSample {
         let span = self.trace.span(SpanKind::Audit);
         let exact = self.scaled_exact_count();
@@ -192,9 +209,14 @@ impl AccuracyAuditor {
         sample
     }
 
-    /// The sampled exact implication count scaled to a full-stream figure.
+    /// The sampled exact figure of the audited kind, scaled up.
     pub fn scaled_exact_count(&self) -> f64 {
-        self.exact.exact_implication_count() as f64 * self.sample_one_in as f64
+        let exact = match self.kind {
+            QueryKind::DistinctCount => self.exact.exact_f0_sup(),
+            QueryKind::Implication => self.exact.exact_implication_count(),
+            QueryKind::Complement => self.exact.exact_non_implication_count(),
+        };
+        exact as f64 * self.sample_one_in as f64
     }
 
     /// Every audit taken so far, in stream order.
@@ -205,10 +227,6 @@ impl AccuracyAuditor {
     /// The relative error of the most recent audit, if any ran.
     pub fn final_error(&self) -> Option<f64> {
         self.samples.last().map(|s| s.rel_error)
-    }
-
-    fn included(&self, a: &[u64]) -> bool {
-        self.hasher.hash_slice(a).is_multiple_of(self.sample_one_in)
     }
 }
 
@@ -344,6 +362,60 @@ mod tests {
         );
         let err = auditor.final_error().unwrap();
         assert!(err < 0.40, "final relative error {err} out of the ε band");
+    }
+
+    #[test]
+    fn hashed_pairs_shadow_like_projected_fields_on_fig4() {
+        // Keying on the `(h_a, b_fp)` pair the estimator ingests changes
+        // nothing at full shadow: every kind's exact figure and the
+        // shadowed key count agree with an auditor fed the fields.
+        let spec = imp_datagen::DatasetOneSpec::paper(1000, 500, 1, 77);
+        let data = imp_datagen::DatasetOne::generate(&spec);
+        let cond = spec.paper_conditions();
+        let pairs = EstimatorConfig::new(cond).seed(9).build().pair_hasher();
+        let cadence = (data.pairs.len() / 8) as u64;
+        for kind in [
+            QueryKind::Implication,
+            QueryKind::Complement,
+            QueryKind::DistinctCount,
+        ] {
+            let mut fields = AccuracyAuditor::new(cond, cadence, 1).reporting(kind);
+            let mut hashed = AccuracyAuditor::new(cond, cadence, 1).reporting(kind);
+            for &(a, b) in &data.pairs {
+                fields.observe(&[a], &[b]);
+                let (h_a, b_fp) = pairs.hash_pair(&[a], &[b]);
+                hashed.observe(&[h_a], &[b_fp]);
+                if fields.due() {
+                    let exact = fields.scaled_exact_count();
+                    assert_eq!(hashed.scaled_exact_count(), exact, "{kind:?}");
+                }
+            }
+            assert_eq!(hashed.scaled_exact_count(), fields.scaled_exact_count());
+            assert_eq!(hashed.shadowed_keys(), fields.shadowed_keys());
+            assert_eq!(hashed.sampled_rows(), fields.sampled_rows());
+        }
+    }
+
+    #[test]
+    fn each_kind_audits_the_figure_it_reports() {
+        // 30 loyal keys, 20 keys with two partners: S = 30, S̄ = 20,
+        // F0^sup = 50.
+        let cond = strict();
+        let mut auditors = [
+            QueryKind::Implication,
+            QueryKind::Complement,
+            QueryKind::DistinctCount,
+        ]
+        .map(|kind| AccuracyAuditor::new(cond, 1, 1).reporting(kind));
+        for key in 0..50u64 {
+            for partner in [0, u64::from(key >= 30)] {
+                auditors.iter_mut().for_each(|a| {
+                    a.observe(&[key], &[partner]);
+                });
+            }
+        }
+        let exact = auditors.map(|a| a.scaled_exact_count());
+        assert_eq!(exact, [30.0, 20.0, 50.0]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::budget::MemoryBudget;
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator, Zone1};
 use crate::lane::{LaneWorker, Lanes, LANE_DEPTH};
 use crate::metrics::{Exposition, Kind, Row};
-use crate::query::{Filter, ImplicationQuery};
+use crate::query::{Filter, ImplicationQuery, QueryKind};
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::view::EstimateReader;
 
@@ -504,10 +504,10 @@ impl QueryCatalog {
         self.entry_mut(id).map(|e| e.est.reader())
     }
 
-    /// The scalar answer for one query's [`QueryKind`](crate::query::QueryKind).
+    /// The scalar answer for one query's [`QueryKind`].
     pub fn answer(&self, id: QueryId) -> Option<f64> {
         self.entry(id)
-            .map(|e| e.query.answer_from(&e.est.estimate_now()))
+            .map(|e| e.query.kind.answer_from(&e.est.estimate_now()))
     }
 
     /// One query's full three-component estimate.
@@ -627,13 +627,9 @@ impl QueryCatalog {
             }
         }
         let name = "query_answer";
-        w.family(
-            name,
-            Kind::Gauge,
-            "The query's current scalar answer per its kind",
-        );
+        w.family(name, Kind::Gauge, QUERY_ANSWER_HELP);
         for e in &self.entries {
-            let answer = e.query.answer_from(&e.est.estimate_now());
+            let answer = e.query.kind.answer_from(&e.est.estimate_now());
             let answer = if answer.is_finite() { answer } else { 0.0 };
             w.labeled(name, "query", &e.name, answer);
         }
@@ -659,7 +655,8 @@ const CATALOG_SERIES: [Row<QueryCatalog>; 6] = crate::metric_rows![
 
 /// The per-query series of [`QueryCatalog::prometheus_into`], one sample
 /// per query labeled `query="<name>"` (followed by `query_answer`, the
-/// one valued in `f64`).
+/// one valued in `f64`). `query_tuples` comes first:
+/// [`ShardedCatalog::prometheus_into`] writes it alone.
 const QUERY_SERIES: [Row<CatalogEntry>; 4] = crate::metric_rows![
     Counter "query_tuples" |e| e.est.tuples_seen(),
         "Tuples a query's estimator has absorbed (post-filter)";
@@ -670,6 +667,9 @@ const QUERY_SERIES: [Row<CatalogEntry>; 4] = crate::metric_rows![
     Counter "query_dirty_total" |e| e.est.metrics().registry().estimator.dirty_total(),
         "Itemsets a query's estimator marked dirty";
 ];
+
+/// The `# HELP` text of the per-query `query_answer` family.
+const QUERY_ANSWER_HELP: &str = "The query's current scalar answer per its kind";
 
 /// A catalog lane: a [`QueryCatalog`] holding a subset of the queries,
 /// applying every batch of the stream.
@@ -728,8 +728,9 @@ pub struct ShardedCatalog {
     shell: QueryCatalog,
     /// One lane per child catalog (see [`crate::lane`]).
     lanes: Lanes<QueryCatalog>,
-    /// One pre-minted reader per live query, in registration order.
-    readers: Vec<(QueryId, String, EstimateReader)>,
+    /// One pre-minted reader per live query, with the kind of answer it
+    /// reports, in registration order.
+    readers: Vec<(QueryId, String, QueryKind, EstimateReader)>,
     /// Shipped batches, reusable once no lane holds them.
     pool: Vec<Arc<HashedBatch>>,
     /// Rows shipped to the lanes by this router.
@@ -761,7 +762,7 @@ impl ShardedCatalog {
         shell.regroup();
         let mut readers = Vec::with_capacity(entries.len());
         for (i, mut e) in entries.into_iter().enumerate() {
-            readers.push((e.id, e.name.clone(), e.est.reader()));
+            readers.push((e.id, e.name.clone(), e.query.kind, e.est.reader()));
             children[i % threads].entries.push(e);
         }
         for child in &mut children {
@@ -811,8 +812,8 @@ impl ShardedCatalog {
     pub fn find(&self, name: &str) -> Option<QueryId> {
         self.readers
             .iter()
-            .find(|(_, n, _)| n == name)
-            .map(|&(id, _, _)| id)
+            .find(|(_, n, _, _)| n == name)
+            .map(|&(id, ..)| id)
     }
 
     /// A wait-free reader for one query's published views; `None` if the
@@ -822,15 +823,34 @@ impl ShardedCatalog {
     pub fn reader(&self, id: QueryId) -> Option<EstimateReader> {
         self.readers
             .iter()
-            .find(|(rid, _, _)| *rid == id)
-            .map(|(_, _, r)| r.clone())
+            .find(|(rid, ..)| *rid == id)
+            .map(|(.., r)| r.clone())
     }
 
     /// Iterates live queries in registration order as `(id, name)`.
     pub fn iter(&self) -> impl Iterator<Item = (QueryId, &str)> {
         self.readers
             .iter()
-            .map(|(id, name, _)| (*id, name.as_str()))
+            .map(|(id, name, ..)| (*id, name.as_str()))
+    }
+
+    /// Publishes, barriers, then appends each query's `query_tuples` and
+    /// `query_answer` series, settled at the routed prefix, to `out`.
+    pub fn prometheus_into(&mut self, namespace: &str, out: &mut String) {
+        self.publish();
+        self.barrier();
+        let mut w = Exposition::new(namespace, out);
+        let ([tuples, ..], answer) = (&QUERY_SERIES, "query_answer");
+        w.family(tuples.name, tuples.kind, tuples.help);
+        for (_, name, _, r) in &self.readers {
+            w.labeled(tuples.name, "query", name, r.tuples());
+        }
+        w.family(answer, Kind::Gauge, QUERY_ANSWER_HELP);
+        for (_, name, kind, r) in &self.readers {
+            let value = kind.answer_from(&r.estimate());
+            let value = if value.is_finite() { value } else { 0.0 };
+            w.labeled(answer, "query", name, value);
+        }
     }
 
     /// A pooled batch ready to refill with [`TupleHasher::hash_batch`],

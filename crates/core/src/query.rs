@@ -35,6 +35,19 @@ pub enum QueryKind {
     Complement,
 }
 
+impl QueryKind {
+    /// This kind's scalar answer out of a full three-component estimate —
+    /// shared by [`QueryEngine`], the multi-query
+    /// [`catalog`](crate::catalog) and the front ends.
+    pub fn answer_from(self, e: &Estimate) -> f64 {
+        match self {
+            QueryKind::DistinctCount => e.f0_sup,
+            QueryKind::Implication => e.implication_count,
+            QueryKind::Complement => e.non_implication_count,
+        }
+    }
+}
+
 /// A conjunctive membership filter for conditional implications
 /// ("… during the morning", "… for the P2P service").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -228,17 +241,6 @@ impl ImplicationQuery {
             support_only: self.rhs.is_empty() && cond.max_multiplicity >= 1 && cond.top_c >= 1,
         }
     }
-
-    /// Selects this query's scalar answer out of a full three-component
-    /// estimate, per its [`QueryKind`] — shared by [`QueryEngine`] and
-    /// the multi-query [`catalog`](crate::catalog).
-    pub fn answer_from(&self, e: &Estimate) -> f64 {
-        match self.kind {
-            QueryKind::DistinctCount => e.f0_sup,
-            QueryKind::Implication => e.implication_count,
-            QueryKind::Complement => e.non_implication_count,
-        }
-    }
 }
 
 /// A query's estimator before it is built (see
@@ -331,7 +333,7 @@ impl QueryEngine {
 
     /// The scalar answer for the query's [`QueryKind`].
     pub fn answer(&self) -> f64 {
-        self.query.answer_from(&self.est.estimate_now())
+        self.query.kind.answer_from(&self.est.estimate_now())
     }
 
     /// The full three-component estimate.

@@ -31,7 +31,7 @@ pub enum CatalogCtrl {
 
 /// What a query connection needs to answer `/estimate?query=…` without
 /// consulting the writer: the registered name, the declarative query
-/// (for `answer_from`), and a wait-free per-query reader.
+/// (for its kind's `answer_from`), and a wait-free per-query reader.
 pub struct CatalogQueryHandle {
     pub name: String,
     pub query: ImplicationQuery,
@@ -103,7 +103,7 @@ fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<
             };
             let view = handle.reader.view();
             let e = view.estimate();
-            let answer = handle.query.answer_from(&e);
+            let answer = handle.query.kind.answer_from(&e);
             let body = format!(
                 "{{\"id\":{id},\"name\":{},\"epoch\":{},\"tuples\":{},\
                  \"answer\":{answer},\"answer_bits\":{},\

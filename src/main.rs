@@ -51,8 +51,10 @@
 //! so the tool works on IPs, URLs or numeric ids alike.
 //!
 //! Both modes share one ingest loop, [`run`], with a parser pool under
-//! `--threads N`; stdout and `--watch` lines are the same at every
-//! `--threads` (DESIGN.md §8.10).
+//! `--threads N`. Each engine shadows its `--audit` over exactly the
+//! rows it applies, keyed on the `(h_a, b_fp)` pair its estimators
+//! ingest, so stdout, `--watch` and `--audit` lines are the same at
+//! every `--threads` (DESIGN.md §8.10).
 
 use std::io::{BufRead, Write};
 use std::process::exit;
@@ -62,14 +64,13 @@ use std::sync::OnceLock;
 use implicate::core::wire;
 use implicate::opts::{self, EstimatorOpts, Flag};
 use implicate::pipeline::Pipeline;
-use implicate::sketch::estimate::relative_error;
 use implicate::sketch::hash::MixHasher;
 use implicate::spec::{QuerySpec, FIELD_HASHER_SEED};
 use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
 use implicate::{
-    AccuracyAuditor, EstimateReader, EstimatorConfig, ExactCounter, HashedBatch,
-    ImplicationConditions, ImplicationCounter, MetricsHandle, QueryCatalog, QueryId, QueryKind,
-    Schema, ShardedCatalog, TraceHandle, Tuple, TupleHasher,
+    AccuracyAuditor, EstimateReader, EstimatorConfig, HashedBatch, ImplicationConditions,
+    QueryCatalog, QueryCombiner, QueryId, QueryKind, Schema, ShardedCatalog, TraceHandle,
+    TupleHasher,
 };
 
 /// Lines per batch dealt to the parser pool, and the most rows one
@@ -88,14 +89,6 @@ enum StatsFormat {
     Prom,
 }
 
-/// Renders one periodic stats emission in the selected format.
-fn stats_emission(metrics: &MetricsHandle, format: StatsFormat) -> String {
-    match format {
-        StatsFormat::Influx => metrics.line_protocol("implicate"),
-        StatsFormat::Prom => metrics.prometheus("implicate").trim_end().to_owned(),
-    }
-}
-
 /// The command line: the flag values as parsed, then, once
 /// [`Cli::finish`] has checked them, the resolved columns, the query
 /// catalog and the estimator configuration. In catalog mode
@@ -107,11 +100,12 @@ struct Cli {
     rhs: Vec<usize>,
     queries: Vec<QuerySpec>,
     config: EstimatorConfig,
-    complement: bool,
+    /// The answer plain mode reports: `S̄` under `--complement`, else `S`.
+    kind: QueryKind,
     watch: Option<u64>,
     stats: bool,
     stats_interval: Option<u64>,
-    stats_format: StatsFormat,
+    stats_format: Option<StatsFormat>,
     trace_out: Option<String>,
     trace_buffer: usize,
     audit: Option<u64>,
@@ -131,11 +125,11 @@ impl Default for Cli {
             queries: Vec::new(),
             // Replaced by `finish` with the configuration the flags give.
             config: EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1)),
-            complement: false,
+            kind: QueryKind::Implication,
             watch: None,
             stats: false,
             stats_interval: None,
-            stats_format: StatsFormat::Influx,
+            stats_format: None,
             trace_out: None,
             trace_buffer: implicate::core::trace::DEFAULT_JOURNAL_EVENTS,
             audit: None,
@@ -156,7 +150,7 @@ const OPTIONS: &[Flag<Cli>] = &[
         metavar: "",
         doc: "report the non-implication count S̄ instead of S",
         set: |d, _| {
-            d.complement = true;
+            d.kind = QueryKind::Complement;
             Ok(())
         },
     },
@@ -184,13 +178,13 @@ const OPTIONS: &[Flag<Cli>] = &[
     Flag {
         name: "--stats-format",
         metavar: "F",
-        doc: "influx (line protocol, default) | prom (Prometheus\ntext exposition) for --stats-interval emissions",
+        doc: "influx (line protocol, default) | prom (Prometheus\ntext exposition) for --stats-interval emissions\n(not with --query-file, whose stats are Prometheus text)",
         set: |d, v| {
-            d.stats_format = match v {
+            d.stats_format = Some(match v {
                 "influx" => StatsFormat::Influx,
                 "prom" => StatsFormat::Prom,
                 other => return Err(format!("unknown stats format {other:?}")),
-            };
+            });
             Ok(())
         },
     },
@@ -212,13 +206,13 @@ const OPTIONS: &[Flag<Cli>] = &[
     Flag {
         name: "--audit",
         metavar: "N",
-        doc: "every N rows, audit the estimate against exact ground\ntruth and report relative error on stderr (needs\n--threads 1; see --audit-sample)",
+        doc: "every N rows, audit the answer against exact ground\ntruth and report relative error on stderr (per query\nwith --query-file; see --audit-sample)",
         set: |d, v| opts::at_least_one(v, "--audit").map(|n| d.audit = Some(n)),
     },
     Flag {
         name: "--audit-sample",
         metavar: "K",
-        doc: "shadow one in K itemsets exactly during --audit\n(default 1 = all; >1 trades memory for sampling noise;\nnot with --query-file)",
+        doc: "shadow one in K itemsets exactly during --audit, chosen\nby their hash h_a (default 1 = all; >1 trades memory\nfor sampling noise)",
         set: |d, v| opts::at_least_one(v, "--audit-sample").map(|n| d.audit_sample = Some(n)),
     },
     Flag {
@@ -321,12 +315,11 @@ impl Cli {
             if self.save.is_some() || self.resume.is_some() {
                 die("--save/--resume are not supported with --query-file");
             }
-            if self.complement {
+            if self.kind == QueryKind::Complement {
                 die("--complement is per-query in a query file (use the `complement` option)");
             }
-            if self.audit_sample.is_some() {
-                // Catalog audits shadow every key of every query exactly.
-                die("--audit-sample is not supported with --query-file");
+            if self.stats_format.is_some() {
+                die("--stats-format is not supported with --query-file (its stats are Prometheus text)");
             }
             // Line grammar: `implicate::spec`.
             let body =
@@ -348,26 +341,23 @@ impl Cli {
         if self.audit_sample.is_some() && self.audit.is_none() {
             die("--audit-sample needs --audit");
         }
-        if self.audit.is_some() && self.est.threads > 1 {
-            // The audit compares an exact prefix count against the live
-            // estimate at an exact row boundary; sharded ingestion would
-            // need a pipeline barrier per audit to make that meaningful.
-            die("--audit requires --threads 1");
-        }
         self.config = self.est.config().unwrap_or_else(|e| die(&e));
         self
     }
 }
 
 /// What [`run`] feeds: plain mode's [`Pipeline`] or catalog mode's
-/// queries, each with its `--audit` shadow.
+/// queries. Each engine shadows its `--audit` over exactly the rows it
+/// applies, so `--threads` changes only speed.
 trait Engine {
-    /// One accepted input row, as the engine ingests it.
-    type Row: Send;
-    /// Applies `rows` in order and leaves the vector empty.
-    fn apply(&mut self, rows: &mut Vec<Self::Row>);
-    /// Shadows one accepted row's fields for `--audit` (`--threads 1`).
-    fn observe(&mut self, fields: &[u64]);
+    /// One word of a row batch: plain mode's `(h_a, b_fp)` pair, or one
+    /// of a catalog row's values.
+    type Word: Copy + Send;
+    /// Words per row.
+    fn width(&self) -> usize;
+    /// Applies `rows` (`width` words each) in order, shadowing them for
+    /// `--audit`, and leaves the vector empty.
+    fn apply(&mut self, rows: &mut Vec<Self::Word>);
     /// Prints the reports due at row `rows`, every row up to it applied.
     fn report(&mut self, rows: u64);
 }
@@ -378,35 +368,36 @@ fn due(n: Option<u64>, rows: u64) -> bool {
 }
 
 /// The one ingest loop of both modes; returns `(rows, skipped)`.
-/// `make_row` turns a line's field fingerprints (the columns `wanted`
-/// selects) into an engine row, or `None` for a row too short for it,
-/// which counts as skipped. At `--threads 1` this thread parses; at
-/// `--threads N` the [`parse_pool`] does. Either way rows reach the
-/// engine in stream order, in batches cut at every report boundary, so
-/// each report names its exact row.
+/// `make_row` appends the engine row of a line's field fingerprints (the
+/// columns `wanted` selects) to a batch and returns `true`, or returns
+/// `false` for a row too short for it, which counts as skipped. At
+/// `--threads 1` this thread parses; at `--threads N` the [`parse_pool`]
+/// does. Either way rows reach the engine in stream order, in batches cut
+/// at every report boundary, so each report names its exact row.
 fn run<E: Engine + Send>(
     cli: &Cli,
     engine: &mut E,
     wanted: &[bool],
-    mut make_row: impl FnMut(&[u64]) -> Option<E::Row> + Clone + Send,
+    mut make_row: impl FnMut(&[u64], &mut Vec<E::Word>) -> bool + Clone + Send,
 ) -> (u64, u64) {
     let mut lines = LineReader::new(open_input(cli));
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
-    let (mut rows, mut batch) = (0, Vec::new());
-    let mut push = |engine: &mut E, row| {
-        batch.push(row);
+    let (width, mut rows, mut batch) = (engine.width(), 0, Vec::new());
+    // Counts the row just appended to `batch`.
+    let mut accepted = |engine: &mut E, batch: &mut Vec<E::Word>| {
         rows += 1;
         let report = due(cli.audit, rows) || due(cli.stats_interval, rows) || due(cli.watch, rows);
-        if report || batch.len() >= LINE_BATCH {
-            engine.apply(&mut batch);
+        if report || batch.len() >= LINE_BATCH * width {
+            engine.apply(batch);
         }
         if report {
             engine.report(rows);
         }
     };
     let skipped = if cli.est.threads > 1 {
-        parse_pool(cli, lines, &fields, wanted, make_row, |row| {
-            push(engine, row)
+        parse_pool(cli, lines, &fields, wanted, width, make_row, |row| {
+            batch.extend_from_slice(row);
+            accepted(engine, &mut batch);
         })
     } else {
         let mut skipped = 0;
@@ -414,14 +405,11 @@ fn run<E: Engine + Send>(
             let Some(row) = cli_fields(&mut fields, line, wanted) else {
                 continue;
             };
-            let Some(made) = make_row(row) else {
+            if make_row(row, &mut batch) {
+                accepted(engine, &mut batch);
+            } else {
                 skipped += 1;
-                continue;
-            };
-            if cli.audit.is_some() {
-                engine.observe(row);
             }
-            push(engine, made);
         }
         skipped
     };
@@ -436,14 +424,15 @@ fn run<E: Engine + Send>(
 /// each, lines `\n`-separated) and deals them round-robin to N parsers,
 /// each running its own clone of `make_row`. A collector thread takes the
 /// parsed batches back *in dealing order*, restoring stream order, and
-/// hands their rows to `sink`.
-fn parse_pool<T: Send>(
+/// hands their rows (`width` words each) to `sink`.
+fn parse_pool<T: Copy + Send>(
     cli: &Cli,
     mut lines: LineReader<Box<dyn BufRead>>,
     fields: &LineFields,
     wanted: &[bool],
-    make_row: impl FnMut(&[u64]) -> Option<T> + Clone + Send,
-    mut sink: impl FnMut(T) + Send,
+    width: usize,
+    make_row: impl FnMut(&[u64], &mut Vec<T>) -> bool + Clone + Send,
+    mut sink: impl FnMut(&[T]) + Send,
 ) -> u64 {
     let threads = cli.est.threads;
     std::thread::scope(|scope| {
@@ -457,15 +446,14 @@ fn parse_pool<T: Send>(
             let (mut fields, mut make_row) = (fields.clone(), make_row.clone());
             scope.spawn(move || {
                 while let Ok(batch) = line_rx.recv() {
-                    let (mut rows, mut skipped) = (Vec::with_capacity(LINE_BATCH), 0);
+                    let (mut rows, mut skipped) = (Vec::with_capacity(LINE_BATCH * width), 0);
                     // The piece after the final `\n` is empty, so blank.
                     for line in batch.split(|&b| b == b'\n') {
                         let Some(row) = cli_fields(&mut fields, line, wanted) else {
                             continue;
                         };
-                        match make_row(row) {
-                            Some(made) => rows.push(made),
-                            None => skipped += 1,
+                        if !make_row(row, &mut rows) {
+                            skipped += 1;
                         }
                     }
                     if parsed_tx.send((rows, skipped)).is_err() {
@@ -482,7 +470,7 @@ fn parse_pool<T: Send>(
                         break 'drain;
                     };
                     skipped += s;
-                    rows.into_iter().for_each(&mut sink);
+                    rows.chunks_exact(width).for_each(&mut sink);
                 }
             }
             skipped
@@ -541,35 +529,35 @@ fn open_input(cli: &Cli) -> Box<dyn BufRead> {
     }
 }
 
-/// Plain mode's engine: the [`Pipeline`] and the `--audit` shadow.
+/// Plain mode's engine: the [`Pipeline`] and the `--audit` shadow of
+/// the `(h_a, b_fp)` pairs it applies.
 struct Plain<'c> {
     cli: &'c Cli,
     pipeline: Pipeline,
     auditor: Option<AccuracyAuditor>,
-    buf_a: Vec<u64>,
-    buf_b: Vec<u64>,
 }
 
 impl Engine for Plain<'_> {
-    type Row = (u64, u64);
+    type Word = (u64, u64);
 
-    fn apply(&mut self, rows: &mut Vec<(u64, u64)>) {
-        self.pipeline.apply(rows);
-        rows.clear();
+    fn width(&self) -> usize {
+        1
     }
 
-    fn observe(&mut self, fields: &[u64]) {
+    fn apply(&mut self, rows: &mut Vec<(u64, u64)>) {
         if let Some(aud) = &mut self.auditor {
-            project(fields, &self.cli.lhs, &mut self.buf_a);
-            project(fields, &self.cli.rhs, &mut self.buf_b);
-            aud.observe(&self.buf_a, &self.buf_b);
+            for &(h_a, b_fp) in rows.iter() {
+                aud.observe(&[h_a], &[b_fp]);
+            }
         }
+        self.pipeline.apply(rows);
+        rows.clear();
     }
 
     fn report(&mut self, rows: u64) {
         let cli = self.cli;
         if let Some(aud) = self.auditor.as_mut().filter(|_| due(cli.audit, rows)) {
-            let s = aud.audit(self.pipeline.estimate().implication_count);
+            let s = aud.audit(cli.kind.answer_from(&self.pipeline.estimate()));
             eprintln!(
                 "audit {} rows: exact ≈ {:.0}, estimate {:.0}, rel error {:.4}",
                 s.position, s.exact, s.estimated, s.rel_error
@@ -583,21 +571,21 @@ impl Engine for Plain<'_> {
                 // how far the published prefix trails the routed stream.
                 sharded.publish();
             }
-            eprintln!(
-                "{}",
-                stats_emission(self.pipeline.metrics(), cli.stats_format)
-            );
+            let metrics = self.pipeline.metrics();
+            let text = match cli.stats_format.unwrap_or(StatsFormat::Influx) {
+                StatsFormat::Influx => metrics.line_protocol("implicate"),
+                StatsFormat::Prom => metrics.prometheus("implicate"),
+            };
+            eprintln!("{}", text.trim_end());
         }
         if due(cli.watch, rows) {
             let e = self.pipeline.estimate();
-            let answer = if cli.complement {
-                e.non_implication_count
-            } else {
-                e.implication_count
-            };
             eprintln!(
-                "{rows} rows: answer ≈ {answer:.0} (S {:.0}, S̄ {:.0}, F0^sup {:.0})",
-                e.implication_count, e.non_implication_count, e.f0_sup
+                "{rows} rows: answer ≈ {:.0} (S {:.0}, S̄ {:.0}, F0^sup {:.0})",
+                cli.kind.answer_from(&e),
+                e.implication_count,
+                e.non_implication_count,
+                e.f0_sup
             );
         }
     }
@@ -629,7 +617,8 @@ fn plain(cli: &Cli) {
     // land in the same journal.
     let sample = cli.audit_sample.unwrap_or(1);
     let auditor = cli.audit.map(|cadence| {
-        let mut auditor = AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, sample);
+        let auditor = AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, sample);
+        let mut auditor = auditor.reporting(cli.kind);
         auditor.set_trace(est.trace().clone());
         auditor
     });
@@ -638,14 +627,16 @@ fn plain(cli: &Cli) {
         cli,
         pipeline: Pipeline::new(est, cli.est.threads),
         auditor,
-        buf_a: Vec::new(),
-        buf_b: Vec::new(),
     };
     let (lhs, rhs) = (&cli.lhs[..], &cli.rhs[..]);
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let (rows, skipped) = run(cli, &mut engine, &wanted_columns(&[lhs, rhs]), move |row| {
-        (project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b))
-            .then(|| pair_hasher.hash_pair(&buf_a, &buf_b))
+    let wanted = wanted_columns(&[lhs, rhs]);
+    let (rows, skipped) = run(cli, &mut engine, &wanted, move |row, batch| {
+        let projected = project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b);
+        if projected {
+            batch.push(pair_hasher.hash_pair(&buf_a, &buf_b));
+        }
+        projected
     });
     if let Some(aud) = &engine.auditor {
         match aud.final_error() {
@@ -665,12 +656,7 @@ fn plain(cli: &Cli) {
 
     let est = engine.pipeline.finish();
     let e = est.estimate_now();
-    let answer = if cli.complement {
-        e.non_implication_count
-    } else {
-        e.implication_count
-    };
-    println!("{answer:.0}");
+    println!("{:.0}", cli.kind.answer_from(&e));
     eprintln!(
         "rows {rows} (skipped {skipped}) | conditions {} | S ≈ {:.0}, S̄ ≈ {:.0}, \
          F0^sup ≈ {:.0} | {} tracking entries",
@@ -697,97 +683,72 @@ fn plain(cli: &Cli) {
     }
 }
 
-/// Exact reference counters for one query during `--audit`.
-struct CatalogAudit {
-    exact: ExactCounter,
-    buf_a: Vec<u64>,
-    buf_b: Vec<u64>,
-}
-
-impl CatalogAudit {
-    fn observe(&mut self, q: &QuerySpec, fields: &[u64]) {
-        if !q.query.filter.is_empty() && !q.query.filter.matches(fields) {
-            return;
-        }
-        self.buf_a.clear();
-        self.buf_b.clear();
-        self.buf_a.extend(q.lhs_cols.iter().map(|&c| fields[c]));
-        self.buf_b.extend(q.rhs_cols.iter().map(|&c| fields[c]));
-        self.exact.update(&self.buf_a, &self.buf_b);
-    }
-
-    fn answer(&self, kind: QueryKind) -> f64 {
-        match kind {
-            QueryKind::DistinctCount => self.exact.exact_f0_sup() as f64,
-            QueryKind::Implication => self.exact.exact_implication_count() as f64,
-            QueryKind::Complement => self.exact.exact_non_implication_count() as f64,
-        }
-    }
-}
-
 /// Catalog mode's queries: the [`QueryCatalog`] itself at `--threads 1`;
 /// otherwise partitioned over N lanes ([`ShardedCatalog`]) that each see
-/// every tuple, with one reader per query in file order.
+/// every row.
 enum Queries {
     Single(QueryCatalog),
-    Sharded(ShardedCatalog, Vec<EstimateReader>),
+    Sharded(ShardedCatalog),
 }
 
-/// Catalog mode's engine. Every tuple is hashed attribute-wise once,
-/// whatever the number of queries, and fed to each of them.
+/// Catalog mode's engine. Rows travel flat, `arity` values each; every
+/// row is hashed attribute-wise once, whatever the number of queries,
+/// and fed to each of them.
 struct Catalog<'c> {
     cli: &'c Cli,
     queries: Queries,
-    ids: Vec<QueryId>,
+    /// One reader per query, in file order.
+    readers: Vec<EstimateReader>,
     hasher: TupleHasher,
     hashed: HashedBatch,
-    audits: Vec<CatalogAudit>,
+    /// Under `--audit`, one shadow per query in file order, beside the
+    /// combiner that derives the pair the query's estimator ingests.
+    audits: Vec<(QueryCombiner, AccuracyAuditor)>,
 }
 
 impl Catalog<'_> {
     /// Each query's `(answer, matched tuples)` over the rows applied so
-    /// far, in file order. Sharded lanes publish, then barrier, so the
-    /// views are settled at exactly this row: the single catalog's
-    /// numbers.
+    /// far, in file order, read through its reader: the queries publish,
+    /// and sharded lanes then barrier, so the views are settled at
+    /// exactly this row.
     fn settled(&mut self) -> Vec<(f64, u64)> {
         match &mut self.queries {
-            Queries::Single(catalog) => self
-                .ids
-                .iter()
-                .map(|&id| {
-                    let answer = catalog.answer(id).expect("live query");
-                    (answer, catalog.matched(id).expect("live query"))
-                })
-                .collect(),
-            Queries::Sharded(sharded, readers) => {
+            Queries::Single(catalog) => catalog.publish(),
+            Queries::Sharded(sharded) => {
                 sharded.publish();
                 sharded.barrier();
-                let queries = self.cli.queries.iter();
-                queries
-                    .zip(readers.iter())
-                    .map(|(q, r)| (q.query.answer_from(&r.estimate()), r.tuples()))
-                    .collect()
             }
         }
+        let queries = self.cli.queries.iter().zip(&self.readers);
+        queries
+            .map(|(q, r)| (q.query.kind.answer_from(&r.estimate()), r.tuples()))
+            .collect()
     }
 }
 
 impl Engine for Catalog<'_> {
-    type Row = Tuple;
+    type Word = u64;
 
-    fn apply(&mut self, rows: &mut Vec<Tuple>) {
-        self.hasher.hash_batch(rows.drain(..), &mut self.hashed);
-        match &mut self.queries {
-            Queries::Single(catalog) => catalog.process_hashed(&self.hashed),
-            Queries::Sharded(sharded, _) => {
-                self.hashed = sharded.process_hashed(std::mem::take(&mut self.hashed));
-            }
-        }
+    fn width(&self) -> usize {
+        self.hasher.arity()
     }
 
-    fn observe(&mut self, fields: &[u64]) {
-        for (q, audit) in self.cli.queries.iter().zip(&mut self.audits) {
-            audit.observe(q, fields);
+    fn apply(&mut self, rows: &mut Vec<u64>) {
+        let hashed = &mut self.hashed;
+        self.hasher
+            .hash_batch(rows.chunks_exact(self.hasher.arity()), hashed);
+        rows.clear();
+        for (q, (combiner, aud)) in self.cli.queries.iter().zip(&mut self.audits) {
+            for i in 0..hashed.len() {
+                if q.query.filter.matches(hashed.row(i)) {
+                    let (h_a, b_fp) = hashed.combine_row(combiner, i);
+                    aud.observe(&[h_a], &[b_fp]);
+                }
+            }
+        }
+        match &mut self.queries {
+            Queries::Single(catalog) => catalog.process_hashed(hashed),
+            Queries::Sharded(sharded) => *hashed = sharded.process_hashed(std::mem::take(hashed)),
         }
     }
 
@@ -795,28 +756,23 @@ impl Engine for Catalog<'_> {
         let cli = self.cli;
         if due(cli.audit, rows) {
             let answers = self.settled();
-            let audits = cli.queries.iter().zip(&self.audits);
-            for ((q, audit), (est, _)) in audits.zip(answers) {
-                let exact = audit.answer(q.query.kind);
+            let audits = cli.queries.iter().zip(&mut self.audits);
+            for ((q, (_, aud)), (answer, _)) in audits.zip(answers) {
+                let s = aud.audit(answer);
                 eprintln!(
-                    "audit {rows} rows [{}]: exact ≈ {exact:.0}, estimate {est:.0}, \
+                    "audit {rows} rows [{}]: exact ≈ {:.0}, estimate {answer:.0}, \
                      rel error {:.4}",
-                    q.name,
-                    relative_error(exact, est)
+                    q.name, s.exact, s.rel_error
                 );
             }
         }
         if due(cli.stats_interval, rows) {
-            if let Queries::Single(catalog) = &self.queries {
-                let mut text = String::new();
-                catalog.prometheus_into("implicate", &mut text);
-                eprintln!("{}", text.trim_end());
-            } else {
-                for (q, (answer, matched)) in cli.queries.iter().zip(self.settled()) {
-                    eprintln!("implicate_query_tuples{{query=\"{}\"}} {matched}", q.name);
-                    eprintln!("implicate_query_answer{{query=\"{}\"}} {answer}", q.name);
-                }
+            let mut text = String::new();
+            match &mut self.queries {
+                Queries::Single(catalog) => catalog.prometheus_into("implicate", &mut text),
+                Queries::Sharded(sharded) => sharded.prometheus_into("implicate", &mut text),
             }
+            eprintln!("{}", text.trim_end());
         }
         if due(cli.watch, rows) {
             for (q, (answer, matched)) in cli.queries.iter().zip(self.settled()) {
@@ -831,9 +787,9 @@ impl Engine for Catalog<'_> {
 
 /// Catalog mode: registers every `--query-file` query on a schema
 /// spanning every column they touch and answers all of them in a single
-/// pass. Rows are hashed whole (every column becomes one tuple
-/// attribute); `--watch`, `--stats`, `--stats-interval`, `--audit` and
-/// `--trace-out` all operate per query.
+/// pass. Rows travel flat and are hashed whole (every column becomes one
+/// tuple attribute); `--watch`, `--stats`, `--stats-interval`, `--audit`
+/// and `--trace-out` all operate per query.
 fn catalog(cli: &Cli) {
     let arity = 1 + cli
         .queries
@@ -855,40 +811,48 @@ fn catalog(cli: &Cli) {
                 .unwrap_or_else(|e| die(&format!("query {:?}: {e}", q.name)))
         })
         .collect();
+    let readers = ids
+        .iter()
+        .map(|&id| catalog.reader(id).expect("live query"));
+    let readers = readers.collect();
     let hasher = catalog.hasher().clone();
+    let sample = cli.audit_sample.unwrap_or(1);
+    let audits = cli.audit.map_or_else(Vec::new, |cadence| {
+        let audit = |q: &QuerySpec| {
+            let auditor = AccuracyAuditor::new(q.query.conditions, cadence, sample);
+            (
+                hasher.combiner(q.query.lhs, q.query.rhs),
+                auditor.reporting(q.query.kind),
+            )
+        };
+        cli.queries.iter().map(audit).collect()
+    });
     let queries = if cli.est.threads > 1 {
-        let sharded = ShardedCatalog::new(catalog, cli.est.threads);
-        let readers = ids
-            .iter()
-            .map(|&id| sharded.reader(id).expect("live query"));
-        let readers = readers.collect();
-        Queries::Sharded(sharded, readers)
+        Queries::Sharded(ShardedCatalog::new(catalog, cli.est.threads))
     } else {
         Queries::Single(catalog)
     };
-    let audits = cli.queries.iter().filter(|_| cli.audit.is_some());
-    let audits = audits.map(|q| CatalogAudit {
-        exact: ExactCounter::new(q.query.conditions),
-        buf_a: Vec::new(),
-        buf_b: Vec::new(),
-    });
     let mut engine = Catalog {
         cli,
         queries,
-        ids,
+        readers,
         hasher,
         hashed: HashedBatch::new(),
-        audits: audits.collect(),
+        audits,
     };
-    let (rows, skipped) = run(cli, &mut engine, &vec![true; arity], |row| {
-        (row.len() >= arity).then(|| Tuple::new(row))
+    let (rows, skipped) = run(cli, &mut engine, &vec![true; arity], |row, batch| {
+        let whole = row.len() >= arity;
+        if whole {
+            batch.extend_from_slice(&row[..arity]);
+        }
+        whole
     });
     let catalog = match engine.queries {
         Queries::Single(catalog) => catalog,
-        Queries::Sharded(sharded, _) => sharded.finish(),
+        Queries::Sharded(sharded) => sharded.finish(),
     };
 
-    for (q, id) in cli.queries.iter().zip(engine.ids) {
+    for (q, id) in cli.queries.iter().zip(ids) {
         println!("{}\t{:.0}", q.name, catalog.answer(id).expect("live query"));
     }
     let lanes = if cli.est.threads > 1 {

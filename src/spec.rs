@@ -25,31 +25,22 @@ use imp_stream::{AttrId, AttrSet};
 /// every front end (CLI, serve).
 pub const FIELD_HASHER_SEED: u64 = 0x00f1_e1d5;
 
-/// One parsed spec line: a registration name, the query, and the raw
-/// column lists (kept for exact-audit projections and schema sizing).
+/// One parsed spec line: a registration name and the query.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     /// The name the query registers under.
     pub name: String,
     /// The declarative query (filter included).
     pub query: ImplicationQuery,
-    /// `lhs` columns in spec order.
-    pub lhs_cols: Vec<usize>,
-    /// `rhs` columns in spec order.
-    pub rhs_cols: Vec<usize>,
 }
 
 impl QuerySpec {
     /// The highest column this spec touches (lhs, rhs, or a `where=`
     /// clause) — schemas must span at least `max_column() + 1`.
     pub fn max_column(&self) -> usize {
-        self.lhs_cols
-            .iter()
-            .chain(&self.rhs_cols)
-            .copied()
-            .chain(self.query.filter.attrs().iter().map(|a| a.index()))
-            .max()
-            .unwrap_or(0)
+        let q = &self.query;
+        let touched = q.lhs.union(q.rhs).union(q.filter.attrs());
+        touched.iter().map(|a| a.index()).max().unwrap_or(0)
     }
 }
 
@@ -166,8 +157,6 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
     Ok(QuerySpec {
         name: name.to_owned(),
         query,
-        lhs_cols,
-        rhs_cols,
     })
 }
 
@@ -210,9 +199,9 @@ mod tests {
         assert_eq!(specs[0].query.kind, QueryKind::DistinctCount);
         assert_eq!(specs[1].query.conditions.min_support, 2);
         assert_eq!(specs[2].query.conditions.max_multiplicity, 3);
-        assert_eq!(specs[2].rhs_cols, vec![1, 2]);
+        assert_eq!(specs[2].query.rhs, AttrSet::from_bits(0b110));
         assert_eq!(specs[3].query.kind, QueryKind::Complement);
-        assert_eq!(specs[4].lhs_cols, vec![0, 2]);
+        assert_eq!(specs[4].query.lhs, AttrSet::from_bits(0b101));
         assert_eq!(specs[5].query.kind, QueryKind::Complement);
         assert_eq!(specs[4].max_column(), 2);
     }

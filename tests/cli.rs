@@ -488,22 +488,31 @@ fn audit_reports_error_trajectory_and_summary() {
 }
 
 #[test]
-fn audit_rejects_parallel_ingestion() {
-    let (_, stderr, ok) = run_cli(
+fn complement_audit_checks_the_non_implication_count() {
+    // 2000 loyal and 1500 two-destination sources: S̄ is exactly 1500.
+    let (stdout, stderr, ok) = run_cli(
         &[
             "--lhs",
             "0",
             "--rhs",
             "1",
+            "--complement",
             "--audit",
-            "100",
-            "--threads",
-            "2",
+            "5000",
         ],
-        "",
+        &traffic(2000, 1500),
     );
-    assert!(!ok);
-    assert!(stderr.contains("--audit requires --threads 1"), "{stderr}");
+    assert!(ok, "stderr: {stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("audit 5000 rows:"))
+        .expect("an audit at the last row");
+    assert!(line.contains("exact ≈ 1500,"), "{line}");
+    // The audited estimate is the printed answer, S̄.
+    assert!(
+        line.contains(&format!("estimate {},", stdout.trim())),
+        "{line} vs answer {stdout}"
+    );
 }
 
 /// 12k rows of three columns: skewed sources, mostly loyal, with blank,
@@ -539,6 +548,11 @@ fn watch_lines(stderr: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The `--audit` lines of a run's stderr, in order.
+fn audit_lines(stderr: &str) -> Vec<&str> {
+    stderr.lines().filter(|l| l.starts_with("audit")).collect()
+}
+
 #[test]
 fn every_thread_count_prints_the_same_answers_and_watch_lines() {
     let dir = std::env::temp_dir().join(format!("implicate-tdiff-{}", std::process::id()));
@@ -548,20 +562,34 @@ fn every_thread_count_prints_the_same_answers_and_watch_lines() {
         &qfile,
         "loyal    one-to-one  0  1  support=1\n\
          fanout   more-than   0  1  k=2\n\
-         morning  one-to-one  0  1  where=2=am\n",
+         morning  one-to-one  0  1  where=2=am\n\
+         sources  distinct    0  -\n",
     )
     .expect("write query file");
     let qfile_s = qfile.to_str().expect("utf-8 path");
     let input = mixed_traffic();
     for mode in [
-        &["--lhs", "0", "--rhs", "1", "--watch", "1000"][..],
-        &["--query-file", qfile_s, "--watch", "1000"],
+        &[
+            "--lhs", "0", "--rhs", "1", "--watch", "1000", "--audit", "1000",
+        ][..],
+        &[
+            "--query-file",
+            qfile_s,
+            "--watch",
+            "1000",
+            "--audit",
+            "1000",
+            "--audit-sample",
+            "2",
+        ],
     ] {
         let (out1, err1, ok1) = run_cli(&[mode, &["--threads", "1"]].concat(), &input);
         assert!(ok1, "stderr: {err1}");
         let watch1 = watch_lines(&err1);
         assert!(watch1.len() >= 11, "{mode:?}: stderr: {err1}");
         assert!(err1.contains("skipped 12)"), "{mode:?}: stderr: {err1}");
+        let audit1 = audit_lines(&err1);
+        assert!(audit1.len() >= 12, "{mode:?}: stderr: {err1}");
         for threads in ["2", "3"] {
             let (out, err, ok) = run_cli(&[mode, &["--threads", threads]].concat(), &input);
             assert!(ok, "stderr: {err}");
@@ -570,6 +598,11 @@ fn every_thread_count_prints_the_same_answers_and_watch_lines() {
                 watch_lines(&err),
                 watch1,
                 "{mode:?}: --watch lines at --threads {threads}"
+            );
+            assert_eq!(
+                audit_lines(&err),
+                audit1,
+                "{mode:?}: --audit lines at --threads {threads}"
             );
         }
     }
@@ -642,22 +675,41 @@ fn parallel_catalog_watch_reports_settled_per_query_views() {
         stderr.contains("implicate_query_tuples{query=\"loyal\"} 1000"),
         "stderr: {stderr}"
     );
+    // Each `--stats-interval` emission is a whole exposition: the
+    // `query_tuples` and `query_answer` families, one sample each.
+    let text: String = stderr
+        .lines()
+        .filter(|l| l.starts_with('#') || l.starts_with("implicate_"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let head = "# HELP implicate_query_tuples ";
+    let emissions: Vec<String> = text
+        .split(head)
+        .skip(1)
+        .map(|e| format!("{head}{e}"))
+        .collect();
+    assert_eq!(emissions.len(), 2, "stderr: {stderr}");
+    for text in &emissions {
+        assert_eq!(implicate::lint_prometheus(text), Ok(2), "{text}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn catalog_audit_still_requires_one_thread() {
-    let dir = std::env::temp_dir().join(format!("implicate-qaudit-{}", std::process::id()));
+fn stats_format_is_refused_with_a_query_file() {
+    let dir = std::env::temp_dir().join(format!("implicate-qfmt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let qfile = dir.join("queries.txt");
-    std::fs::write(&qfile, "loyal one-to-one 0 1 support=1\n").expect("write query file");
+    std::fs::write(&qfile, "loyal one-to-one 0 1\n").expect("write query file");
     let qfile_s = qfile.to_str().expect("utf-8 path");
-    let (_, stderr, ok) = run_cli(
-        &["--query-file", qfile_s, "--threads", "2", "--audit", "100"],
-        "",
-    );
-    assert!(!ok);
-    assert!(stderr.contains("--audit requires --threads 1"), "{stderr}");
+    for format in ["influx", "prom"] {
+        let (_, stderr, ok) = run_cli(&["--query-file", qfile_s, "--stats-format", format], "");
+        assert!(!ok, "--stats-format {format} was accepted");
+        assert!(
+            stderr.contains("--stats-format is not supported with --query-file"),
+            "{stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -671,34 +723,6 @@ fn audit_sample_without_audit_is_refused() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--audit-sample needs --audit"), "{stderr}");
-}
-
-#[test]
-fn audit_sample_with_a_query_file_is_refused() {
-    let dir = std::env::temp_dir().join(format!("implicate-qsample-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let qfile = dir.join("queries.txt");
-    std::fs::write(&qfile, "loyal one-to-one 0 1\n").expect("write query file");
-    let qfile_s = qfile.to_str().expect("utf-8 path");
-    let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
-        .args([
-            "--query-file",
-            qfile_s,
-            "--audit",
-            "100",
-            "--audit-sample",
-            "4",
-        ])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run implicate");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("--audit-sample is not supported with --query-file"),
-        "{stderr}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
