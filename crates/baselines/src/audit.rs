@@ -429,23 +429,15 @@ mod tests {
                 auditor.audit(auditor.scaled_exact_count());
             }
         }
-        #[cfg(feature = "trace")]
-        {
-            let journal = trace.journal().expect("journal attached");
-            let audits: Vec<_> = journal
-                .events()
-                .into_iter()
-                .filter_map(|t| match t.event {
-                    TraceEvent::AuditSample { position, .. } => Some(position),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(audits, vec![10, 20, 30]);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            assert!(!TraceHandle::enabled());
-            assert!(trace.journal().is_none());
-        }
+        let journal = trace.journal().expect("journal attached");
+        let audits: Vec<_> = journal
+            .events()
+            .into_iter()
+            .filter_map(|t| match t.event {
+                TraceEvent::AuditSample { position, .. } => Some(position),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(audits, vec![10, 20, 30]);
     }
 }

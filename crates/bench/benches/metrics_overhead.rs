@@ -1,18 +1,15 @@
-//! Observability tax on the §4.6 hot path: the `metrics` feature pins
-//! its per-update overhead here. The `update_hot_path` group is the
-//! contract — run it twice and compare:
+//! Observability cost on the §4.6 hot path:
 //!
 //! ```text
 //! cargo bench -p imp-bench --bench metrics_overhead
-//! cargo bench -p imp-bench --bench metrics_overhead --no-default-features
 //! ```
 //!
-//! With the feature enabled every [`imp_core::ImplicationEstimator::update`]
-//! records one [`imp_core::UpdateOutcome`] into relaxed atomics; the
-//! budget is ≤ 5% over the disabled build (DESIGN.md §8.2). With the
-//! feature off the metrics types are zero-sized no-ops, so the two runs
-//! must be statistically indistinguishable — that build *is* the
-//! baseline, not an approximation of it.
+//! Every [`imp_core::ImplicationEstimator::update`] records one
+//! [`imp_core::UpdateOutcome`] into relaxed atomics, and the metrics are
+//! always compiled in. `update_hot_path` times that path; compare it
+//! across commits with Criterion's saved baselines. The last measurement
+//! against a build without the registry is in EXPERIMENTS.md
+//! ("instrumentation tax").
 
 #![allow(missing_docs)] // criterion_group expands undocumented items
 
@@ -33,21 +30,14 @@ fn stream(n: u64) -> Vec<([u64; 1], [u64; 1])> {
         .collect()
 }
 
-/// The contract benchmark: sequential `update` with whatever metrics
-/// configuration the build was compiled with. The bench name encodes the
-/// active configuration so saved Criterion baselines never silently
-/// compare enabled against disabled.
+/// Sequential `update`, recording into the estimator's registry. The
+/// label is the one earlier saved Criterion baselines carry.
 fn bench_update_hot_path(c: &mut Criterion) {
     let cond = ImplicationConditions::one_to_c(2, 0.8, 2);
     let data = stream(100_000);
     let mut g = c.benchmark_group("update_hot_path");
     g.throughput(Throughput::Elements(data.len() as u64));
-    let label = if imp_core::MetricsRegistry::enabled() {
-        "metrics_enabled"
-    } else {
-        "metrics_disabled"
-    };
-    g.bench_function(label, |bench| {
+    g.bench_function("metrics_enabled", |bench| {
         bench.iter(|| {
             let mut est = EstimatorConfig::new(cond).seed(1).build();
             for (a, b) in &data {
@@ -79,24 +69,17 @@ fn bench_sampling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The `trace` feature's hot-path tax, in the three states a build can
-/// occupy: compiled out (`--no-default-features`), compiled in but
-/// inactive (the default — every estimator starts with a disabled
-/// [`imp_core::TraceHandle`], so each update pays one `Option` check),
-/// and actively journaling into a ring. The DESIGN.md §8.3 budget:
-/// inactive must stay within 5% of compiled out, mirroring the metrics
-/// contract above; journaling cost is reported, not bounded.
+/// Tracing's hot-path cost in its two run-time states: inactive (the
+/// default — every estimator starts with a disabled
+/// [`imp_core::TraceHandle`], so each update pays one `Option` check)
+/// and actively journaling into a ring (DESIGN.md §8.3). Journaling
+/// cost is reported, not bounded.
 fn bench_trace_states(c: &mut Criterion) {
     let cond = ImplicationConditions::one_to_c(2, 0.8, 2);
     let data = stream(100_000);
     let mut g = c.benchmark_group("trace_hot_path");
     g.throughput(Throughput::Elements(data.len() as u64));
-    let label = if imp_core::TraceHandle::enabled() {
-        "trace_inactive"
-    } else {
-        "trace_compiled_out"
-    };
-    g.bench_function(label, |bench| {
+    g.bench_function("trace_inactive", |bench| {
         bench.iter(|| {
             let mut est = EstimatorConfig::new(cond).seed(1).build();
             for (a, b) in &data {
@@ -105,18 +88,16 @@ fn bench_trace_states(c: &mut Criterion) {
             black_box(est.estimate_now())
         });
     });
-    if imp_core::TraceHandle::enabled() {
-        g.bench_function("trace_journaling", |bench| {
-            bench.iter(|| {
-                let mut est = EstimatorConfig::new(cond).seed(1).build();
-                est.set_trace(imp_core::TraceHandle::with_capacity(1 << 16));
-                for (a, b) in &data {
-                    est.update(black_box(a), black_box(b));
-                }
-                black_box(est.estimate_now())
-            });
+    g.bench_function("trace_journaling", |bench| {
+        bench.iter(|| {
+            let mut est = EstimatorConfig::new(cond).seed(1).build();
+            est.set_trace(imp_core::TraceHandle::with_capacity(1 << 16));
+            for (a, b) in &data {
+                est.update(black_box(a), black_box(b));
+            }
+            black_box(est.estimate_now())
         });
-    }
+    });
     g.finish();
 }
 

@@ -39,8 +39,8 @@ use imp_bench::telemetry::{
 use imp_bench::Args;
 use imp_core::wire::{FrameKind, WireSnapshot};
 use imp_core::{
-    lint_prometheus, EstimatorConfig, ImplicationConditions, ImplicationQuery, MetricsRegistry,
-    NodeRegistry, QueryCatalog, QueryEngine, TraceHandle,
+    lint_prometheus, EstimatorConfig, ImplicationConditions, ImplicationQuery, NodeRegistry,
+    QueryCatalog, QueryEngine, TraceHandle,
 };
 use imp_stream::schema::{AttrSet, Schema};
 use imp_stream::tuple::Tuple;
@@ -152,8 +152,10 @@ fn base_report(phase: &str, rows: u64, seed: u64) -> Report {
     r.set("rows", Value::U64(rows));
     r.set("seed", Value::U64(seed));
     r.set("git_sha", Value::Str(git_sha()));
-    r.set("feature_metrics", Value::Bool(MetricsRegistry::enabled()));
-    r.set("feature_trace", Value::Bool(TraceHandle::enabled()));
+    // Observability is always compiled in; the keys stay so reports
+    // written before that still read under one schema.
+    r.set("feature_metrics", Value::Bool(true));
+    r.set("feature_trace", Value::Bool(true));
     r
 }
 
@@ -505,17 +507,15 @@ fn main() {
     });
     // One last render outside the timed window, run through the in-tree
     // linter: the scraped exposition must be well-formed, not just fast.
-    if MetricsRegistry::enabled() {
-        let mut body = metrics.prometheus("implicate");
-        registry.prometheus_into(
-            "implicate",
-            phase_start.elapsed().as_millis() as u64,
-            &mut body,
-        );
-        if let Err(e) = lint_prometheus(&body) {
-            eprintln!("scraped exposition failed the linter: {e}");
-            std::process::exit(1);
-        }
+    let mut body = metrics.prometheus("implicate");
+    registry.prometheus_into(
+        "implicate",
+        phase_start.elapsed().as_millis() as u64,
+        &mut body,
+    );
+    if let Err(e) = lint_prometheus(&body) {
+        eprintln!("scraped exposition failed the linter: {e}");
+        std::process::exit(1);
     }
     let mut obs = finish_report(
         base_report("serve_observability", rows, seed),

@@ -528,15 +528,14 @@ impl QueryCatalog {
     }
 
     /// Budget-pressure sheds attributed to one query (its estimator's
-    /// `shed_events` counter; 0 with metrics compiled out).
+    /// `shed_events` counter).
     pub fn shed_events(&self, id: QueryId) -> Option<u64> {
         self.entry(id)
             .map(|e| e.est.metrics().registry().estimator.shed_events.get())
     }
 
     /// Rows of one query dropped by the Zone-1 filter before they reached
-    /// a bitmap (its estimator's `zone1_skips` counter; 0 with metrics
-    /// compiled out).
+    /// a bitmap (its estimator's `zone1_skips` counter).
     pub fn zone1_skips(&self, id: QueryId) -> Option<u64> {
         self.entry(id)
             .map(|e| e.est.metrics().registry().estimator.zone1_skips.get())
@@ -1377,16 +1376,15 @@ mod tests {
         let id = catalog.register("traced", q);
         catalog.process_batch(&workload(100));
         catalog.retire(id);
-        if let Some(journal) = trace.journal() {
-            let events = journal.events();
-            assert!(events.iter().any(|t| matches!(
-                t.event,
-                TraceEvent::QueryRegistered { query, position: 0 } if query == id.raw()
-            )));
-            assert!(events.iter().any(|t| matches!(
-                t.event,
-                TraceEvent::QueryRetired { query, position: 100 } if query == id.raw()
-            )));
-        }
+        let journal = trace.journal().expect("journal attached");
+        let events = journal.events();
+        assert!(events.iter().any(|t| matches!(
+            t.event,
+            TraceEvent::QueryRegistered { query, position: 0 } if query == id.raw()
+        )));
+        assert!(events.iter().any(|t| matches!(
+            t.event,
+            TraceEvent::QueryRetired { query, position: 100 } if query == id.raw()
+        )));
     }
 }

@@ -15,6 +15,7 @@
 //! difference of the two expansions, never negative.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use imp_sketch::estimate::FM_PHI;
 use imp_sketch::hash::{Hasher64, MixHasher};
@@ -23,7 +24,7 @@ use imp_sketch::rank::split_rank;
 use crate::arena::CellArena;
 use crate::budget::{CapacityPolicy, MemoryBudget};
 use crate::conditions::ImplicationConditions;
-use crate::metrics::{MetricsHandle, Stopwatch};
+use crate::metrics::MetricsHandle;
 use crate::nips::{NipsBitmap, CELLS};
 use crate::trace::{SpanKind, TraceHandle};
 use crate::view::{pack_ranks, EstimateReader, ReadView, ViewPublisher};
@@ -1051,7 +1052,7 @@ impl ImplicationEstimator {
     pub fn to_bytes(&self) -> bytes::Bytes {
         use bytes::BufMut;
         let mut span = self.trace.span(SpanKind::SnapshotEncode);
-        let sw = Stopwatch::start();
+        let started = Instant::now();
         let mut buf = bytes::BytesMut::with_capacity(4096);
         buf.put_u32_le(crate::snapshot::MAGIC);
         buf.put_u16_le(crate::snapshot::VERSION);
@@ -1067,7 +1068,7 @@ impl ImplicationEstimator {
         let m = &self.metrics.snapshot;
         m.encodes.inc();
         m.bytes_written.add(out.len() as u64);
-        m.encode_nanos.observe(sw.elapsed_nanos());
+        m.encode_nanos.observe(started.elapsed().as_nanos() as u64);
         span.set_quantity(out.len() as u64);
         out
     }
@@ -1077,7 +1078,7 @@ impl ImplicationEstimator {
     pub fn from_bytes(mut buf: bytes::Bytes) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::{need, SnapshotError};
         use bytes::Buf;
-        let sw = Stopwatch::start();
+        let started = Instant::now();
         let total_len = buf.len();
         need(&buf, 4 + 2)?;
         if buf.get_u32_le() != crate::snapshot::MAGIC {
@@ -1108,7 +1109,7 @@ impl ImplicationEstimator {
         let s = &metrics.snapshot;
         s.decodes.inc();
         s.bytes_read.add((total_len - buf.len()) as u64);
-        s.decode_nanos.observe(sw.elapsed_nanos());
+        s.decode_nanos.observe(started.elapsed().as_nanos() as u64);
         let est = Self {
             cond,
             bitmaps,

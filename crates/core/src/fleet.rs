@@ -25,110 +25,20 @@
 //! test: the table-driven transition tests below step a fake clock
 //! through every edge of the state diagram.
 //!
-//! # Feature independence
-//!
-//! Unlike [`crate::metrics`] and [`crate::trace`], nothing here is
-//! feature-gated: the registry is updated once per *frame* (not per
-//! row), so its mutex is far off any hot path, and `/status` must keep
-//! answering in `--no-default-features` builds where the sample-based
-//! registry compiles out.
+//! The node table sits under one mutex: it is updated once per *frame*
+//! (not per row), far off any hot path. The merge and publish timings
+//! are lock-free [`Histogram`]s beside it.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::metrics::{Exposition, Row};
+use crate::metrics::{Exposition, Histogram, Row};
 use crate::wire::FrameKind;
 
 /// Default staleness window in milliseconds (the serve binary's
 /// `--stale-after` default): a node with no applied frame for this long
 /// is `stale`, and `lagging` from half this age.
 pub const DEFAULT_STALE_AFTER_MS: u64 = 10_000;
-
-/// Number of power-of-two buckets in a [`Log2Hist`].
-pub const LOG2_HIST_BUCKETS: usize = 64;
-
-/// A plain (non-atomic) log₂-bucketed histogram sharing bucket indexing
-/// and quantile read-off with [`crate::metrics::Histogram`] but
-/// independent of the `metrics`
-/// feature — fleet latency quantiles (merge, publish, edge ship) must
-/// survive `--no-default-features`. Lives under the registry's mutex,
-/// so it needs no interior mutability.
-#[derive(Debug, Clone)]
-pub struct Log2Hist {
-    buckets: [u64; LOG2_HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Log2Hist {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        Self {
-            buckets: [0; LOG2_HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one observation (bucket = bit length of the value).
-    pub fn observe(&mut self, v: u64) {
-        self.buckets[log2_bucket(v, LOG2_HIST_BUCKETS)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Upper bound (exclusive, a power of two) of the bucket containing
-    /// the `q`-quantile, or 0 with no data. `q` is clamped to `[0, 1]`.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        log2_quantile_bound(self.buckets, self.count, q)
-    }
-}
-
-/// The bucket of `v` in a log₂ histogram of `buckets` buckets: its bit
-/// length, with the last bucket catching every wider value. Shared by
-/// [`Log2Hist`] and [`crate::metrics::Histogram`].
-#[inline]
-pub(crate) fn log2_bucket(v: u64, buckets: usize) -> usize {
-    (64 - v.leading_zeros() as usize).min(buckets - 1)
-}
-
-/// Upper bound (exclusive, a power of two) of the log₂ bucket holding the
-/// `q`-quantile of `count` observations with per-bucket counts `buckets`,
-/// or 0 with no data. `q` is clamped to `[0, 1]`.
-pub(crate) fn log2_quantile_bound(
-    buckets: impl IntoIterator<Item = u64>,
-    count: u64,
-    q: f64,
-) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, b) in buckets.into_iter().enumerate() {
-        seen += b;
-        if seen >= target {
-            return 1u64 << i.min(63);
-        }
-    }
-    u64::MAX
-}
-
-impl Default for Log2Hist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Derived health of one node (ordering: healthiest first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -245,20 +155,15 @@ pub struct NodeStatus {
     pub id_conflicts: u64,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    nodes: BTreeMap<u64, NodeEntry>,
-    merge_nanos: Log2Hist,
-    publish_nanos: Log2Hist,
-}
-
 /// The aggregator's per-node registry. Updated once per frame from the
 /// ingest path, read by `/status` and `/metrics` scrapes; a plain mutex
 /// is plenty at frame granularity.
 #[derive(Debug)]
 pub struct NodeRegistry {
     stale_after_ms: u64,
-    inner: Mutex<Inner>,
+    nodes: Mutex<BTreeMap<u64, NodeEntry>>,
+    merge_nanos: Histogram,
+    publish_nanos: Histogram,
 }
 
 impl NodeRegistry {
@@ -267,7 +172,9 @@ impl NodeRegistry {
     pub fn new(stale_after_ms: u64) -> Self {
         Self {
             stale_after_ms: stale_after_ms.max(2),
-            inner: Mutex::new(Inner::default()),
+            nodes: Mutex::new(BTreeMap::new()),
+            merge_nanos: Histogram::new(),
+            publish_nanos: Histogram::new(),
         }
     }
 
@@ -276,21 +183,21 @@ impl NodeRegistry {
         self.stale_after_ms
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, NodeEntry>> {
         // A poisoned mutex only means a panic mid-update; the data is
         // plain counters, safe to keep serving.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        self.nodes.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records a connection pinning itself to `node`: first contact
     /// creates the entry (seeded `live`), later contacts count as
     /// reconnects.
     pub fn record_connect(&self, node: u64, now_ms: u64) {
-        let mut inner = self.lock();
-        match inner.nodes.get_mut(&node) {
+        let mut nodes = self.lock();
+        match nodes.get_mut(&node) {
             Some(entry) => entry.reconnects += 1,
             None => {
-                inner.nodes.insert(
+                nodes.insert(
                     node,
                     NodeEntry {
                         first_seen_ms: now_ms,
@@ -312,8 +219,8 @@ impl NodeRegistry {
         tuples: u64,
         now_ms: u64,
     ) {
-        let mut inner = self.lock();
-        let entry = inner.nodes.entry(node).or_insert_with(|| NodeEntry {
+        let mut nodes = self.lock();
+        let entry = nodes.entry(node).or_insert_with(|| NodeEntry {
             first_seen_ms: now_ms,
             last_frame_ms: now_ms,
             ..NodeEntry::default()
@@ -336,8 +243,8 @@ impl NodeRegistry {
     /// the newest-declared-epoch watermark so `epoch_lag` reflects how
     /// far the node has run ahead of what the aggregator holds.
     pub fn record_error(&self, node: u64, declared_epoch: Option<u64>, now_ms: u64) {
-        let mut inner = self.lock();
-        let entry = inner.nodes.entry(node).or_insert_with(|| NodeEntry {
+        let mut nodes = self.lock();
+        let entry = nodes.entry(node).or_insert_with(|| NodeEntry {
             first_seen_ms: now_ms,
             last_frame_ms: now_ms,
             ..NodeEntry::default()
@@ -352,35 +259,31 @@ impl NodeRegistry {
     /// Records a frame rejected for switching node id mid-connection,
     /// attributed to the *pinned* node.
     pub fn record_id_conflict(&self, node: u64) {
-        let mut inner = self.lock();
-        if let Some(entry) = inner.nodes.get_mut(&node) {
+        if let Some(entry) = self.lock().get_mut(&node) {
             entry.id_conflicts += 1;
         }
     }
 
     /// Times one merge-and-adopt of all replicas (nanoseconds).
     pub fn observe_merge_nanos(&self, nanos: u64) {
-        self.lock().merge_nanos.observe(nanos);
+        self.merge_nanos.observe(nanos);
     }
 
     /// Times one publish of the merged serving state (nanoseconds).
     pub fn observe_publish_nanos(&self, nanos: u64) {
-        self.lock().publish_nanos.observe(nanos);
+        self.publish_nanos.observe(nanos);
     }
 
     /// Derived health of one node, if known.
     pub fn health(&self, node: u64, now_ms: u64) -> Option<NodeHealth> {
         self.lock()
-            .nodes
             .get(&node)
             .map(|e| e.health(now_ms, self.stale_after_ms))
     }
 
     /// Point-in-time view of every node, ordered by node id.
     pub fn snapshot(&self, now_ms: u64) -> Vec<NodeStatus> {
-        let inner = self.lock();
-        inner
-            .nodes
+        self.lock()
             .iter()
             .map(|(&node_id, e)| NodeStatus {
                 node_id,
@@ -416,7 +319,6 @@ impl NodeRegistry {
     /// `"fleet"` key of the serve binary's `/status` payload.
     pub fn status_json(&self, now_ms: u64) -> String {
         let nodes = self.snapshot(now_ms);
-        let inner = self.lock();
         let mut out = String::with_capacity(256 + nodes.len() * 192);
         out.push_str(&format!(
             "{{\"stale_after_ms\":{},\"nodes\":[",
@@ -452,12 +354,12 @@ impl NodeRegistry {
              \"merge_p99_nanos\":{},\"publishes\":{},\"publish_p50_nanos\":{},\
              \"publish_p99_nanos\":{}}}",
             nodes.iter().map(|n| n.age_ms).max().unwrap_or(0),
-            inner.merge_nanos.count(),
-            inner.merge_nanos.quantile_bound(0.50),
-            inner.merge_nanos.quantile_bound(0.99),
-            inner.publish_nanos.count(),
-            inner.publish_nanos.quantile_bound(0.50),
-            inner.publish_nanos.quantile_bound(0.99),
+            self.merge_nanos.count(),
+            self.merge_nanos.quantile_bound(0.50),
+            self.merge_nanos.quantile_bound(0.99),
+            self.publish_nanos.count(),
+            self.publish_nanos.quantile_bound(0.50),
+            self.publish_nanos.quantile_bound(0.99),
         ));
         out
     }
@@ -465,9 +367,7 @@ impl NodeRegistry {
     /// Appends the fleet's labeled Prometheus series (one sample per
     /// node, `node="<id>"` label) plus fleet-wide gauges to `out`, with
     /// `# HELP`/`# TYPE` metadata satisfying
-    /// [`crate::metrics::lint_prometheus`]. Independent of the
-    /// `metrics` feature — these series come from the frame-granularity
-    /// registry, not the sample-based one.
+    /// [`crate::metrics::lint_prometheus`].
     pub fn prometheus_into(&self, namespace: &str, now_ms: u64, out: &mut String) {
         let nodes = self.snapshot(now_ms);
         let mut w = Exposition::new(namespace, out);
@@ -666,18 +566,5 @@ mod tests {
         for name in names.chain(FLEET_SERIES.iter().map(|row| row.name)) {
             assert!(design.contains(&format!("`{name}")), "{name}");
         }
-    }
-
-    #[test]
-    fn log2_hist_quantiles_match_metrics_histogram_semantics() {
-        let mut h = Log2Hist::new();
-        for v in [0u64, 1, 1, 2, 3, 900, 1000, 1100] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 3007);
-        assert!(h.quantile_bound(0.5) <= 4);
-        assert_eq!(h.quantile_bound(0.95), 2048);
-        assert_eq!(Log2Hist::new().quantile_bound(0.5), 0);
     }
 }

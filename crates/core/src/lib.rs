@@ -79,7 +79,7 @@ pub use conditions::{
     Confidence, ImplicationConditions, ImplicationConditionsBuilder, MultiplicityPolicy,
 };
 pub use estimator::{Estimate, EstimatorConfig, Fringe, ImplicationEstimator};
-pub use fleet::{Log2Hist, NodeHealth, NodeRegistry, NodeStatus};
+pub use fleet::{NodeHealth, NodeRegistry, NodeStatus};
 pub use metrics::{lint_prometheus, MetricsHandle, MetricsRegistry, WireMetrics};
 pub use nips::{NipsBitmap, UpdateOutcome};
 pub use parallel::{PairHasher, ShardedEstimator};

@@ -17,20 +17,11 @@
 //! skipped and counted, never decoded).
 //!
 //! Unlike the always-on metrics registry, a journal is **opt-in at run
-//! time** as well as compile time: estimators start with a disabled
-//! [`TraceHandle`], and the hot path pays only an `Option` check until a
-//! journal is attached with
+//! time**: estimators start with a disabled [`TraceHandle`], and the hot
+//! path pays only an `Option` check until a journal is attached with
 //! [`set_trace`](crate::ImplicationEstimator::set_trace). Event
 //! construction sits behind that check, so a disabled handle never even
 //! builds the event value.
-//!
-//! # Feature gate
-//!
-//! Everything here is compile-time gated on the `trace` feature (on by
-//! default, like `metrics`). With the feature **off** every type still
-//! exists with the same API but is a zero-sized shell with empty
-//! `#[inline]` methods — call sites compile unchanged and the optimizer
-//! erases them. [`TraceHandle::enabled`] reports which world was compiled.
 //!
 //! # Event schema
 //!
@@ -54,22 +45,19 @@
 //! est.set_trace(TraceHandle::with_capacity(1024));
 //! est.update(&[7], &[1]);
 //! est.update(&[7], &[2]); // second partner: violates K = 1
-//! if let Some(journal) = est.trace().journal() {
-//!     let dirty = journal
-//!         .events()
-//!         .into_iter()
-//!         .filter(|e| matches!(e.event, TraceEvent::Dirty { .. }))
-//!         .count();
-//!     assert_eq!(dirty, 1);
-//! }
+//! let journal = est.trace().journal().expect("a journal is attached");
+//! let dirty = journal
+//!     .events()
+//!     .into_iter()
+//!     .filter(|e| matches!(e.event, TraceEvent::Dirty { .. }))
+//!     .count();
+//! assert_eq!(dirty, 1);
 //! ```
 
-#[cfg(feature = "trace")]
 use std::sync::atomic::{
     fence, AtomicU64,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-#[cfg(feature = "trace")]
 use std::sync::Arc;
 
 use crate::nips::UpdateOutcome;
@@ -82,7 +70,6 @@ pub const DEFAULT_JOURNAL_EVENTS: usize = 65_536;
 /// (2^48 tuples ≈ 2.8 × 10^14 — far beyond any workload here).
 pub const POSITION_BITS: u32 = 48;
 
-#[cfg(feature = "trace")]
 const POSITION_MASK: u64 = (1 << POSITION_BITS) - 1;
 
 /// The coarse phases bracketed by duration spans ([`Span`]).
@@ -116,7 +103,6 @@ impl SpanKind {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn tag(self) -> u64 {
         match self {
             SpanKind::Ingest => 0,
@@ -128,7 +114,6 @@ impl SpanKind {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn from_tag(tag: u64) -> Option<Self> {
         Some(match tag {
             0 => SpanKind::Ingest,
@@ -142,7 +127,6 @@ impl SpanKind {
     }
 }
 
-#[cfg(feature = "trace")]
 fn reason_tag(reason: DirtyReason) -> u64 {
     match reason {
         DirtyReason::Multiplicity => 0,
@@ -151,7 +135,6 @@ fn reason_tag(reason: DirtyReason) -> u64 {
     }
 }
 
-#[cfg(feature = "trace")]
 fn reason_from_tag(tag: u64) -> Option<DirtyReason> {
     Some(match tag {
         0 => DirtyReason::Multiplicity,
@@ -305,7 +288,6 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// Packs the event into three words: `w0` = kind (8 bits) | subtag
     /// (8 bits) | position/aux (48 bits); `w1`, `w2` = payload.
-    #[cfg(feature = "trace")]
     fn encode(&self) -> [u64; 3] {
         fn w0(kind: u64, subtag: u64, aux: u64) -> u64 {
             kind | (subtag << 8) | ((aux & POSITION_MASK) << 16)
@@ -368,7 +350,6 @@ impl TraceEvent {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn decode(w: [u64; 3]) -> Option<TraceEvent> {
         let kind = w[0] & 0xff;
         let subtag = (w[0] >> 8) & 0xff;
@@ -559,7 +540,6 @@ pub struct TracedEvent {
     pub event: TraceEvent,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct Slot {
     /// 0 = never written; odd = write in progress; even `s` = complete
@@ -575,22 +555,16 @@ struct Slot {
 /// The bounded lock-free ring journal. Obtain one through
 /// [`TraceHandle::with_capacity`]; it is shared (via the handle's `Arc`)
 /// by everything recording into one pipeline.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceJournal {
-    #[cfg(feature = "trace")]
     head: AtomicU64,
-    #[cfg(feature = "trace")]
     collisions: AtomicU64,
-    #[cfg(feature = "trace")]
     torn: AtomicU64,
-    #[cfg(feature = "trace")]
     slots: Vec<Slot>,
-    #[cfg(feature = "trace")]
     mask: u64,
 }
 
 impl TraceJournal {
-    #[cfg(feature = "trace")]
     fn with_capacity(events: usize) -> Self {
         let cap = events.clamp(8, 1 << 24).next_power_of_two();
         let slots = (0..cap)
@@ -609,123 +583,93 @@ impl TraceJournal {
         }
     }
 
-    /// Capacity in events (0 when the `trace` feature is off).
+    /// Capacity in events.
     pub fn capacity(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.slots.len()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.slots.len()
     }
 
     /// Records one event; wait-free, allocation-free. When the ring has
     /// lapped, this overwrites the oldest slot.
     #[inline]
-    pub fn record(&self, _event: TraceEvent) {
-        #[cfg(feature = "trace")]
-        {
-            let w = _event.encode();
-            let ticket = self.head.fetch_add(1, Relaxed);
-            let slot = &self.slots[(ticket & self.mask) as usize];
-            let begin = 2 * ticket + 1;
-            // Claim the slot by advancing its stamp; losing the max means a
-            // ring-lapping writer already owns it — drop this event rather
-            // than race on the payload.
-            let prev = slot.seq.fetch_max(begin, AcqRel);
-            if prev >= begin {
-                self.collisions.fetch_add(1, Relaxed);
-                return;
-            }
-            slot.words[0].store(w[0], Relaxed);
-            slot.words[1].store(w[1], Relaxed);
-            slot.words[2].store(w[2], Relaxed);
-            slot.check.store(w[0] ^ w[1] ^ w[2] ^ begin, Relaxed);
-            // Publish; failure means a lapping writer stole the slot while
-            // we wrote — the slot stays odd/foreign and readers skip it.
-            let _ = slot
-                .seq
-                .compare_exchange(begin, begin + 1, Release, Relaxed);
+    pub fn record(&self, event: TraceEvent) {
+        let w = event.encode();
+        let ticket = self.head.fetch_add(1, Relaxed);
+        let slot = &self.slots[(ticket & self.mask) as usize];
+        let begin = 2 * ticket + 1;
+        // Claim the slot by advancing its stamp; losing the max means a
+        // ring-lapping writer already owns it — drop this event rather
+        // than race on the payload.
+        let prev = slot.seq.fetch_max(begin, AcqRel);
+        if prev >= begin {
+            self.collisions.fetch_add(1, Relaxed);
+            return;
         }
+        slot.words[0].store(w[0], Relaxed);
+        slot.words[1].store(w[1], Relaxed);
+        slot.words[2].store(w[2], Relaxed);
+        slot.check.store(w[0] ^ w[1] ^ w[2] ^ begin, Relaxed);
+        // Publish; failure means a lapping writer stole the slot while
+        // we wrote — the slot stays odd/foreign and readers skip it.
+        let _ = slot
+            .seq
+            .compare_exchange(begin, begin + 1, Release, Relaxed);
     }
 
     /// Total events ever recorded (including overwritten and dropped).
     pub fn recorded(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.head.load(Relaxed)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.head.load(Relaxed)
     }
 
     /// Events no longer retrievable: overwritten by ring laps, dropped on
     /// slot collisions, or skipped as torn during reads.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            let head = self.head.load(Relaxed);
-            head.saturating_sub(self.slots.len() as u64)
-                + self.collisions.load(Relaxed)
-                + self.torn.load(Relaxed)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        let head = self.head.load(Relaxed);
+        head.saturating_sub(self.slots.len() as u64)
+            + self.collisions.load(Relaxed)
+            + self.torn.load(Relaxed)
     }
 
     /// Snapshot of the currently retained events in record order. Safe to
     /// call while writers are active: slots being written (or overwritten
-    /// mid-read) are skipped. Non-destructive. Empty when the `trace`
-    /// feature is off.
+    /// mid-read) are skipped. Non-destructive.
     pub fn events(&self) -> Vec<TracedEvent> {
-        #[cfg(feature = "trace")]
-        {
-            let mut out = Vec::with_capacity(self.slots.len().min(1024));
-            for slot in &self.slots {
-                let s1 = slot.seq.load(Acquire);
-                if s1 == 0 || s1 % 2 == 1 {
-                    continue; // never written, or write in progress
-                }
-                let w = [
-                    slot.words[0].load(Relaxed),
-                    slot.words[1].load(Relaxed),
-                    slot.words[2].load(Relaxed),
-                ];
-                let check = slot.check.load(Relaxed);
-                fence(Acquire);
-                if slot.seq.load(Relaxed) != s1 {
-                    continue; // overwritten while reading
-                }
-                let begin = s1 - 1;
-                if check != w[0] ^ w[1] ^ w[2] ^ begin {
-                    self.torn.fetch_add(1, Relaxed);
-                    continue;
-                }
-                if let Some(event) = TraceEvent::decode(w) {
-                    out.push(TracedEvent {
-                        seq: (s1 - 2) / 2,
-                        event,
-                    });
-                }
+        let mut out = Vec::with_capacity(self.slots.len().min(1024));
+        for slot in &self.slots {
+            let s1 = slot.seq.load(Acquire);
+            if s1 == 0 || s1 % 2 == 1 {
+                continue; // never written, or write in progress
             }
-            out.sort_by_key(|e| e.seq);
-            out
+            let w = [
+                slot.words[0].load(Relaxed),
+                slot.words[1].load(Relaxed),
+                slot.words[2].load(Relaxed),
+            ];
+            let check = slot.check.load(Relaxed);
+            fence(Acquire);
+            if slot.seq.load(Relaxed) != s1 {
+                continue; // overwritten while reading
+            }
+            let begin = s1 - 1;
+            if check != w[0] ^ w[1] ^ w[2] ^ begin {
+                self.torn.fetch_add(1, Relaxed);
+                continue;
+            }
+            if let Some(event) = TraceEvent::decode(w) {
+                out.push(TracedEvent {
+                    seq: (s1 - 2) / 2,
+                    event,
+                });
+            }
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        out.sort_by_key(|e| e.seq);
+        out
     }
 
     /// The retained events as JSONL (one object per line, record order),
     /// terminated by a `journal_summary` object with the recorded/dropped
-    /// totals. This is what the CLI's `--trace-out` writes.
+    /// totals. This is what the CLI's `--trace-out` writes. The summary's
+    /// `enabled` field is always `true`: a journal exists only when
+    /// tracing was asked for.
     pub fn to_jsonl(&self) -> String {
         let events = self.events();
         let mut out = String::with_capacity(events.len() * 80 + 128);
@@ -735,9 +679,8 @@ impl TraceJournal {
             out.push('\n');
         }
         out.push_str(&format!(
-            "{{\"event\":\"journal_summary\",\"enabled\":{},\"recorded\":{},\
+            "{{\"event\":\"journal_summary\",\"enabled\":true,\"recorded\":{},\
              \"retained\":{retained},\"dropped\":{},\"capacity\":{}}}\n",
-            TraceHandle::enabled(),
             self.recorded(),
             self.dropped(),
             self.capacity(),
@@ -748,11 +691,9 @@ impl TraceJournal {
 
 /// A cheaply-clonable reference to one [`TraceJournal`], or a disabled
 /// token. Estimators, their clones and their ingestion shards share the
-/// handle, so one pipeline's events land in one journal. With the `trace`
-/// feature off this is a zero-sized always-disabled token.
+/// handle, so one pipeline's events land in one journal.
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
-    #[cfg(feature = "trace")]
     journal: Option<Arc<TraceJournal>>,
 }
 
@@ -763,76 +704,39 @@ impl TraceHandle {
     }
 
     /// A handle to a fresh journal retaining (about) `events` entries —
-    /// clamped to `[8, 2^24]` and rounded up to a power of two. With the
-    /// `trace` feature off, returns a disabled handle.
+    /// clamped to `[8, 2^24]` and rounded up to a power of two.
     pub fn with_capacity(events: usize) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            Self {
-                journal: Some(Arc::new(TraceJournal::with_capacity(events))),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = events;
-            Self::default()
+        Self {
+            journal: Some(Arc::new(TraceJournal::with_capacity(events))),
         }
     }
 
-    /// Whether tracing was compiled in (the `trace` feature).
-    pub const fn enabled() -> bool {
-        cfg!(feature = "trace")
-    }
-
-    /// Whether this handle carries a journal (always false with the
-    /// feature off).
+    /// Whether this handle carries a journal.
     #[inline]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.journal.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.journal.is_some()
     }
 
     /// The journal, if active.
     pub fn journal(&self) -> Option<&TraceJournal> {
-        #[cfg(feature = "trace")]
-        {
-            self.journal.as_deref()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
-        }
+        self.journal.as_deref()
     }
 
     /// Whether two handles share one journal (or are both disabled).
-    pub fn same_journal(&self, _other: &TraceHandle) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            match (&self.journal, &_other.journal) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            true
+    pub fn same_journal(&self, other: &TraceHandle) -> bool {
+        match (&self.journal, &other.journal) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
         }
     }
 
     /// Records the event built by `make` — which runs only if a journal is
     /// attached, so inactive handles skip event construction entirely.
     #[inline]
-    pub fn record(&self, _make: impl FnOnce() -> TraceEvent) {
-        #[cfg(feature = "trace")]
+    pub fn record(&self, make: impl FnOnce() -> TraceEvent) {
         if let Some(journal) = &self.journal {
-            journal.record(_make());
+            journal.record(make());
         }
     }
 
@@ -842,47 +746,47 @@ impl TraceHandle {
     #[inline]
     pub fn record_update(
         &self,
-        _bitmap: u32,
-        _cell: u32,
-        _key: u64,
-        _position: u64,
-        _outcome: &UpdateOutcome,
+        bitmap: u32,
+        cell: u32,
+        key: u64,
+        position: u64,
+        outcome: &UpdateOutcome,
     ) {
-        #[cfg(feature = "trace")]
-        if let Some(journal) = &self.journal {
-            if let Some(reason) = _outcome.dirty {
-                journal.record(TraceEvent::Dirty {
-                    key: _key,
-                    reason,
-                    position: _position,
-                });
-            }
-            if _outcome.committed {
-                journal.record(TraceEvent::CellCommit {
-                    bitmap: _bitmap,
-                    cell: _cell,
-                    position: _position,
-                });
-            }
-            if _outcome.evictions > 0 {
-                journal.record(TraceEvent::Evictions {
-                    count: _outcome.evictions,
-                    position: _position,
-                });
-            }
-            if _outcome.certified {
-                journal.record(TraceEvent::SupportCertified {
-                    bitmap: _bitmap,
-                    cell: _cell,
-                    position: _position,
-                });
-            }
-            if _outcome.budget_sheds > 0 {
-                journal.record(TraceEvent::BudgetPressure {
-                    shed: _outcome.budget_sheds,
-                    position: _position,
-                });
-            }
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        if let Some(reason) = outcome.dirty {
+            journal.record(TraceEvent::Dirty {
+                key,
+                reason,
+                position,
+            });
+        }
+        if outcome.committed {
+            journal.record(TraceEvent::CellCommit {
+                bitmap,
+                cell,
+                position,
+            });
+        }
+        if outcome.evictions > 0 {
+            journal.record(TraceEvent::Evictions {
+                count: outcome.evictions,
+                position,
+            });
+        }
+        if outcome.certified {
+            journal.record(TraceEvent::SupportCertified {
+                bitmap,
+                cell,
+                position,
+            });
+        }
+        if outcome.budget_sheds > 0 {
+            journal.record(TraceEvent::BudgetPressure {
+                shed: outcome.budget_sheds,
+                position,
+            });
         }
     }
 
@@ -890,35 +794,23 @@ impl TraceHandle {
     /// [`TraceEvent::SpanClosed`] when dropped. Inactive handles read no
     /// clock and record nothing.
     #[inline]
-    pub fn span(&self, _kind: SpanKind) -> Span {
-        #[cfg(feature = "trace")]
-        {
-            Span {
-                handle: self.clone(),
-                kind: _kind,
-                start: self.is_active().then(std::time::Instant::now),
-                quantity: 0,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Span {}
+    pub fn span(&self, kind: SpanKind) -> Span {
+        Span {
+            handle: self.clone(),
+            kind,
+            start: self.is_active().then(std::time::Instant::now),
+            quantity: 0,
         }
     }
 }
 
 /// An RAII duration span (see [`TraceHandle::span`]): journals wall-clock
-/// nanoseconds and an optional kind-specific magnitude on drop. Zero-sized
-/// and inert with the `trace` feature off.
+/// nanoseconds and an optional kind-specific magnitude on drop.
 #[derive(Debug)]
 pub struct Span {
-    #[cfg(feature = "trace")]
     handle: TraceHandle,
-    #[cfg(feature = "trace")]
     kind: SpanKind,
-    #[cfg(feature = "trace")]
     start: Option<std::time::Instant>,
-    #[cfg(feature = "trace")]
     quantity: u64,
 }
 
@@ -926,18 +818,14 @@ impl Span {
     /// Sets the kind-specific magnitude reported with the span (bytes,
     /// pairs, … — see [`SpanKind`]).
     #[inline]
-    pub fn set_quantity(&mut self, _quantity: u64) {
-        #[cfg(feature = "trace")]
-        {
-            self.quantity = _quantity;
-        }
+    pub fn set_quantity(&mut self, quantity: u64) {
+        self.quantity = quantity;
     }
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "trace")]
         if let Some(start) = self.start {
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let (kind, quantity) = (self.kind, self.quantity);
@@ -1035,17 +923,14 @@ mod tests {
         for e in all {
             h.record(|| e);
         }
-        if let Some(journal) = h.journal() {
-            let got = journal.events();
-            assert_eq!(got.len(), all.len());
-            for (i, traced) in got.iter().enumerate() {
-                assert_eq!(traced.seq, i as u64);
-                assert_eq!(traced.event, all[i]);
-            }
-            assert_eq!(journal.dropped(), 0);
-        } else {
-            assert!(!TraceHandle::enabled());
+        let journal = h.journal().expect("active");
+        let got = journal.events();
+        assert_eq!(got.len(), all.len());
+        for (i, traced) in got.iter().enumerate() {
+            assert_eq!(traced.seq, i as u64);
+            assert_eq!(traced.event, all[i]);
         }
+        assert_eq!(journal.dropped(), 0);
     }
 
     #[test]
@@ -1057,28 +942,25 @@ mod tests {
                 position: i,
             });
         }
-        if let Some(journal) = h.journal() {
-            let got = journal.events();
-            assert_eq!(got.len(), 8);
-            let positions: Vec<u64> = got
-                .iter()
-                .map(|e| match e.event {
-                    TraceEvent::Evictions { position, .. } => position,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(positions, (12..20).collect::<Vec<_>>());
-            assert_eq!(journal.recorded(), 20);
-            assert_eq!(journal.dropped(), 12);
-        }
+        let journal = h.journal().expect("active");
+        let got = journal.events();
+        assert_eq!(got.len(), 8);
+        let positions: Vec<u64> = got
+            .iter()
+            .map(|e| match e.event {
+                TraceEvent::Evictions { position, .. } => position,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(positions, (12..20).collect::<Vec<_>>());
+        assert_eq!(journal.recorded(), 20);
+        assert_eq!(journal.dropped(), 12);
     }
 
     #[test]
     fn concurrent_writers_never_yield_torn_events() {
         let h = TraceHandle::with_capacity(64);
-        let Some(journal) = h.journal() else {
-            return;
-        };
+        let journal = h.journal().expect("active");
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let h = h.clone();
@@ -1115,16 +997,14 @@ mod tests {
             let mut span = h.span(SpanKind::SnapshotEncode);
             span.set_quantity(4096);
         }
-        if let Some(journal) = h.journal() {
-            let got = journal.events();
-            assert_eq!(got.len(), 1);
-            match got[0].event {
-                TraceEvent::SpanClosed { kind, quantity, .. } => {
-                    assert_eq!(kind, SpanKind::SnapshotEncode);
-                    assert_eq!(quantity, 4096);
-                }
-                other => panic!("unexpected event {other:?}"),
+        let got = h.journal().expect("active").events();
+        assert_eq!(got.len(), 1);
+        match got[0].event {
+            TraceEvent::SpanClosed { kind, quantity, .. } => {
+                assert_eq!(kind, SpanKind::SnapshotEncode);
+                assert_eq!(quantity, 4096);
             }
+            other => panic!("unexpected event {other:?}"),
         }
     }
 
@@ -1153,26 +1033,22 @@ mod tests {
             epoch: 5,
         });
         h.record(|| TraceEvent::ResyncForced { node: 7, epoch: 5 });
-        if let Some(journal) = h.journal() {
-            let jsonl = journal.to_jsonl();
-            assert!(jsonl.contains("\"reason\":\"support_gate\""), "{jsonl}");
-            assert!(
-                jsonl.contains("\"event\":\"frame_encoded\",\"node\":7,\"kind\":\"full\""),
-                "{jsonl}"
-            );
-            assert!(jsonl.contains("\"error\":\"config_mismatch\""), "{jsonl}");
-            assert!(
-                jsonl.contains("\"event\":\"resync_forced\",\"node\":7,\"epoch\":5"),
-                "{jsonl}"
-            );
-            // Non-finite floats must render as null, not break JSON.
-            assert!(jsonl.contains("\"rel_error\":null"), "{jsonl}");
-            let last = jsonl.lines().last().expect("summary line");
-            assert!(last.contains("\"event\":\"journal_summary\""), "{last}");
-            assert!(last.contains("\"recorded\":5"), "{last}");
-        } else {
-            assert!(!TraceHandle::enabled());
-        }
+        let jsonl = h.journal().expect("active").to_jsonl();
+        assert!(jsonl.contains("\"reason\":\"support_gate\""), "{jsonl}");
+        assert!(
+            jsonl.contains("\"event\":\"frame_encoded\",\"node\":7,\"kind\":\"full\""),
+            "{jsonl}"
+        );
+        assert!(jsonl.contains("\"error\":\"config_mismatch\""), "{jsonl}");
+        assert!(
+            jsonl.contains("\"event\":\"resync_forced\",\"node\":7,\"epoch\":5"),
+            "{jsonl}"
+        );
+        // Non-finite floats must render as null, not break JSON.
+        assert!(jsonl.contains("\"rel_error\":null"), "{jsonl}");
+        let last = jsonl.lines().last().expect("summary line");
+        assert!(last.contains("\"event\":\"journal_summary\""), "{last}");
+        assert!(last.contains("\"recorded\":5"), "{last}");
     }
 
     #[test]
@@ -1193,19 +1069,17 @@ mod tests {
             },
         );
         h.record_update(0, 0, 1, 78, &UpdateOutcome::default());
-        if let Some(journal) = h.journal() {
-            let got = journal.events();
-            // Dirty + commit + evictions + budget pressure from the first
-            // call; nothing from the quiet outcome.
-            assert_eq!(got.len(), 4);
-            assert!(got.iter().any(|e| matches!(
-                e.event,
-                TraceEvent::BudgetPressure {
-                    shed: 1,
-                    position: 77
-                }
-            )));
-        }
+        let got = h.journal().expect("active").events();
+        // Dirty + commit + evictions + budget pressure from the first
+        // call; nothing from the quiet outcome.
+        assert_eq!(got.len(), 4);
+        assert!(got.iter().any(|e| matches!(
+            e.event,
+            TraceEvent::BudgetPressure {
+                shed: 1,
+                position: 77
+            }
+        )));
     }
 
     #[test]
@@ -1218,9 +1092,7 @@ mod tests {
             count: 1,
             position: 1,
         });
-        if TraceHandle::enabled() {
-            assert_eq!(a.journal().expect("active").events().len(), 1);
-            assert!(!a.same_journal(&c));
-        }
+        assert_eq!(a.journal().expect("active").events().len(), 1);
+        assert!(!a.same_journal(&c));
     }
 }

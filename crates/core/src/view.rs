@@ -605,10 +605,8 @@ mod tests {
             .map(|a| restored.hash_pair(&[a + 1_000_000], &[a % 11]))
             .collect();
         restored.update_hashed_batch(&fresh_keys);
-        if crate::MetricsRegistry::enabled() {
-            let sheds = restored.metrics().estimator.shed_events.get();
-            assert!(sheds > 0, "the budget must shed");
-        }
+        let sheds = restored.metrics().estimator.shed_events.get();
+        assert!(sheds > 0, "the budget must shed");
         assert_republish_reuses(&mut restored, &restored_reader);
 
         // A full publication always captures fresh.
@@ -628,13 +626,11 @@ mod tests {
         }
         est.publish();
         let _ = reader.estimate();
-        if crate::MetricsRegistry::enabled() {
-            let m = est.metrics();
-            assert_eq!(m.view.epoch.get(), 1);
-            assert_eq!(m.view.published_tuples.get(), 500);
-            assert_eq!(m.view.age_rows.get(), 0);
-            assert!(m.view.publishes.get() >= 2); // epoch 0 + publish()
-            assert!(m.view.reads.get() >= 1);
-        }
+        let m = est.metrics();
+        assert_eq!(m.view.epoch.get(), 1);
+        assert_eq!(m.view.published_tuples.get(), 500);
+        assert_eq!(m.view.age_rows.get(), 0);
+        assert!(m.view.publishes.get() >= 2); // epoch 0 + publish()
+        assert!(m.view.reads.get() >= 1);
     }
 }

@@ -1399,7 +1399,6 @@ mod tests {
 
     #[test]
     fn codec_metrics_and_trace_cover_encode_decode_and_errors() {
-        use crate::metrics::MetricsRegistry;
         use crate::{MetricsHandle, TraceEvent, TraceHandle};
 
         let mut est = edge(17);
@@ -1409,14 +1408,12 @@ mod tests {
         let next = WireSnapshot::capture(&est, 2);
         let full = base.full_frame(3);
         let delta = next.delta_frame(&base, 3);
-        if MetricsRegistry::enabled() {
-            // Encode side: counters land in the captured estimator's
-            // registry (both snapshots share it).
-            let w = &est.metrics().wire;
-            assert_eq!(w.frames_encoded_full.get(), 1);
-            assert_eq!(w.frames_encoded_delta.get(), 1);
-            assert_eq!(w.bytes_out.get(), (full.len() + delta.len()) as u64);
-        }
+        // Encode side: counters land in the captured estimator's
+        // registry (both snapshots share it).
+        let w = &est.metrics().wire;
+        assert_eq!(w.frames_encoded_full.get(), 1);
+        assert_eq!(w.frames_encoded_delta.get(), 1);
+        assert_eq!(w.bytes_out.get(), (full.len() + delta.len()) as u64);
 
         let metrics = MetricsHandle::new();
         let trace = TraceHandle::with_capacity(64);
@@ -1431,29 +1428,26 @@ mod tests {
         assert_eq!(err.code(), 7);
         assert_eq!(err.name(), "base_epoch_mismatch");
         dec.reset(); // already empty — must not double-count
-        if MetricsRegistry::enabled() {
-            let w = &metrics.wire;
-            assert_eq!(w.frames_decoded_full.get(), 1);
-            assert_eq!(w.frames_decoded_delta.get(), 1);
-            assert!(w.bytes_in.get() > 0);
-            assert_eq!(w.decode_errors.get(), 1);
-            assert_eq!(w.err_base_epoch_mismatch.get(), 1);
-            assert_eq!(w.resyncs_forced.get(), 1);
-        }
-        if let Some(journal) = trace.journal() {
-            let events = journal.events();
-            assert!(events.iter().any(|e| matches!(
-                e.event,
-                TraceEvent::FrameRejected {
-                    node: 3,
-                    error: 7,
-                    epoch: 2
-                }
-            )));
-            assert!(events
-                .iter()
-                .any(|e| matches!(e.event, TraceEvent::ResyncForced { node: 3, .. })));
-        }
+        let w = &metrics.wire;
+        assert_eq!(w.frames_decoded_full.get(), 1);
+        assert_eq!(w.frames_decoded_delta.get(), 1);
+        assert!(w.bytes_in.get() > 0);
+        assert_eq!(w.decode_errors.get(), 1);
+        assert_eq!(w.err_base_epoch_mismatch.get(), 1);
+        assert_eq!(w.resyncs_forced.get(), 1);
+        let journal = trace.journal().expect("journal attached");
+        let events = journal.events();
+        assert!(events.iter().any(|e| matches!(
+            e.event,
+            TraceEvent::FrameRejected {
+                node: 3,
+                error: 7,
+                epoch: 2
+            }
+        )));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::ResyncForced { node: 3, .. })));
     }
 
     #[test]

@@ -572,8 +572,11 @@ fn main() {
     });
 
     // Seed /snapshot with the restored/initial state so the endpoint is
-    // never empty once the service is up.
-    writer::store_snapshot(&shared, est.to_bytes(), None);
+    // never empty once the service is up. The catalog role serves no
+    // snapshot (its state is per query), so it encodes none.
+    if !opts.catalog {
+        writer::store_snapshot(&shared, est.to_bytes(), None);
+    }
 
     let ingest_listener = TcpListener::bind(&opts.ingest_addr)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.ingest_addr)));

@@ -4,10 +4,8 @@
 //! fleet registry, DESIGN.md §8.7).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use implicate::core::metrics::{Exposition, Kind::Gauge, Row};
-use implicate::core::Log2Hist;
+use implicate::core::metrics::{Exposition, Histogram, Kind::Gauge, Row};
 
 /// Escapes `s` as the contents of a JSON string literal (quotes not
 /// included).
@@ -42,7 +40,7 @@ pub struct EdgeStatus {
     send_errors: AtomicU64,
     last_ship_ms: AtomicU64,
     unshipped_rows: AtomicU64,
-    ship_nanos: Mutex<Log2Hist>,
+    ship_nanos: Histogram,
 }
 
 impl EdgeStatus {
@@ -62,7 +60,7 @@ impl EdgeStatus {
             send_errors: AtomicU64::new(0),
             last_ship_ms: AtomicU64::new(0),
             unshipped_rows: AtomicU64::new(0),
-            ship_nanos: Mutex::new(Log2Hist::new()),
+            ship_nanos: Histogram::new(),
         }
     }
 
@@ -97,10 +95,7 @@ impl EdgeStatus {
             self.deltas.fetch_add(1, Ordering::Relaxed);
         }
         self.last_ship_ms.store(now_ms, Ordering::Relaxed);
-        self.ship_nanos
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(nanos);
+        self.ship_nanos.observe(nanos);
     }
 
     /// Records a failed frame write (the connection drops and the next
@@ -120,10 +115,8 @@ impl EdgeStatus {
     pub fn status_json(&self, now_ms: u64) -> String {
         let ships = self.ships.load(Ordering::Relaxed);
         let last = self.last_ship_ms.load(Ordering::Relaxed);
-        let (p50, p99) = {
-            let h = self.ship_nanos.lock().unwrap_or_else(|e| e.into_inner());
-            (h.quantile_bound(0.50), h.quantile_bound(0.99))
-        };
+        let p50 = self.ship_nanos.quantile_bound(0.50);
+        let p99 = self.ship_nanos.quantile_bound(0.99);
         format!(
             "{{\"upstream\":\"{}\",\"node_id\":{},\"connected\":{},\
              \"connects\":{},\"reconnects\":{},\"backoff_ms\":{},\
@@ -168,21 +161,17 @@ impl EdgeStatus {
             "Milliseconds since the last shipped frame",
             last_ship_age_ms,
         );
-        let (p50, p99) = {
-            let h = self.ship_nanos.lock().unwrap_or_else(|e| e.into_inner());
-            (h.quantile_bound(0.50), h.quantile_bound(0.99))
-        };
         w.single(
             "edge_ship_p50_nanos",
             Gauge,
             "Median upstream write+flush latency bucket bound",
-            p50,
+            self.ship_nanos.quantile_bound(0.50),
         );
         w.single(
             "edge_ship_p99_nanos",
             Gauge,
             "p99 upstream write+flush latency bucket bound",
-            p99,
+            self.ship_nanos.quantile_bound(0.99),
         );
     }
 }

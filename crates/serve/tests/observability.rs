@@ -237,12 +237,10 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
         );
     }
     assert!(metrics.contains("implicate_fleet_nodes 3"), "{metrics}");
-    if implicate::MetricsRegistry::enabled() {
-        assert!(
-            metrics.contains("# TYPE implicate_estimator_zone1_skips counter"),
-            "{metrics}"
-        );
-    }
+    assert!(
+        metrics.contains("# TYPE implicate_estimator_zone1_skips counter"),
+        "{metrics}"
+    );
 
     // An edge's own /status and /metrics report upstream connectivity.
     let edge_status = edges[1].status_body();
@@ -310,18 +308,16 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
     });
     let n0 = node_json(&body, 0).unwrap();
     assert_eq!(field_u64(&n0, "tuples"), volumes[0], "dead node froze");
-    if cfg!(feature = "metrics") {
-        let (_, metrics) = agg.http("GET", "/metrics");
-        let metrics = String::from_utf8(metrics).unwrap();
-        assert!(
-            metrics.contains("implicate_node_health{node=\"0\"} 2"),
-            "stale code for node 0 in {metrics}"
-        );
-        assert!(
-            metrics.contains("implicate_node_health{node=\"1\"} 0"),
-            "live code for node 1 in {metrics}"
-        );
-    }
+    let (_, metrics) = agg.http("GET", "/metrics");
+    let metrics = String::from_utf8(metrics).unwrap();
+    assert!(
+        metrics.contains("implicate_node_health{node=\"0\"} 2"),
+        "stale code for node 0 in {metrics}"
+    );
+    assert!(
+        metrics.contains("implicate_node_health{node=\"1\"} 0"),
+        "live code for node 1 in {metrics}"
+    );
 }
 
 #[test]
@@ -397,31 +393,27 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
     assert!(first.contains("\"reason\":\"decode_error\""), "{first}");
     assert!(first.contains("\"node_id\":7"), "{first}");
     assert!(first.contains("\"error\":\"config_mismatch\""), "{first}");
-    if cfg!(feature = "trace") {
-        // The drained trace ring holds the rejection itself plus the
-        // closing journal summary.
-        assert!(text.contains("\"event\":\"frame_rejected\""), "{text}");
-        assert!(text.contains("\"journal_summary\""), "{text}");
-    }
+    // The drained trace ring holds the rejection itself plus the
+    // closing journal summary.
+    assert!(text.contains("\"event\":\"frame_rejected\""), "{text}");
+    assert!(text.contains("\"journal_summary\""), "{text}");
 
     // Per-variant decode-error counters on /metrics.
     let (_, metrics) = agg.http("GET", "/metrics");
     let metrics = String::from_utf8(metrics).unwrap();
     lint_prometheus(&metrics).expect("exposition lints");
-    if cfg!(feature = "metrics") {
-        assert!(
-            metrics.contains("implicate_wire_decode_errors 1"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("implicate_wire_err_config_mismatch 1"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("implicate_wire_resyncs_forced 1"),
-            "{metrics}"
-        );
-    }
+    assert!(
+        metrics.contains("implicate_wire_decode_errors 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("implicate_wire_err_config_mismatch 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("implicate_wire_resyncs_forced 1"),
+        "{metrics}"
+    );
 
     // ── node_id pinning: a connection that switches ids mid-stream is
     // rejected, counted, and dropped; the impostor id never appears.
@@ -448,14 +440,12 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
         !body.contains("\"node_id\":9"),
         "impostor id registered: {body}"
     );
-    if cfg!(feature = "metrics") {
-        let (_, metrics) = agg.http("GET", "/metrics");
-        let metrics = String::from_utf8(metrics).unwrap();
-        assert!(
-            metrics.contains("implicate_wire_node_id_conflicts 1"),
-            "{metrics}"
-        );
-    }
+    let (_, metrics) = agg.http("GET", "/metrics");
+    let metrics = String::from_utf8(metrics).unwrap();
+    assert!(
+        metrics.contains("implicate_wire_node_id_conflicts 1"),
+        "{metrics}"
+    );
 
     // ── Poison clears on the next good frame: the edge's post-kill
     // reconnect ships a full snapshot and the node returns to live.
@@ -484,9 +474,6 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
 /// nothing.
 #[test]
 fn aggregator_encodes_one_snapshot_per_applied_frame() {
-    if !cfg!(feature = "metrics") {
-        return;
-    }
     let agg = Server::spawn(&["--aggregate"]);
     // No keep-alive: once the tail has shipped, no frame is in flight.
     let edge = Server::spawn(&[

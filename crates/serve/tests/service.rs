@@ -147,7 +147,6 @@ fn json_u64(body: &str, key: &str) -> u64 {
 }
 
 /// The value of an unlabeled sample in a Prometheus exposition.
-#[cfg(feature = "metrics")]
 fn sample(exposition: &str, name: &str) -> u64 {
     exposition
         .lines()
@@ -241,22 +240,19 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
     assert!(status.contains("200"));
     let metrics = String::from_utf8(metrics).expect("utf8 metrics");
     assert!(metrics.starts_with('#'), "exposition format: {metrics}");
-    #[cfg(feature = "metrics")]
-    {
-        assert!(
-            metrics.contains("implicate_view_publishes"),
-            "view metrics exported: {metrics}"
-        );
-        assert!(metrics.contains("# TYPE implicate_view_epoch gauge"));
-        // The plain ingest path runs the batch spine's Zone-1 filter.
-        assert!(metrics.contains("# HELP implicate_estimator_zone1_skips "));
-        assert!(metrics.contains("# TYPE implicate_estimator_zone1_skips counter"));
-        // Hot keys betray their partners early, so later rows to their
-        // cells are skipped.
-        let skips = sample(&metrics, "implicate_estimator_zone1_skips");
-        assert!(skips > 0, "{metrics}");
-        assert!(skips <= sample(&metrics, "implicate_estimator_tuples"));
-    }
+    assert!(
+        metrics.contains("implicate_view_publishes"),
+        "view metrics exported: {metrics}"
+    );
+    assert!(metrics.contains("# TYPE implicate_view_epoch gauge"));
+    // The plain ingest path runs the batch spine's Zone-1 filter.
+    assert!(metrics.contains("# HELP implicate_estimator_zone1_skips "));
+    assert!(metrics.contains("# TYPE implicate_estimator_zone1_skips counter"));
+    // Hot keys betray their partners early, so later rows to their
+    // cells are skipped.
+    let skips = sample(&metrics, "implicate_estimator_zone1_skips");
+    assert!(skips > 0, "{metrics}");
+    assert!(skips <= sample(&metrics, "implicate_estimator_tuples"));
 
     let (status, snapshot) = server.http("GET", "/snapshot");
     assert!(status.contains("200"), "snapshot endpoint: {status}");

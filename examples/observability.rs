@@ -22,16 +22,10 @@
 //! Run with: `cargo run --release --example observability`
 
 use implicate::{
-    AccuracyAuditor, EstimatorConfig, Fringe, ImplicationConditions, MetricsRegistry, TraceEvent,
-    TraceHandle,
+    AccuracyAuditor, EstimatorConfig, Fringe, ImplicationConditions, TraceEvent, TraceHandle,
 };
 
 fn main() {
-    if !MetricsRegistry::enabled() {
-        println!("metrics feature compiled out; rebuild with default features");
-        return;
-    }
-
     // "How many sources stick to at most 2 destinations ≥ 80% of the
     // time, with at least 3 observations?" — bounded fringe, so heavy
     // cardinality also exercises eviction accounting.
@@ -46,8 +40,7 @@ fn main() {
         .seed(7)
         .build();
 
-    // Opt in to the event journal (runtime choice; with the `trace`
-    // feature compiled out this is a free no-op) and hook an exact
+    // Opt in to the event journal (a runtime choice) and hook an exact
     // shadow auditing every 60k rows over the full key population.
     est.set_trace(TraceHandle::with_capacity(1 << 16));
     let mut aud = AccuracyAuditor::new(cond, 60_000, 1);
@@ -133,30 +126,26 @@ fn main() {
     // The journal holds the most recent events (oldest are lapped once
     // the ring fills) — the CLI writes the same stream as JSONL via
     // `--trace-out FILE`. Histogram what this run retained:
-    match est.trace().journal() {
-        Some(journal) => {
-            let events = journal.events();
-            let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|t| f(&t.event)).count();
-            println!(
-                "journal: {} recorded, {} retained, {} lapped (capacity {})",
-                journal.recorded(),
-                events.len(),
-                journal.dropped(),
-                journal.capacity(),
-            );
-            println!(
-                "  retained: {} dirty, {} cell commits, {} eviction batches, {} spans, {} audits",
-                count(|e| matches!(e, TraceEvent::Dirty { .. })),
-                count(|e| matches!(e, TraceEvent::CellCommit { .. })),
-                count(|e| matches!(e, TraceEvent::Evictions { .. })),
-                count(|e| matches!(e, TraceEvent::SpanClosed { .. })),
-                count(|e| matches!(e, TraceEvent::AuditSample { .. })),
-            );
-            if let Some(line) = journal.to_jsonl().lines().next() {
-                println!("  oldest retained line: {line}");
-            }
-        }
-        None => println!("journal: trace feature compiled out (handle is a no-op)"),
+    let journal = est.trace().journal().expect("journal attached");
+    let events = journal.events();
+    let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|t| f(&t.event)).count();
+    println!(
+        "journal: {} recorded, {} retained, {} lapped (capacity {})",
+        journal.recorded(),
+        events.len(),
+        journal.dropped(),
+        journal.capacity(),
+    );
+    println!(
+        "  retained: {} dirty, {} cell commits, {} eviction batches, {} spans, {} audits",
+        count(|e| matches!(e, TraceEvent::Dirty { .. })),
+        count(|e| matches!(e, TraceEvent::CellCommit { .. })),
+        count(|e| matches!(e, TraceEvent::Evictions { .. })),
+        count(|e| matches!(e, TraceEvent::SpanClosed { .. })),
+        count(|e| matches!(e, TraceEvent::AuditSample { .. })),
+    );
+    if let Some(line) = journal.to_jsonl().lines().next() {
+        println!("  oldest retained line: {line}");
     }
 
     // What `implicate --stats` prints at exit …

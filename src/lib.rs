@@ -70,10 +70,9 @@ pub use imp_core::query::{self, Filter};
 pub use imp_core::{
     lint_prometheus, CapacityPolicy, Confidence, DirtyReason, Estimate, EstimateReader,
     EstimatorConfig, Fringe, ImplicationConditions, ImplicationEstimator, ImplicationQuery,
-    Log2Hist, MemoryBudget, MetricsHandle, MetricsRegistry, MultiplicityPolicy, NipsBitmap,
-    NodeHealth, NodeRegistry, NodeStatus, PairHasher, QueryEngine, QueryKind, ReadView,
-    ShardedEstimator, Span, SpanKind, TraceEvent, TraceHandle, TraceJournal, TracedEvent,
-    UpdateOutcome, WireMetrics,
+    MemoryBudget, MetricsHandle, MetricsRegistry, MultiplicityPolicy, NipsBitmap, NodeHealth,
+    NodeRegistry, NodeStatus, PairHasher, QueryEngine, QueryKind, ReadView, ShardedEstimator, Span,
+    SpanKind, TraceEvent, TraceHandle, TraceJournal, TracedEvent, UpdateOutcome, WireMetrics,
 };
 pub use imp_stream::{
     AttrSet, HashedBatch, ItemKey, Projector, QueryCombiner, Schema, Tuple, TupleHasher,

@@ -876,18 +876,13 @@ fn catalog(cli: &Cli) {
     }
 }
 
-/// Writes the trace journal as JSONL. With the `trace` feature compiled
-/// out the file still appears, holding only the `journal_summary` line
-/// with `"enabled":false` — scripts can rely on the file existing.
+/// Writes the trace journal as JSONL, ending with its `journal_summary`
+/// line. `--trace-out` attaches the journal before the first row.
 fn write_trace(path: &str, trace: &TraceHandle) {
-    let body = match trace.journal() {
-        Some(journal) => journal.to_jsonl(),
-        None => format!(
-            "{{\"event\":\"journal_summary\",\"enabled\":{},\"recorded\":0,\
-             \"retained\":0,\"dropped\":0,\"capacity\":0}}\n",
-            TraceHandle::enabled()
-        ),
-    };
+    let body = trace
+        .journal()
+        .expect("--trace-out attaches a journal")
+        .to_jsonl();
     std::fs::write(path, &body).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     let events = body.lines().count().saturating_sub(1);
     eprintln!("trace: wrote {events} events to {path}");

@@ -357,8 +357,6 @@ fn shared_antecedent_catalog_is_pinned_through_churn_and_shedding() {
         ),
         ("late", 0x40a1_6f00_b467_92e8, 16_320, 790, 10_240, 15_094),
     ];
-    // Counters read 0 with metrics compiled out.
-    let metered = implicate::MetricsRegistry::enabled();
     assert_eq!(catalog.len(), want.len());
     for (name, bits, matched, sheds, resident, skips) in want {
         let id = catalog.find(name).expect("pinned query live");
@@ -370,7 +368,6 @@ fn shared_antecedent_catalog_is_pinned_through_churn_and_shedding() {
             catalog.resident_bytes(id).unwrap(),
             catalog.zone1_skips(id).unwrap(),
         );
-        let (sheds, skips) = if metered { (sheds, skips) } else { (0, 0) };
         assert_eq!(got, (name, bits, matched, sheds, resident, skips));
     }
 }

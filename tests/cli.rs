@@ -235,30 +235,26 @@ fn stats_flag_prints_metrics_report() {
         &traffic(1000, 500),
     );
     assert!(ok, "stderr: {stderr}");
-    if cfg!(feature = "metrics") {
-        assert!(stderr.contains("metrics:"), "stderr: {stderr}");
-        // 1000 loyal + 500 fickle × 2 rows = 2000 tuples, exactly.
-        let tuples = stderr
-            .lines()
-            .find_map(|l| {
-                let mut it = l.split_whitespace();
-                (it.next() == Some("estimator.tuples")).then(|| it.next())
-            })
-            .flatten()
-            .and_then(|v| v.parse::<u64>().ok())
-            .expect("estimator.tuples line");
-        assert_eq!(tuples, 2000, "stderr: {stderr}");
-        // The report covers all three metric families.
-        for name in [
-            "estimator.zone1_skips",
-            "estimator.dirty_multiplicity",
-            "ingest.shards",
-            "snapshot.encodes",
-        ] {
-            assert!(stderr.contains(name), "missing {name}: {stderr}");
-        }
-    } else {
-        assert!(stderr.contains("compiled out"), "stderr: {stderr}");
+    assert!(stderr.contains("metrics:"), "stderr: {stderr}");
+    // 1000 loyal + 500 fickle × 2 rows = 2000 tuples, exactly.
+    let tuples = stderr
+        .lines()
+        .find_map(|l| {
+            let mut it = l.split_whitespace();
+            (it.next() == Some("estimator.tuples")).then(|| it.next())
+        })
+        .flatten()
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("estimator.tuples line");
+    assert_eq!(tuples, 2000, "stderr: {stderr}");
+    // The report covers all three metric families.
+    for name in [
+        "estimator.zone1_skips",
+        "estimator.dirty_multiplicity",
+        "ingest.shards",
+        "snapshot.encodes",
+    ] {
+        assert!(stderr.contains(name), "missing {name}: {stderr}");
     }
 }
 
@@ -274,25 +270,21 @@ fn stats_interval_emits_line_protocol() {
         .filter(|l| l.starts_with("implicate "))
         .collect();
     assert_eq!(lines.len(), 2, "stderr: {stderr}");
-    if cfg!(feature = "metrics") {
-        assert!(
-            lines[0].contains("estimator.tuples=1000i"),
-            "first sample: {}",
-            lines[0]
-        );
-        assert!(
-            lines[1].contains("estimator.tuples=2000i"),
-            "second sample: {}",
-            lines[1]
-        );
-        assert!(
-            lines[1].contains(",estimator.zone1_skips="),
-            "second sample: {}",
-            lines[1]
-        );
-    } else {
-        assert!(lines[0].contains("metrics_enabled=false"), "{}", lines[0]);
-    }
+    assert!(
+        lines[0].contains("estimator.tuples=1000i"),
+        "first sample: {}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains("estimator.tuples=2000i"),
+        "second sample: {}",
+        lines[1]
+    );
+    assert!(
+        lines[1].contains(",estimator.zone1_skips="),
+        "second sample: {}",
+        lines[1]
+    );
 }
 
 #[test]
@@ -302,21 +294,17 @@ fn stats_with_parallel_ingestion_reports_shards() {
         &traffic(3000, 0),
     );
     assert!(ok, "stderr: {stderr}");
-    if cfg!(feature = "metrics") {
-        let shards = stderr
-            .lines()
-            .find_map(|l| {
-                let mut it = l.split_whitespace();
-                (it.next() == Some("ingest.shards")).then(|| it.next())
-            })
-            .flatten()
-            .and_then(|v| v.parse::<u64>().ok())
-            .expect("ingest.shards line");
-        assert_eq!(shards, 2, "stderr: {stderr}");
-        assert!(stderr.contains("ingest.shard0.batches"), "stderr: {stderr}");
-    } else {
-        assert!(stderr.contains("compiled out"), "stderr: {stderr}");
-    }
+    let shards = stderr
+        .lines()
+        .find_map(|l| {
+            let mut it = l.split_whitespace();
+            (it.next() == Some("ingest.shards")).then(|| it.next())
+        })
+        .flatten()
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("ingest.shards line");
+    assert_eq!(shards, 2, "stderr: {stderr}");
+    assert!(stderr.contains("ingest.shard0.batches"), "stderr: {stderr}");
 }
 
 #[test]
@@ -346,29 +334,25 @@ fn parallel_stats_interval_publishes_a_view_without_stalling_lanes() {
         .filter(|l| l.starts_with("implicate "))
         .collect();
     assert!(!lines.is_empty(), "stderr: {stderr}");
-    if cfg!(feature = "metrics") {
-        let emission = lines[0];
-        let field = |name: &str| -> u64 {
-            emission
-                .split([' ', ','])
-                .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
-                .and_then(|v| v.trim_end_matches('i').parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("no {name} in emission: {emission}"))
-        };
-        assert!(field("view.publishes") >= 1, "no publish: {emission}");
-        let published = field("view.published_tuples");
-        let age = field("view.age_rows");
-        assert!(published <= 2000, "published beyond stream: {emission}");
-        assert_eq!(
-            published + age,
-            1000,
-            "published + lag must cover every routed row: {emission}"
-        );
-        // The final answer still reflects every row.
-        assert!(stderr.contains("rows 2000"), "stderr: {stderr}");
-    } else {
-        assert!(lines[0].contains("metrics_enabled=false"), "{}", lines[0]);
-    }
+    let emission = lines[0];
+    let field = |name: &str| -> u64 {
+        emission
+            .split([' ', ','])
+            .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
+            .and_then(|v| v.trim_end_matches('i').parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {name} in emission: {emission}"))
+    };
+    assert!(field("view.publishes") >= 1, "no publish: {emission}");
+    let published = field("view.published_tuples");
+    let age = field("view.age_rows");
+    assert!(published <= 2000, "published beyond stream: {emission}");
+    assert_eq!(
+        published + age,
+        1000,
+        "published + lag must cover every routed row: {emission}"
+    );
+    // The final answer still reflects every row.
+    assert!(stderr.contains("rows 2000"), "stderr: {stderr}");
 }
 
 #[test]
@@ -387,43 +371,39 @@ fn stats_format_prom_emits_parseable_exposition() {
         &traffic(1000, 0),
     );
     assert!(ok, "stderr: {stderr}");
-    if cfg!(feature = "metrics") {
-        // Round-trip the exposition: every `# TYPE` line is followed by a
-        // sample line for the same flattened metric name.
-        let lines: Vec<&str> = stderr
-            .lines()
-            .filter(|l| l.starts_with("# TYPE ") || l.starts_with("implicate_"))
-            .collect();
-        assert!(!lines.is_empty(), "stderr: {stderr}");
-        let mut samples = 0;
-        for pair in lines.chunks(2) {
-            let [ty, sample] = pair else {
-                panic!("dangling TYPE line: {pair:?}")
-            };
-            let name = ty
-                .strip_prefix("# TYPE ")
-                .unwrap()
-                .split(' ')
-                .next()
-                .unwrap();
-            assert!(
-                sample.starts_with(&format!("{name} ")),
-                "sample {sample:?} does not match {ty:?}"
-            );
-            samples += 1;
-        }
-        assert!(samples > 5, "stderr: {stderr}");
+    // Round-trip the exposition: every `# TYPE` line is followed by a
+    // sample line for the same flattened metric name.
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("# TYPE ") || l.starts_with("implicate_"))
+        .collect();
+    assert!(!lines.is_empty(), "stderr: {stderr}");
+    let mut samples = 0;
+    for pair in lines.chunks(2) {
+        let [ty, sample] = pair else {
+            panic!("dangling TYPE line: {pair:?}")
+        };
+        let name = ty
+            .strip_prefix("# TYPE ")
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap();
         assert!(
-            stderr.contains("\nimplicate_estimator_tuples 1000\n"),
-            "stderr: {stderr}"
+            sample.starts_with(&format!("{name} ")),
+            "sample {sample:?} does not match {ty:?}"
         );
-        assert!(
-            stderr.contains("# TYPE implicate_estimator_zone1_skips counter\n"),
-            "stderr: {stderr}"
-        );
-    } else {
-        assert!(stderr.contains("metrics compiled out"), "stderr: {stderr}");
+        samples += 1;
     }
+    assert!(samples > 5, "stderr: {stderr}");
+    assert!(
+        stderr.contains("\nimplicate_estimator_tuples 1000\n"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("# TYPE implicate_estimator_zone1_skips counter\n"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -445,18 +425,13 @@ fn trace_out_writes_jsonl_journal() {
         summary.contains("\"event\":\"journal_summary\""),
         "{summary}"
     );
-    if cfg!(feature = "trace") {
-        assert!(summary.contains("\"enabled\":true"), "{summary}");
-        // 500 fickle sources each turn dirty once: events must be present.
-        assert!(jsonl.contains("\"event\":\"dirty\""), "no dirty events");
-        assert!(
-            jsonl.lines().count() > 100,
-            "suspiciously few events:\n{summary}"
-        );
-    } else {
-        assert!(summary.contains("\"enabled\":false"), "{summary}");
-        assert_eq!(jsonl.lines().count(), 1, "summary only when compiled out");
-    }
+    assert!(summary.contains("\"enabled\":true"), "{summary}");
+    // 500 fickle sources each turn dirty once: events must be present.
+    assert!(jsonl.contains("\"event\":\"dirty\""), "no dirty events");
+    assert!(
+        jsonl.lines().count() > 100,
+        "suspiciously few events:\n{summary}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -605,6 +580,68 @@ fn every_thread_count_prints_the_same_answers_and_watch_lines() {
                 "{mode:?}: --audit lines at --threads {threads}"
             );
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI leg of the differential test: the state the CLI saves is the
+/// state the library builds from the same rows, byte for byte, at one
+/// lane and at four. The library leg feeds the rows the way perfbench's
+/// `cli_single` reference does: fields hashed with `text::hash_field`,
+/// paired by the estimator's `pair_hasher`, applied with
+/// `update_hashed_batch`.
+#[test]
+fn saved_state_matches_the_library_at_every_thread_count() {
+    use implicate::sketch::hash::MixHasher;
+    use implicate::spec::FIELD_HASHER_SEED;
+    use implicate::text::hash_field;
+
+    let input = mixed_traffic();
+    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
+    let mut est = implicate::opts::EstimatorOpts::default()
+        .config()
+        .expect("the default flags are valid")
+        .build();
+    let pair_hasher = est.pair_hasher();
+    // Comment lines and rows without column 1 are skipped, as the CLI
+    // skips them.
+    let pairs: Vec<(u64, u64)> = input
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let mut fields = line
+                .split_whitespace()
+                .map(|f| hash_field(&field_hasher, f));
+            Some(pair_hasher.hash_pair(&[fields.next()?], &[fields.next()?]))
+        })
+        .collect();
+    est.update_hashed_batch(&pairs);
+    let want = est.to_bytes();
+
+    let dir = std::env::temp_dir().join(format!("implicate-save-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    for threads in ["1", "4"] {
+        let path = dir.join(format!("threads-{threads}.imps"));
+        let path_s = path.to_str().expect("utf-8 path");
+        let args = [
+            "--lhs",
+            "0",
+            "--rhs",
+            "1",
+            "--threads",
+            threads,
+            "--save",
+            path_s,
+        ];
+        let (_, stderr, ok) = run_cli(&args, &input);
+        assert!(ok, "stderr: {stderr}");
+        let got = std::fs::read(&path).expect("saved snapshot");
+        assert!(
+            got == want[..],
+            "--threads {threads}: --save wrote {} bytes that differ from the library's {}",
+            got.len(),
+            want.len()
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,7 +12,7 @@ use implicate::query::Filter;
 use implicate::stream::AttrId;
 use implicate::{
     EstimatorConfig, Fringe, HashedBatch, ImplicationConditions, ImplicationEstimator,
-    ImplicationQuery, MetricsRegistry, QueryCatalog, Schema, Tuple,
+    ImplicationQuery, QueryCatalog, Schema, Tuple,
 };
 
 /// splitmix64: one proptest seed drives a whole stream.
@@ -158,16 +158,12 @@ fn zone1_skips_fire_for_a_distinct_query() {
         &general.metrics().estimator,
     );
     assert_eq!(g.zone1_skips.get(), 0);
-    if MetricsRegistry::enabled() {
-        assert_eq!(s.tuples.get(), 40_000);
-        assert!(
-            s.zone1_skips.get() > 30_000,
-            "skipped {} of 40000 rows",
-            s.zone1_skips.get()
-        );
-    } else {
-        assert_eq!(s.zone1_skips.get(), 0);
-    }
+    assert_eq!(s.tuples.get(), 40_000);
+    assert!(
+        s.zone1_skips.get() > 30_000,
+        "skipped {} of 40000 rows",
+        s.zone1_skips.get()
+    );
 }
 
 /// Support-only and general estimators hold different state for the

@@ -7,10 +7,7 @@
 //! on an injected clock, so no sample is timing-valued and none is
 //! masked.
 //!
-//! The expected texts live in `tests/golden/`. Every test passes in both
-//! feature configurations: with `metrics` compiled out the registry
-//! renders its one-line notices, and the catalog's metrics-backed
-//! families read 0.
+//! The expected texts live in `tests/golden/`.
 
 use implicate::core::wire::FrameKind;
 use implicate::sketch::hash::MixHasher;
@@ -122,54 +119,19 @@ fn fixed_registry() -> MetricsRegistry {
 #[test]
 fn registry_prometheus_is_byte_exact() {
     let text = fixed_registry().prometheus("implicate");
-    if MetricsRegistry::enabled() {
-        assert_golden(&text, include_str!("golden/registry.prom"));
-    } else {
-        assert_golden(
-            &text,
-            "# implicate: metrics compiled out (build with the default `metrics` feature)\n",
-        );
-    }
+    assert_golden(&text, include_str!("golden/registry.prom"));
 }
 
 #[test]
 fn registry_report_is_byte_exact() {
     let text = fixed_registry().report();
-    if MetricsRegistry::enabled() {
-        assert_golden(&text, include_str!("golden/registry.report"));
-    } else {
-        assert_golden(
-            &text,
-            "metrics: compiled out (build with the default `metrics` feature)",
-        );
-    }
+    assert_golden(&text, include_str!("golden/registry.report"));
 }
 
 #[test]
 fn registry_line_protocol_is_byte_exact() {
     let text = fixed_registry().line_protocol("implicate");
-    if MetricsRegistry::enabled() {
-        assert_golden(&text, include_str!("golden/registry.influx").trim_end());
-    } else {
-        assert_golden(&text, "implicate metrics_enabled=false");
-    }
-}
-
-/// Sets the value of every sample of the named families to `0`: what
-/// the catalog's metrics-backed families read with `metrics` compiled
-/// out.
-fn zero_families(text: &str, families: &[&str]) -> String {
-    text.lines()
-        .map(|line| {
-            let name = line.split(['{', ' ']).next().unwrap_or("");
-            if !line.starts_with('#') && families.contains(&name) {
-                let (series, _) = line.rsplit_once(' ').expect("sample has a value");
-                format!("{series} 0\n")
-            } else {
-                format!("{line}\n")
-            }
-        })
-        .collect()
+    assert_golden(&text, include_str!("golden/registry.influx").trim_end());
 }
 
 /// The catalog exposition after 3,000 rows through three queries: a
@@ -222,16 +184,7 @@ fn fixed_catalog() -> String {
 #[test]
 fn catalog_prometheus_is_byte_exact() {
     let text = fixed_catalog();
-    let want = include_str!("golden/catalog.prom");
-    if MetricsRegistry::enabled() {
-        assert_golden(&text, want);
-    } else {
-        let want = zero_families(
-            want,
-            &["implicate_query_shed_events", "implicate_query_dirty_total"],
-        );
-        assert_golden(&text, &want);
-    }
+    assert_golden(&text, include_str!("golden/catalog.prom"));
     assert_eq!(implicate::lint_prometheus(&text), Ok(6 + 3 * 5));
 }
 

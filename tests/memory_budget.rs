@@ -7,7 +7,7 @@
 //! still holds but shed victims depend on thread interleaving (see the
 //! `imp_core::parallel` module docs).
 
-use implicate::{EstimatorConfig, ImplicationConditions, MetricsRegistry};
+use implicate::{EstimatorConfig, ImplicationConditions};
 
 fn cond() -> ImplicationConditions {
     ImplicationConditions::one_to_c(2, 0.5, 3)
@@ -43,16 +43,14 @@ fn tracked_bytes_never_exceed_the_budget() {
         );
     }
     assert!(est.tracked_bytes() <= limit);
-    if MetricsRegistry::enabled() {
-        let m = est.metrics().registry();
-        assert!(
-            m.estimator.shed_events.get() > 0,
-            "an under-provisioned budget must shed"
-        );
-        assert_eq!(m.estimator.mem_budget.get(), limit as u64);
-        assert_eq!(m.estimator.mem_bytes.get(), est.tracked_bytes() as u64);
-        assert!(m.estimator.mem_bytes.peak() <= limit as u64);
-    }
+    let m = est.metrics().registry();
+    assert!(
+        m.estimator.shed_events.get() > 0,
+        "an under-provisioned budget must shed"
+    );
+    assert_eq!(m.estimator.mem_budget.get(), limit as u64);
+    assert_eq!(m.estimator.mem_bytes.get(), est.tracked_bytes() as u64);
+    assert!(m.estimator.mem_bytes.peak() <= limit as u64);
     // Still answers: a constrained sketch degrades, it does not break.
     assert!(est.estimate_now().implication_count.is_finite());
 }

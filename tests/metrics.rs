@@ -1,10 +1,7 @@
 //! End-to-end observability tests: the metrics registry viewed through
-//! the `implicate` facade, in both feature configurations. Every test
-//! here must pass with `--no-default-features` too — CI runs both.
+//! the `implicate` facade.
 
-use implicate::{
-    EstimatorConfig, Fringe, ImplicationConditions, MetricsRegistry, ShardedEstimator,
-};
+use implicate::{EstimatorConfig, Fringe, ImplicationConditions, ShardedEstimator};
 
 fn loyal_and_fickle(est: &mut implicate::ImplicationEstimator, n: u64) {
     for a in 0..n {
@@ -22,25 +19,20 @@ fn estimator_counters_match_the_stream() {
     loyal_and_fickle(&mut est, 1_000);
 
     let m = est.metrics();
-    if MetricsRegistry::enabled() {
-        // Exactly one tuple counted per update call.
-        assert_eq!(m.estimator.tuples.get(), est.tuples_seen());
-        assert_eq!(m.estimator.tuples.get(), 1_500);
-        // Half the itemsets turned dirty, all via the multiplicity bound
-        // (minus the Zone-1 fraction the bitmap never tracks).
-        assert!(m.estimator.dirty_multiplicity.get() > 0);
-        assert_eq!(m.estimator.dirty_confidence.get(), 0);
-        assert_eq!(m.estimator.dirty_support_gate.get(), 0);
-        assert!(m.estimator.dirty_total() <= 500);
-        // The occupancy gauge telescopes entries_delta, so it must agree
-        // with the estimator's own entry count at any quiescent point.
-        assert_eq!(m.estimator.occupancy.get(), est.entries() as u64);
-        assert!(m.estimator.occupancy.peak() >= m.estimator.occupancy.get());
-        assert!(m.estimator.cells_committed.get() > 0);
-    } else {
-        assert_eq!(m.estimator.tuples.get(), 0);
-        assert!(m.samples().is_empty());
-    }
+    // Exactly one tuple counted per update call.
+    assert_eq!(m.estimator.tuples.get(), est.tuples_seen());
+    assert_eq!(m.estimator.tuples.get(), 1_500);
+    // Half the itemsets turned dirty, all via the multiplicity bound
+    // (minus the Zone-1 fraction the bitmap never tracks).
+    assert!(m.estimator.dirty_multiplicity.get() > 0);
+    assert_eq!(m.estimator.dirty_confidence.get(), 0);
+    assert_eq!(m.estimator.dirty_support_gate.get(), 0);
+    assert!(m.estimator.dirty_total() <= 500);
+    // The occupancy gauge telescopes entries_delta, so it must agree
+    // with the estimator's own entry count at any quiescent point.
+    assert_eq!(m.estimator.occupancy.get(), est.entries() as u64);
+    assert!(m.estimator.occupancy.peak() >= m.estimator.occupancy.get());
+    assert!(m.estimator.cells_committed.get() > 0);
 }
 
 #[test]
@@ -54,16 +46,14 @@ fn fringe_pressure_shows_up_as_evictions() {
     for a in 0..20_000u64 {
         est.update(&[a], &[a % 7]);
     }
-    if MetricsRegistry::enabled() {
-        assert!(
-            est.metrics().estimator.fringe_evictions.get() > 0,
-            "20k distinct itemsets through fringe 2 must shed"
-        );
-        assert_eq!(
-            est.metrics().estimator.occupancy.get(),
-            est.entries() as u64
-        );
-    }
+    assert!(
+        est.metrics().estimator.fringe_evictions.get() > 0,
+        "20k distinct itemsets through fringe 2 must shed"
+    );
+    assert_eq!(
+        est.metrics().estimator.occupancy.get(),
+        est.entries() as u64
+    );
 }
 
 #[test]
@@ -81,21 +71,16 @@ fn sharded_ingestion_shares_one_registry() {
     let est = sharded.finish();
 
     let m = est.metrics();
-    if MetricsRegistry::enabled() {
-        // The finished estimator holds the same registry the shards and
-        // the router wrote to — ingest counters survive the merge.
-        assert!(routed_before_finish <= 10_000);
-        assert_eq!(m.ingest.updates_routed.get(), 10_000);
-        assert_eq!(m.ingest.shards.get(), 3);
-        assert!(m.ingest.batches_routed.get() > 0);
-        // Shard workers recorded their updates into the shared estimator
-        // family: every routed pair became a counted tuple.
-        assert_eq!(m.estimator.tuples.get(), 10_000);
-        assert!(m.estimator.merges.get() >= 3, "finish merges the shards");
-    } else {
-        assert_eq!(m.ingest.updates_routed.get(), 0);
-        assert_eq!(routed_before_finish, 0);
-    }
+    // The finished estimator holds the same registry the shards and
+    // the router wrote to — ingest counters survive the merge.
+    assert!(routed_before_finish <= 10_000);
+    assert_eq!(m.ingest.updates_routed.get(), 10_000);
+    assert_eq!(m.ingest.shards.get(), 3);
+    assert!(m.ingest.batches_routed.get() > 0);
+    // Shard workers recorded their updates into the shared estimator
+    // family: every routed pair became a counted tuple.
+    assert_eq!(m.estimator.tuples.get(), 10_000);
+    assert!(m.estimator.merges.get() >= 3, "finish merges the shards");
 }
 
 #[test]
@@ -107,22 +92,18 @@ fn snapshot_metrics_count_bytes_and_calls() {
     let bytes = est.to_bytes();
     let restored = implicate::ImplicationEstimator::from_bytes(bytes.clone()).expect("restore");
 
-    if MetricsRegistry::enabled() {
-        let s = &est.metrics().snapshot;
-        assert_eq!(s.encodes.get(), 1);
-        assert_eq!(s.bytes_written.get(), bytes.len() as u64);
-        assert_eq!(s.encode_nanos.count(), 1);
-        // The restored estimator gets a *fresh* registry: decode-side
-        // counters live there, and the original's are untouched.
-        assert_eq!(s.decodes.get(), 0);
-        let r = &restored.metrics().snapshot;
-        assert_eq!(r.decodes.get(), 1);
-        assert_eq!(r.bytes_read.get(), bytes.len() as u64);
-        assert_eq!(r.decode_nanos.count(), 1);
-        assert!(!est.metrics().same_registry(restored.metrics()));
-    } else {
-        assert_eq!(est.metrics().snapshot.encodes.get(), 0);
-    }
+    let s = &est.metrics().snapshot;
+    assert_eq!(s.encodes.get(), 1);
+    assert_eq!(s.bytes_written.get(), bytes.len() as u64);
+    assert_eq!(s.encode_nanos.count(), 1);
+    // The restored estimator gets a *fresh* registry: decode-side
+    // counters live there, and the original's are untouched.
+    assert_eq!(s.decodes.get(), 0);
+    let r = &restored.metrics().snapshot;
+    assert_eq!(r.decodes.get(), 1);
+    assert_eq!(r.bytes_read.get(), bytes.len() as u64);
+    assert_eq!(r.decode_nanos.count(), 1);
+    assert!(!est.metrics().same_registry(restored.metrics()));
 }
 
 #[test]
@@ -132,11 +113,6 @@ fn prometheus_exposition_round_trips_every_sample() {
     loyal_and_fickle(&mut est, 500);
     let m = est.metrics();
     let text = m.prometheus("implicate");
-
-    if !MetricsRegistry::enabled() {
-        assert!(text.contains("compiled out"));
-        return;
-    }
 
     // Parse the text exposition back: `# HELP <name> <text>` then
     // `# TYPE <name> <kind>` then `<name> <value>`, nothing else.
@@ -178,23 +154,13 @@ fn prometheus_exposition_round_trips_every_sample() {
 }
 
 #[test]
-fn disabled_build_is_inert_but_api_complete() {
-    // Compile-time contract: the whole surface exists in both configs;
-    // with the feature off everything reads zero and renders the
-    // compiled-out sentinels.
+fn report_and_line_protocol_render_the_registry() {
     let cond = ImplicationConditions::strict_one_to_one(1);
     let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(1).build();
     loyal_and_fickle(&mut est, 100);
     let m = est.metrics();
     let report = m.report();
     let line = m.line_protocol("implicate");
-    if MetricsRegistry::enabled() {
-        assert!(report.starts_with("metrics:"));
-        assert!(line.starts_with("implicate estimator.tuples="));
-    } else {
-        assert!(report.contains("compiled out"));
-        assert_eq!(line, "implicate metrics_enabled=false");
-        assert_eq!(m.samples(), Vec::new());
-        assert_eq!(m.estimator.dirty_total(), 0);
-    }
+    assert!(report.starts_with("metrics:"));
+    assert!(line.starts_with("implicate estimator.tuples="));
 }

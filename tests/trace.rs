@@ -1,6 +1,5 @@
-//! End-to-end tracing tests through the `implicate` facade, in both
-//! feature configurations. Every test must pass with
-//! `--no-default-features` too — CI runs both (DESIGN.md §8.3).
+//! End-to-end tracing tests through the `implicate` facade (DESIGN.md
+//! §8.3).
 
 use implicate::{
     DirtyReason, EstimatorConfig, ImplicationConditions, SpanKind, TraceEvent, TraceHandle,
@@ -12,7 +11,7 @@ fn estimators_start_untraced_and_opt_in() {
     let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(2).build();
     assert!(!est.trace().is_active(), "tracing is opt-in at runtime");
     est.set_trace(TraceHandle::with_capacity(1 << 12));
-    assert_eq!(est.trace().is_active(), TraceHandle::enabled());
+    assert!(est.trace().is_active());
 }
 
 #[test]
@@ -28,10 +27,6 @@ fn journal_captures_dirty_transitions_and_commits() {
         }
     }
 
-    if !TraceHandle::enabled() {
-        assert!(trace.journal().is_none());
-        return;
-    }
     let journal = trace.journal().expect("journal attached");
     assert!(journal.recorded() > 0);
     let events = journal.events();
@@ -69,10 +64,6 @@ fn batch_and_snapshot_spans_close_into_the_journal() {
     est.update_hashed_batch(&pairs);
     let bytes = est.to_bytes();
 
-    if !TraceHandle::enabled() {
-        assert!(trace.journal().is_none());
-        return;
-    }
     let spans: Vec<_> = trace
         .journal()
         .expect("journal attached")
@@ -130,7 +121,7 @@ fn batch_positions_are_stream_positions_at_every_size() {
                 est.update_hashed(h_a, b_fp);
             }
         }
-        let events = trace.journal().map(|j| j.events()).unwrap_or_default();
+        let events = trace.journal().expect("journal attached").events();
         let updates: Vec<TraceEvent> = events
             .into_iter()
             .map(|t| t.event)
@@ -140,10 +131,6 @@ fn batch_positions_are_stream_positions_at_every_size() {
     };
     let (per_row, _) = journal(false);
     let (batch, skips) = journal(true);
-    if !TraceHandle::enabled() {
-        assert!(per_row.is_empty() && batch.is_empty());
-        return;
-    }
     assert!(
         per_row
             .iter()
@@ -154,13 +141,11 @@ fn batch_positions_are_stream_positions_at_every_size() {
         "the stream must commit cells and mark keys dirty"
     );
     assert_eq!(batch, per_row);
-    if implicate::MetricsRegistry::enabled() {
-        assert!(skips > 0, "the batch must skip Zone-1 rows");
-    }
+    assert!(skips > 0, "the batch must skip Zone-1 rows");
 }
 
 #[test]
-fn jsonl_drain_reports_the_feature_state() {
+fn jsonl_drain_ends_with_the_journal_summary() {
     let cond = ImplicationConditions::strict_one_to_one(1);
     let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(6).build();
     est.set_trace(TraceHandle::with_capacity(64));
@@ -170,18 +155,13 @@ fn jsonl_drain_reports_the_feature_state() {
         est.update(&[a], &[1]);
         est.update(&[a], &[2]);
     }
-    match est.trace().journal() {
-        Some(journal) => {
-            assert!(TraceHandle::enabled());
-            let jsonl = journal.to_jsonl();
-            let summary = jsonl.lines().last().expect("summary line");
-            assert!(summary.contains("\"event\":\"journal_summary\""));
-            assert!(summary.contains("\"enabled\":true"));
-            // A 64-slot ring under hundreds of events must report drops.
-            assert!(journal.dropped() > 0);
-        }
-        None => assert!(!TraceHandle::enabled()),
-    }
+    let journal = est.trace().journal().expect("journal attached");
+    let jsonl = journal.to_jsonl();
+    let summary = jsonl.lines().last().expect("summary line");
+    assert!(summary.contains("\"event\":\"journal_summary\""));
+    assert!(summary.contains("\"enabled\":true"));
+    // A 64-slot ring under hundreds of events must report drops.
+    assert!(journal.dropped() > 0);
 }
 
 #[test]
@@ -210,10 +190,6 @@ fn budget_pressure_lifecycle_reaches_the_journal() {
     }
     assert!(est.tracked_bytes() <= floor, "budget ceiling violated");
 
-    if !TraceHandle::enabled() {
-        assert!(trace.journal().is_none());
-        return;
-    }
     let pressure: Vec<_> = trace
         .journal()
         .expect("journal attached")

@@ -1,6 +1,6 @@
 //! Direct coverage of the windowed counters (`core::sliding`,
 //! `core::incremental`) through the `implicate` facade, including the
-//! dirty-transition journal contract. Runs in both feature configs.
+//! dirty-transition journal contract.
 
 use implicate::core::incremental::IncrementalCounter;
 use implicate::core::sliding::{MovingAverage, SlidingEstimator};
@@ -116,34 +116,29 @@ fn incremental_counter_journals_dirty_transitions() {
         "retroactive dirt must shrink the count: {d:?}"
     );
 
-    match trace.journal() {
-        Some(journal) => {
-            assert!(TraceHandle::enabled());
-            let dirty: Vec<(u64, u64)> = journal
-                .events()
-                .into_iter()
-                .filter_map(|t| match t.event {
-                    TraceEvent::Dirty {
-                        key,
-                        reason,
-                        position,
-                    } => {
-                        assert_eq!(reason, DirtyReason::Multiplicity);
-                        Some((key, position))
-                    }
-                    _ => None,
-                })
-                .collect();
-            assert!(!dirty.is_empty(), "1000 betrayed keys, none journaled?");
-            for &(key, position) in &dirty {
-                assert!(
-                    position > 1_000,
-                    "transitions happen only in the second phase, got {position}"
-                );
-                assert_ne!(key, 0, "the journal carries the itemset hash");
+    let journal = trace.journal().expect("journal attached");
+    let dirty: Vec<(u64, u64)> = journal
+        .events()
+        .into_iter()
+        .filter_map(|t| match t.event {
+            TraceEvent::Dirty {
+                key,
+                reason,
+                position,
+            } => {
+                assert_eq!(reason, DirtyReason::Multiplicity);
+                Some((key, position))
             }
-        }
-        None => assert!(!TraceHandle::enabled()),
+            _ => None,
+        })
+        .collect();
+    assert!(!dirty.is_empty(), "1000 betrayed keys, none journaled?");
+    for &(key, position) in &dirty {
+        assert!(
+            position > 1_000,
+            "transitions happen only in the second phase, got {position}"
+        );
+        assert_ne!(key, 0, "the journal carries the itemset hash");
     }
 }
 

@@ -13,7 +13,7 @@ use implicate::query::Filter;
 use implicate::stream::AttrId;
 use implicate::{
     EstimatorConfig, Fringe, HashedBatch, ImplicationConditions, ImplicationEstimator,
-    ImplicationQuery, MetricsRegistry, QueryCatalog, Schema, Tuple,
+    ImplicationQuery, QueryCatalog, Schema, Tuple,
 };
 
 /// splitmix64: one proptest seed drives a whole stream.
@@ -279,14 +279,10 @@ fn the_filter_fires_on_a_skewed_stream() {
     }
     let m = &est.metrics().estimator;
     assert_eq!(est.tuples_seen(), 40_000);
-    if MetricsRegistry::enabled() {
-        assert_eq!(m.tuples.get(), 40_000);
-        assert!(
-            m.zone1_skips.get() > 10_000,
-            "skipped {} of 40000 rows",
-            m.zone1_skips.get()
-        );
-    } else {
-        assert_eq!(m.zone1_skips.get(), 0);
-    }
+    assert_eq!(m.tuples.get(), 40_000);
+    assert!(
+        m.zone1_skips.get() > 10_000,
+        "skipped {} of 40000 rows",
+        m.zone1_skips.get()
+    );
 }
