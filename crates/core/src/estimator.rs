@@ -77,6 +77,40 @@ impl Fringe {
     }
 }
 
+/// What two estimators must share for one to merge into the other: the
+/// conditions, the bitmap count and the hash seeds (fringes may differ).
+/// Wire decoders and checkpoint restores compare it.
+#[derive(Debug, Clone, Copy)]
+pub struct MergeKey {
+    pub(crate) cond: ImplicationConditions,
+    pub(crate) bitmaps: usize,
+    /// The two hashers' pre-mixed seeds.
+    pub(crate) seeds: (u64, u64),
+}
+
+impl MergeKey {
+    /// The first field in which `other` differs from this key
+    /// (`"conditions"`, `"bitmap count"` or `"hash seeds"`), or `None`
+    /// when estimators with the two keys can merge.
+    pub fn mismatch(&self, other: &MergeKey) -> Option<&'static str> {
+        [
+            (self.cond != other.cond, "conditions"),
+            (self.bitmaps != other.bitmaps, "bitmap count"),
+            (self.seeds != other.seeds, "hash seeds"),
+        ]
+        .into_iter()
+        .find_map(|(differs, field)| differs.then_some(field))
+    }
+}
+
+/// The two hash functions of an estimator built with `seed`.
+fn seeded_hashers(seed: u64) -> (MixHasher, MixHasher) {
+    (
+        MixHasher::new(seed ^ 0xa11c_e0de),
+        MixHasher::new(seed ^ 0x00b0_bca7),
+    )
+}
+
 /// Builder-style construction for [`ImplicationEstimator`].
 ///
 /// Defaults follow the paper's §6.1 configuration: 64 bitmaps, a bounded
@@ -205,6 +239,16 @@ impl EstimatorConfig {
     /// The configured hash seed.
     pub fn hash_seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The [`MergeKey`] of every estimator this configuration builds.
+    pub fn merge_key(&self) -> MergeKey {
+        let (a, b) = seeded_hashers(self.seed);
+        MergeKey {
+            cond: self.cond,
+            bitmaps: self.bitmaps,
+            seeds: (a.seed(), b.seed()),
+        }
     }
 
     /// Builds the estimator.
@@ -397,12 +441,13 @@ impl ImplicationEstimator {
         let bitmaps = (0..m)
             .map(|_| NipsBitmap::build_with(cond, policy, &budget))
             .collect();
+        let (hasher_a, hasher_b) = seeded_hashers(seed);
         let est = Self {
             cond,
             bitmaps,
             log2_m: m.trailing_zeros(),
-            hasher_a: MixHasher::new(seed ^ 0xa11c_e0de),
-            hasher_b: MixHasher::new(seed ^ 0x00b0_bca7),
+            hasher_a,
+            hasher_b,
             tuples: 0,
             budget,
             metrics: MetricsHandle::new(),
@@ -635,6 +680,16 @@ impl ImplicationEstimator {
         (self.hasher_a.hash_slice(a), self.hasher_b.hash_slice(b))
     }
 
+    /// The [`MergeKey`] another estimator must share to merge with this
+    /// one.
+    pub fn merge_key(&self) -> MergeKey {
+        MergeKey {
+            cond: self.cond,
+            bitmaps: self.bitmaps.len(),
+            seeds: (self.hasher_a.seed(), self.hasher_b.seed()),
+        }
+    }
+
     /// A copyable hasher matching this estimator's internal hash
     /// functions (the counterpart of
     /// [`ShardedEstimator::pair_hasher`](crate::ShardedEstimator::pair_hasher)),
@@ -682,18 +737,17 @@ impl ImplicationEstimator {
     /// Zone-1 filter, or none came), the new view shares the last one's
     /// rank words and entry count and only the counters are read fresh.
     pub fn publish(&mut self) -> u64 {
-        self.publish_view(false)
+        let view = self.capture_view();
+        self.moved = false;
+        let (metrics, trace) = (&self.metrics, &self.trace);
+        ViewPublisher::publish_into(&mut self.publisher, view, self.tuples, metrics, trace)
     }
 
-    /// Like [`publish`](ImplicationEstimator::publish), but additionally
-    /// embeds the canonical snapshot encoding
-    /// ([`to_bytes`](ImplicationEstimator::to_bytes)) in the published
-    /// view ([`ReadView::snapshot`]), so readers — e.g. a serving
-    /// endpoint handing out checkpoints — can obtain restorable bytes
-    /// without touching the writer. Costs a full snapshot encode; use at
-    /// checkpoint cadence, not per batch.
+    /// Like [`publish`](ImplicationEstimator::publish), but always reads
+    /// the rank registers and the entry count fresh off the bitmaps.
     pub fn publish_full(&mut self) -> u64 {
-        self.publish_view(true)
+        self.moved = true;
+        self.publish()
     }
 
     /// The latest epoch published on this writer's channel, or `None` if
@@ -702,19 +756,12 @@ impl ImplicationEstimator {
         self.publisher.as_ref().map(ViewPublisher::epoch)
     }
 
-    fn publish_view(&mut self, with_snapshot: bool) -> u64 {
-        let view = self.capture_view(with_snapshot);
-        self.moved = false;
-        let (metrics, trace) = (&self.metrics, &self.trace);
-        ViewPublisher::publish_into(&mut self.publisher, view, self.tuples, metrics, trace)
-    }
-
     /// Captures the current read-off state as an unpublished view,
     /// reusing the last view's rank words and entry count when nothing
-    /// has moved them (a full capture always reads them fresh).
-    fn capture_view(&self, with_snapshot: bool) -> ReadView {
+    /// has moved them.
+    fn capture_view(&self) -> ReadView {
         let last = self.publisher.as_ref().map(ViewPublisher::latest);
-        let (ranks, entries) = match last.filter(|_| !self.moved && !with_snapshot) {
+        let (ranks, entries) = match last.filter(|_| !self.moved) {
             Some(last) => {
                 debug_assert_eq!(
                     (&**last.ranks(), last.entries()),
@@ -725,14 +772,8 @@ impl ImplicationEstimator {
             }
             None => (self.fresh_ranks(), self.entries() as u64),
         };
-        ReadView::from_parts(
-            self.tuples,
-            entries,
-            self.budget.used() as u64,
-            self.cond,
-            ranks,
-            with_snapshot.then(|| self.to_bytes()),
-        )
+        let tracked = self.budget.used() as u64;
+        ReadView::from_parts(self.tuples, entries, tracked, self.cond, ranks)
     }
 
     /// Every bitmap's rank registers, packed, read off the bitmaps.
@@ -863,21 +904,13 @@ impl ImplicationEstimator {
     pub fn merge(&mut self, other: &ImplicationEstimator) {
         let mut span = self.trace.span(SpanKind::Merge);
         span.set_quantity(self.bitmaps.len() as u64);
-        assert_eq!(self.cond, other.cond, "conditions must match");
         assert_eq!(
             self.support_only, other.support_only,
             "estimator modes (support-only or not) must match"
         );
-        assert_eq!(
-            self.bitmaps.len(),
-            other.bitmaps.len(),
-            "bitmap counts must match"
-        );
-        assert_eq!(
-            (self.hasher_a, self.hasher_b),
-            (other.hasher_a, other.hasher_b),
-            "estimators must share hash seeds to be mergeable"
-        );
+        if let Some(field) = self.merge_key().mismatch(&other.merge_key()) {
+            panic!("estimators must share {field} to be mergeable");
+        }
         for (a, b) in self.bitmaps.iter_mut().zip(&other.bitmaps) {
             a.merge(b);
         }
@@ -942,11 +975,6 @@ impl ImplicationEstimator {
     /// counterpart in `new` when a pre-published base is sharded.
     pub(crate) fn take_publisher(&mut self) -> Option<ViewPublisher> {
         self.publisher.take()
-    }
-
-    /// The internal hash pair (shared by shards of one pipeline).
-    pub(crate) fn hashers(&self) -> (MixHasher, MixHasher) {
-        (self.hasher_a, self.hasher_b)
     }
 
     /// `log2` of the bitmap count (routing).

@@ -78,7 +78,7 @@ pub use catalog::{CatalogError, QueryCatalog, QueryId, ShardedCatalog};
 pub use conditions::{
     Confidence, ImplicationConditions, ImplicationConditionsBuilder, MultiplicityPolicy,
 };
-pub use estimator::{Estimate, EstimatorConfig, Fringe, ImplicationEstimator};
+pub use estimator::{Estimate, EstimatorConfig, Fringe, ImplicationEstimator, MergeKey};
 pub use fleet::{NodeHealth, NodeRegistry, NodeStatus};
 pub use metrics::{lint_prometheus, MetricsHandle, MetricsRegistry, WireMetrics};
 pub use nips::{NipsBitmap, UpdateOutcome};

@@ -463,7 +463,6 @@ impl ShardedEstimator {
             self.template.memory_budget().used() as u64,
             *self.template.conditions(),
             ranks,
-            None,
         )
     }
 

@@ -96,8 +96,7 @@ pub(crate) fn unpack_ranks(packed: u64) -> (u32, u32) {
 }
 
 /// An immutable, published snapshot of everything the CI read-off needs:
-/// the per-bitmap rank registers, the stream counters, and (optionally)
-/// the canonical VERSION 2 snapshot encoding as a portable payload.
+/// the per-bitmap rank registers and the stream counters.
 ///
 /// Obtained from an [`EstimateReader`]; see the module docs for the
 /// publication protocol.
@@ -113,10 +112,6 @@ pub struct ReadView {
     /// when the writer's registers have not moved since (see
     /// [`ImplicationEstimator::publish`](crate::ImplicationEstimator::publish)).
     ranks: Arc<[u64]>,
-    /// The canonical snapshot encoding captured at publication, when the
-    /// writer published with
-    /// [`publish_full`](crate::ImplicationEstimator::publish_full).
-    snapshot: Option<bytes::Bytes>,
 }
 
 impl ReadView {
@@ -126,7 +121,6 @@ impl ReadView {
         tracked_bytes: u64,
         cond: ImplicationConditions,
         ranks: Arc<[u64]>,
-        snapshot: Option<bytes::Bytes>,
     ) -> Self {
         Self {
             epoch: 0,
@@ -135,7 +129,6 @@ impl ReadView {
             tracked_bytes,
             cond,
             ranks,
-            snapshot,
         }
     }
 
@@ -182,14 +175,6 @@ impl ReadView {
     /// The packed rank registers, one word per bitmap.
     pub(crate) fn ranks(&self) -> &Arc<[u64]> {
         &self.ranks
-    }
-
-    /// The canonical VERSION 2 snapshot payload, when this view was
-    /// published with [`publish_full`](crate::ImplicationEstimator::publish_full)
-    /// — restorable with
-    /// [`ImplicationEstimator::from_bytes`](crate::ImplicationEstimator::from_bytes).
-    pub fn snapshot(&self) -> Option<&bytes::Bytes> {
-        self.snapshot.as_ref()
     }
 }
 

@@ -76,7 +76,7 @@ use imp_sketch::hash::MixHasher;
 
 use crate::budget::MemoryBudget;
 use crate::conditions::ImplicationConditions;
-use crate::estimator::ImplicationEstimator;
+use crate::estimator::{ImplicationEstimator, MergeKey};
 use crate::metrics::MetricsHandle;
 use crate::nips::NipsBitmap;
 use crate::snapshot::SnapshotError;
@@ -494,9 +494,7 @@ pub struct WireSnapshot {
     rank_sum_sup: u64,
     rank_sum_non: u64,
     tracked_bytes: u64,
-    cond: ImplicationConditions,
-    seed_a: u64,
-    seed_b: u64,
+    key: MergeKey,
     bitmaps: Vec<Bytes>,
     /// Inherited from the captured estimator: encode-side counters
     /// (`wire.frames_encoded_*`, `wire.bytes_out`) land in its registry.
@@ -525,16 +523,13 @@ impl WireSnapshot {
                 buf.freeze()
             })
             .collect();
-        let (hasher_a, hasher_b) = est.hashers();
         Self {
             epoch,
             tuples: est.tuples_seen(),
             rank_sum_sup: sup,
             rank_sum_non: non,
             tracked_bytes: est.tracked_bytes() as u64,
-            cond: *est.conditions(),
-            seed_a: hasher_a.seed(),
-            seed_b: hasher_b.seed(),
+            key: est.merge_key(),
             bitmaps,
             metrics: est.metrics().clone(),
             trace: est.trace().clone(),
@@ -563,21 +558,17 @@ impl WireSnapshot {
     /// this one — the precondition for [`WireSnapshot::delta_frame`]
     /// to emit an actual delta.
     pub fn delta_compatible(&self, base: &WireSnapshot) -> bool {
-        self.cond == base.cond
-            && self.seed_a == base.seed_a
-            && self.seed_b == base.seed_b
-            && self.bitmaps.len() == base.bitmaps.len()
-            && base.epoch <= self.epoch
+        self.key.mismatch(&base.key).is_none() && base.epoch <= self.epoch
     }
 
     /// Encodes a full frame: the complete canonical state, applicable
     /// by any decoder regardless of what it held before.
     pub fn full_frame(&self, node_id: u64) -> Bytes {
         let mut body = BytesMut::with_capacity(64 + self.payload_bytes() + 4 * self.bitmaps.len());
-        self.cond.encode(&mut body);
-        put_varint(&mut body, self.bitmaps.len() as u64);
-        body.put_u64_le(self.seed_a);
-        body.put_u64_le(self.seed_b);
+        self.key.cond.encode(&mut body);
+        put_varint(&mut body, self.key.bitmaps as u64);
+        body.put_u64_le(self.key.seeds.0);
+        body.put_u64_le(self.key.seeds.1);
         for blob in &self.bitmaps {
             put_varint(&mut body, blob.len() as u64);
             body.extend_from_slice(blob);
@@ -677,7 +668,7 @@ pub struct WireDecoder {
     epoch: Option<u64>,
     budget: Option<MemoryBudget>,
     max_frame: Option<usize>,
-    expect: Option<(ImplicationConditions, usize, u64, u64)>,
+    expect: Option<MergeKey>,
     metrics: MetricsHandle,
     trace: TraceHandle,
     /// Node id of the last frame whose header parsed — identity for
@@ -740,13 +731,7 @@ impl WireDecoder {
     /// [`ImplicationEstimator::merge`]).
     #[must_use]
     pub fn require_matching(mut self, template: &ImplicationEstimator) -> Self {
-        let (hasher_a, hasher_b) = template.hashers();
-        self.expect = Some((
-            *template.conditions(),
-            template.bitmap_count(),
-            hasher_a.seed(),
-            hasher_b.seed(),
-        ));
+        self.expect = Some(template.merge_key());
         self
     }
 
@@ -881,16 +866,13 @@ impl WireDecoder {
         }
         let seed_a = body.get_u64_le();
         let seed_b = body.get_u64_le();
-        if let Some((cond_e, m_e, a_e, b_e)) = &self.expect {
-            if cond != *cond_e {
-                return Err(WireError::ConfigMismatch("conditions"));
-            }
-            if m != *m_e {
-                return Err(WireError::ConfigMismatch("bitmap count"));
-            }
-            if (seed_a, seed_b) != (*a_e, *b_e) {
-                return Err(WireError::ConfigMismatch("hash seeds"));
-            }
+        let found = MergeKey {
+            cond,
+            bitmaps: m,
+            seeds: (seed_a, seed_b),
+        };
+        if let Some(field) = self.expect.and_then(|want| want.mismatch(&found)) {
+            return Err(WireError::ConfigMismatch(field));
         }
         let budget = MemoryBudget::unlimited();
         let mut bitmaps = Vec::with_capacity(m);

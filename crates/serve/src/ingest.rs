@@ -9,11 +9,13 @@ use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use implicate::core::wire::{peek_frame, DEFAULT_MAX_FRAME_BYTES, REJECT_NODE_ID_SWITCH};
+use implicate::pipeline::MakeRow;
 use implicate::sketch::hash::MixHasher;
-use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
-use implicate::{PairHasher, TraceEvent};
+use implicate::spec::FIELD_HASHER_SEED;
+use implicate::text::{Line, LineFields, LineReader, Row};
+use implicate::{MetricsHandle, TraceEvent};
 
-use crate::{Shared, FIELD_HASHER_SEED, POLL};
+use crate::{Shared, POLL};
 
 /// Rows buffered per ingest connection before a batch ships to the
 /// writer.
@@ -24,42 +26,21 @@ const INGEST_BATCH: usize = 256;
 /// connection stays open.
 pub const MAX_INGEST_LINE: usize = 64 * 1024;
 
-/// One catalog ingest connection: every line becomes a full
-/// `--arity`-wide row of field fingerprints (narrower rows are skipped),
-/// so any query registered now *or later in the stream* is answered from
-/// the same pass. A batch is one flat buffer of `arity` words per row.
-pub fn catalog_ingest_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    arity: usize,
-    delimiter: Option<char>,
-    tx: &SyncSender<Vec<u64>>,
-) {
-    let wanted = vec![true; arity];
-    ingest_lines(stream, shared, delimiter, &wanted, tx, |row, batch| {
-        let full = row.len() >= arity;
-        if full {
-            batch.extend_from_slice(&row[..arity]);
-        }
-        full
-    });
-}
-
-/// Drives one line-protocol ingest connection: reads lines capped at
-/// [`MAX_INGEST_LINE`], hashes the leading fields `wanted` selects, and
-/// ships batches of [`INGEST_BATCH`] rows to the writer. `append_row`
-/// appends one row built from the fields to the batch, or returns
-/// `false` for a row too short for it; such rows and non-UTF-8 lines
-/// count as `skipped`, oversize lines as `skipped_oversize`, and none of
-/// them closes the connection.
-fn ingest_lines<T>(
+/// Drives one line-protocol ingest connection (the plain and catalog
+/// roles): reads lines capped at [`MAX_INGEST_LINE`], hashes the leading
+/// fields the role's `wanted` mask selects, and ships batches of
+/// [`INGEST_BATCH`] rows made by its row maker (see
+/// [`implicate::pipeline`]) to the writer. Rows too short for the maker
+/// and non-UTF-8 lines count as `skipped`, oversize lines as
+/// `skipped_oversize`, and none of them closes the connection.
+pub fn ingest_lines<T>(
     stream: TcpStream,
     shared: &Shared,
     delimiter: Option<char>,
-    wanted: &[bool],
+    (wanted, make_row): &(Vec<bool>, impl MakeRow<T>),
     tx: &SyncSender<Vec<T>>,
-    mut append_row: impl FnMut(&[u64], &mut Vec<T>) -> bool,
 ) {
+    let mut make_row = make_row.clone();
     stream.set_read_timeout(Some(POLL)).ok();
     let mut lines = LineReader::with_cap(BufReader::new(stream), MAX_INGEST_LINE);
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), delimiter);
@@ -93,7 +74,7 @@ fn ingest_lines<T>(
         };
         let appended = match row {
             Row::Blank => continue,
-            Row::Fields(row) => append_row(row, &mut batch),
+            Row::Fields(row) => make_row(row, &mut batch),
             Row::NotUtf8 => false,
         };
         if !appended {
@@ -117,13 +98,14 @@ fn ingest_lines<T>(
 }
 
 /// One aggregator ingest connection: reassembles wire frames off the
-/// stream and hands complete frames to the writer. The writer flips
-/// `kill` when a frame from this connection fails to apply — dropping
-/// the connection is the signal that makes the edge reconnect and
-/// resync with a full snapshot.
+/// stream and hands complete frames to the writer (`metrics` is the
+/// serving estimator's). The writer flips `kill` when a frame from this
+/// connection fails to apply — dropping the connection is the signal
+/// that makes the edge reconnect and resync with a full snapshot.
 pub fn wire_ingest_connection(
     mut stream: TcpStream,
     shared: &Shared,
+    metrics: &MetricsHandle,
     tx: &SyncSender<(bytes::Bytes, Arc<AtomicBool>)>,
 ) {
     stream.set_read_timeout(Some(POLL)).ok();
@@ -156,7 +138,7 @@ pub fn wire_ingest_connection(
                             }
                         }
                         Some(p) if p != header.node_id => {
-                            shared.metrics.wire.node_id_conflicts.inc();
+                            metrics.wire.node_id_conflicts.inc();
                             shared.trace.record(|| TraceEvent::FrameRejected {
                                 node: p,
                                 error: REJECT_NODE_ID_SWITCH,
@@ -197,25 +179,4 @@ pub fn wire_ingest_connection(
             Err(_) => return,
         }
     }
-}
-
-/// One ingest connection: parse lines, hash pairs, ship batches.
-pub fn ingest_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    lhs: &[usize],
-    rhs: &[usize],
-    delimiter: Option<char>,
-    pair_hasher: PairHasher,
-    tx: &SyncSender<Vec<(u64, u64)>>,
-) {
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let wanted = wanted_columns(&[lhs, rhs]);
-    ingest_lines(stream, shared, delimiter, &wanted, tx, |row, batch| {
-        let projected = project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b);
-        if projected {
-            batch.push(pair_hasher.hash_pair(&buf_a, &buf_b));
-        }
-        projected
-    });
 }

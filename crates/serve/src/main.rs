@@ -23,10 +23,13 @@
 //!   per-node fleet series on an aggregator and `edge_*` series on an
 //!   edge), `GET /snapshot` (latest checkpoint bytes, VERSION 2 codec),
 //!   `GET /healthz`, and `POST /shutdown` (graceful: drain, final
-//!   publish, checkpoint, exit; `GET /shutdown` is refused with `405`).
+//!   publish, checkpoint, exit 0, or exit 2 if the final checkpoint
+//!   cannot be written; `GET /shutdown` is refused with `405`).
 //! * **Restart** with the same `--checkpoint` file resumes from the
 //!   snapshot — estimates continue bit-identically from where the
-//!   previous process stopped.
+//!   previous process stopped. Checkpoints are written whole (temporary
+//!   file, then rename), and one built under other conditions, bitmaps
+//!   or hash seeds fails the start, before any listener opens.
 //!
 //! The binary is pure `std`: no async runtime, one writer thread, one
 //! thread per ingest connection (at most
@@ -34,9 +37,12 @@
 //! workers behind a blocking acceptor (see [`imp_serve::http`]).
 //!
 //! The estimator flags (`--lhs` … `--threads`) are the CLI's: both parse
-//! and document them through [`implicate::opts`]. This file keeps the
-//! service's own flags, its role cross-checks and the wiring; the rest
-//! sits beside it by concern:
+//! and document them through [`implicate::opts`], and both take the
+//! checkpoint restore and writer and the row makers from
+//! [`implicate::pipeline`]. This file keeps the service's own flags, its
+//! role cross-checks and the wiring, which builds only what the role
+//! runs (the catalog role, no estimator); the rest sits beside it by
+//! concern:
 //!
 //! * `ingest` — line-protocol and wire-frame ingest connections;
 //! * `writer` — the one writer loop ([`writer::run`]) and the plain,
@@ -91,19 +97,16 @@ use std::time::Duration;
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
 use implicate::core::metrics::{Exposition, Kind::Counter};
-use implicate::core::wire;
 use implicate::opts::{self, EstimatorOpts};
-use implicate::pipeline::Pipeline;
+use implicate::pipeline::{self, Pipeline};
 use implicate::spec;
-use implicate::{EstimatorConfig, MetricsHandle, QueryCatalog, Schema, TraceHandle};
+use implicate::{EstimatorConfig, QueryCatalog, Schema, TraceHandle};
 
 use imp_serve::{http, MAX_INGEST_CONNECTIONS};
 
 use edge::{edge_sender, ShipSlot};
-use ingest::{
-    catalog_ingest_connection, ingest_connection, wire_ingest_connection, MAX_INGEST_LINE,
-};
-use routes::{route, CatalogCtrl, CatalogShared};
+use ingest::{ingest_lines, wire_ingest_connection, MAX_INGEST_LINE};
+use routes::{route, CatalogCtrl, CatalogShared, ReadHandle};
 
 mod edge;
 mod flight;
@@ -111,10 +114,6 @@ mod ingest;
 mod routes;
 mod status;
 mod writer;
-
-/// Field hasher seed shared with the `implicate` CLI so both tools
-/// fingerprint the same fields identically.
-const FIELD_HASHER_SEED: u64 = spec::FIELD_HASHER_SEED;
 
 /// Bound, in batches, of the ingest-to-writer channel (back-pressure).
 const INGEST_DEPTH: usize = 64;
@@ -373,10 +372,9 @@ struct Shared {
     /// Ingest connections closed on accept because
     /// [`MAX_INGEST_CONNECTIONS`] were being served.
     ingest_refused: AtomicU64,
-    /// Latest checkpoint bytes (written by the writer thread at each
-    /// `publish_full` / checkpoint, served verbatim by `GET /snapshot`).
+    /// An estimator role's latest snapshot bytes (seeded at startup, then
+    /// stored at each checkpoint), served verbatim by `GET /snapshot`.
     snapshot: Mutex<Option<bytes::Bytes>>,
-    metrics: MetricsHandle,
     /// Trace ring shared with the estimator and the wire codec — sized
     /// when the flight recorder is armed, disabled otherwise.
     trace: TraceHandle,
@@ -424,7 +422,7 @@ fn spawn_role<R>(
     shared: &Arc<Shared>,
     listener: TcpListener,
     connection: impl Fn(TcpStream, &Shared, &SyncSender<R::Msg>) + Clone + Send + 'static,
-) -> JoinHandle<(u64, u64)>
+) -> JoinHandle<Option<(u64, u64)>>
 where
     R: writer::Role + Send + 'static,
     R::Msg: Send + 'static,
@@ -480,28 +478,18 @@ fn spawn_named<T: Send + 'static>(
 fn main() {
     let opts = parse_opts();
 
-    // Restore or build the estimator.
-    let mut est = match &opts.checkpoint {
+    // The estimator roles restore or build their estimator before any
+    // listener opens, so a checkpoint they cannot use fails the start.
+    // The catalog role builds none.
+    let est = (!opts.catalog).then(|| match &opts.checkpoint {
         Some(path) if std::path::Path::new(path).exists() => {
-            let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let est = wire::decode_compat(bytes::Bytes::from(raw))
-                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            if est.conditions() != opts.config.conditions_ref() {
-                die("checkpoint was built with different implication conditions");
-            }
-            eprintln!(
-                "implicate-serve: restored {} tuples from {path}",
-                est.tuples_seen()
-            );
+            let est = pipeline::restore(path, &opts.config).unwrap_or_else(|e| die(&e));
+            let tuples = est.tuples_seen();
+            eprintln!("implicate-serve: restored {tuples} tuples from {path}");
             est
         }
         _ => opts.config.build(),
-    };
-    if opts.checkpoint.is_some() {
-        // A snapshot restores against an unlimited budget; re-arm the
-        // requested ceiling before ingestion continues.
-        est.set_memory_budget(opts.config.memory_budget_limit());
-    }
+    });
 
     // Arm the trace ring when a flight recorder wants it drained: the
     // ring feeds the wire codec's typed events (frame encoded/rejected,
@@ -512,7 +500,6 @@ fn main() {
     } else {
         TraceHandle::disabled()
     };
-    est.set_trace(trace.clone());
 
     let flight = opts.flight_dir.as_ref().map(|dir| {
         let recorder = flight::FlightRecorder::new(dir, opts.flight_keep)
@@ -548,8 +535,6 @@ fn main() {
     } else {
         "standalone"
     };
-    let reader_proto = est.reader();
-    let pair_hasher = est.pair_hasher();
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
         accepted: AtomicU64::new(0),
@@ -557,7 +542,6 @@ fn main() {
         skipped_oversize: AtomicU64::new(0),
         ingest_refused: AtomicU64::new(0),
         snapshot: Mutex::new(None),
-        metrics: est.metrics().clone(),
         trace,
         fleet: opts
             .aggregate
@@ -570,13 +554,6 @@ fn main() {
         started: std::time::Instant::now(),
         role,
     });
-
-    // Seed /snapshot with the restored/initial state so the endpoint is
-    // never empty once the service is up. The catalog role serves no
-    // snapshot (its state is per query), so it encodes none.
-    if !opts.catalog {
-        writer::store_snapshot(&shared, est.to_bytes(), None);
-    }
 
     let ingest_listener = TcpListener::bind(&opts.ingest_addr)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.ingest_addr)));
@@ -594,99 +571,101 @@ fn main() {
     println!("serve: query listening on {query_addr}");
     std::io::stdout().flush().ok();
 
-    let (ctrl_tx, ctrl_rx) = sync_channel::<CatalogCtrl>(INGEST_DEPTH);
-
-    // Catalog role: query connections resolve per-query readers and
-    // push register/retire control messages through this shared block.
-    let cat_shared: Option<Arc<CatalogShared>> = opts.catalog.then(|| {
-        Arc::new(CatalogShared {
-            queries: Mutex::new(HashMap::new()),
-            exposition: Mutex::new(String::new()),
-            ctrl: ctrl_tx,
-        })
-    });
-
     // Edge role: the writer hands captured wire snapshots to the
     // upstream sender through this keep-latest slot.
     let ship_slot = opts.upstream.as_ref().map(|_| Arc::new(ShipSlot::new()));
 
-    // The writer thread, the single owner of estimator mutation, and the
-    // ingest acceptor feeding it: wire frames when aggregating, text rows
-    // otherwise.
-    let writer = if let Some(cat) = &cat_shared {
-        let schema = Schema::new((0..opts.arity).map(|i| (format!("c{i}"), 0)));
-        let mut engine = QueryCatalog::new(&schema, opts.config);
-        engine.set_trace(shared.trace.clone());
-        let mut role = writer::Catalog::new(engine, ctrl_rx, Arc::clone(cat), &opts);
-        // Preload from --query-file (same grammar as POST /query); any
-        // bad line is a startup error, not a silently-empty catalog.
-        if let Some(path) = &opts.query_file {
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let specs =
-                spec::parse_query_file(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let n = specs.len();
-            for s in specs {
-                let name = s.name.clone();
-                if let Err(e) = role.register(s) {
-                    die(&format!("{path}: query {name:?}: {e}"));
+    // The writer thread, the single owner of estimator (or catalog)
+    // mutation, and the ingest acceptor feeding it: wire frames when
+    // aggregating, text rows otherwise; beside them, the read handle the
+    // query port answers from.
+    let (writer, reads) = match est {
+        None => {
+            let (ctrl_tx, ctrl_rx) = sync_channel::<CatalogCtrl>(INGEST_DEPTH);
+            let cat = Arc::new(CatalogShared {
+                queries: Mutex::new(HashMap::new()),
+                exposition: Mutex::new(String::new()),
+                ctrl: ctrl_tx,
+            });
+            let schema = Schema::new((0..opts.arity).map(|i| (format!("c{i}"), 0)));
+            let mut engine = QueryCatalog::new(&schema, opts.config);
+            engine.set_trace(shared.trace.clone());
+            let mut role = writer::Catalog::new(engine, ctrl_rx, Arc::clone(&cat), &opts);
+            // Preload from --query-file (same grammar as POST /query); any
+            // bad line is a startup error, not a silently-empty catalog.
+            if let Some(path) = &opts.query_file {
+                let text =
+                    std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                let specs =
+                    spec::parse_query_file(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                let n = specs.len();
+                for s in specs {
+                    let name = s.name.clone();
+                    if let Err(e) = role.register(s) {
+                        die(&format!("{path}: query {name:?}: {e}"));
+                    }
                 }
+                eprintln!("implicate-serve: preloaded {n} queries from {path}");
             }
-            eprintln!("implicate-serve: preloaded {n} queries from {path}");
+            role.refresh();
+            let (maker, delimiter) = (pipeline::flat_rows(opts.arity), opts.delimiter);
+            let writer = spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
+                ingest_lines(stream, shared, delimiter, &maker, tx);
+            });
+            (writer, ReadHandle::Catalog(cat))
         }
-        role.refresh();
-        let (arity, delimiter) = (opts.arity, opts.delimiter);
-        spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
-            catalog_ingest_connection(stream, shared, arity, delimiter, tx);
-        })
-    } else if opts.aggregate {
-        let role = writer::Aggregate::new(est, &opts);
-        spawn_role(role, &shared, ingest_listener, wire_ingest_connection)
-    } else {
-        let role = writer::Plain::new(Pipeline::new(est, opts.threads), &opts, ship_slot.clone());
-        let (lhs, rhs, delimiter) = (opts.lhs.clone(), opts.rhs.clone(), opts.delimiter);
-        spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
-            ingest_connection(stream, shared, &lhs, &rhs, delimiter, pair_hasher, tx);
-        })
+        Some(mut est) => {
+            est.set_trace(shared.trace.clone());
+            let (reader, metrics) = (est.reader(), est.metrics().clone());
+            // Seed /snapshot with the restored or initial state, so the
+            // endpoint is never empty once the service is up.
+            *lock(&shared.snapshot) = Some(est.to_bytes());
+            let writer = if opts.aggregate {
+                let metrics = metrics.clone();
+                let role = writer::Aggregate::new(est, &opts);
+                spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
+                    wire_ingest_connection(stream, shared, &metrics, tx);
+                })
+            } else {
+                let maker = pipeline::pair_rows(&opts.lhs, &opts.rhs, est.pair_hasher());
+                let (pipeline, delimiter) = (Pipeline::new(est, opts.threads), opts.delimiter);
+                let role = writer::Plain::new(pipeline, &opts, ship_slot.clone());
+                spawn_role(role, &shared, ingest_listener, move |stream, shared, tx| {
+                    ingest_lines(stream, shared, delimiter, &maker, tx);
+                })
+            };
+            (writer, ReadHandle::Estimator { reader, metrics })
+        }
     };
 
     // Upstream sender (edge role).
-    let sender = match (&opts.upstream, &ship_slot) {
-        (Some(addr), Some(slot)) => {
-            let addr = addr.clone();
-            let slot = Arc::clone(slot);
-            let shared = Arc::clone(&shared);
-            let node_id = opts.node_id;
-            Some(spawn_named("edge-sender", move || {
-                edge_sender(&addr, node_id, &slot, &shared);
-            }))
-        }
-        _ => None,
-    };
+    let sender = opts.upstream.clone().zip(ship_slot).map(|(addr, slot)| {
+        let (shared, node_id) = (Arc::clone(&shared), opts.node_id);
+        spawn_named("edge-sender", move || {
+            edge_sender(&addr, node_id, &slot, &shared);
+        })
+    });
 
     // Query acceptor and its fixed worker pool; each worker answers
-    // from its own reader clone.
+    // from its own clone of the read handle.
     {
-        let shared = Arc::clone(&shared);
-        let cat = cat_shared.clone();
-        let reader_proto = Mutex::new(reader_proto);
+        let (shared, reads) = (Arc::clone(&shared), Mutex::new(reads));
         spawn_named("accept-query", move || {
             http::serve(
                 &query_listener,
                 http::QUERY_WORKERS,
                 http::QUEUE_DEPTH,
                 move || {
-                    let (shared, cat) = (Arc::clone(&shared), cat.clone());
-                    let reader = lock(&reader_proto).clone();
+                    let (shared, reads) = (Arc::clone(&shared), lock(&reads).clone());
                     move |stream| {
-                        http::answer(stream, |req| route(req, &shared, &reader, cat.as_deref()));
+                        http::answer(stream, |req| route(req, &shared, &reads));
                     }
                 },
             );
         });
     }
 
-    let (rows, final_tuples) = writer
+    let finished = writer
         .join()
         .unwrap_or_else(|_| die("the writer thread panicked"));
     if let Some(sender) = sender {
@@ -696,6 +675,9 @@ fn main() {
             die("the edge sender thread panicked");
         }
     }
+    let Some((rows, final_tuples)) = finished else {
+        die("the final checkpoint was not written");
+    };
     eprintln!(
         "implicate-serve: shut down after {rows} rows this session \
          ({} tuples total, {} skipped, {} oversize)",

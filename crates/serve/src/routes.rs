@@ -1,13 +1,14 @@
-//! The query port's routes: the ones every role serves, and the
-//! catalog role's query management and per-query answers.
+//! The query port's routes: the estimator roles' answers, the catalog
+//! role's query management and per-query answers, and the routes every
+//! role serves.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use implicate::{EstimateReader, ImplicationQuery};
+use implicate::{EstimateReader, ImplicationQuery, MetricsHandle};
 
 use imp_serve::http::{Request, Response};
 
@@ -54,6 +55,20 @@ pub struct CatalogShared {
     pub ctrl: SyncSender<CatalogCtrl>,
 }
 
+/// What the query port reads, by role: each query worker answers from a
+/// clone of its own.
+#[derive(Clone)]
+pub enum ReadHandle {
+    /// The standalone, edge and aggregate roles: the serving estimator's
+    /// reader and metrics registry.
+    Estimator {
+        reader: EstimateReader,
+        metrics: MetricsHandle,
+    },
+    /// The catalog role: its per-query readers and control channel.
+    Catalog(Arc<CatalogShared>),
+}
+
 /// Sends the control message `msg` builds around a reply channel and
 /// waits up to 5 s for the writer's answer; a `503` when the writer is
 /// gone or slow.
@@ -73,21 +88,20 @@ fn ask<T>(
         .map_err(|_| Response::text("503 Service Unavailable", "catalog writer timed out\n"))
 }
 
-/// Routes specific to the catalog role; `None` falls through to the
-/// common handler (`/healthz`, `/shutdown`, 404).
-fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<Response> {
+/// The catalog role's routes, then the routes every role serves.
+fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Response {
     let (method, route) = (req.method.as_str(), req.route.as_str());
-    Some(match (method, route) {
+    match (method, route) {
         ("GET", "/estimate") => {
             let Some(wanted) = req
                 .query
                 .split('&')
                 .find_map(|kv| kv.strip_prefix("query="))
             else {
-                return Some(Response::text(
+                return Response::text(
                     "400 Bad Request",
                     "catalog mode: GET /estimate?query=ID-or-NAME\n",
-                ));
+                );
             };
             let queries = lock(&cat.queries);
             let found = wanted
@@ -96,10 +110,7 @@ fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<
                 .and_then(|id| queries.get_key_value(&id))
                 .or_else(|| queries.iter().find(|(_, h)| h.name == wanted));
             let Some((id, handle)) = found else {
-                return Some(Response::text(
-                    "404 Not Found",
-                    format!("no query {wanted:?}\n"),
-                ));
+                return Response::text("404 Not Found", format!("no query {wanted:?}\n"));
             };
             let view = handle.reader.view();
             let e = view.estimate();
@@ -146,10 +157,10 @@ fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<
         ("POST", "/query") => {
             let line = String::from_utf8_lossy(&req.body).trim().to_string();
             if line.is_empty() {
-                return Some(Response::text(
+                return Response::text(
                     "400 Bad Request",
                     "empty body: expected one query spec line\n",
-                ));
+                );
             }
             match ask(cat, |reply| CatalogCtrl::Register { line, reply }) {
                 Ok(Ok(id)) => {
@@ -166,10 +177,7 @@ fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<
         }
         ("DELETE", _) if route.starts_with("/query/") => {
             let Ok(id) = route["/query/".len()..].parse::<u64>() else {
-                return Some(Response::text(
-                    "400 Bad Request",
-                    "DELETE /query/{numeric-id}\n",
-                ));
+                return Response::text("400 Bad Request", "DELETE /query/{numeric-id}\n");
             };
             match ask(cat, |reply| CatalogCtrl::Retire { id, reply }) {
                 Ok(true) => Response::text("200 OK", format!("retired {id}\n")),
@@ -200,21 +208,17 @@ fn catalog_route(req: &Request, cat: &CatalogShared, shared: &Shared) -> Option<
             "404 Not Found",
             "no snapshots in catalog mode (state is per-query)\n",
         ),
-        _ => return None,
-    })
+        _ => common_route(req, shared),
+    }
 }
 
-/// Answers one query request: catalog routes first (in catalog mode),
-/// then the routes every role serves.
-pub fn route(
-    req: &Request,
-    shared: &Shared,
-    reader: &EstimateReader,
-    catalog: Option<&CatalogShared>,
-) -> Response {
-    if let Some(response) = catalog.and_then(|cat| catalog_route(req, cat, shared)) {
-        return response;
-    }
+/// Answers one query request: the routes of the role `reads` belongs
+/// to, then the routes every role serves.
+pub fn route(req: &Request, shared: &Shared, reads: &ReadHandle) -> Response {
+    let (reader, metrics) = match reads {
+        ReadHandle::Estimator { reader, metrics } => (reader, metrics),
+        ReadHandle::Catalog(cat) => return catalog_route(req, cat, shared),
+    };
     match (req.method.as_str(), req.route.as_str()) {
         ("GET", "/estimate") => {
             let view = reader.view();
@@ -238,7 +242,7 @@ pub fn route(
             Response::new("200 OK", "application/json", body)
         }
         ("GET", "/metrics") => {
-            let mut body = shared.metrics.prometheus("implicate");
+            let mut body = metrics.prometheus("implicate");
             let now = shared.now_ms();
             if let Some(fleet) = &shared.fleet {
                 fleet.prometheus_into("implicate", now, &mut body);
@@ -279,6 +283,13 @@ pub fn route(
             Some(data) => Response::new("200 OK", "application/octet-stream", data.to_vec()),
             None => Response::text("404 Not Found", "no checkpoint published yet\n"),
         },
+        _ => common_route(req, shared),
+    }
+}
+
+/// The routes every role serves.
+fn common_route(req: &Request, shared: &Shared) -> Response {
+    match (req.method.as_str(), req.route.as_str()) {
         ("GET", "/healthz") => Response::text("200 OK", "ok\n"),
         ("POST", "/shutdown") => {
             shared.stop.store(true, Ordering::Release);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use implicate::core::wire::{peek_frame, WireDecoder, WireSnapshot};
-use implicate::pipeline::Pipeline;
+use implicate::pipeline::{self, Pipeline};
 use implicate::spec::QuerySpec;
 use implicate::{
     EstimatorConfig, HashedBatch, ImplicationEstimator, QueryCatalog, QueryId, TupleHasher,
@@ -39,15 +39,16 @@ pub trait Role {
     fn idle(&mut self, _shared: &Shared) {}
 
     /// Publishes and stores the final state. Returns (rows or frames
-    /// this session, final tuple count).
-    fn finish(self, shared: &Shared) -> (u64, u64);
+    /// this session, final tuple count), or `None` when the final
+    /// checkpoint could not be written.
+    fn finish(self, shared: &Shared) -> Option<(u64, u64)>;
 }
 
 /// The writer loop of every role: applies messages as they arrive, runs
 /// the catch-up work each time the queue is empty again, the idle work
 /// after each quiet [`POLL`], and once the stop flag is up applies
 /// whatever is still queued before [`Role::finish`].
-pub fn run<R: Role>(mut role: R, rx: &Receiver<R::Msg>, shared: &Shared) -> (u64, u64) {
+pub fn run<R: Role>(mut role: R, rx: &Receiver<R::Msg>, shared: &Shared) -> Option<(u64, u64)> {
     loop {
         match rx.recv_timeout(POLL) {
             Ok(msg) => {
@@ -73,29 +74,27 @@ pub fn run<R: Role>(mut role: R, rx: &Receiver<R::Msg>, shared: &Shared) -> (u64
 }
 
 /// Serves `data` on `GET /snapshot` and, given a path, also writes it
-/// there as the checkpoint (write temp + rename, so the file is always a
-/// whole snapshot).
-pub fn store_snapshot(shared: &Shared, data: bytes::Bytes, checkpoint: Option<&str>) {
-    if let Some(path) = checkpoint {
-        let tmp = format!("{path}.tmp");
-        let result = std::fs::write(&tmp, &data).and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = result {
-            eprintln!("implicate-serve: checkpoint {path}: {e}");
-        }
-    }
+/// there as the checkpoint ([`pipeline::write_checkpoint`]). Returns
+/// whether the checkpoint was written; a failed write is logged.
+fn store_snapshot(shared: &Shared, data: bytes::Bytes, checkpoint: Option<&str>) -> bool {
+    let written = checkpoint.map_or(Ok(()), |path| {
+        pipeline::write_checkpoint(path, &data)
+            .map_err(|e| eprintln!("implicate-serve: checkpoint {path}: {e}"))
+    });
     *lock(&shared.snapshot) = Some(data);
+    written.is_ok()
 }
 
-/// Publishes `est`'s final state and stores its snapshot and checkpoint.
-fn store_final(shared: &Shared, est: &mut ImplicationEstimator, checkpoint: Option<&str>) {
+/// Publishes `est`'s final state and stores its snapshot and checkpoint;
+/// returns whether the checkpoint was written.
+fn store_final(shared: &Shared, est: &mut ImplicationEstimator, checkpoint: Option<&str>) -> bool {
     est.publish();
-    store_snapshot(shared, est.to_bytes(), checkpoint);
-    if let Some(path) = checkpoint {
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            est.tuples_seen()
-        );
+    let written = store_snapshot(shared, est.to_bytes(), checkpoint);
+    if let Some(path) = checkpoint.filter(|_| written) {
+        let tuples = est.tuples_seen();
+        eprintln!("implicate-serve: checkpointed {tuples} tuples to {path}");
     }
+    written
 }
 
 /// The edge role's side of the ship cadence.
@@ -231,15 +230,15 @@ impl Role for Plain {
         }
     }
 
-    fn finish(self, shared: &Shared) -> (u64, u64) {
+    fn finish(self, shared: &Shared) -> Option<(u64, u64)> {
         let mut est = self.pipeline.finish();
-        store_final(shared, &mut est, self.checkpoint.as_deref());
+        let written = store_final(shared, &mut est, self.checkpoint.as_deref());
         // The final state always ships (an unchanged-state delta is a few
         // bytes), so a graceful edge shutdown never strands its tail.
         if let Some(ship) = self.ship {
             ship.slot.close(WireSnapshot::capture(&est, ship.epoch + 1));
         }
-        (self.rows, est.tuples_seen())
+        written.then(|| (self.rows, est.tuples_seen()))
     }
 }
 
@@ -388,10 +387,10 @@ impl Role for Catalog {
         }
     }
 
-    fn finish(mut self, _shared: &Shared) -> (u64, u64) {
+    fn finish(mut self, _shared: &Shared) -> Option<(u64, u64)> {
         self.publish();
         self.refresh();
-        (self.rows, self.catalog.tuples_seen())
+        Some((self.rows, self.catalog.tuples_seen()))
     }
 }
 
@@ -515,9 +514,9 @@ impl Role for Aggregate {
         store_snapshot(shared, data, self.checkpoint.as_deref().filter(|_| due));
     }
 
-    fn finish(mut self, shared: &Shared) -> (u64, u64) {
-        store_final(shared, &mut self.serving, self.checkpoint.as_deref());
-        (self.frames, self.serving.tuples_seen())
+    fn finish(mut self, shared: &Shared) -> Option<(u64, u64)> {
+        store_final(shared, &mut self.serving, self.checkpoint.as_deref())
+            .then(|| (self.frames, self.serving.tuples_seen()))
     }
 }
 
@@ -529,7 +528,7 @@ mod tests {
     use std::sync::mpsc::{channel, Sender};
     use std::sync::Mutex;
 
-    use implicate::{MetricsHandle, TraceHandle};
+    use implicate::TraceHandle;
 
     use super::*;
 
@@ -541,7 +540,6 @@ mod tests {
             skipped_oversize: AtomicU64::new(0),
             ingest_refused: AtomicU64::new(0),
             snapshot: Mutex::new(None),
-            metrics: MetricsHandle::new(),
             trace: TraceHandle::disabled(),
             fleet: None,
             edge: None,
@@ -587,8 +585,8 @@ mod tests {
             shared.stop.store(true, Ordering::Release);
         }
 
-        fn finish(self, _shared: &Shared) -> (u64, u64) {
-            (0, 0)
+        fn finish(self, _shared: &Shared) -> Option<(u64, u64)> {
+            Some((0, 0))
         }
     }
 
@@ -607,7 +605,7 @@ mod tests {
             burst: Some((tx.clone(), burst.to_vec())),
         };
         let held = keep_open.then_some(tx);
-        run(role, &rx, &shared());
+        run(role, &rx, &shared()).expect("the recorder finishes");
         drop(held);
         calls.take()
     }

@@ -6,157 +6,16 @@
 //! flight-recorder JSONL plus per-variant decode-error counters and a
 //! rejected-node-id-switch audit trail.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use implicate::core::wire::WireSnapshot;
-use implicate::{
-    lint_prometheus, EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy,
-};
+use implicate::lint_prometheus;
 
-const DEADLINE: Duration = Duration::from_secs(60);
+mod common;
 
-/// Kills the child process if the test panics before shutdown.
-struct Server {
-    child: Child,
-    ingest: String,
-    query: String,
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Server {
-    fn spawn(extra: &[&str]) -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn implicate-serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
-        let mut next = || {
-            lines
-                .next()
-                .expect("server announced an address")
-                .expect("readable stdout")
-        };
-        let ingest = next()
-            .strip_prefix("serve: ingest listening on ")
-            .expect("ingest announcement")
-            .to_string();
-        let query = next()
-            .strip_prefix("serve: query listening on ")
-            .expect("query announcement")
-            .to_string();
-        Server {
-            child,
-            ingest,
-            query,
-        }
-    }
-
-    fn ingest_rows(&self, rows: &str) {
-        let mut conn = TcpStream::connect(&self.ingest).expect("connect ingest");
-        conn.write_all(rows.as_bytes()).expect("send rows");
-        conn.flush().expect("flush rows");
-    }
-
-    fn http(&self, method: &str, path: &str) -> (String, Vec<u8>) {
-        let mut conn = TcpStream::connect(&self.query).expect("connect query");
-        conn.write_all(format!("{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n").as_bytes())
-            .expect("send request");
-        let mut response = Vec::new();
-        conn.read_to_end(&mut response).expect("read response");
-        let split = response
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("header terminator");
-        let head = String::from_utf8_lossy(&response[..split]);
-        let status = head.lines().next().unwrap_or("").to_string();
-        (status, response[split + 4..].to_vec())
-    }
-
-    fn status_body(&self) -> String {
-        let (status, body) = self.http("GET", "/status");
-        assert!(status.contains("200"), "status failed: {status}");
-        String::from_utf8(body).expect("status is utf8 json")
-    }
-
-    /// Polls `/status` until `pred` holds on the body, returning it.
-    fn wait_status(&self, what: &str, pred: impl Fn(&str) -> bool) -> String {
-        let start = Instant::now();
-        loop {
-            let body = self.status_body();
-            if pred(&body) {
-                return body;
-            }
-            assert!(
-                start.elapsed() < DEADLINE,
-                "timed out waiting for {what}; last status: {body}"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-}
-
-/// Extracts node `id`'s JSON object from a `/status` body (node objects
-/// are flat, so the first `}` closes them).
-fn node_json(body: &str, id: u64) -> Option<String> {
-    let pat = format!("{{\"node_id\":{id},");
-    let at = body.find(&pat)?;
-    let end = body[at..].find('}')? + at;
-    Some(body[at..=end].to_string())
-}
-
-/// Numeric field out of a flat JSON object.
-fn field_u64(obj: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).unwrap_or_else(|| panic!("{key} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("numeric {key} in {obj}"))
-}
-
-/// String field out of a flat JSON object.
-fn field_str(obj: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":\"");
-    let at = obj.find(&pat).unwrap_or_else(|| panic!("{key} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(|&c| c != '"')
-        .collect()
-}
-
-fn node_health(body: &str, id: u64) -> String {
-    let obj = node_json(body, id).unwrap_or_else(|| panic!("node {id} in {body}"));
-    field_str(&obj, "health")
-}
-
-/// The service's default conditions/config, mirrored so test-built wire
-/// frames pass the aggregator's `require_matching` check.
-fn serve_default_config() -> EstimatorConfig {
-    let cond = ImplicationConditions::builder()
-        .max_multiplicity(1)
-        .min_support(1)
-        .top_confidence(1, 1.0)
-        .multiplicity_policy(MultiplicityPolicy::Strict)
-        .build();
-    EstimatorConfig::new(cond)
-        .bitmaps(64)
-        .fringe(Fringe::Bounded(4))
-        .seed(42)
-}
+use common::*;
 
 /// `n` distinct rows tagged per edge so ground-truth tuple counts are
 /// exact.
@@ -195,8 +54,7 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
         edge.ingest_rows(&edge_rows(i, 0, volumes[i]));
     }
     let body = agg.wait_status("all nodes at ground-truth tuples", |b| {
-        (0..3)
-            .all(|i| node_json(b, i as u64).is_some_and(|n| field_u64(&n, "tuples") == volumes[i]))
+        (0..3).all(|i| node_json(b, i as u64).is_some_and(|n| json_u64(&n, "tuples") == volumes[i]))
     });
 
     // Per-node counters match ground truth: every applied frame is
@@ -206,24 +64,24 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
     for i in 0..3u64 {
         let n = node_json(&body, i).expect("node present");
         assert_eq!(field_str(&n, "health"), "live", "{n}");
-        let frames = field_u64(&n, "frames");
+        let frames = json_u64(&n, "frames");
         assert!(frames >= 1, "{n}");
         assert_eq!(
             frames,
-            field_u64(&n, "fulls") + field_u64(&n, "deltas"),
+            json_u64(&n, "fulls") + json_u64(&n, "deltas"),
             "{n}"
         );
-        assert!(field_u64(&n, "bytes") > 0, "{n}");
-        assert!(field_u64(&n, "epoch") >= 1, "{n}");
-        assert_eq!(field_u64(&n, "epoch_lag"), 0, "{n}");
-        assert_eq!(field_u64(&n, "decode_errors"), 0, "{n}");
+        assert!(json_u64(&n, "bytes") > 0, "{n}");
+        assert!(json_u64(&n, "epoch") >= 1, "{n}");
+        assert_eq!(json_u64(&n, "epoch_lag"), 0, "{n}");
+        assert_eq!(json_u64(&n, "decode_errors"), 0, "{n}");
     }
 
     // The merged estimate serves the union of the edges.
     let (status, est_body) = agg.http("GET", "/estimate");
     assert!(status.contains("200"));
     let est_body = String::from_utf8(est_body).unwrap();
-    assert_eq!(field_u64(&est_body, "tuples"), volumes.iter().sum::<u64>());
+    assert_eq!(json_u64(&est_body, "tuples"), volumes.iter().sum::<u64>());
 
     // /metrics carries the labeled per-node series and lints clean.
     let (status, metrics) = agg.http("GET", "/metrics");
@@ -251,7 +109,7 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
         "{edge_status}"
     );
     let eobj = edge_status.clone();
-    assert!(field_u64(&eobj, "ships") >= 1, "{edge_status}");
+    assert!(json_u64(&eobj, "ships") >= 1, "{edge_status}");
     let (status, edge_metrics) = edges[1].http("GET", "/metrics");
     assert!(status.contains("200"));
     let edge_metrics = String::from_utf8(edge_metrics).unwrap();
@@ -307,7 +165,7 @@ fn fleet_status_tracks_per_node_counters_and_an_edge_kill() {
         node_health(b, 0) == "stale" && node_health(b, 1) == "live" && node_health(b, 2) == "live"
     });
     let n0 = node_json(&body, 0).unwrap();
-    assert_eq!(field_u64(&n0, "tuples"), volumes[0], "dead node froze");
+    assert_eq!(json_u64(&n0, "tuples"), volumes[0], "dead node froze");
     let (_, metrics) = agg.http("GET", "/metrics");
     let metrics = String::from_utf8(metrics).unwrap();
     assert!(
@@ -348,7 +206,7 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
         .expect("send valid frame");
     conn.flush().expect("flush");
     agg.wait_status("node 7 applied", |b| {
-        node_json(b, 7).is_some_and(|n| field_u64(&n, "tuples") == 50)
+        node_json(b, 7).is_some_and(|n| json_u64(&n, "tuples") == 50)
     });
 
     // A frame from an estimator with different hash seeds is the
@@ -362,12 +220,12 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
 
     let body = agg.wait_status("node 7 poisoned", |b| {
         node_json(b, 7).is_some_and(|n| {
-            field_u64(&n, "decode_errors") == 1 && field_str(&n, "health") == "poisoned"
+            json_u64(&n, "decode_errors") == 1 && field_str(&n, "health") == "poisoned"
         })
     });
     let n7 = node_json(&body, 7).unwrap();
-    assert_eq!(field_u64(&n7, "epoch"), 1, "rejected frame not applied");
-    assert_eq!(field_u64(&n7, "epoch_lag"), 1, "declared 2, applied 1");
+    assert_eq!(json_u64(&n7, "epoch"), 1, "rejected frame not applied");
+    assert_eq!(json_u64(&n7, "epoch_lag"), 1, "declared 2, applied 1");
 
     // The rejection dumped a flight recording: bounded JSONL whose
     // first line is the decode-error context.
@@ -427,14 +285,14 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
         .expect("send node 8 frame");
     conn2.flush().expect("flush");
     agg.wait_status("node 8 applied", |b| {
-        node_json(b, 8).is_some_and(|n| field_u64(&n, "tuples") == 10)
+        node_json(b, 8).is_some_and(|n| json_u64(&n, "tuples") == 10)
     });
     conn2
         .write_all(&WireSnapshot::capture(&est8, 2).full_frame(9))
         .expect("send switched-id frame");
     conn2.flush().expect("flush");
     let body = agg.wait_status("id conflict recorded", |b| {
-        node_json(b, 8).is_some_and(|n| field_u64(&n, "id_conflicts") == 1)
+        node_json(b, 8).is_some_and(|n| json_u64(&n, "id_conflicts") == 1)
     });
     assert!(
         !body.contains("\"node_id\":9"),
@@ -459,12 +317,12 @@ fn corrupted_frame_triggers_flight_recorder_and_error_counters() {
     conn3.flush().expect("flush");
     let body = agg.wait_status("node 7 resynced", |b| {
         node_json(b, 7)
-            .is_some_and(|n| field_str(&n, "health") == "live" && field_u64(&n, "tuples") == 60)
+            .is_some_and(|n| field_str(&n, "health") == "live" && json_u64(&n, "tuples") == 60)
     });
     let n7 = node_json(&body, 7).unwrap();
-    assert_eq!(field_u64(&n7, "epoch"), 3);
-    assert_eq!(field_u64(&n7, "epoch_lag"), 0);
-    assert_eq!(field_u64(&n7, "decode_errors"), 1, "history preserved");
+    assert_eq!(json_u64(&n7, "epoch"), 3);
+    assert_eq!(json_u64(&n7, "epoch_lag"), 0);
+    assert_eq!(json_u64(&n7, "decode_errors"), 1, "history preserved");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -493,9 +351,8 @@ fn aggregator_encodes_one_snapshot_per_applied_frame() {
     let start = Instant::now();
     loop {
         let node = node_json(&agg.status_body(), 0);
-        let (tuples, frames) = node.map_or((0, 0), |n| {
-            (field_u64(&n, "tuples"), field_u64(&n, "frames"))
-        });
+        let (tuples, frames) =
+            node.map_or((0, 0), |n| (json_u64(&n, "tuples"), json_u64(&n, "frames")));
         let (_, metrics) = agg.http("GET", "/metrics");
         let metrics = String::from_utf8(metrics).expect("utf8 exposition");
         let encodes: u64 = metrics

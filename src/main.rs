@@ -14,7 +14,8 @@
 //! # parse on 4 threads, ingest over 4 lanes (same output, bit for bit)
 //! implicate --lhs 0 --rhs 1 --threads 4 traffic.csv
 //!
-//! # checkpoint / resume across restarts
+//! # checkpoint / resume across restarts (a save replaces the file whole;
+//! # a resume under other conditions, --bitmaps or --seed exits 2)
 //! implicate --lhs 0 --rhs 1 --save state.imps
 //! implicate --lhs 0 --rhs 1 --resume state.imps --save state.imps
 //!
@@ -51,22 +52,23 @@
 //! so the tool works on IPs, URLs or numeric ids alike.
 //!
 //! Both modes share one ingest loop, [`run`], with a parser pool under
-//! `--threads N`. Each engine shadows its `--audit` over exactly the
+//! `--threads N`; the row makers, the checkpoint restore and the
+//! checkpoint writer come from [`implicate::pipeline`], as in
+//! `implicate-serve`. Each engine shadows its `--audit` over exactly the
 //! rows it applies, keyed on the `(h_a, b_fp)` pair its estimators
 //! ingest, so stdout, `--watch` and `--audit` lines are the same at
 //! every `--threads` (DESIGN.md §8.10).
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::process::exit;
 use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
-use implicate::core::wire;
 use implicate::opts::{self, EstimatorOpts, Flag};
-use implicate::pipeline::Pipeline;
+use implicate::pipeline::{self, MakeRow, Pipeline};
 use implicate::sketch::hash::MixHasher;
 use implicate::spec::{QuerySpec, FIELD_HASHER_SEED};
-use implicate::text::{project, wanted_columns, Line, LineFields, LineReader, Row};
+use implicate::text::{Line, LineFields, LineReader, Row};
 use implicate::{
     AccuracyAuditor, EstimateReader, EstimatorConfig, HashedBatch, ImplicationConditions,
     QueryCatalog, QueryCombiner, QueryId, QueryKind, Schema, ShardedCatalog, TraceHandle,
@@ -367,18 +369,17 @@ fn due(n: Option<u64>, rows: u64) -> bool {
     n.is_some_and(|n| rows.is_multiple_of(n))
 }
 
-/// The one ingest loop of both modes; returns `(rows, skipped)`.
-/// `make_row` appends the engine row of a line's field fingerprints (the
-/// columns `wanted` selects) to a batch and returns `true`, or returns
-/// `false` for a row too short for it, which counts as skipped. At
-/// `--threads 1` this thread parses; at `--threads N` the [`parse_pool`]
-/// does. Either way rows reach the engine in stream order, in batches cut
-/// at every report boundary, so each report names its exact row.
+/// The one ingest loop of both modes; returns `(rows, skipped)`. Each
+/// line's fields are hashed where the mode's `wanted` mask selects them
+/// and made into an engine row by its row maker (see
+/// [`implicate::pipeline`]). At `--threads 1` this thread parses; at
+/// `--threads N` the [`parse_pool`] does. Either way rows reach the
+/// engine in stream order, in batches cut at every report boundary, so
+/// each report names its exact row.
 fn run<E: Engine + Send>(
     cli: &Cli,
     engine: &mut E,
-    wanted: &[bool],
-    mut make_row: impl FnMut(&[u64], &mut Vec<E::Word>) -> bool + Clone + Send,
+    (wanted, mut make_row): (Vec<bool>, impl MakeRow<E::Word>),
 ) -> (u64, u64) {
     let mut lines = LineReader::new(open_input(cli));
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
@@ -395,14 +396,14 @@ fn run<E: Engine + Send>(
         }
     };
     let skipped = if cli.est.threads > 1 {
-        parse_pool(cli, lines, &fields, wanted, width, make_row, |row| {
+        parse_pool(cli, lines, &fields, &wanted, width, make_row, |row| {
             batch.extend_from_slice(row);
             accepted(engine, &mut batch);
         })
     } else {
         let mut skipped = 0;
         while let Some(line) = next_input_line(&mut lines) {
-            let Some(row) = cli_fields(&mut fields, line, wanted) else {
+            let Some(row) = cli_fields(&mut fields, line, &wanted) else {
                 continue;
             };
             if make_row(row, &mut batch) {
@@ -431,7 +432,7 @@ fn parse_pool<T: Copy + Send>(
     fields: &LineFields,
     wanted: &[bool],
     width: usize,
-    make_row: impl FnMut(&[u64], &mut Vec<T>) -> bool + Clone + Send,
+    make_row: impl MakeRow<T>,
     mut sink: impl FnMut(&[T]) + Send,
 ) -> u64 {
     let threads = cli.est.threads;
@@ -595,21 +596,9 @@ impl Engine for Plain<'_> {
 /// resumed from and saved to a snapshot on request.
 fn plain(cli: &Cli) {
     let mut est = match &cli.resume {
-        Some(path) => {
-            let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            wire::decode_compat(bytes::Bytes::from(raw))
-                .unwrap_or_else(|e| die(&format!("{path}: {e}")))
-        }
+        Some(path) => pipeline::restore(path, &cli.config).unwrap_or_else(|e| die(&e)),
         None => cli.config.build(),
     };
-    if cli.resume.is_some() && est.conditions() != cli.config.conditions_ref() {
-        die("snapshot was built with different implication conditions");
-    }
-    if cli.resume.is_some() {
-        // A snapshot restores against an unlimited budget; re-arm the
-        // requested ceiling before ingestion continues.
-        est.set_memory_budget(cli.config.memory_budget_limit());
-    }
     if cli.trace_out.is_some() {
         est.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
     }
@@ -622,22 +611,13 @@ fn plain(cli: &Cli) {
         auditor.set_trace(est.trace().clone());
         auditor
     });
-    let pair_hasher = est.pair_hasher();
+    let maker = pipeline::pair_rows(&cli.lhs, &cli.rhs, est.pair_hasher());
     let mut engine = Plain {
         cli,
         pipeline: Pipeline::new(est, cli.est.threads),
         auditor,
     };
-    let (lhs, rhs) = (&cli.lhs[..], &cli.rhs[..]);
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let wanted = wanted_columns(&[lhs, rhs]);
-    let (rows, skipped) = run(cli, &mut engine, &wanted, move |row, batch| {
-        let projected = project(row, lhs, &mut buf_a) && project(row, rhs, &mut buf_b);
-        if projected {
-            batch.push(pair_hasher.hash_pair(&buf_a, &buf_b));
-        }
-        projected
-    });
+    let (rows, skipped) = run(cli, &mut engine, maker);
     if let Some(aud) = &engine.auditor {
         match aud.final_error() {
             Some(err) => eprintln!(
@@ -668,9 +648,7 @@ fn plain(cli: &Cli) {
     );
     if let Some(path) = &cli.save {
         let bytes = est.to_bytes();
-        let mut f = std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        f.write_all(&bytes)
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        pipeline::write_checkpoint(path, &bytes).unwrap_or_else(|e| die(&format!("{path}: {e}")));
         eprintln!("snapshot: wrote {} bytes to {path}", bytes.len());
     }
     // After --save, so the journal includes the snapshot-encode span and
@@ -840,13 +818,7 @@ fn catalog(cli: &Cli) {
         hashed: HashedBatch::new(),
         audits,
     };
-    let (rows, skipped) = run(cli, &mut engine, &vec![true; arity], |row, batch| {
-        let whole = row.len() >= arity;
-        if whole {
-            batch.extend_from_slice(&row[..arity]);
-        }
-        whole
-    });
+    let (rows, skipped) = run(cli, &mut engine, pipeline::flat_rows(arity));
     let catalog = match engine.queries {
         Queries::Single(catalog) => catalog,
         Queries::Sharded(sharded) => sharded.finish(),

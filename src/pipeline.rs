@@ -1,9 +1,88 @@
-//! The plain-mode engine of both front ends: `implicate` without
-//! `--query-file`, and `implicate-serve`'s standalone and edge roles feed
-//! pre-hashed `(h_a, b_fp)` batches to one [`Pipeline`], which reaches
-//! the same state, bit for bit, at any `--threads`.
+//! The one pipeline behind both front ends, `implicate` and
+//! `implicate-serve`: the checkpoint's way in and out ([`restore`],
+//! [`write_checkpoint`]), the row makers that turn a line's field
+//! fingerprints into engine rows ([`pair_rows`] for plain mode,
+//! [`flat_rows`] for catalog mode), and the plain-mode engine,
+//! [`Pipeline`]: `implicate` without `--query-file` and serve's
+//! standalone and edge roles feed pre-hashed `(h_a, b_fp)` batches to
+//! one, which reaches the same state, bit for bit, at any `--threads`.
 
-use imp_core::{Estimate, ImplicationEstimator, MetricsHandle, ShardedEstimator};
+use imp_core::wire;
+use imp_core::{
+    Estimate, EstimatorConfig, ImplicationEstimator, MetricsHandle, PairHasher, ShardedEstimator,
+};
+
+use crate::text::{project, wanted_columns};
+
+/// Restores the checkpoint at `path` (a VERSION 2 snapshot or a full
+/// wire frame) to run under `config`, and refuses one whose
+/// [`MergeKey`](imp_core::MergeKey) differs from the configuration's,
+/// naming the first mismatched field: its flags would be silently
+/// ignored, and its estimates could not merge with its peers'.
+pub fn restore(path: &str, config: &EstimatorConfig) -> Result<ImplicationEstimator, String> {
+    let raw = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut est = wire::decode_compat(raw.into()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(field) = config.merge_key().mismatch(&est.merge_key()) {
+        return Err(format!(
+            "{path}: configuration mismatch: {field} (the checkpoint was built with other flags)"
+        ));
+    }
+    // A snapshot restores against an unlimited budget; re-arm the
+    // requested ceiling before ingestion continues.
+    est.set_memory_budget(config.memory_budget_limit());
+    Ok(est)
+}
+
+/// Writes a checkpoint to `path` whole or not at all: into `path.tmp`,
+/// then renamed over `path`, so a failed write leaves the previous file
+/// as it was.
+pub fn write_checkpoint(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path))
+}
+
+/// A row maker: appends the engine row built from a line's field
+/// fingerprints (the columns its `wanted` mask selects) to a batch, or
+/// returns `false` for a row too short for it, which counts as skipped.
+/// Each parser thread or connection runs a clone of its own.
+pub trait MakeRow<W>: FnMut(&[u64], &mut Vec<W>) -> bool + Clone + Send {}
+
+impl<W, F: FnMut(&[u64], &mut Vec<W>) -> bool + Clone + Send> MakeRow<W> for F {}
+
+/// Plain mode's row maker and its `wanted` mask: the `lhs` and `rhs`
+/// projections hashed by `hasher` into the `(h_a, b_fp)` pair the
+/// estimator ingests.
+pub fn pair_rows(
+    lhs: &[usize],
+    rhs: &[usize],
+    hasher: PairHasher,
+) -> (Vec<bool>, impl MakeRow<(u64, u64)>) {
+    let wanted = wanted_columns(&[lhs, rhs]);
+    let (lhs, rhs) = (lhs.to_vec(), rhs.to_vec());
+    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
+    let make_row = move |row: &[u64], batch: &mut Vec<(u64, u64)>| {
+        let projected = project(row, &lhs, &mut buf_a) && project(row, &rhs, &mut buf_b);
+        if projected {
+            batch.push(hasher.hash_pair(&buf_a, &buf_b));
+        }
+        projected
+    };
+    (wanted, make_row)
+}
+
+/// Catalog mode's row maker and its `wanted` mask: the first `arity`
+/// fingerprints, copied flat, so a query registered at any time is
+/// answered from the same pass.
+pub fn flat_rows(arity: usize) -> (Vec<bool>, impl MakeRow<u64>) {
+    let make_row = move |row: &[u64], batch: &mut Vec<u64>| {
+        let whole = row.len() >= arity;
+        if whole {
+            batch.extend_from_slice(&row[..arity]);
+        }
+        whole
+    };
+    (vec![true; arity], make_row)
+}
 
 /// One estimator at `--threads 1`, else its bitmaps sharded over lanes.
 // One Pipeline exists per process, so the size spread between variants

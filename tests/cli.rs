@@ -125,18 +125,90 @@ fn save_and_resume_roundtrip() {
     );
     assert!(ok1, "stderr: {stderr1}");
     assert!(stderr1.contains("snapshot: wrote"), "stderr: {stderr1}");
+    // Saves write a temporary file and rename it over the target.
+    let tmp = dir.join("state.imps.tmp");
+    assert!(!tmp.exists(), "a save left {} behind", tmp.display());
 
     // Resume and feed the second half; the estimate must reflect both.
     let more: String = (2000..4000u64)
         .map(|a| format!("src{a} dst{a}\n"))
         .collect();
-    let (stdout2, stderr2, ok2) = run_cli(&["--lhs", "0", "--rhs", "1", "--resume", snap_s], &more);
+    let (stdout2, stderr2, ok2) = run_cli(
+        &[
+            "--lhs", "0", "--rhs", "1", "--resume", snap_s, "--save", snap_s,
+        ],
+        &more,
+    );
     assert!(ok2, "stderr: {stderr2}");
     let answer: f64 = stdout2.trim().parse().expect("numeric answer");
     assert!(
         (2500.0..6000.0).contains(&answer),
         "resumed answer {answer} should reflect all 4000 sources"
     );
+    assert!(!tmp.exists(), "a save left {} behind", tmp.display());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_save_keeps_the_previous_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("implicate-failed-save-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let snap = dir.join("state.imps");
+    let snap_s = snap.to_str().expect("utf-8 path");
+    let (_, stderr, ok) = run_cli(
+        &["--lhs", "0", "--rhs", "1", "--save", snap_s],
+        &traffic(500, 0),
+    );
+    assert!(ok, "stderr: {stderr}");
+    let before = std::fs::read(&snap).expect("snapshot written");
+    // A directory in the temporary file's place makes the next save fail.
+    std::fs::create_dir(dir.join("state.imps.tmp")).expect("block the temporary file");
+    let (_, stderr, ok) = run_cli(
+        &[
+            "--lhs", "0", "--rhs", "1", "--resume", snap_s, "--save", snap_s,
+        ],
+        &traffic(1000, 0),
+    );
+    assert!(!ok, "a save that could not be written succeeded: {stderr}");
+    assert!(stderr.contains(snap_s), "stderr: {stderr}");
+    assert_eq!(std::fs::read(&snap).expect("checkpoint kept"), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_refuses_a_snapshot_built_with_another_configuration() {
+    // Restoring keeps the checkpoint's bitmaps and hash seeds, so flags
+    // that ask for others are refused instead of silently ignored.
+    let dir = std::env::temp_dir().join(format!("implicate-mismatch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let snap = dir.join("state.imps");
+    let snap_s = snap.to_str().expect("utf-8 path");
+    let (_, stderr, ok) = run_cli(
+        &["--lhs", "0", "--rhs", "1", "--save", snap_s],
+        &traffic(500, 0),
+    );
+    assert!(ok, "stderr: {stderr}");
+    for (flags, field) in [
+        (&["--bitmaps", "128", "--seed", "5"][..], "bitmap count"),
+        (&["--seed", "5"][..], "hash seeds"),
+        (&["--max-mult", "2"][..], "conditions"),
+    ] {
+        let mut args = vec!["--lhs", "0", "--rhs", "1", "--resume", snap_s];
+        args.extend_from_slice(flags);
+        let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+            .args(&args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run implicate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("configuration mismatch: {field}")),
+            "{flags:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed an answer");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
