@@ -2,7 +2,7 @@
 //! wire-frame reassembly (aggregator role). Each connection runs on its
 //! own thread and hands batches to the writer over a bounded channel.
 
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -42,7 +42,7 @@ pub fn ingest_lines<T>(
 ) {
     let mut make_row = make_row.clone();
     stream.set_read_timeout(Some(POLL)).ok();
-    let mut lines = LineReader::with_cap(BufReader::new(stream), MAX_INGEST_LINE);
+    let mut lines = LineReader::with_cap(stream, MAX_INGEST_LINE);
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), delimiter);
     let (mut batch, mut rows) = (Vec::new(), 0);
     loop {
@@ -61,7 +61,7 @@ pub fn ingest_lines<T>(
                 // and the next read resumes it. Flush what we have so
                 // slow trickles still become visible, then check for
                 // stop.
-                if rows > 0 && tx.send(std::mem::take(&mut batch)).is_err() {
+                if rows > 0 && !ship(shared, tx, std::mem::take(&mut batch), rows) {
                     return;
                 }
                 rows = 0;
@@ -81,20 +81,26 @@ pub fn ingest_lines<T>(
             shared.skipped.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
         rows += 1;
         if rows >= INGEST_BATCH {
             // The next batch starts at the size this one reached.
             let next = Vec::with_capacity(batch.len());
-            if tx.send(std::mem::replace(&mut batch, next)).is_err() {
+            if !ship(shared, tx, std::mem::replace(&mut batch, next), rows) {
                 return;
             }
             rows = 0;
         }
     }
     if rows > 0 {
-        let _ = tx.send(batch);
+        ship(shared, tx, batch, rows);
     }
+}
+
+/// Counts a batch of `rows` rows as accepted and sends it to the
+/// writer; false once the writer is gone.
+fn ship<T>(shared: &Shared, tx: &SyncSender<Vec<T>>, batch: Vec<T>, rows: usize) -> bool {
+    shared.accepted.fetch_add(rows as u64, Ordering::Relaxed);
+    tx.send(batch).is_ok()
 }
 
 /// One aggregator ingest connection: reassembles wire frames off the

@@ -27,8 +27,9 @@
 //!   cannot be written; `GET /shutdown` is refused with `405`).
 //! * **Restart** with the same `--checkpoint` file resumes from the
 //!   snapshot — estimates continue bit-identically from where the
-//!   previous process stopped. Checkpoints are written whole (temporary
-//!   file, then rename), and one built under other conditions, bitmaps
+//!   previous process stopped. Checkpoints are written whole and
+//!   durably (a synced temporary file, then a rename and a directory
+//!   sync), and one built under other conditions, bitmaps
 //!   or hash seeds fails the start, before any listener opens.
 //!
 //! The binary is pure `std`: no async runtime, one writer thread, one
@@ -361,8 +362,9 @@ fn parse_opts() -> Opts {
 /// Shared state the connection handlers read.
 struct Shared {
     stop: AtomicBool,
-    /// Rows accepted off ingest sockets (routed; the published view may
-    /// trail this by the in-flight backlog).
+    /// Rows accepted off ingest sockets, counted as their batch ships
+    /// to the writer (routed; the published view may trail this by the
+    /// in-flight backlog).
     accepted: AtomicU64,
     /// Lines dropped because a projection column was missing or the
     /// line was not UTF-8.

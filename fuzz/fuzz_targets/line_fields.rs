@@ -3,14 +3,18 @@
 //! field hasher must agree line for line with the `str` path they
 //! replaced (`BufRead::lines`, `split_whitespace` or
 //! `split(d).map(str::trim)`, then `hash_field`), a capped reader must
-//! drop exactly the lines over its cap, and nothing may panic.
+//! drop exactly the lines over its cap, and nothing may panic. The
+//! reader reads the text in pieces whose sizes come from the input, so
+//! partial lines are carried across refills and compacted; a line
+//! longer than the reader's 8 KiB buffer (run with `-max_len` above
+//! 8192) also grows it.
 //!
 //! Run with `cargo +nightly fuzz run line_fields` from the repository
 //! root; nightly CI smokes it for at least 60 seconds.
 
 #![no_main]
 
-use std::io::BufRead;
+use std::io::{self, BufRead, Read};
 
 use implicate::sketch::hash::MixHasher;
 use implicate::text::{hash_field, Line, LineFields, LineReader, Row};
@@ -22,8 +26,25 @@ const DELIMITERS: [Option<char>; 5] = [None, Some(','), Some('\t'), Some(' '), S
 /// row, `Err(true)` oversize, `Err(false)` not UTF-8.
 type Outcome = Result<Option<Vec<u64>>, bool>;
 
-fn front_end(
-    mut lines: LineReader<&[u8]>,
+/// Hands out `data` in pieces of 1 to 64 bytes, their sizes drawn
+/// from `sizes` in turn (never empty).
+struct Pieces<'a> {
+    data: &'a [u8],
+    sizes: std::iter::Cycle<std::slice::Iter<'a, u8>>,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let size = 1 + *self.sizes.next().expect("a cycle") as usize % 64;
+        let n = size.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+fn front_end<R: Read>(
+    mut lines: LineReader<R>,
     delimiter: Option<char>,
     wanted: &[bool],
 ) -> Vec<Outcome> {
@@ -45,6 +66,11 @@ fn front_end(
 fuzz_target!(|data: &[u8]| {
     let [mode, cap, mask, text @ ..] = data else {
         return;
+    };
+    // Piece sizes cycle through the input's own bytes.
+    let pieces = |text| Pieces {
+        data: text,
+        sizes: data.iter().cycle(),
     };
     let delimiter = DELIMITERS[*mode as usize % DELIMITERS.len()];
     let n = (*mode as usize / DELIMITERS.len()) % 6;
@@ -73,6 +99,10 @@ fuzz_target!(|data: &[u8]| {
         })
         .collect();
     assert_eq!(front_end(LineReader::new(text), delimiter, &wanted), want);
+    assert_eq!(
+        front_end(LineReader::new(pieces(text)), delimiter, &wanted),
+        want
+    );
 
     let mut lens: Vec<usize> = text.split(|&b| b == b'\n').map(<[u8]>::len).collect();
     if text.is_empty() || text.ends_with(b"\n") {
@@ -84,7 +114,7 @@ fuzz_target!(|data: &[u8]| {
         .map(|(w, len)| if len > cap { Err(true) } else { w })
         .collect();
     assert_eq!(
-        front_end(LineReader::with_cap(text, cap), delimiter, &wanted),
+        front_end(LineReader::with_cap(pieces(text), cap), delimiter, &wanted),
         capped
     );
 });

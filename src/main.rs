@@ -59,7 +59,7 @@
 //! ingest, so stdout, `--watch` and `--audit` lines are the same at
 //! every `--threads` (DESIGN.md §8.10).
 
-use std::io::BufRead;
+use std::io::Read;
 use std::process::exit;
 use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
@@ -369,6 +369,18 @@ fn due(n: Option<u64>, rows: u64) -> bool {
     n.is_some_and(|n| rows.is_multiple_of(n))
 }
 
+/// The first row after `rows` at which a report ([`due`]) is due;
+/// `u64::MAX` when none ever is.
+fn next_report(cli: &Cli, rows: u64) -> u64 {
+    [cli.audit, cli.stats_interval, cli.watch]
+        .into_iter()
+        .flatten()
+        .filter(|&n| n > 0)
+        .map(|n| (rows / n + 1).saturating_mul(n))
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
 /// The one ingest loop of both modes; returns `(rows, skipped)`. Each
 /// line's fields are hashed where the mode's `wanted` mask selects them
 /// and made into an engine row by its row maker (see
@@ -384,15 +396,17 @@ fn run<E: Engine + Send>(
     let mut lines = LineReader::new(open_input(cli));
     let mut fields = LineFields::new(MixHasher::new(FIELD_HASHER_SEED), cli.est.delimiter);
     let (width, mut rows, mut batch) = (engine.width(), 0, Vec::new());
+    let mut report_at = next_report(cli, 0);
     // Counts the row just appended to `batch`.
     let mut accepted = |engine: &mut E, batch: &mut Vec<E::Word>| {
         rows += 1;
-        let report = due(cli.audit, rows) || due(cli.stats_interval, rows) || due(cli.watch, rows);
+        let report = rows == report_at;
         if report || batch.len() >= LINE_BATCH * width {
             engine.apply(batch);
         }
         if report {
             engine.report(rows);
+            report_at = next_report(cli, rows);
         }
     };
     let skipped = if cli.est.threads > 1 {
@@ -428,7 +442,7 @@ fn run<E: Engine + Send>(
 /// hands their rows (`width` words each) to `sink`.
 fn parse_pool<T: Copy + Send>(
     cli: &Cli,
-    mut lines: LineReader<Box<dyn BufRead>>,
+    mut lines: LineReader<Box<dyn Read>>,
     fields: &LineFields,
     wanted: &[bool],
     width: usize,
@@ -500,7 +514,7 @@ fn parse_pool<T: Copy + Send>(
 }
 
 /// The next input line; `None` at end of input. Exits on a read error.
-fn next_input_line<R: BufRead>(lines: &mut LineReader<R>) -> Option<&[u8]> {
+fn next_input_line<R: Read>(lines: &mut LineReader<R>) -> Option<&[u8]> {
     match lines.next_line() {
         Ok(Line::Text(line)) => Some(line),
         Ok(Line::Eof) => None,
@@ -520,11 +534,12 @@ fn cli_fields<'f>(fields: &'f mut LineFields, line: &[u8], wanted: &[bool]) -> O
     }
 }
 
-fn open_input(cli: &Cli) -> Box<dyn BufRead> {
+/// The input file, or stdin; [`LineReader`] buffers either.
+fn open_input(cli: &Cli) -> Box<dyn Read> {
     match &cli.input {
         Some(path) => {
             let file = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            Box::new(std::io::BufReader::new(file))
+            Box::new(file)
         }
         None => Box::new(std::io::stdin().lock()),
     }

@@ -7,6 +7,10 @@
 //! standalone and edge roles feed pre-hashed `(h_a, b_fp)` batches to
 //! one, which reaches the same state, bit for bit, at any `--threads`.
 
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
+
 use imp_core::wire;
 use imp_core::{
     Estimate, EstimatorConfig, ImplicationEstimator, MetricsHandle, PairHasher, ShardedEstimator,
@@ -34,11 +38,22 @@ pub fn restore(path: &str, config: &EstimatorConfig) -> Result<ImplicationEstima
 }
 
 /// Writes a checkpoint to `path` whole or not at all: into `path.tmp`,
-/// then renamed over `path`, so a failed write leaves the previous file
-/// as it was.
+/// synced, then renamed over `path`, so a failed write leaves the
+/// previous file as it was. Syncing the directory after the rename
+/// makes the new name durable too, so a crash leaves the old checkpoint
+/// or the new one, never an empty file.
 pub fn write_checkpoint(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path))
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let dir = match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// A row maker: appends the engine row built from a line's field
@@ -181,5 +196,30 @@ impl Pipeline {
             // on the inherited channel.
             Pipeline::Sharded(sharded) => sharded.finish(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn checkpoints_read_back_whole_and_leave_no_temp_file() {
+        let root = std::env::temp_dir().join(format!("implicate-ckpt-{}", std::process::id()));
+        let dir = root.join("nested").join("dir");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        let path = dir.join("state.imps");
+        let path = path.to_str().expect("UTF-8 temp path");
+        for bytes in [&b"first checkpoint"[..], b"second, over the first"] {
+            write_checkpoint(path, bytes).expect("write checkpoint");
+            assert_eq!(std::fs::read(path).expect("read back"), bytes);
+            assert!(
+                !Path::new(&format!("{path}.tmp")).exists(),
+                "left a temp file"
+            );
+        }
+        let missing = root.join("missing").join("state.imps");
+        assert!(write_checkpoint(missing.to_str().expect("UTF-8"), b"x").is_err());
+        std::fs::remove_dir_all(&root).expect("clean up");
     }
 }

@@ -27,19 +27,36 @@
 //! `\t \n \x0B \x0C \r` and space (note `u8::is_ascii_whitespace` omits
 //! `\x0B`, so it is not used).
 
-use std::io::{self, BufRead, ErrorKind, Read};
+use std::io::{self, ErrorKind, Read};
 
 use imp_sketch::hash::{Hasher64, MixHasher};
 
 /// The empty-slice sentinel of [`Hasher64::hash_slice`].
 const EMPTY_SENTINEL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Packs one ≤ 8-byte chunk into a length-tagged little-endian word.
+/// Packs one ≤ 8-byte chunk into a length-tagged little-endian word:
+/// the chunk's bytes zero-padded to 8, XOR its length. Fixed-width
+/// loads build the word without a variable-length copy: one `u64` for
+/// 8 bytes, two overlapping `u32`s for 4–7, and the first, middle and
+/// last byte for 1–3.
 #[inline]
 fn pack_chunk(chunk: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w[..chunk.len()].copy_from_slice(chunk);
-    u64::from_le_bytes(w) ^ chunk.len() as u64
+    let n = chunk.len();
+    let word = match n {
+        8 => u64::from_le_bytes(chunk.try_into().expect("8 bytes")),
+        4..=7 => {
+            let lo = u32::from_le_bytes(chunk[..4].try_into().expect("4 bytes"));
+            let hi = u32::from_le_bytes(chunk[n - 4..].try_into().expect("4 bytes"));
+            u64::from(lo) | u64::from(hi) << ((n - 4) * 8)
+        }
+        1..=3 => {
+            u64::from(chunk[0])
+                | u64::from(chunk[n / 2]) << (n / 2 * 8)
+                | u64::from(chunk[n - 1]) << ((n - 1) * 8)
+        }
+        _ => 0,
+    };
+    word ^ n as u64
 }
 
 /// Hashes a text field to a single fingerprint word, allocation-free.
@@ -49,15 +66,18 @@ fn pack_chunk(chunk: &[u8]) -> u64 {
 /// with those of callers that materialize the words.
 #[inline]
 pub fn hash_field_bytes<H: Hasher64 + ?Sized>(hasher: &H, field: &[u8]) -> u64 {
-    let mut chunks = field.chunks(8).map(pack_chunk);
-    match field.len().div_ceil(8) {
+    match field.len() {
         0 => hasher.hash_u64(EMPTY_SENTINEL),
-        1 => hasher.hash_u64(chunks.next().expect("one chunk")),
-        n => {
+        1..=8 => hasher.hash_u64(pack_chunk(field)),
+        len => {
             // Mirrors Hasher64::hash_slice's length-dependent chaining.
-            let mut acc = hasher.hash_u64(n as u64);
-            for word in chunks {
-                acc = hasher.hash_u64(acc ^ word);
+            let mut acc = hasher.hash_u64(len.div_ceil(8) as u64);
+            let mut words = field.chunks_exact(8);
+            for word in words.by_ref() {
+                acc = hasher.hash_u64(acc ^ pack_chunk(word));
+            }
+            if !words.remainder().is_empty() {
+                acc = hasher.hash_u64(acc ^ pack_chunk(words.remainder()));
             }
             acc
         }
@@ -80,35 +100,77 @@ pub enum Line<'a> {
     Eof,
 }
 
-/// Reads lines through `BufRead::read_until` into one reused buffer,
-/// which stops growing at the longest line, so reading allocates
-/// nothing per line.
+/// Bytes the reader's buffer starts with, and the most one `read` asks
+/// for while no line outgrows it.
+const READ_SIZE: usize = 8 * 1024;
+
+/// Every byte of a word set to `b`.
+const fn splat(b: u8) -> u64 {
+    u64::from_le_bytes([b; 8])
+}
+
+/// The index of the first `\n` in `bytes`, searched a word at a time.
+#[inline]
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = splat(0x01);
+    const HIGHS: u64 = splat(0x80);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ splat(b'\n');
+        // The lowest set bit marks the first zero byte of `x`: borrows
+        // only carry upward, so false hits lie above a true one.
+        let zero = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zero != 0 {
+            return Some(i * 8 + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|p| at + p)
+}
+
+/// Reads lines out of one owned buffer and returns them in place, so
+/// each input byte is copied once, by the `read` that fetched it.
+///
+/// The buffer starts at 8 KiB and each `read` asks for at most its free
+/// tail. The `\n` search resumes where it stopped, so a line fed in
+/// small pieces is scanned once. Before a read, only the unfinished
+/// line moves to the front; the buffer grows only for a line longer
+/// than itself, so reading allocates nothing per line.
 ///
 /// A read that fails with `WouldBlock` or `TimedOut` (a socket read
 /// timeout) keeps the partial line, and the next [`next_line`] resumes
-/// it. With a cap, a line whose bytes before the `\n` (a CRLF's `\r`
-/// included) exceed the cap is never buffered past the cap: the rest is
-/// skipped up to the next `\n` and reported as [`Line::Oversize`].
+/// it; `Interrupted` is retried. With a cap, a line whose bytes before
+/// the `\n` (a CRLF's `\r` included) exceed the cap is reported as
+/// [`Line::Oversize`]: once its unterminated part passes the cap, what
+/// is held of it is dropped and the rest is discarded through its
+/// `\n`, so at most the cap plus one read is ever buffered.
 ///
 /// [`next_line`]: LineReader::next_line
 pub struct LineReader<R> {
     inner: R,
-    line: Vec<u8>,
+    buf: Vec<u8>,
+    /// The first byte not yet returned.
+    start: usize,
+    /// The end of the bytes read.
+    end: usize,
+    /// `buf[start..scanned]` holds no `\n`.
+    scanned: usize,
     cap: Option<usize>,
-    /// `line` holds the line last returned; clear it before reading on.
-    returned: bool,
-    /// Inside an oversize line: skipping to its `\n`.
+    /// Inside an oversize line: discarding through its `\n`.
     discarding: bool,
 }
 
-impl<R: BufRead> LineReader<R> {
+impl<R: Read> LineReader<R> {
     /// A reader with no length cap.
     pub fn new(inner: R) -> Self {
         LineReader {
             inner,
-            line: Vec::new(),
+            buf: vec![0; READ_SIZE],
+            start: 0,
+            end: 0,
+            scanned: 0,
             cap: None,
-            returned: false,
             discarding: false,
         }
     }
@@ -125,63 +187,69 @@ impl<R: BufRead> LineReader<R> {
     /// The next line. An error leaves any partial line in place; after
     /// a timeout, call again to resume it.
     pub fn next_line(&mut self) -> io::Result<Line<'_>> {
-        if std::mem::take(&mut self.returned) {
-            self.line.clear();
-        }
-        if !self.discarding {
-            match self.cap {
-                None => self.inner.read_until(b'\n', &mut self.line)?,
-                Some(cap) => {
-                    // Room for the cap plus the `\n`, so a line of exactly
-                    // `cap` bytes still ends inside the limit.
-                    let room = (cap + 1).saturating_sub(self.line.len()) as u64;
-                    (&mut self.inner)
-                        .take(room)
-                        .read_until(b'\n', &mut self.line)?
+        loop {
+            if let Some(at) = find_newline(&self.buf[self.scanned..self.end]) {
+                let (start, newline) = (self.start, self.scanned + at);
+                self.start = newline + 1;
+                self.scanned = self.start;
+                if std::mem::take(&mut self.discarding)
+                    || self.cap.is_some_and(|cap| newline - start > cap)
+                {
+                    return Ok(Line::Oversize);
                 }
-            };
-            if self.line.last() == Some(&b'\n') {
-                self.line.pop();
-                if self.line.last() == Some(&b'\r') {
-                    self.line.pop();
-                }
-            } else if self.cap.is_some_and(|cap| self.line.len() > cap) {
-                self.line.clear();
-                self.discarding = true;
-            } else if self.line.is_empty() {
-                return Ok(Line::Eof);
+                let end = match self.buf[start..newline] {
+                    [.., b'\r'] => newline - 1,
+                    _ => newline,
+                };
+                return Ok(Line::Text(&self.buf[start..end]));
             }
-            // Otherwise: a final line with no terminator.
+            self.scanned = self.end;
+            if self.discarding || self.cap.is_some_and(|cap| self.end - self.start > cap) {
+                self.discarding = true;
+                self.start = self.end;
+            }
+            if self.fill()? == 0 {
+                // End of input: a final line with no terminator, if any.
+                let start = std::mem::replace(&mut self.start, self.end);
+                self.scanned = self.end;
+                return Ok(if std::mem::take(&mut self.discarding) {
+                    Line::Oversize
+                } else if start < self.end {
+                    Line::Text(&self.buf[start..self.end])
+                } else {
+                    Line::Eof
+                });
+            }
         }
-        if self.discarding {
-            self.skip_line()?;
-            self.discarding = false;
-            return Ok(Line::Oversize);
-        }
-        self.returned = true;
-        Ok(Line::Text(&self.line))
     }
 
-    /// Consumes input through the next `\n` or to the end of input.
-    fn skip_line(&mut self) -> io::Result<()> {
+    /// Moves the unfinished line to the front, grows the buffer if that
+    /// line fills it, and reads once into the free tail; returns the
+    /// bytes read, 0 at end of input.
+    fn fill(&mut self) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            // Under a cap the line needs room for only the cap and one
+            // byte more, which decides whether it fits.
+            let grown = match self.cap {
+                Some(cap) => (2 * self.end).min(cap + 1),
+                None => 2 * self.end,
+            };
+            self.buf.resize(grown, 0);
+        }
         loop {
-            let buf = match self.inner.fill_buf() {
-                Ok(buf) => buf,
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
-            };
-            if buf.is_empty() {
-                return Ok(());
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(at) => {
-                    self.inner.consume(at + 1);
-                    return Ok(());
-                }
-                None => {
-                    let n = buf.len();
-                    self.inner.consume(n);
-                }
             }
         }
     }
@@ -351,27 +419,46 @@ pub fn wanted_columns(col_sets: &[&[usize]]) -> Vec<bool> {
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufRead;
+
     use super::*;
 
-    /// The materializing reference implementation.
-    fn hash_field_alloc(hasher: &MixHasher, field: &str) -> u64 {
-        hasher.hash_slice(
-            &field
-                .as_bytes()
-                .chunks(8)
-                .map(pack_chunk)
-                .collect::<Vec<u64>>(),
-        )
+    /// The materializing reference: each chunk copied into a zeroed
+    /// word, length-tagged, then the whole word slice hashed.
+    fn hash_field_alloc(hasher: &MixHasher, field: &[u8]) -> u64 {
+        let words: Vec<u64> = field
+            .chunks(8)
+            .map(|chunk| {
+                let mut w = [0u8; 8];
+                w[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(w) ^ chunk.len() as u64
+            })
+            .collect();
+        hasher.hash_slice(&words)
     }
 
     #[test]
     fn matches_materializing_reference() {
         let hasher = MixHasher::new(0x00f1_e1d5);
+        // Every length over three chunks, with zero bytes, high bytes
+        // and a distinct value at each position.
+        let bytes: Vec<u8> = (0..24u8)
+            .map(|i| match i % 4 {
+                0 => 0x00,
+                1 => 0x80 | i,
+                2 => 0xff - i,
+                _ => b'a' + i,
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            let field = &bytes[..len];
+            assert_eq!(
+                hash_field_bytes(&hasher, field),
+                hash_field_alloc(&hasher, field),
+                "field {field:02x?}"
+            );
+        }
         let cases = [
-            "",
-            "a",
-            "12345678",
-            "123456789",
             "10.0.0.1",
             "https://example.com/some/long/path?q=1",
             "field with spaces and unicode: héllo wörld ✓",
@@ -379,7 +466,7 @@ mod tests {
         for field in cases {
             assert_eq!(
                 hash_field(&hasher, field),
-                hash_field_alloc(&hasher, field),
+                hash_field_alloc(&hasher, field.as_bytes()),
                 "field {field:?}"
             );
         }
@@ -495,7 +582,7 @@ mod tests {
             chunks: vec![b"ab", b"c\nxx", b"xxxx", b"xxxx", b"\nd", b"e\n", b"f"],
             stall: false,
         };
-        let mut reader = LineReader::with_cap(io::BufReader::with_capacity(4, trickle), 6);
+        let mut reader = LineReader::with_cap(trickle, 6);
         let mut got = Vec::new();
         let mut stalls = 0;
         loop {
@@ -511,6 +598,76 @@ mod tests {
         }
         assert_eq!(got, ["abc", "<oversize>", "de", "f"]);
         assert!(stalls >= 6, "every chunk was preceded by a stall");
+    }
+
+    #[test]
+    fn newline_search_finds_the_first_at_every_offset() {
+        for len in 0..40 {
+            let mut bytes = vec![b'x'; len];
+            assert_eq!(find_newline(&bytes), None, "len {len}");
+            for at in (0..len).rev() {
+                bytes[at] = b'\n';
+                assert_eq!(find_newline(&bytes), Some(at), "len {len}");
+            }
+        }
+        // Bytes one off `\n` on either side, and a borrow-chain.
+        assert_eq!(find_newline(b"\x0b\x09\x8a\x00\x01\n\n\x0b"), Some(5));
+        assert_eq!(find_newline(b"\x01\x00\x0b\x0b\x0b\x0b\x0b\x0b\x0b"), None);
+    }
+
+    /// Reads `input` in pieces of at most `piece` bytes.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        piece: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.piece.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn lines_longer_than_the_buffer_grow_it_and_caps_bound_it() {
+        let long = vec![b'y'; 3 * READ_SIZE + 5];
+        let mut input = b"a\n".to_vec();
+        input.extend_from_slice(&long);
+        input.extend_from_slice(b"\r\nb\n");
+        input.extend_from_slice(&long);
+        for piece in [1, 7, READ_SIZE, usize::MAX] {
+            let mut reader = LineReader::new(Pieces {
+                data: &input,
+                piece,
+            });
+            let mut got = Vec::new();
+            while let Line::Text(l) = reader.next_line().expect("in-memory read") {
+                got.push(l.to_vec());
+            }
+            assert_eq!(got, [&b"a"[..], &long, b"b", &long], "pieces of {piece}");
+            assert!(reader.buf.len() <= 4 * READ_SIZE, "grew past need");
+
+            let cap = READ_SIZE + 1;
+            let mut reader = LineReader::with_cap(
+                Pieces {
+                    data: &input,
+                    piece,
+                },
+                cap,
+            );
+            let mut got = Vec::new();
+            loop {
+                match reader.next_line().expect("in-memory read") {
+                    Line::Text(l) => got.push(Some(l.to_vec())),
+                    Line::Oversize => got.push(None),
+                    Line::Eof => break,
+                }
+                assert!(reader.buf.len() <= cap + 1, "buffered past the cap");
+            }
+            assert_eq!(got, [Some(b"a".to_vec()), None, Some(b"b".to_vec()), None]);
+        }
     }
 
     fn oracle(line: &str, delimiter: Option<char>, wanted: &[bool]) -> Vec<u64> {

@@ -130,6 +130,20 @@ fn delimited_lines_are_read_hashed_and_projected_without_allocating() {
 }
 
 #[test]
+fn lines_straddling_refills_are_read_without_allocating() {
+    // One line longer than a read warms the reader's buffer; the rest,
+    // of many lengths, straddle refills at every offset.
+    let mut data = "w".repeat(10 * 1024).into_bytes();
+    data.extend_from_slice(b" b c d\n");
+    for len in (1..3_000).step_by(7) {
+        data.extend_from_slice("f".repeat(len).as_bytes());
+        data.extend_from_slice(b" 2 3\n");
+    }
+    let rows = drive(&data, None, &[0], &[1, 2]);
+    assert_eq!(rows, 1 + (1..3_000).step_by(7).len() as u64);
+}
+
+#[test]
 fn hash_field_alone_is_allocation_free_for_any_length() {
     let hasher = MixHasher::new(7);
     let long = "f".repeat(4096);

@@ -600,6 +600,37 @@ fn audit_lines(stderr: &str) -> Vec<&str> {
     stderr.lines().filter(|l| l.starts_with("audit")).collect()
 }
 
+/// The row counts that lines starting `{prefix}{rows} rows` name.
+fn report_rows(lines: &[&str], prefix: &str) -> Vec<u64> {
+    lines
+        .iter()
+        .filter_map(|l| l.strip_prefix(prefix)?.split_once(" rows")?.0.parse().ok())
+        .collect()
+}
+
+/// Interleaved cadences each report at exactly their own rows, and
+/// `--watch 0` names none.
+#[test]
+fn interleaved_cadences_report_at_their_rows() {
+    let input = traffic(40, 10);
+    let multiples = |n: u64| (1..=60 / n).map(|i| i * n).collect::<Vec<u64>>();
+    for (watch, want_watch) in [("7", multiples(7)), ("0", vec![])] {
+        let args = ["--lhs", "0", "--rhs", "1", "--watch", watch, "--audit", "5"];
+        let (_, stderr, ok) = run_cli(&args, &input);
+        assert!(ok, "stderr: {stderr}");
+        assert_eq!(
+            report_rows(&watch_lines(&stderr), ""),
+            want_watch,
+            "{stderr}"
+        );
+        assert_eq!(
+            report_rows(&audit_lines(&stderr), "audit "),
+            multiples(5),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn every_thread_count_prints_the_same_answers_and_watch_lines() {
     let dir = std::env::temp_dir().join(format!("implicate-tdiff-{}", std::process::id()));
@@ -664,11 +695,32 @@ fn every_thread_count_prints_the_same_answers_and_watch_lines() {
 /// `update_hashed_batch`.
 #[test]
 fn saved_state_matches_the_library_at_every_thread_count() {
+    assert_save_matches_library(&mixed_traffic(), "save-diff");
+}
+
+/// Rows whose first field is 100 KiB long, many reads' worth, carried
+/// across the reader's refills and buffer growth among normal rows.
+#[test]
+fn rows_longer_than_a_read_save_what_the_library_does() {
+    let long = "L".repeat(100 * 1024);
+    let mut input = String::new();
+    for (i, line) in mixed_traffic().lines().take(3_000).enumerate() {
+        if i % 700 == 0 {
+            input.push_str(&format!("{long}{i} d{} pm\n", i % 3));
+        }
+        input.push_str(line);
+        input.push('\n');
+    }
+    assert_save_matches_library(&input, "save-long");
+}
+
+/// Runs `input` through `implicate --save` at one lane and at four and
+/// checks the saved bytes against the library fed the same rows.
+fn assert_save_matches_library(input: &str, tag: &str) {
     use implicate::sketch::hash::MixHasher;
     use implicate::spec::FIELD_HASHER_SEED;
     use implicate::text::hash_field;
 
-    let input = mixed_traffic();
     let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
     let mut est = implicate::opts::EstimatorOpts::default()
         .config()
@@ -690,7 +742,7 @@ fn saved_state_matches_the_library_at_every_thread_count() {
     est.update_hashed_batch(&pairs);
     let want = est.to_bytes();
 
-    let dir = std::env::temp_dir().join(format!("implicate-save-diff-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("implicate-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     for threads in ["1", "4"] {
         let path = dir.join(format!("threads-{threads}.imps"));
@@ -705,7 +757,7 @@ fn saved_state_matches_the_library_at_every_thread_count() {
             "--save",
             path_s,
         ];
-        let (_, stderr, ok) = run_cli(&args, &input);
+        let (_, stderr, ok) = run_cli(&args, input);
         assert!(ok, "stderr: {stderr}");
         let got = std::fs::read(&path).expect("saved snapshot");
         assert!(

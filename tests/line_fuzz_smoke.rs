@@ -12,7 +12,7 @@
 //! the `line_fields` cargo-fuzz target in `fuzz/` for 60 s and this
 //! smoke at 60 s in release mode).
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Read};
+use std::io::{self, BufRead, ErrorKind, Read};
 use std::time::{Duration, Instant};
 
 use implicate::sketch::hash::MixHasher;
@@ -155,10 +155,12 @@ fn raw_lengths(input: &[u8]) -> Vec<usize> {
     lens
 }
 
-/// Hands out the input in random-sized pieces, with read timeouts
-/// between some of them, so the reader's resume path is exercised.
+/// Hands out the input in random-sized pieces of at most `piece` bytes,
+/// with read timeouts between some of them, so the reader's resume,
+/// compaction and growth paths are exercised.
 struct Stutter<'a> {
     data: &'a [u8],
+    piece: usize,
     rng: XorShift,
 }
 
@@ -167,7 +169,9 @@ impl Read for Stutter<'_> {
         if self.rng.below(3) == 0 {
             return Err(io::Error::new(ErrorKind::WouldBlock, "stall"));
         }
-        let n = (1 + self.rng.below(7)).min(buf.len()).min(self.data.len());
+        let n = (1 + self.rng.below(self.piece))
+            .min(buf.len())
+            .min(self.data.len());
         buf[..n].copy_from_slice(&self.data[..n]);
         self.data = &self.data[n..];
         Ok(n)
@@ -175,7 +179,7 @@ impl Read for Stutter<'_> {
 }
 
 /// One input through the front-end.
-fn front_end<R: BufRead>(
+fn front_end<R: Read>(
     mut lines: LineReader<R>,
     delimiter: Option<char>,
     wanted: &[bool],
@@ -199,7 +203,13 @@ fn front_end<R: BufRead>(
     }
 }
 
-fn check(input: &[u8], delimiter: Option<char>, wanted: &[bool], cap: usize, rng: &mut XorShift) {
+fn check(
+    input: &[u8],
+    delimiter: Option<char>,
+    wanted: &[bool],
+    (cap, piece): (usize, usize),
+    rng: &mut XorShift,
+) {
     let want = oracle(input, delimiter, wanted);
     let got = front_end(LineReader::new(input), delimiter, wanted);
     assert_eq!(got, want, "{input:?} split by {delimiter:?}, {wanted:?}");
@@ -214,10 +224,10 @@ fn check(input: &[u8], delimiter: Option<char>, wanted: &[bool], cap: usize, rng
         .collect();
     let stutter = Stutter {
         data: input,
+        piece,
         rng: XorShift(rng.next() | 1),
     };
-    let reader = BufReader::with_capacity(1 + rng.below(16), stutter);
-    let got = front_end(LineReader::with_cap(reader, cap), delimiter, wanted);
+    let got = front_end(LineReader::with_cap(stutter, cap), delimiter, wanted);
     assert_eq!(got, want_capped, "{input:?} capped at {cap}, {wanted:?}");
 }
 
@@ -227,17 +237,76 @@ fn seed_inputs_match_the_str_path() {
     for input in seed_corpus() {
         for &delimiter in DELIMITERS {
             for n in 0..5 {
-                check(
-                    &input,
-                    delimiter,
-                    &vec![true; n],
-                    1 + rng.below(24),
-                    &mut rng,
-                );
+                let cap = 1 + rng.below(24);
+                check(&input, delimiter, &vec![true; n], (cap, 7), &mut rng);
             }
             let sparse = [false, true, false, true];
-            check(&input, delimiter, &sparse, 1 + rng.below(24), &mut rng);
+            check(&input, delimiter, &sparse, (1 + rng.below(24), 7), &mut rng);
         }
+    }
+}
+
+/// The reader's read size, and serve's ingest line cap.
+const READ: usize = 8 * 1024;
+const CAP: usize = 64 * 1024;
+
+/// A line of exactly `len` bytes of short fields, with no `\n`.
+fn long_line(rng: &mut XorShift, len: usize) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"abcxyz0129,, \t";
+    (0..len)
+        .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+        .collect()
+}
+
+/// `lines` newline-terminated, a short row after each.
+fn joined(lines: &[Vec<u8>]) -> Vec<u8> {
+    let mut input = Vec::new();
+    for line in lines {
+        input.extend_from_slice(line);
+        input.extend_from_slice(b"\nshort row\n");
+    }
+    input
+}
+
+/// Lines longer than one read, which the reader must carry across
+/// refills, compact and grow for: up to about three reads long with no
+/// cap, and just under, at and over serve's 64 KiB cap with it (a
+/// CRLF's `\r` counting toward the cap), read in pieces of any size.
+#[test]
+fn lines_longer_than_a_read_match_the_str_path() {
+    let mut rng = XorShift(0x00c0_ffee);
+    let lens = [
+        READ - 1,
+        READ,
+        READ + 1,
+        2 * READ + 3,
+        3 * READ - 7,
+        3 * READ + 1,
+    ];
+    let uncapped: Vec<Vec<u8>> = lens.iter().map(|&len| long_line(&mut rng, len)).collect();
+    let mut at_cap: Vec<Vec<u8>> = [CAP - 1, CAP, CAP + 1, 3 * READ]
+        .iter()
+        .map(|&len| long_line(&mut rng, len))
+        .collect();
+    let mut crlf = long_line(&mut rng, CAP - 1);
+    crlf.push(b'\r');
+    at_cap.push(crlf);
+    for lines in [&uncapped, &at_cap] {
+        let input = joined(lines);
+        for (delimiter, piece) in [(None, 7), (Some(','), READ), (None, 3 * READ)] {
+            let wanted = [true, false, true];
+            check(&input, delimiter, &wanted, (CAP, piece), &mut rng);
+        }
+        let stutter = Stutter {
+            data: &input,
+            piece: READ / 3,
+            rng: XorShift(rng.next() | 1),
+        };
+        let got = front_end(LineReader::new(stutter), None, &[true]);
+        assert_eq!(got, oracle(&input, None, &[true]), "uncapped, stuttering");
+        // Unterminated: the last long line ends the input.
+        let unterminated = &input[..input.len() - b"\nshort row\n".len()];
+        check(unterminated, None, &[true], (CAP, READ), &mut rng);
     }
 }
 
@@ -256,7 +325,7 @@ fn mutated_inputs_match_the_str_path() {
         let delimiter = DELIMITERS[rng.below(DELIMITERS.len())];
         let wanted: Vec<bool> = (0..rng.below(5)).map(|_| rng.below(3) > 0).collect();
         let cap = 1 + rng.below(24);
-        check(&input, delimiter, &wanted, cap, &mut rng);
+        check(&input, delimiter, &wanted, (cap, 7), &mut rng);
         rounds += 1;
     }
     assert!(rounds > 0, "fuzz loop never ran");
