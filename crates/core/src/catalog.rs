@@ -43,7 +43,6 @@
 //! [`TraceEvent::QueryRetired`].
 
 use std::fmt;
-use std::sync::Arc;
 
 use imp_stream::hashplan::{HashedBatch, ItemsetCombiner, QueryCombiner, TupleHasher};
 use imp_stream::schema::Schema;
@@ -51,7 +50,7 @@ use imp_stream::tuple::Tuple;
 
 use crate::budget::MemoryBudget;
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator, Zone1};
-use crate::lane::{LaneWorker, Lanes, LANE_DEPTH};
+use crate::lane::{LaneWorker, Lanes};
 use crate::metrics::{Exposition, Kind, Row};
 use crate::query::{Filter, ImplicationQuery, QueryKind};
 use crate::trace::{TraceEvent, TraceHandle};
@@ -673,21 +672,16 @@ const QUERY_ANSWER_HELP: &str = "The query's current scalar answer per its kind"
 /// A catalog lane: a [`QueryCatalog`] holding a subset of the queries,
 /// applying every batch of the stream.
 impl LaneWorker for QueryCatalog {
-    type Batch = Arc<HashedBatch>;
+    type Batch = HashedBatch;
 
-    fn apply(&mut self, batch: Arc<HashedBatch>) {
-        self.process_hashed(&batch);
+    fn apply(&mut self, batch: &HashedBatch) {
+        self.process_hashed(batch);
     }
 
     fn publish(&mut self) {
         QueryCatalog::publish(self);
     }
 }
-
-/// Batches the router keeps pooled for reuse once every lane has dropped
-/// its `Arc`. A lane holds at most `LANE_DEPTH` queued batches plus the
-/// one it is applying, so one more than that always leaves a free one.
-const CATALOG_POOL: usize = LANE_DEPTH + 2;
 
 /// A `T`-way parallel front-end for a [`QueryCatalog`]: the *queries*
 /// are partitioned across `T` worker threads, and every worker sees the
@@ -708,11 +702,12 @@ const CATALOG_POOL: usize = LANE_DEPTH + 2;
 /// the columnar rows through an `Arc` and never re-hash.
 ///
 /// The lanes run on the crate's lane runtime, the one
-/// [`ShardedEstimator`](crate::ShardedEstimator) runs on too; the
-/// hand-off is this type's own. Batches travel in pooled `Arc`s: once
-/// every lane has dropped its reference, the router moves the next batch
-/// into that `Arc` and hands the old contents back to the caller, so
-/// steady-state ingestion, publishes and barriers allocate nothing.
+/// [`ShardedEstimator`](crate::ShardedEstimator) runs on too, and the
+/// runtime owns the hand-off: it broadcasts each batch to every lane in a
+/// pooled `Arc` and hands the caller back a buffer no lane holds any
+/// more, a previous batch's, to refill. Broadcasts cycle through at most
+/// `LANE_DEPTH + 2` such buffers, and steady-state ingestion, publishes
+/// and barriers allocate nothing.
 ///
 /// Mid-stream stats come from per-query readers ([`Self::reader`]),
 /// minted **before** the workers spawn and refreshed whenever a
@@ -730,8 +725,6 @@ pub struct ShardedCatalog {
     /// One pre-minted reader per live query, with the kind of answer it
     /// reports, in registration order.
     readers: Vec<(QueryId, String, QueryKind, EstimateReader)>,
-    /// Shipped batches, reusable once no lane holds them.
-    pool: Vec<Arc<HashedBatch>>,
     /// Rows shipped to the lanes by this router.
     shipped: u64,
 }
@@ -769,9 +762,8 @@ impl ShardedCatalog {
         }
         Self {
             shell,
-            lanes: Lanes::spawn(children, "catalog worker", "catalog-lane"),
+            lanes: Lanes::spawn(children, "catalog worker", "catalog-lane", HashedBatch::new),
             readers,
-            pool: (0..CATALOG_POOL).map(|_| Arc::default()).collect(),
             shipped: 0,
         }
     }
@@ -852,16 +844,6 @@ impl ShardedCatalog {
         }
     }
 
-    /// A pooled batch ready to refill with [`TupleHasher::hash_batch`],
-    /// or an empty one if the pool has none to spare.
-    pub fn checkout(&mut self) -> HashedBatch {
-        self.pool
-            .iter_mut()
-            .find_map(Arc::get_mut)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
     /// Ships one pre-hashed batch to every lane and hands back a pooled
     /// buffer for the caller's next read (a previous batch's allocation,
     /// once every lane is done with it). The batch must come from a
@@ -876,34 +858,19 @@ impl ShardedCatalog {
             return batch;
         }
         self.shipped += batch.len() as u64;
-        // Move the batch into a pooled `Arc` no lane holds any more; the
-        // old contents come back out for the caller to refill.
-        let free = self.pool.iter_mut().position(|a| Arc::get_mut(a).is_some());
-        let shared = match free {
-            Some(i) => {
-                let free = &mut self.pool[i];
-                std::mem::swap(Arc::get_mut(free).expect("no lane holds it"), &mut batch);
-                Arc::clone(free)
-            }
-            // The pool outnumbers what the lanes can hold, so this is not
-            // reached; allocate rather than wait if it ever is.
-            None => Arc::new(std::mem::take(&mut batch)),
-        };
-        for lane in 0..self.lanes.len() {
-            self.lanes.send(lane, Arc::clone(&shared));
-        }
+        self.lanes.broadcast(&mut batch);
         batch
     }
 
     /// Hashes `tuples` once (attribute-wise, shared across all queries)
-    /// and ships the batch to every lane.
+    /// into the shell's scratch batch and ships it to every lane.
     pub fn process_batch(&mut self, tuples: &[Tuple]) {
         if tuples.is_empty() {
             return;
         }
-        let mut batch = self.checkout();
+        let mut batch = std::mem::take(&mut self.shell.scratch);
         self.shell.hasher.hash_batch(tuples, &mut batch);
-        let _ = self.process_hashed(batch);
+        self.shell.scratch = self.process_hashed(batch);
     }
 
     /// Asks every lane to publish its queries' current views at its next
@@ -957,6 +924,7 @@ impl ShardedCatalog {
 mod tests {
     use super::*;
     use crate::conditions::ImplicationConditions;
+    use crate::lane::LANE_DEPTH;
     use crate::query::QueryEngine;
     use imp_stream::AttrSet;
 
@@ -1345,7 +1313,7 @@ mod tests {
         );
         let mut sharded = ShardedCatalog::new(base, 2);
         let hasher = sharded.hasher().clone();
-        let mut batch = sharded.checkout();
+        let mut batch = HashedBatch::new();
         for round in 0..200u64 {
             let tuples: Vec<Tuple> = (0..64)
                 .map(|i| Tuple::from([round * 64 + i, i % 7, i % 4, i % 3]))
@@ -1353,8 +1321,10 @@ mod tests {
             hasher.hash_batch(&tuples, &mut batch);
             batch = sharded.process_hashed(batch);
         }
-        // The pool caps in-flight allocations regardless of round count.
-        assert_eq!(sharded.pool.len(), CATALOG_POOL);
+        // The runtime's pool caps the buffers broadcasts fill, regardless
+        // of round count.
+        let filled = sharded.lanes.pool().filter(|b| !b.is_empty()).count();
+        assert!((1..=LANE_DEPTH + 2).contains(&filled), "filled {filled}");
         assert_eq!(sharded.finish().tuples_seen(), 200 * 64);
     }
 

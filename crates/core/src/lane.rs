@@ -2,7 +2,7 @@
 //!
 //! [`ShardedEstimator`](crate::ShardedEstimator) partitions bitmaps and
 //! [`ShardedCatalog`](crate::ShardedCatalog) partitions queries; each
-//! keeps its own routing and hand-off, and both run their lanes here:
+//! keeps its own routing, and both hand their batches to the lanes here:
 //! one named worker thread per lane fed over a bounded blocking queue
 //! ([`queue`]) of [`LANE_DEPTH`] messages (a full queue blocks the
 //! router), one message loop, one reusable ack queue per lane for
@@ -11,6 +11,18 @@
 //! rather than spinning on an idle core. A dead worker makes the next
 //! push or barrier panic with "… exited early", and `finish` with "…
 //! panicked".
+//!
+//! The runtime owns the hand-off too. Every batch travels in an `Arc`
+//! from one pool made at spawn, and a worker reads it as `&B`. The router
+//! ships a batch with [`send`](Lanes::send) (one lane) or
+//! [`broadcast`](Lanes::broadcast) (every lane): its contents move into
+//! the first pooled `Arc` no lane still holds, and that buffer's old
+//! contents come back in their place for the router to refill. A lane
+//! holds at most `LANE_DEPTH + 1` batches (its queue and the one it is
+//! applying), so a pool of one more than all lanes can hold always has a
+//! free buffer, and steady-state shipping allocates nothing. A broadcast
+//! batch is held by every lane at once, so broadcasts only ever cycle
+//! through the first `LANE_DEPTH + 2` buffers of the pool.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -127,18 +139,9 @@ impl<T> Sender<T> {
     /// Pushes `value`, blocking while the queue is full; hands it back if
     /// the receiver is gone.
     pub(crate) fn push(&self, value: T) -> Result<(), T> {
-        self.send(value, true)
-    }
-
-    /// Pushes `value` if there is room; hands it back otherwise.
-    pub(crate) fn try_push(&self, value: T) -> Result<(), T> {
-        self.send(value, false)
-    }
-
-    fn send(&self, value: T, block: bool) -> Result<(), T> {
         let mut value = Some(value);
         let capacity = self.0.capacity;
-        self.0.settle(block, |s| {
+        self.0.settle(true, |s| {
             let room = s.items.len() < capacity;
             if s.receiver && room {
                 s.items.extend(value.take());
@@ -204,11 +207,12 @@ impl<T> fmt::Debug for Receiver<T> {
 /// The state one lane's worker thread owns, and what it does with each
 /// message.
 pub(crate) trait LaneWorker: Send + 'static {
-    /// What the router ships down the lane.
-    type Batch: Send + 'static;
+    /// What the router ships down the lane, in a pooled `Arc`; `Default`
+    /// is the empty buffer the router gets back if the pool ever runs dry.
+    type Batch: Default + Send + Sync + 'static;
 
     /// Applies one batch, in lane order.
-    fn apply(&mut self, batch: Self::Batch);
+    fn apply(&mut self, batch: &Self::Batch);
 
     /// Publishes this lane's read views.
     fn publish(&mut self) {}
@@ -218,7 +222,7 @@ pub(crate) trait LaneWorker: Send + 'static {
 }
 
 enum LaneMsg<B> {
-    Batch(B),
+    Batch(Arc<B>),
     Publish,
     /// Acknowledged once everything pushed before it has been applied
     /// (the lane is FIFO).
@@ -235,15 +239,20 @@ pub(crate) struct Lanes<W: LaneWorker> {
     workers: Vec<JoinHandle<W>>,
     /// Names the worker in panics ("ingestion worker", "catalog worker").
     role: &'static str,
+    /// The batch buffers, `len() * (LANE_DEPTH + 1) + 1` of them: one more
+    /// than the lanes can hold at once.
+    pool: Vec<Arc<W::Batch>>,
 }
 
 impl<W: LaneWorker> Lanes<W> {
-    /// Starts one lane per worker state; lane `k`'s thread is named
-    /// `{thread}-{k}` (Linux keeps the first 15 bytes).
+    /// Starts one lane per worker state, with a pool of buffers made by
+    /// `seed`; lane `k`'s thread is named `{thread}-{k}` (Linux keeps the
+    /// first 15 bytes).
     pub(crate) fn spawn(
         workers: impl IntoIterator<Item = W>,
         role: &'static str,
         thread: &'static str,
+        seed: impl FnMut() -> W::Batch,
     ) -> Self {
         let (mut lanes, mut acks, mut handles) = (Vec::new(), Vec::new(), Vec::new());
         for (k, mut worker) in workers.into_iter().enumerate() {
@@ -265,7 +274,7 @@ impl<W: LaneWorker> Lanes<W> {
                     }
                 };
                 match msg {
-                    LaneMsg::Batch(batch) => worker.apply(batch),
+                    LaneMsg::Batch(batch) => worker.apply(&batch),
                     LaneMsg::Publish => worker.publish(),
                     LaneMsg::Barrier => {
                         let _ = ack.push(());
@@ -278,11 +287,16 @@ impl<W: LaneWorker> Lanes<W> {
                 .unwrap_or_else(|e| panic!("cannot start {role}: {e}"));
             handles.push(handle);
         }
+        let pool = std::iter::repeat_with(seed)
+            .map(Arc::new)
+            .take(lanes.len() * (LANE_DEPTH + 1) + 1)
+            .collect();
         Self {
             lanes,
             acks,
             workers: handles,
             role,
+            pool,
         }
     }
 
@@ -291,9 +305,37 @@ impl<W: LaneWorker> Lanes<W> {
         self.lanes.len()
     }
 
-    /// Ships one batch down lane `lane`.
-    pub(crate) fn send(&self, lane: usize, batch: W::Batch) {
-        self.push(lane, LaneMsg::Batch(batch));
+    /// Ships `batch` down lane `lane` and leaves in its place a buffer no
+    /// lane holds any more, with a previous batch's contents to refill.
+    pub(crate) fn send(&mut self, lane: usize, batch: &mut W::Batch) {
+        let shared = self.pooled(batch);
+        self.push(lane, LaneMsg::Batch(shared));
+    }
+
+    /// Ships `batch` down every lane, shared, and leaves a free buffer in
+    /// its place as [`send`](Self::send) does.
+    pub(crate) fn broadcast(&mut self, batch: &mut W::Batch) {
+        let shared = self.pooled(batch);
+        for lane in 0..self.len() {
+            self.push(lane, LaneMsg::Batch(Arc::clone(&shared)));
+        }
+    }
+
+    /// Moves `batch` into the first pooled `Arc` no lane holds, handing
+    /// that buffer's old contents back through `batch`. Taking the first
+    /// keeps broadcasts within the first `LANE_DEPTH + 2` buffers.
+    fn pooled(&mut self, batch: &mut W::Batch) -> Arc<W::Batch> {
+        // A plain load skips held buffers; `get_mut` then claims a free
+        // one with the atomic update that orders it after the lane's drop.
+        for slot in self.pool.iter_mut().filter(|s| Arc::strong_count(s) == 1) {
+            if let Some(free) = Arc::get_mut(slot) {
+                std::mem::swap(free, batch);
+                return Arc::clone(slot);
+            }
+        }
+        // The pool outnumbers what the lanes can hold, so this is not
+        // reached; allocate rather than wait if it ever is.
+        Arc::new(std::mem::take(batch))
     }
 
     /// Asks every lane to publish at its next message boundary.
@@ -340,6 +382,13 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    impl<W: LaneWorker> Lanes<W> {
+        /// What the pooled buffers hold, for tests of the pool's bounds.
+        pub(crate) fn pool(&self) -> impl Iterator<Item = &W::Batch> {
+            self.pool.iter().map(|b| &**b)
+        }
+    }
+
     /// Sums its batches and counts publishes.
     struct Summer {
         sum: u64,
@@ -350,7 +399,7 @@ mod tests {
     impl LaneWorker for Summer {
         type Batch = u64;
 
-        fn apply(&mut self, batch: u64) {
+        fn apply(&mut self, &batch: &u64) {
             self.sum += batch;
             self.seen.fetch_add(batch, Ordering::Relaxed);
         }
@@ -373,9 +422,9 @@ mod tests {
     #[test]
     fn barrier_settles_every_lane_and_finish_returns_them_in_order() {
         let seen = Arc::new(AtomicU64::new(0));
-        let lanes = Lanes::spawn(summers(3, &seen), "test worker", "test-lane");
+        let mut lanes = Lanes::spawn(summers(3, &seen), "test worker", "test-lane", u64::default);
         for i in 1..=300u64 {
-            lanes.send((i % 3) as usize, i);
+            lanes.send((i % 3) as usize, &mut { i });
         }
         lanes.barrier();
         assert_eq!(seen.load(Ordering::Relaxed), 300 * 301 / 2);
@@ -393,9 +442,9 @@ mod tests {
     #[test]
     fn finish_drains_what_was_still_in_flight() {
         let seen = Arc::new(AtomicU64::new(0));
-        let lanes = Lanes::spawn(summers(2, &seen), "test worker", "test-lane");
+        let mut lanes = Lanes::spawn(summers(2, &seen), "test worker", "test-lane", u64::default);
         for i in 0..1_000u64 {
-            lanes.send((i % 2) as usize, 1);
+            lanes.send((i % 2) as usize, &mut 1);
         }
         let done = lanes.finish();
         assert_eq!(done.iter().map(|w| w.sum).sum::<u64>(), 1_000);
@@ -406,7 +455,7 @@ mod tests {
     impl LaneWorker for Bomb {
         type Batch = ();
 
-        fn apply(&mut self, _: ()) {
+        fn apply(&mut self, _: &()) {
             panic!("boom");
         }
     }
@@ -414,22 +463,154 @@ mod tests {
     #[test]
     #[should_panic(expected = "test worker exited early")]
     fn a_dead_worker_fails_the_barrier_instead_of_hanging_it() {
-        let lanes = Lanes::spawn([Bomb], "test worker", "test-lane");
-        lanes.send(0, ());
+        let mut lanes = Lanes::spawn([Bomb], "test worker", "test-lane", <()>::default);
+        lanes.send(0, &mut ());
         lanes.barrier();
     }
 
+    /// Applies batch `id` only once the test has opened the gate to it,
+    /// then counts the lanes done with each id.
+    struct Gated {
+        open: Arc<AtomicU64>,
+        applied: Arc<Vec<AtomicU64>>,
+    }
+
+    impl LaneWorker for Gated {
+        type Batch = u64;
+
+        fn apply(&mut self, &id: &u64) {
+            while self.open.load(Ordering::Acquire) < id {
+                std::thread::yield_now();
+            }
+            self.applied[id as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Batch ids shipped through [`Gated`] lanes; 0 marks a seeded buffer.
+    const IDS: u64 = 300;
+
+    /// Ships ids `1..=IDS` through `n` gated lanes, round-robin or by
+    /// broadcast. The gate keeps every lane holding `LANE_DEPTH` batches
+    /// the router has shipped since (so the router never waits on it), and
+    /// each buffer handed back must carry a batch every lane it went to
+    /// has applied. Returns the lanes, settled.
+    fn ship_gated(n: usize, broadcast: bool) -> Lanes<Gated> {
+        let open = Arc::new(AtomicU64::new(0));
+        let applied: Arc<Vec<AtomicU64>> = Arc::new((0..=IDS).map(|_| AtomicU64::new(0)).collect());
+        let workers = (0..n).map(|_| Gated {
+            open: Arc::clone(&open),
+            applied: Arc::clone(&applied),
+        });
+        let mut lanes = Lanes::spawn(workers, "test worker", "test-lane", u64::default);
+        // Ids shipped per id a lane gets, and lanes that get each id.
+        let (stride, holders) = if broadcast {
+            (1, n as u64)
+        } else {
+            (n as u64, 1)
+        };
+        let mut recycled = 0;
+        for id in 1..=IDS {
+            let held = stride * LANE_DEPTH as u64;
+            open.store(id.saturating_sub(held + 1), Ordering::Release);
+            let mut batch = id;
+            if broadcast {
+                lanes.broadcast(&mut batch);
+            } else {
+                lanes.send(id as usize % n, &mut batch);
+            }
+            if batch != 0 {
+                recycled += 1;
+                let done = applied[batch as usize].load(Ordering::Relaxed);
+                assert_eq!(
+                    done, holders,
+                    "batch {batch} came back while a lane held it"
+                );
+            }
+        }
+        assert!(
+            recycled >= IDS - lanes.pool.len() as u64,
+            "the pool recycles"
+        );
+        open.store(IDS, Ordering::Release);
+        lanes.barrier();
+        lanes
+    }
+
     #[test]
-    fn queue_is_fifo_and_a_full_queue_refuses_until_an_item_leaves() {
+    fn a_buffer_comes_back_only_once_no_lane_holds_it() {
+        for broadcast in [false, true] {
+            ship_gated(3, broadcast).finish();
+        }
+    }
+
+    #[test]
+    fn with_every_pooled_buffer_held_the_router_allocates_instead_of_waiting() {
+        const SEEDED: u64 = 1_000;
+        let seen = Arc::new(AtomicU64::new(0));
+        let mut lanes = Lanes::spawn(summers(2, &seen), "test worker", "test-lane", || SEEDED);
+        let held: Vec<Arc<u64>> = lanes.pool.iter().map(Arc::clone).collect();
+        let mut batch = 5;
+        lanes.send(0, &mut batch);
+        assert_eq!(batch, 0, "a new buffer, not a held one");
+        let mut batch = 7;
+        lanes.broadcast(&mut batch);
+        assert_eq!(batch, 0, "a new buffer, not a held one");
+        lanes.barrier();
+        assert_eq!(seen.load(Ordering::Relaxed), 5 + 2 * 7);
+        assert_eq!(lanes.pool.len(), held.len(), "the pool does not grow");
+        assert!(
+            held.iter().all(|b| **b == SEEDED),
+            "held buffers are untouched"
+        );
+        drop(held);
+        let mut batch = 9;
+        lanes.send(1, &mut batch);
+        assert_eq!(batch, SEEDED, "a released buffer is pooled again");
+        lanes.finish();
+    }
+
+    #[test]
+    fn broadcasts_fill_at_most_lane_depth_plus_two_buffers() {
+        const LANES: usize = 4;
+        let lanes = ship_gated(LANES, true);
+        assert_eq!(lanes.pool.len(), LANES * (LANE_DEPTH + 1) + 1);
+        // The gate keeps `LANE_DEPTH` batches held at every ship, so at
+        // least one more buffer than that has been filled.
+        let filled = lanes.pool().filter(|&&b| b != 0).count();
+        assert!(
+            (LANE_DEPTH + 1..=LANE_DEPTH + 2).contains(&filled),
+            "broadcasts filled {filled} buffers"
+        );
+        lanes.finish();
+    }
+
+    #[test]
+    fn queue_is_fifo() {
         let (tx, rx) = queue::<u32>(2);
         for round in 0..5 {
-            tx.try_push(2 * round).unwrap();
-            tx.try_push(2 * round + 1).unwrap();
-            assert_eq!(tx.try_push(99), Err(99));
+            tx.push(2 * round).unwrap();
+            tx.push(2 * round + 1).unwrap();
             assert_eq!(rx.try_pop(), Some(2 * round));
             assert_eq!(rx.try_pop(), Some(2 * round + 1));
         }
         assert_eq!(rx.try_pop(), None);
+    }
+
+    #[test]
+    fn a_full_queue_blocks_until_an_item_leaves() {
+        let (tx, rx) = queue::<u32>(2);
+        tx.push(1).unwrap();
+        tx.push(2).unwrap();
+        let shared = Arc::clone(&tx.0);
+        let sender = std::thread::spawn(move || tx.push(3));
+        until_parked(&shared);
+        assert!(!sender.is_finished(), "a push into a full queue waits");
+        assert_eq!(shared.lock().items.len(), 2);
+        assert_eq!(rx.pop(), Some(1));
+        assert_eq!(sender.join().unwrap(), Ok(()));
+        assert_eq!(rx.pop(), Some(2));
+        assert_eq!(rx.pop(), Some(3));
+        assert_eq!(rx.pop(), None);
     }
 
     #[test]
@@ -470,7 +651,6 @@ mod tests {
         tx.push(1).unwrap();
         drop(rx);
         assert_eq!(tx.push(2), Err(2));
-        assert_eq!(tx.try_push(3), Err(3));
     }
 
     /// Waits until a side has parked on `queue`'s condvar.

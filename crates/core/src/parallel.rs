@@ -27,10 +27,12 @@
 //! Shards run on the crate's lane runtime, as
 //! [`ShardedCatalog`](crate::ShardedCatalog)'s lanes do: one worker per
 //! lane behind a bounded blocking queue, one lock per batch, and at most
-//! [`LANE_DEPTH`] batches in flight per lane. The hand-off is this
-//! front-end's own: the router buffers each shard's pairs in its own
-//! `Vec`, and a reverse queue per lane sends drained buffers home, so
-//! steady-state ingestion allocates nothing.
+//! [`LANE_DEPTH`] batches in flight per lane. The router buffers each
+//! shard's pairs in its own `Vec` and ships it down that shard's lane; the
+//! runtime moves it into a pooled buffer no lane still holds and leaves
+//! that buffer's allocation in its place, for the router to clear and
+//! refill. The pool is seeded with full-size buffers, so even the first
+//! ships allocate nothing.
 //!
 //! Reassembly is merge-based: shards are merged into a fresh estimator.
 //! Because each bitmap carries non-trivial state on exactly one shard,
@@ -85,18 +87,13 @@ use imp_sketch::rank::split_rank;
 
 use crate::estimator::ImplicationEstimator;
 pub use crate::lane::LANE_DEPTH;
-use crate::lane::{queue, LaneWorker, Lanes, Receiver, Sender};
+use crate::lane::{LaneWorker, Lanes};
 use crate::metrics::MetricsHandle;
 use crate::trace::{Span, SpanKind, TraceEvent, TraceHandle};
 use crate::view::{pack_ranks, EstimateReader, ReadView, ViewPublisher};
 
 /// Pre-hashed pairs buffered per shard before a batch is shipped.
 const BATCH: usize = 1024;
-
-/// Bound of each lane's reverse (buffer-recycling) queue: every batch
-/// that can be in flight forward, plus slack so a drained buffer is never
-/// dropped just because the router briefly lags on reclaiming them.
-const RECYCLE_DEPTH: usize = LANE_DEPTH + 2;
 
 /// A cheap, copyable pre-hasher matching an estimator's internal hash
 /// functions, for pipelines that parse and hash on different threads than
@@ -175,34 +172,29 @@ impl SharedRegisters {
 }
 
 /// One bitmap lane's worker: shard `k`, which applies the batches routed
-/// to the bitmaps it owns and sends each drained buffer home.
+/// to the bitmaps it owns.
 #[derive(Debug)]
 struct Shard {
     est: ImplicationEstimator,
     k: usize,
     registers: Arc<SharedRegisters>,
-    recycle: Sender<Vec<(u64, u64)>>,
 }
 
 impl LaneWorker for Shard {
     type Batch = Vec<(u64, u64)>;
 
-    fn apply(&mut self, mut batch: Vec<(u64, u64)>) {
+    fn apply(&mut self, batch: &Vec<(u64, u64)>) {
         self.est
             .metrics()
             .ingest
             .lane(self.k)
             .queue_depth
             .adjust(-1);
-        self.est.update_hashed_batch(&batch);
+        self.est.update_hashed_batch(batch);
         // Expose the owned bitmaps' new read-off state at this batch
         // boundary, so the router can publish views without a barrier.
         self.registers
             .refresh(&self.est, self.k, batch.len() as u64);
-        // Send the drained buffer home for reuse; if the reverse queue is
-        // full (router lagging on reclaims) just let the allocation go.
-        batch.clear();
-        let _ = self.recycle.try_push(batch);
     }
 
     fn idle(&self) {
@@ -229,9 +221,6 @@ pub struct ShardedEstimator {
     template: ImplicationEstimator,
     /// One lane per shard (see [`crate::lane`]).
     lanes: Lanes<Shard>,
-    /// Reverse queues, worker → router: drained batch buffers coming home
-    /// for reuse, one per lane.
-    recycled: Vec<Receiver<Vec<(u64, u64)>>>,
     pending: Vec<Vec<(u64, u64)>>,
     /// Pre-hashed updates routed by this session, reported by its ingest
     /// span (`ingest.updates_routed` also counts every other pipeline
@@ -266,30 +255,18 @@ impl ShardedEstimator {
         let template = base.fresh_like();
         let registers = Arc::new(SharedRegisters::capture(&base, threads));
         let preloaded = base.tuples_seen();
-        let mut recycled = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for (k, est) in base.split_shards(threads).into_iter().enumerate() {
-            let (recycle, recycle_rx) = queue::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
-            // Seed the reverse queue before the worker exists: the router's
-            // very first ships already find buffers to reclaim, so the
-            // circulating pool is born at working size (one buffer per
-            // possible in-flight batch) instead of growing through
-            // first-contact allocations on the hot path.
-            for _ in 0..LANE_DEPTH {
-                let _ = recycle.try_push(Vec::with_capacity(BATCH));
-            }
-            recycled.push(recycle_rx);
-            workers.push(Shard {
-                est,
-                k,
-                registers: Arc::clone(&registers),
-                recycle,
-            });
-        }
+        let workers = base.split_shards(threads).into_iter().enumerate();
+        let workers = workers.map(|(k, est)| Shard {
+            est,
+            k,
+            registers: Arc::clone(&registers),
+        });
+        // The pool is born at working size, so the first ships swap in a
+        // full-capacity buffer instead of growing one on the hot path.
+        let seed = || Vec::with_capacity(BATCH);
         Self {
             template,
-            lanes: Lanes::spawn(workers, "ingestion worker", "ingest-lane"),
-            recycled,
+            lanes: Lanes::spawn(workers, "ingestion worker", "ingest-lane", seed),
             pending: vec![Vec::with_capacity(BATCH); threads],
             routed: 0,
             ingest_span,
@@ -312,14 +289,11 @@ impl ShardedEstimator {
     }
 
     /// Ships shard `shard`'s pending buffer to its lane, maintaining the
-    /// routing counters and the in-flight queue-depth gauge, and leaves a
-    /// buffer the worker sent home in its place: once every lane's
-    /// buffers are circulating, the steady state allocates nothing.
+    /// routing counters and the in-flight queue-depth gauge; the lane
+    /// runtime leaves a pooled buffer in its place, cleared here for the
+    /// shard's next pairs.
     fn ship(&mut self, shard: usize) {
-        let replacement = self.recycled[shard]
-            .try_pop()
-            .unwrap_or_else(|| Vec::with_capacity(BATCH));
-        let batch = std::mem::replace(&mut self.pending[shard], replacement);
+        let batch = &mut self.pending[shard];
         let m = &self.template.metrics().ingest;
         m.batches_routed.inc();
         m.updates_routed.add(batch.len() as u64);
@@ -332,6 +306,7 @@ impl ShardedEstimator {
             updates: batch.len() as u32,
         });
         self.lanes.send(shard, batch);
+        batch.clear();
     }
 
     /// Number of worker shards.
